@@ -8,7 +8,8 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/related_work.hpp"
+#include "core/dmr_checkpoint_system.hpp"
+#include "core/lockstep_system.hpp"
 
 int main(int argc, char** argv) {
   using namespace unsync;

@@ -82,16 +82,13 @@ int main(int argc, char** argv) {
       {baseline_plan(), true, "unprotected baseline"},
   };
   std::vector<CampaignResult> campaign_results(std::size(specs));
-  {
-    runtime::ThreadPool pool(args.workers);
-    pool.parallel_for(std::size(specs), [&](std::size_t i) {
-      InjectionConfig cfg;
-      cfg.trials = 400;
-      cfg.seed = args.seed;
-      cfg.l1_write_through = specs[i].write_through;
-      campaign_results[i] = run_campaign(prog, specs[i].plan, cfg);
-    });
-  }
+  runtime::parallel_for(args.workers, std::size(specs), [&](std::size_t i) {
+    InjectionConfig cfg;
+    cfg.trials = 400;
+    cfg.seed = args.seed;
+    cfg.l1_write_through = specs[i].write_through;
+    campaign_results[i] = run_campaign(prog, specs[i].plan, cfg);
+  });
   auto print_campaign = [&](const CampaignResult& r, const char* label) {
     TextTable t(std::string("Campaign: ") + label);
     t.set_header({"outcome", "count", "fraction"});

@@ -143,9 +143,8 @@ int main(int argc, char** argv) {
   const bool want_metrics = cfg.get_bool("metrics", false);
   std::vector<CampaignResult> results(std::size(specs));
   std::vector<obs::MetricsSnapshot> row_metrics(std::size(specs));
-  runtime::ThreadPool pool(
-      static_cast<unsigned>(cfg.get_int("threads", 0)));
-  pool.parallel_for(std::size(specs), [&](std::size_t i) {
+  const auto threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  runtime::parallel_for(threads, std::size(specs), [&](std::size_t i) {
     InjectionConfig row_cfg = icfg;
     row_cfg.l1_write_through = specs[i].write_through;
     if (want_metrics) {

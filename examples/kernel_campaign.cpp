@@ -40,13 +40,10 @@ int main(int argc, char** argv) {
   // independent), then share each trace across that kernel's five jobs.
   std::vector<std::shared_ptr<const std::vector<workload::DynOp>>> traces(
       suite.size());
-  {
-    runtime::ThreadPool pool(threads);
-    pool.parallel_for(suite.size(), [&](std::size_t i) {
-      traces[i] = std::make_shared<const std::vector<workload::DynOp>>(
-          workload::record_trace(workload::assemble(suite[i]), 3'000'000));
-    });
-  }
+  runtime::parallel_for(threads, suite.size(), [&](std::size_t i) {
+    traces[i] = std::make_shared<const std::vector<workload::DynOp>>(
+        workload::record_trace(workload::assemble(suite[i]), 3'000'000));
+  });
   if (save) {
     for (std::size_t i = 0; i < suite.size(); ++i) {
       const auto path = std::filesystem::temp_directory_path() /

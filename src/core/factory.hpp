@@ -14,8 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "core/dmr_checkpoint_system.hpp"
 #include "core/hetero_checker_system.hpp"
-#include "core/related_work.hpp"
+#include "core/lockstep_system.hpp"
 #include "core/reunion_system.hpp"
 #include "core/system.hpp"
 #include "core/unsync_system.hpp"

@@ -245,10 +245,9 @@ CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
   if (prefix_jobs) order = engine->schedule_order(jobs, options_.campaign_seed);
 
   const auto start = std::chrono::steady_clock::now();
-  ThreadPool pool(options_.threads);
   SchedulerStats sched_stats;
-  pool.parallel_for(
-      jobs.size(),
+  parallel_for(
+      options_.threads, jobs.size(),
       [&](std::size_t idx) {
         const std::size_t i = order.empty() ? idx : order[idx];
         const std::uint64_t seed = job_seed(jobs, options_.campaign_seed, i);
@@ -294,7 +293,7 @@ CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
           if (options_.progress) options_.progress(++completed, jobs.size());
         }
       },
-      options_.schedule, &sched_stats);
+      &sched_stats);
   if (journal.is_open()) {
     // Completed prefix-sharing campaigns record the engine totals as a
     // trailing "stats" line. Entry readers skip it; `campaign status`

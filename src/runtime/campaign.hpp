@@ -1,4 +1,4 @@
-// Declarative simulation campaigns executed across a ThreadPool.
+// Declarative simulation campaigns drained by runtime::parallel_for.
 //
 // A campaign is a grid of independent simulation jobs — (workload x
 // architecture x config-point x seed) — exactly the shape of every
@@ -34,7 +34,6 @@
 #include "fault/avf.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "workload/dyn_op.hpp"
 
 namespace unsync::runtime {
@@ -154,10 +153,6 @@ class CampaignRunner {
     /// Worker threads (including the caller). 0 = hardware concurrency;
     /// 1 = serial execution on the caller.
     unsigned threads = 0;
-    /// In-process scheduling: sharded work stealing by default; the legacy
-    /// shared-counter queue (chunked) stays selectable for comparison.
-    /// Never affects results — only how fast the grid drains.
-    ScheduleOptions schedule;
     std::uint64_t campaign_seed = 42;
     /// Collect each job's metrics into CampaignOutput::metrics (one
     /// registry per job, merged in submission order).

@@ -200,10 +200,8 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
     }
     own = std::move(reordered);
   }
-  ThreadPool pool(opts.threads);
-  pool.parallel_for(
-      own.size(), [&](std::size_t k) { run_and_record(own[k]); },
-      opts.schedule, nullptr);
+  parallel_for(opts.threads, own.size(),
+               [&](std::size_t k) { run_and_record(own[k]); });
   journal.flush();
 
   // Phase 2: steal. Walk sibling shards' pending jobs highest-index-first —

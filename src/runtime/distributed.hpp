@@ -35,9 +35,8 @@ struct DistributedOptions {
   std::string dir;      ///< campaign directory (created if missing)
   unsigned workers = 1; ///< number of shards in the topology
   unsigned shard = 0;   ///< which shard this process runs (worker mode)
-  /// In-process threads per worker (ThreadPool semantics: 0 = hardware).
+  /// In-process threads per worker (parallel_for semantics: 0 = hardware).
   unsigned threads = 1;
-  ScheduleOptions schedule;
   std::uint64_t campaign_seed = 42;
   bool collect_metrics = false;
   /// Run the cross-process steal phase after the own shard completes.

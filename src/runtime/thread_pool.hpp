@@ -1,63 +1,32 @@
-// Work-queue thread pool for campaign-level parallelism.
+// Fork-join parallel_for for campaign-level parallelism: one simulation is
+// serial, but (benchmark x architecture x config x seed) grids of
+// independent jobs are not. Its threads live for exactly one call.
 //
-// The simulator itself is single-threaded by design (a cycle-level model
-// has a serial dependence chain); what *is* embarrassingly parallel is the
-// evaluation layer: (benchmark x architecture x config-point x seed) grids
-// where every job is an independent simulation. This pool runs such grids
-// across std::thread workers.
+// One scheduler, sharded work stealing: each worker owns one contiguous
+// shard of [0, n) and claims chunks of max(1, min(64, n / (8 * threads)))
+// indices from it with a fetch_add on a cache-line-private counter; once
+// its shard is dry it steals chunks from the other shards, probed in a
+// per-worker pseudo-random order.
 //
-// Two scheduling modes, selected per parallel_for:
+// Why shards and not one shared counter: callers order grids so that
+// neighbouring indices share expensive state (PrefixEngine::schedule_order
+// groups jobs by golden run). Contiguous shards give each worker a
+// different golden to build; a shared counter gives one golden's jobs to
+// every worker, and all but one block while it is built. On the 4-golden
+// bench_injection_prefix grid with 4 workers (4-core host) a shared
+// counter took 0.735 s median against 0.453 s for the shards; on plain
+// grids the two tied.
 //
-//   * kWorkStealing (default): the index space is split into one
-//     contiguous shard per worker; each worker claims chunks of K indices
-//     from its own shard with a fetch_add on a cache-line-private counter
-//     (the lock-free fast path — no two workers touch the same line while
-//     their shards last), and only when its shard drains does it probe the
-//     other shards in a per-worker pseudo-random order and steal chunks
-//     from whichever still has work. Load imbalance never leaves a core
-//     idle while work remains, and short-job grids stop ping-ponging one
-//     shared cache line.
-//
-//   * kSharedQueue (legacy): all workers claim from a single shared atomic
-//     counter — still chunked (runs of K indices per fetch_add) so the
-//     line bounces once per chunk, not once per index.
-//
-// Determinism contract: the pool never influences simulation results. Work
-// is identified by dense indices [0, n); every index runs exactly once;
-// callers must derive any randomness from the job *index*, never from
-// thread identity, claim order or steal schedule. With threads == 1 no
-// worker threads exist at all and the body runs inline on the caller,
-// byte-for-byte reproducing a serial loop.
+// Determinism: every index runs exactly once, and callers derive any
+// randomness from the index, never from thread identity or claim order.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <utility>
 #include <vector>
 
 namespace unsync::runtime {
-
-enum class ScheduleMode {
-  kWorkStealing,  ///< sharded per-worker ranges + randomized stealing
-  kSharedQueue,   ///< one shared counter (legacy), chunked claims
-};
-
-/// Per-parallel_for scheduling knobs. The defaults are right for job grids;
-/// tests force degenerate shapes (chunk=1) to exercise steal schedules.
-struct ScheduleOptions {
-  ScheduleMode mode = ScheduleMode::kWorkStealing;
-  /// Indices claimed per fetch_add. 0 = auto: max(1, min(64, n/(8*threads)))
-  /// — large enough to amortize the atomic, small enough that stealing can
-  /// still rebalance a skewed tail.
-  std::size_t chunk = 0;
-};
 
 /// What one worker did during a parallel_for (measurement only — never
 /// part of any deterministic result surface).
@@ -66,12 +35,11 @@ struct WorkerStats {
   std::uint64_t local_claims = 0;  ///< chunks claimed from the own shard
   std::uint64_t steals = 0;        ///< chunks claimed from another shard
   std::uint64_t steal_failures = 0;  ///< probes that found a drained shard
-  std::uint64_t idle_ns = 0;  ///< time spent hunting for work after the
-                              ///< local shard drained
+  std::uint64_t idle_ns = 0;  ///< hunting for work after the own shard
 };
 
 /// Scheduler counters for one parallel_for, per worker slot (slot 0 is the
-/// calling thread). kSharedQueue reports every claim as local.
+/// calling thread).
 struct SchedulerStats {
   std::vector<WorkerStats> workers;
 
@@ -88,77 +56,17 @@ struct SchedulerStats {
   }
 };
 
-class ThreadPool {
- public:
-  /// Spawns `threads - 1` workers (the caller participates in every
-  /// parallel_for, so `threads` is the total concurrency). 0 means
-  /// hardware_concurrency().
-  explicit ThreadPool(unsigned threads = 0);
-  ~ThreadPool();
+/// std::thread::hardware_concurrency with a floor of 1.
+unsigned default_threads();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total concurrency (workers + the calling thread).
-  unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
-
-  /// Runs body(i) for every i in [0, n), distributing indices across the
-  /// workers and the calling thread; returns when all n calls finished.
-  /// If any body throws, every remaining index still runs, and afterwards
-  /// the exception of the *lowest* failed index is rethrown — so error
-  /// reporting is independent of scheduling order.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& body) {
-    parallel_for(n, body, ScheduleOptions{}, nullptr);
-  }
-
-  /// As above with explicit scheduling; fills `*stats` (when non-null)
-  /// with per-worker scheduler counters for this batch.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& body,
-                    const ScheduleOptions& options, SchedulerStats* stats);
-
-  /// std::thread::hardware_concurrency with a floor of 1.
-  static unsigned default_threads();
-
- private:
-  /// One worker's claim state, padded so the owner's fetch_add fast path
-  /// never shares a cache line with a neighbour.
-  struct alignas(64) Shard {
-    std::atomic<std::size_t> next{0};
-    std::size_t end = 0;
-  };
-  struct alignas(64) PaddedWorkerStats {
-    WorkerStats s;
-  };
-
-  struct Batch {
-    const std::function<void(std::size_t)>* body = nullptr;
-    std::size_t n = 0;
-    std::size_t chunk = 1;
-    ScheduleMode mode = ScheduleMode::kWorkStealing;
-    unsigned width = 1;  // worker slots (pool size)
-    std::atomic<std::size_t> shared_next{0};
-    std::unique_ptr<Shard[]> shards;           // width entries (stealing)
-    std::unique_ptr<PaddedWorkerStats[]> ws;   // width entries
-    std::mutex error_mu;
-    std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
-  };
-
-  void worker_loop(unsigned slot);
-  /// Claims and runs indices of `batch` as worker `slot` until none remain.
-  static void drain(Batch& batch, unsigned slot);
-  static void run_range(Batch& batch, std::size_t begin, std::size_t end,
-                        WorkerStats& ws);
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  Batch* batch_ = nullptr;        // guarded by mu_
-  std::uint64_t generation_ = 0;  // guarded by mu_; bumped per batch
-  unsigned active_ = 0;           // guarded by mu_; workers inside drain()
-  bool stop_ = false;             // guarded by mu_
-};
+/// Runs body(i) for every i in [0, n) on `threads` workers (0 means
+/// default_threads()): spawns `threads - 1` std::threads, drains on the
+/// caller as slot 0, joins. threads == 1 spawns nothing and drains in index
+/// order through the same code. If bodies throw, every index still runs,
+/// then the *lowest* failed index's exception is rethrown, at any thread
+/// count. Fills `*stats` (when non-null) with one entry per slot.
+void parallel_for(unsigned threads, std::size_t n,
+                  const std::function<void(std::size_t)>& body,
+                  SchedulerStats* stats = nullptr);
 
 }  // namespace unsync::runtime

@@ -1,9 +1,9 @@
 // The campaign engine's core guarantees: parallel == serial (bit-exact),
 // deterministic re-runs, schedule-independent error reporting, and the
-// threads=1 fallback matching a hand-rolled serial loop.
+// threads=1 run matching a hand-rolled serial loop. The parallel_for
+// scheduler itself is tested in test_scheduler.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -14,7 +14,6 @@
 #include "core/reunion_system.hpp"
 #include "core/unsync_system.hpp"
 #include "runtime/campaign.hpp"
-#include "runtime/thread_pool.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
 
@@ -24,78 +23,6 @@ namespace {
 using runtime::CampaignRunner;
 using runtime::SimJob;
 using runtime::SystemKind;
-using runtime::ThreadPool;
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, SingleThreadRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  const auto caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ids(16);
-  pool.parallel_for(ids.size(), [&](std::size_t i) {
-    ids[i] = std::this_thread::get_id();
-  });
-  for (const auto id : ids) EXPECT_EQ(id, caller);
-}
-
-TEST(ThreadPool, ZeroJobsIsANoOp) {
-  ThreadPool pool(4);
-  bool ran = false;
-  pool.parallel_for(0, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 5; ++round) {
-    std::atomic<std::size_t> sum{0};
-    pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(i); });
-    EXPECT_EQ(sum.load(), 4950u);
-  }
-}
-
-TEST(ThreadPool, RethrowsLowestFailingIndex) {
-  ThreadPool pool(4);
-  // Indices 7 and 3 both throw; the pool must surface index 3's exception
-  // regardless of which worker hit which index first.
-  try {
-    pool.parallel_for(16, [&](std::size_t i) {
-      if (i == 7 || i == 3) {
-        throw std::runtime_error("job " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected parallel_for to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "job 3");
-  }
-}
-
-TEST(ThreadPool, RemainingIndicesRunAfterAFailure) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(64);
-  EXPECT_THROW(pool.parallel_for(hits.size(),
-                                 [&](std::size_t i) {
-                                   hits[i].fetch_add(1);
-                                   if (i == 0) throw std::logic_error("boom");
-                                 }),
-               std::logic_error);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Seed derivation

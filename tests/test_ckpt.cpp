@@ -547,7 +547,9 @@ TEST_P(CkptFuzz, BitFlippedCheckpointBytesAlwaysThrow) {
 }
 
 TEST_P(CkptFuzz, CorruptCheckpointFilesAlwaysThrow) {
-  const std::string path = ::testing::TempDir() + "fuzz.ckpt";
+  // One file per system: ctest -j runs the instantiations concurrently.
+  const std::string path = ::testing::TempDir() + "fuzz_" +
+                           std::string(core::name_of(GetParam())) + ".ckpt";
   {
     auto sys = make();
     sys->run(400);

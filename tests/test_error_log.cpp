@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "core/baseline.hpp"
-
-#include "core/related_work.hpp"
+#include "core/dmr_checkpoint_system.hpp"
+#include "core/lockstep_system.hpp"
 #include "core/report.hpp"
 #include "core/reunion_system.hpp"
 #include "core/unsync_system.hpp"

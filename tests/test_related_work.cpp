@@ -1,8 +1,8 @@
-#include "core/related_work.hpp"
-
 #include <gtest/gtest.h>
 
 #include "core/baseline.hpp"
+#include "core/dmr_checkpoint_system.hpp"
+#include "core/lockstep_system.hpp"
 #include "core/unsync_system.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"

@@ -1,12 +1,13 @@
-// The work-stealing scheduler's contract: every index exactly once under
-// any mode / chunk / thread count, steals actually happen under skew,
-// stats account for all work, and — the headline — campaign output stays
-// byte-identical however the grid was scheduled.
+// The parallel_for scheduler's contract: every index exactly once at any
+// thread count, steals actually happen under skew, stats account for all
+// work, failures surface the same way at every width, and — the headline —
+// campaign output stays byte-identical however the grid was scheduled.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,100 +18,118 @@ namespace unsync {
 namespace {
 
 using runtime::CampaignRunner;
-using runtime::ScheduleMode;
-using runtime::ScheduleOptions;
+using runtime::parallel_for;
 using runtime::SchedulerStats;
 using runtime::SimJob;
 using runtime::SystemKind;
-using runtime::ThreadPool;
 
-ScheduleOptions stealing(std::size_t chunk = 0) {
-  ScheduleOptions s;
-  s.mode = ScheduleMode::kWorkStealing;
-  s.chunk = chunk;
-  return s;
-}
-
-ScheduleOptions shared_queue(std::size_t chunk = 0) {
-  ScheduleOptions s;
-  s.mode = ScheduleMode::kSharedQueue;
-  s.chunk = chunk;
-  return s;
-}
-
-void expect_each_index_once(ThreadPool& pool, std::size_t n,
-                            const ScheduleOptions& opts,
+void expect_each_index_once(unsigned threads, std::size_t n,
                             SchedulerStats* stats = nullptr) {
   std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for(
-      n, [&](std::size_t i) { hits[i].fetch_add(1); }, opts, stats);
+  parallel_for(
+      threads, n, [&](std::size_t i) { hits[i].fetch_add(1); }, stats);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(Scheduler, EveryIndexOnceAcrossModesChunksAndWidths) {
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
-      for (const std::size_t chunk : {0u, 1u, 3u, 1024u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " n=" + std::to_string(n) +
-                     " chunk=" + std::to_string(chunk));
-        expect_each_index_once(pool, n, stealing(chunk));
-        expect_each_index_once(pool, n, shared_queue(chunk));
+TEST(ThreadPool, RunsEveryIndexExactlyOnce) { expect_each_index_once(4, 1000); }
+
+TEST(ThreadPool, SingleThreadRunsInline) {
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ids(16);
+  parallel_for(1, ids.size(),
+               [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
+  for (const auto id : ids) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPool, ZeroJobsIsANoOp) {
+  bool ran = false;
+  parallel_for(4, 0, [&](std::size_t) { ran = true; });
+  EXPECT_FALSE(ran);
+}
+
+// Failure semantics must not depend on the thread count: threads == 1
+// drains through the same code as the parallel case.
+using ThreadPoolFailure = ::testing::TestWithParam<unsigned>;
+
+TEST_P(ThreadPoolFailure, RethrowsLowestFailingIndex) {
+  // Indices 7 and 3 both throw; index 3's exception must surface
+  // regardless of which worker hit which index first.
+  try {
+    parallel_for(GetParam(), 16, [&](std::size_t i) {
+      if (i == 7 || i == 3) {
+        throw std::runtime_error("job " + std::to_string(i));
       }
+    });
+    FAIL() << "expected parallel_for to rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "job 3");
+  }
+}
+
+TEST_P(ThreadPoolFailure, RemainingIndicesRunAfterAFailure) {
+  std::vector<std::atomic<int>> hits(64);
+  EXPECT_THROW(parallel_for(GetParam(), hits.size(),
+                            [&](std::size_t i) {
+                              hits[i].fetch_add(1);
+                              if (i == 0) throw std::logic_error("boom");
+                            }),
+               std::logic_error);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ThreadPoolFailure,
+                         ::testing::Values(1u, 2u, 4u));
+
+TEST(Scheduler, EveryIndexOnceAcrossWidths) {
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " n=" + std::to_string(n));
+      expect_each_index_once(threads, n);
     }
   }
 }
 
 TEST(Scheduler, StatsAccountForEveryIndex) {
-  ThreadPool pool(4);
-  for (const auto& opts : {stealing(1), stealing(8), shared_queue(1)}) {
-    SchedulerStats stats;
-    expect_each_index_once(pool, 500, opts, &stats);
-    ASSERT_EQ(stats.workers.size(), pool.size());
-    EXPECT_EQ(stats.total().indices, 500u);
-    EXPECT_GT(stats.total().local_claims + stats.total().steals, 0u);
-  }
+  SchedulerStats stats;
+  expect_each_index_once(4, 500, &stats);
+  ASSERT_EQ(stats.workers.size(), 4u);
+  EXPECT_EQ(stats.total().indices, 500u);
+  EXPECT_GT(stats.total().local_claims + stats.total().steals, 0u);
 }
 
-TEST(Scheduler, SerialFallbackFillsStats) {
-  ThreadPool pool(1);
+TEST(Scheduler, SingleThreadFillsStats) {
   SchedulerStats stats;
-  expect_each_index_once(pool, 32, stealing(), &stats);
+  expect_each_index_once(1, 32, &stats);
   ASSERT_EQ(stats.workers.size(), 1u);
   EXPECT_EQ(stats.workers[0].indices, 32u);
+  EXPECT_EQ(stats.workers[0].local_claims, 8u);  // auto chunk 32/8 = 4
   EXPECT_EQ(stats.workers[0].steals, 0u);
-}
-
-TEST(Scheduler, SharedQueueReportsOnlyLocalClaims) {
-  ThreadPool pool(4);
-  SchedulerStats stats;
-  expect_each_index_once(pool, 256, shared_queue(1), &stats);
-  EXPECT_EQ(stats.total().steals, 0u);
-  EXPECT_EQ(stats.total().indices, 256u);
 }
 
 TEST(Scheduler, SkewForcesSteals) {
   // All the real work sits in worker 0's shard: indices [0, n/width) are
   // slow, everything else is instant. The other workers drain their shards
-  // immediately and must steal from shard 0 to finish the batch. chunk=1
-  // keeps single indices stealable.
-  ThreadPool pool(4);
-  const std::size_t n = 64;
-  const std::size_t slow_end = n / pool.size();
+  // immediately and must steal from shard 0 to finish the batch. n = 32 on
+  // 4 workers makes the auto chunk 1, so single indices stay stealable.
+  const unsigned threads = 4;
+  const std::size_t n = 32;
+  const std::size_t slow_end = n / threads;
   std::vector<std::atomic<int>> hits(n);
   SchedulerStats stats;
-  pool.parallel_for(
-      n,
+  parallel_for(
+      threads, n,
       [&](std::size_t i) {
         hits[i].fetch_add(1);
         if (i < slow_end) {
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
       },
-      stealing(1), &stats);
+      &stats);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -122,23 +141,19 @@ TEST(Scheduler, SkewForcesSteals) {
 }
 
 TEST(Scheduler, ExceptionReportingIsScheduleIndependent) {
-  // The lowest failing index wins under every mode and chunk shape.
-  for (const auto& opts :
-       {stealing(0), stealing(1), shared_queue(0), shared_queue(1)}) {
-    ThreadPool pool(4);
-    try {
-      pool.parallel_for(
-          48,
-          [&](std::size_t i) {
-            if (i == 41 || i == 11) {
-              throw std::runtime_error("job " + std::to_string(i));
-            }
-          },
-          opts, nullptr);
-      FAIL() << "expected parallel_for to rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "job 11");
-    }
+  // Index 41 (last shard) fails at once; index 11 (first shard) fails only
+  // after a delay, so the higher index is recorded first. The lowest
+  // failing index still wins.
+  try {
+    parallel_for(4, 48, [&](std::size_t i) {
+      if (i == 11) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      if (i == 41 || i == 11) {
+        throw std::runtime_error("job " + std::to_string(i));
+      }
+    });
+    FAIL() << "expected parallel_for to rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "job 11");
   }
 }
 
@@ -172,23 +187,16 @@ TEST(SchedulerDeterminism, JsonByteIdenticalAcrossThreadsAndSchedules) {
   const std::string reference = CampaignRunner(base).run(jobs).to_json();
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const auto& sched :
-         {stealing(0), stealing(1), shared_queue(0), shared_queue(1)}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " mode=" +
-                   (sched.mode == ScheduleMode::kWorkStealing ? "stealing"
-                                                              : "shared") +
-                   " chunk=" + std::to_string(sched.chunk));
-      CampaignRunner::Options opts = base;
-      opts.threads = threads;
-      opts.schedule = sched;
-      EXPECT_EQ(CampaignRunner(opts).run(jobs).to_json(), reference);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignRunner::Options opts = base;
+    opts.threads = threads;
+    EXPECT_EQ(CampaignRunner(opts).run(jobs).to_json(), reference);
   }
 }
 
 TEST(SchedulerDeterminism, ForcedStealScheduleDoesNotChangeOutput) {
-  // chunk=1 on a grid whose first jobs are the heaviest maximises steal
-  // traffic; the output must not care.
+  // Eight workers on a six-job grid (auto chunk 1) whose first job is the
+  // heaviest maximise steal traffic; the output must not care.
   auto jobs = small_grid();
   jobs[0].insts = 20000;  // a straggler in worker 0's shard
   CampaignRunner::Options serial;
@@ -197,7 +205,6 @@ TEST(SchedulerDeterminism, ForcedStealScheduleDoesNotChangeOutput) {
   serial.threads = 1;
   CampaignRunner::Options steal_heavy = serial;
   steal_heavy.threads = 8;
-  steal_heavy.schedule = stealing(1);
   const auto a = CampaignRunner(serial).run(jobs);
   const auto b = CampaignRunner(steal_heavy).run(jobs);
   EXPECT_EQ(a.to_json(), b.to_json());

@@ -29,14 +29,11 @@ Campaign-scheduler mode (--campaign): consumes the JSON that
     build/bench/bench_campaign_scaling json=BENCH_campaign.json
 writes ("unsync.bench_campaign_scaling.v1") and enforces:
 1. identical == true — the scheduler never leaked into results.
-2. Work-stealing parallel efficiency at the largest non-oversubscribed
-   worker count (workers <= hardware_concurrency) >= --min-efficiency
-   (default 0.85). On hosts with a single core every multi-worker point is
-   oversubscribed, so the gate falls back to the workers=1 point — which
-   must stay near 1.0 (scheduling overhead, not parallelism, is then what
-   is being bounded).
-3. Work-stealing throughput at the largest measured worker count is not
-   materially below the shared-queue scheduler's (>= 1 - --tolerance).
+2. Parallel efficiency at the largest non-oversubscribed worker count
+   (workers <= hardware_concurrency) >= --min-efficiency (default 0.85).
+   On hosts with a single core every multi-worker point is oversubscribed,
+   so the gate falls back to the workers=1 point — which must stay near
+   1.0 (scheduling overhead, not parallelism, is then what is bounded).
 
 Two-tier mode (--tier): consumes the JSON that
     build/bench/bench_tier_screening json=BENCH_tier.json
@@ -210,7 +207,7 @@ def write_baseline(ips, path):
 CAMPAIGN_SCHEMA = "unsync.bench_campaign_scaling.v1"
 
 
-def check_campaign(path, min_efficiency, tolerance):
+def check_campaign(path, min_efficiency):
     """Gate the work-stealing scheduler's scaling report."""
     try:
         with open(path) as f:
@@ -225,45 +222,29 @@ def check_campaign(path, min_efficiency, tolerance):
     ok = True
     if report.get("identical") is not True:
         print("  campaign: FAIL — results were NOT identical across "
-              "schedules (determinism contract broken)")
+              "worker counts (determinism contract broken)")
         ok = False
     else:
-        print("  campaign: results identical across every mode and worker "
-              "count")
+        print("  campaign: results identical across every worker count")
 
     cores = int(report.get("hardware_concurrency", 1))
-    stealing = [p for p in report.get("points", [])
-                if p.get("mode") == "stealing"]
-    shared = [p for p in report.get("points", [])
-              if p.get("mode") == "shared"]
-    if not stealing:
-        print("error: no work-stealing points in report")
+    points = report.get("points", [])
+    if not points:
+        print("error: no scaling points in report")
         sys.exit(2)
 
     # The gated point: the largest worker count the host can actually run
     # in parallel (falls back to workers=1 on a single-core host, where the
     # gate bounds pure scheduling overhead instead).
-    eligible = [p for p in stealing if p["workers"] <= cores]
-    gated = max(eligible or stealing[:1], key=lambda p: p["workers"])
+    eligible = [p for p in points if p["workers"] <= cores]
+    gated = max(eligible or points[:1], key=lambda p: p["workers"])
     eff = float(gated["efficiency"])
     verdict = "ok"
     if eff < min_efficiency:
         verdict = f"FAIL (< {min_efficiency:.2f} required)"
         ok = False
-    print(f"  campaign: stealing efficiency at workers={gated['workers']} "
+    print(f"  campaign: efficiency at workers={gated['workers']} "
           f"(cores={cores}): {eff:.2f}  [gated] {verdict}")
-
-    # Work stealing must not lose to the legacy shared queue.
-    top_steal = max(stealing, key=lambda p: p["workers"])
-    top_shared = [p for p in shared if p["workers"] == top_steal["workers"]]
-    if top_shared:
-        rel = top_steal["jobs_per_sec"] / top_shared[0]["jobs_per_sec"]
-        verdict = "ok"
-        if rel < 1.0 - tolerance:
-            verdict = f"FAIL (>{tolerance:.0%} slower than shared queue)"
-            ok = False
-        print(f"  campaign: stealing vs shared throughput at workers="
-              f"{top_steal['workers']}: {rel:6.2%} {verdict}")
     return ok
 
 
@@ -823,7 +804,7 @@ def main():
                     help="gate a bench_campaign_scaling JSON instead of a "
                     "google-benchmark report")
     ap.add_argument("--min-efficiency", type=float, default=0.85,
-                    help="required work-stealing parallel efficiency at the "
+                    help="required parallel efficiency at the "
                     "gated point (default 0.85)")
     ap.add_argument("--write-baseline", metavar="PATH",
                     help="write a fresh baseline from the report and exit")
@@ -915,7 +896,7 @@ def main():
         return 0 if ok else 1
 
     if args.campaign:
-        ok = check_campaign(args.report, args.min_efficiency, args.tolerance)
+        ok = check_campaign(args.report, args.min_efficiency)
         print("bench gate:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 

@@ -82,7 +82,6 @@
 #include "runtime/campaign.hpp"
 #include "runtime/campaign_journal.hpp"
 #include "runtime/distributed.hpp"
-#include "runtime/thread_pool.hpp"
 #include "workload/kernels.hpp"
 #include "workload/profile.hpp"
 #include "workload/stream_stats.hpp"
@@ -135,7 +134,6 @@ void print_usage(std::ostream& os) {
       "              cell whose screening score reaches the threshold\n"
       "            [csv=1 format=json metrics=<path> progress=1]\n"
       "            [checkpoint=<journal> checkpoint_every=N resume=1]\n"
-      "            [scheduler=stealing|shared chunk=<indices per claim>]\n"
       "            [prefix_share=1 prefix_interval=<cycles>\n"
       "              prefix_cache_mb=<MiB>]  share each cell's fault-free\n"
       "              prefix via cached golden checkpoints; byte-identical\n"
@@ -567,22 +565,6 @@ int cmd_sweep(const Config& cfg) {
   return kExitOk;
 }
 
-/// In-process scheduler selection shared by campaign / campaign-worker:
-/// scheduler=stealing (default) | shared, chunk=N (0 = auto-size).
-runtime::ScheduleOptions schedule_from(const Config& cfg) {
-  runtime::ScheduleOptions s;
-  const std::string mode = cfg.get_string("scheduler", "stealing");
-  if (mode == "stealing") {
-    s.mode = runtime::ScheduleMode::kWorkStealing;
-  } else if (mode == "shared") {
-    s.mode = runtime::ScheduleMode::kSharedQueue;
-  } else {
-    throw ConfigError("unknown scheduler: " + mode + " (stealing|shared)");
-  }
-  s.chunk = static_cast<std::size_t>(cfg.get_int("chunk", 0));
-  return s;
-}
-
 /// Prefix-sharing knobs shared by campaign / campaign-worker /
 /// campaign-coordinator: prefix_share=1 turns the engine on,
 /// prefix_interval= sets the golden checkpoint cadence (campaign identity
@@ -731,7 +713,6 @@ int cmd_campaign(const Config& cfg) {
 
   runtime::CampaignRunner::Options opts;
   opts.threads = static_cast<unsigned>(cfg.get_int("threads", 0));
-  opts.schedule = schedule_from(cfg);
   opts.campaign_seed = knobs.seed;
   opts.screen = knobs.screen;
   opts.screen_threshold = knobs.screen_threshold;
@@ -792,7 +773,6 @@ int cmd_campaign_worker(const Config& cfg) {
     throw ConfigError("worker= must be < workers=");
   }
   opts.threads = static_cast<unsigned>(cfg.get_int("threads", 1));
-  opts.schedule = schedule_from(cfg);
   opts.steal = cfg.get_bool("steal", true);
   opts.collect_metrics = cfg.get_bool("collect_metrics", false);
   if (cfg.get_bool("progress", false)) {
@@ -979,7 +959,6 @@ int cmd_avf_report(const Config& cfg) {
 
   runtime::CampaignRunner::Options opts;
   opts.threads = static_cast<unsigned>(cfg.get_int("threads", 0));
-  opts.schedule = schedule_from(cfg);
   opts.campaign_seed = knobs.seed;
   opts.collect_metrics = true;
   const auto out = runtime::CampaignRunner(opts).run(jobs);
