@@ -53,6 +53,12 @@ void System::load_checkpoint_bytes(std::string_view blob) {
   }
 }
 
+std::string System::fault_channel_bytes() const {
+  ckpt::Serializer s;
+  save_fault_channel(s);
+  return s.take();
+}
+
 std::uint64_t System::state_fingerprint() const {
   ckpt::Serializer s;
   save_fingerprint_state(s);

@@ -146,6 +146,9 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   virtual void save_fault_channel(ckpt::Serializer& s) const { (void)s; }
   virtual void load_fault_channel(ckpt::Deserializer& d) { (void)d; }
 
+  /// The fault channel's wire bytes (empty for a system without one).
+  std::string fault_channel_bytes() const;
+
   /// Per-group commit progress: the same watermark arrival consumption is
   /// keyed on (max retired over the group's cores). Used to pick the
   /// latest golden checkpoint that provably precedes a job's first strike.

@@ -486,6 +486,61 @@ TEST(SystemCkptMismatch, RejectsTrailingGarbageInFile) {
   std::remove(path.c_str());
 }
 
+// ---- Wire-stability pins ----------------------------------------------------
+//
+// Pins the checkpoint bytes, the state fingerprint and the fault-channel
+// bytes of every system at a fixed mid-run cycle. The values were recorded
+// before the component state walks were unified into one visit() each; any
+// drift here means the wire format (or the fingerprint) moved.
+
+struct WirePin {
+  core::SystemKind kind;
+  std::uint64_t checkpoint_hash;
+  std::uint64_t fingerprint;
+  std::uint64_t fault_channel_hash;
+};
+
+class WireStability : public ::testing::TestWithParam<WirePin> {};
+
+TEST_P(WireStability, MidRunBytesAndFingerprintArePinned) {
+  const WirePin& pin = GetParam();
+  core::SystemConfig cfg;
+  cfg.num_threads = 2;
+  cfg.ser_per_inst = 1e-3;  // several arrivals per thread: non-empty schedules
+  cfg.seed = 77;
+  workload::SyntheticStream stream(workload::profile("gzip"), cfg.seed, 4000);
+  auto sys = core::make_system(pin.kind, cfg, stream);
+  sys->run(20000);
+
+  const std::string channel = sys->fault_channel_bytes();
+  if (pin.kind != core::SystemKind::kBaseline) {
+    // RNG words + group count + two non-empty schedules with cursors.
+    EXPECT_GT(channel.size(), 4 * 8 + 8 + 2 * (8 + 8 + 8));
+  }
+  EXPECT_EQ(ckpt::hash64(sys->save_checkpoint_bytes()), pin.checkpoint_hash);
+  EXPECT_EQ(sys->state_fingerprint(), pin.fingerprint);
+  EXPECT_EQ(ckpt::hash64(channel), pin.fault_channel_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSystems, WireStability,
+    ::testing::Values(
+        WirePin{core::SystemKind::kBaseline, 1165567031804653075ull,
+                15516716254053648600ull, 1469598103934665603ull},
+        WirePin{core::SystemKind::kUnSync, 12966129479804583633ull,
+                2571605378922463206ull, 11586476240112683065ull},
+        WirePin{core::SystemKind::kReunion, 9959300832933207504ull,
+                13897458990699050173ull, 11586476240112683065ull},
+        WirePin{core::SystemKind::kLockstep, 7833298294407954837ull,
+                1539972557535588112ull, 11586476240112683065ull},
+        WirePin{core::SystemKind::kCheckpoint, 7546955459280675790ull,
+                397029394507799887ull, 11586476240112683065ull},
+        WirePin{core::SystemKind::kHetero, 11906617168337081584ull,
+                15633480285119997842ull, 10200822151405831211ull}),
+    [](const auto& info) {
+      return std::string(core::name_of(info.param.kind));
+    });
+
 // ---- Container fuzzing ------------------------------------------------------
 //
 // The robustness contract of every "unsync.ckpt.v1" consumer (file AND
