@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     std::vector<runtime::SimJob> jobs;
     for (const char* b : benches) {
       runtime::SimJob job =
-          bench::sim_job(args, b, runtime::SystemKind::kUnSync);
+          bench::sim_job(args, b, core::SystemKind::kUnSync);
       job.avf = true;
       job.protect = row.plan;
       jobs.push_back(std::move(job));

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
   bench::print_header("Campaign scheduler scaling: workers", args);
 
   const char* profiles[] = {"gzip", "susan", "mcf", "equake"};
-  const runtime::SystemKind systems[] = {runtime::SystemKind::kBaseline,
-                                         runtime::SystemKind::kUnSync};
+  const core::SystemKind systems[] = {core::SystemKind::kBaseline,
+                                         core::SystemKind::kUnSync};
   std::vector<runtime::SimJob> jobs;
   jobs.reserve(n_jobs);
   for (std::uint64_t i = 0; i < n_jobs; ++i) {

@@ -8,8 +8,8 @@
 //      load_checkpoint_bytes — the buffer-backed path the prefix-sharing
 //      engine caches and restores from): blob size plus save and restore
 //      latency into a fresh system.
-//   3. Simulation throughput with periodic snapshots vs. none (save_state
-//      is called from a paused simulation, so the only cost is the
+//   3. Simulation throughput with periodic snapshots vs. none (a snapshot
+//      is taken from a paused simulation, so the only cost is the
 //      serialization itself).
 //   4. Campaign wall time with and without a job journal (the per-job blob
 //      encode + append + flush).
@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
   // 4) Campaign with vs. without a job journal.
   std::vector<runtime::SimJob> jobs;
   for (const char* b : {"gzip", "mcf", "susan", "bzip2"}) {
-    for (const auto kind : {runtime::SystemKind::kBaseline,
-                            runtime::SystemKind::kUnSync,
-                            runtime::SystemKind::kReunion}) {
+    for (const auto kind : {core::SystemKind::kBaseline,
+                            core::SystemKind::kUnSync,
+                            core::SystemKind::kReunion}) {
       jobs.push_back(bench::sim_job(a, b, kind, 1e-5));
     }
   }

@@ -28,10 +28,10 @@ int main(int argc, char** argv) {
   std::vector<runtime::SimJob> jobs;
   jobs.reserve(profiles.size() * 3);
   for (const auto& prof : profiles) {
-    auto b = bench::sim_job(args, prof.name, runtime::SystemKind::kBaseline);
-    auto r = bench::sim_job(args, prof.name, runtime::SystemKind::kReunion);
+    auto b = bench::sim_job(args, prof.name, core::SystemKind::kBaseline);
+    auto r = bench::sim_job(args, prof.name, core::SystemKind::kReunion);
     r.params.reunion = rp;
-    auto u = bench::sim_job(args, prof.name, runtime::SystemKind::kUnSync);
+    auto u = bench::sim_job(args, prof.name, core::SystemKind::kUnSync);
     u.params.unsync = up;
     jobs.push_back(std::move(b));
     jobs.push_back(std::move(r));

@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
   jobs.reserve(std::size(benches) * kCells);
   for (const auto* name : benches) {
     jobs.push_back(
-        bench::sim_job(args, name, runtime::SystemKind::kBaseline));
+        bench::sim_job(args, name, core::SystemKind::kBaseline));
     for (const auto bytes : sizes_bytes) {
-      auto job = bench::sim_job(args, name, runtime::SystemKind::kUnSync);
+      auto job = bench::sim_job(args, name, core::SystemKind::kUnSync);
       job.params.unsync.cb_entries = std::max<std::size_t>(
           1, core::UnSyncParams::entries_for_bytes(bytes));
       jobs.push_back(std::move(job));

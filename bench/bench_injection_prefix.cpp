@@ -67,15 +67,15 @@ int main(int argc, char** argv) {
   struct Cellbase {
     const char* name;
     std::shared_ptr<const std::vector<workload::DynOp>> trace;
-    runtime::SystemKind system;
+    core::SystemKind system;
   };
   const auto gzip = record_trace("gzip", 7, args.insts);
   const auto susan = record_trace("susan", 11, args.insts);
   const Cellbase cells[] = {
-      {"gzip/unsync", gzip, runtime::SystemKind::kUnSync},
-      {"gzip/reunion", gzip, runtime::SystemKind::kReunion},
-      {"susan/unsync", susan, runtime::SystemKind::kUnSync},
-      {"susan/reunion", susan, runtime::SystemKind::kReunion},
+      {"gzip/unsync", gzip, core::SystemKind::kUnSync},
+      {"gzip/reunion", gzip, core::SystemKind::kReunion},
+      {"susan/unsync", susan, core::SystemKind::kUnSync},
+      {"susan/reunion", susan, core::SystemKind::kReunion},
   };
 
   std::vector<runtime::SimJob> jobs;

@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
   jobs.reserve(std::size(rates) * kNumBenches * 2);
   for (const double ser : rates) {
     for (const auto* name : benches) {
-      auto u = bench::sim_job(args, name, runtime::SystemKind::kUnSync, ser);
+      auto u = bench::sim_job(args, name, core::SystemKind::kUnSync, ser);
       u.params.unsync = up;
-      auto r = bench::sim_job(args, name, runtime::SystemKind::kReunion, ser);
+      auto r = bench::sim_job(args, name, core::SystemKind::kReunion, ser);
       r.params.reunion = rp;
       jobs.push_back(std::move(u));
       jobs.push_back(std::move(r));

@@ -49,7 +49,7 @@ struct Cell {
   std::string bench;
   std::string system;
   double ser = 0.0;
-  core::RunResult r;
+  engine::RunResult r;
 
   std::uint64_t detected() const { return r.recoveries + r.rollbacks; }
 };

@@ -45,7 +45,7 @@ struct Cell {
   std::uint64_t err_dev = 0;
 };
 
-double cpi_of(const core::RunResult& r) {
+double cpi_of(const engine::RunResult& r) {
   const double ipc = r.thread_ipc();
   return ipc > 0 ? 1.0 / ipc : 0.0;
 }
@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
   const double ser = 2e-4;  // enough strikes that error paths exercise
   const char* benches[] = {"gzip", "galgel", "mcf", "susan", "equake",
                            "bzip2"};
-  const runtime::SystemKind systems[] = {
-      runtime::SystemKind::kBaseline, runtime::SystemKind::kUnSync,
-      runtime::SystemKind::kReunion,  runtime::SystemKind::kLockstep,
-      runtime::SystemKind::kCheckpoint, runtime::SystemKind::kHetero};
+  const core::SystemKind systems[] = {
+      core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+      core::SystemKind::kReunion,  core::SystemKind::kLockstep,
+      core::SystemKind::kCheckpoint, core::SystemKind::kHetero};
 
   std::vector<runtime::SimJob> detailed_jobs;
   for (const char* b : benches) {

@@ -73,17 +73,19 @@ inline double baseline_ipc(const BenchArgs& a, const std::string& bench) {
   return sys.run().thread_ipc();
 }
 
-inline core::RunResult unsync_run(const BenchArgs& a, const std::string& bench,
-                                  const core::UnSyncParams& p,
-                                  double ser = 0.0) {
+inline engine::RunResult unsync_run(const BenchArgs& a,
+                                    const std::string& bench,
+                                    const core::UnSyncParams& p,
+                                    double ser = 0.0) {
   workload::SyntheticStream s = a.stream(bench);
   core::UnSyncSystem sys(a.system_config(ser), p, s);
   return sys.run();
 }
 
-inline core::RunResult reunion_run(const BenchArgs& a, const std::string& bench,
-                                   const core::ReunionParams& p,
-                                   double ser = 0.0) {
+inline engine::RunResult reunion_run(const BenchArgs& a,
+                                     const std::string& bench,
+                                     const core::ReunionParams& p,
+                                     double ser = 0.0) {
   workload::SyntheticStream s = a.stream(bench);
   core::ReunionSystem sys(a.system_config(ser), p, s);
   return sys.run();
@@ -93,7 +95,7 @@ inline core::RunResult reunion_run(const BenchArgs& a, const std::string& bench,
 /// runs the identical same-seed workload stream, as the serial helpers
 /// above always did).
 inline runtime::SimJob sim_job(const BenchArgs& a, const std::string& bench,
-                               runtime::SystemKind system, double ser = 0.0) {
+                               core::SystemKind system, double ser = 0.0) {
   runtime::SimJob job;
   job.label = bench;
   job.profile = bench;

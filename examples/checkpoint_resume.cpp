@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   };
 
   // 1. Ground truth: one uninterrupted run.
-  const core::RunResult full = make()->run();
+  const engine::RunResult full = make()->run();
   std::cout << "uninterrupted run: " << full.cycles << " cycles, "
             << full.errors_injected << " errors injected\n";
 
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   //    restore, finish.
   auto resumed = make();
   resumed->load_checkpoint_file(ckpt_path);
-  const core::RunResult after = resumed->run();
+  const engine::RunResult after = resumed->run();
   std::cout << "resumed run:       " << after.cycles << " cycles, "
             << after.errors_injected << " errors injected\n";
   std::cout << (after.to_json() == full.to_json()
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   std::vector<runtime::SimJob> jobs;
   for (const char* bench : {"gzip", "mcf", "susan"}) {
     for (const auto kind :
-         {runtime::SystemKind::kBaseline, runtime::SystemKind::kUnSync}) {
+         {core::SystemKind::kBaseline, core::SystemKind::kUnSync}) {
       runtime::SimJob job;
       job.label = bench;
       job.profile = bench;

@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
   base.params.unsync.cb_entries = 128;
   base.seed = 42;  // traces carry their own determinism; systems see ser=0
 
-  constexpr runtime::SystemKind kSystems[] = {
-      runtime::SystemKind::kBaseline, runtime::SystemKind::kLockstep,
-      runtime::SystemKind::kCheckpoint, runtime::SystemKind::kReunion,
-      runtime::SystemKind::kUnSync};
+  constexpr core::SystemKind kSystems[] = {
+      core::SystemKind::kBaseline, core::SystemKind::kLockstep,
+      core::SystemKind::kCheckpoint, core::SystemKind::kReunion,
+      core::SystemKind::kUnSync};
   const auto suite = workload::standard_kernel_suite();
 
   // Record every kernel's trace concurrently (the golden-model runs are

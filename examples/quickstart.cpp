@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   sys_cfg.num_threads = 1;
   const auto baseline =
       core::make_system(core::SystemKind::kBaseline, sys_cfg, trace);
-  const core::RunResult rb = baseline->run();
+  const engine::RunResult rb = baseline->run();
   std::cout << "\nBaseline CMP:   " << rb.cycles << " cycles, IPC "
             << rb.thread_ipc() << "\n";
 
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   params.unsync.cb_entries = 128;  // 2 KiB CB
   const auto unsync =
       core::make_system(core::SystemKind::kUnSync, sys_cfg, trace, params);
-  const core::RunResult ru = unsync->run();
+  const engine::RunResult ru = unsync->run();
   std::cout << "UnSync (pair):  " << ru.cycles << " cycles, IPC "
             << ru.thread_ipc() << " at SER " << ser << "/inst\n"
             << "                errors injected: " << ru.errors_injected

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
   base.params.reunion.fingerprint_interval =
       static_cast<unsigned>(cfg.get_int("fi", 10));
 
-  constexpr runtime::SystemKind kSystems[] = {runtime::SystemKind::kBaseline,
-                                              runtime::SystemKind::kUnSync,
-                                              runtime::SystemKind::kReunion};
+  constexpr core::SystemKind kSystems[] = {core::SystemKind::kBaseline,
+                                              core::SystemKind::kUnSync,
+                                              core::SystemKind::kReunion};
   const auto& profiles = workload::all_profiles();
   std::vector<runtime::SimJob> jobs;
   jobs.reserve(profiles.size() * 3);

@@ -1,6 +1,9 @@
 #include "ckpt/serializer.hpp"
 
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 
@@ -58,9 +61,7 @@ void Serializer::end_chunk() {
 void Deserializer::need(std::size_t n) const {
   // A read may not cross the end of the innermost open chunk: a misaligned
   // reader fails at the exact field, not at some later end_chunk().
-  const std::size_t limit =
-      chunk_stack_.empty() ? buf_.size() : chunk_stack_.back().second;
-  if (limit - pos_ < n) {
+  if (chunk_remaining() < n) {
     throw CkptError("checkpoint truncated: need " + std::to_string(n) +
                     " bytes at offset " + std::to_string(pos_));
   }
@@ -133,11 +134,7 @@ std::string unwrap_container(std::string_view file_bytes) {
                     std::to_string(len) + " bytes, " +
                     std::to_string(d.remaining()) + " present");
   }
-  std::string payload;
-  payload.reserve(len);
-  for (std::uint64_t i = 0; i < len; ++i) {
-    payload.push_back(static_cast<char>(d.u8()));
-  }
+  std::string payload(file_bytes.substr(file_bytes.size() - len));
   const std::uint32_t got_crc = crc32(payload);
   if (got_crc != want_crc) {
     throw CkptError("checkpoint CRC mismatch (file corrupted)");
@@ -146,7 +143,12 @@ std::string unwrap_container(std::string_view file_bytes) {
 }
 
 void atomic_write_text(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp";
+  // The temp name is unique per writer: two processes (or threads) saving
+  // the same path must not share a temp file, or the slower rename finds
+  // it already gone.
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(writes.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("cannot write " + tmp);
@@ -156,6 +158,7 @@ void atomic_write_text(const std::string& path, std::string_view content) {
     if (!out) throw std::runtime_error("short write to " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
     throw std::runtime_error("cannot rename " + tmp + " -> " + path);
   }
 }

@@ -13,7 +13,6 @@
 // resumable-run contract in docs/CHECKPOINTS.md is built on).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -86,9 +85,13 @@ class Serializer {
  private:
   template <typename T>
   void put_le(T v) {
+    // Assembled in a local and appended at once: one capacity check per
+    // scalar instead of one per byte.
+    char bytes[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
     }
+    buf_.append(bytes, sizeof(T));
   }
 
   std::string buf_;
@@ -119,6 +122,12 @@ class Deserializer {
 
   bool at_end() const { return pos_ == buf_.size(); }
   std::size_t remaining() const { return buf_.size() - pos_; }
+  /// Bytes left before the end of the innermost open chunk (the whole
+  /// payload when no chunk is open).
+  std::size_t chunk_remaining() const {
+    return (chunk_stack_.empty() ? buf_.size() : chunk_stack_.back().second) -
+           pos_;
+  }
 
  private:
   char take_byte();
@@ -160,30 +169,8 @@ void write_file(const std::string& path, std::string_view payload);
 std::string read_file(const std::string& path);
 
 /// Writes `content` (arbitrary text, e.g. a JSONL journal) to `path`
-/// crash-safely: write to `<path>.tmp`, flush, then atomically rename.
+/// crash-safely: write to a temp file unique to this writer
+/// (`<path>.tmp.<pid>.<n>`), flush, then atomically rename.
 void atomic_write_text(const std::string& path, std::string_view content);
-
-// ---- Container helpers ------------------------------------------------------
-
-template <typename T, typename Fn>
-void save_vec(Serializer& s, const std::vector<T>& v, Fn&& each) {
-  s.u64(v.size());
-  for (const auto& e : v) each(s, e);
-}
-
-template <typename T, typename Fn>
-void load_vec(Deserializer& d, std::vector<T>& v, Fn&& each) {
-  v.clear();
-  v.resize(d.u64());
-  for (auto& e : v) each(d, e);
-}
-
-inline void save_u64_vec(Serializer& s, const std::vector<std::uint64_t>& v) {
-  save_vec(s, v, [](Serializer& ser, std::uint64_t x) { ser.u64(x); });
-}
-
-inline void load_u64_vec(Deserializer& d, std::vector<std::uint64_t>& v) {
-  load_vec(d, v, [](Deserializer& de, std::uint64_t& x) { x = de.u64(); });
-}
 
 }  // namespace unsync::ckpt

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "ckpt/serializer.hpp"
-
 namespace unsync::core {
 
 bool BaselineSystem::StoreBufferEnv::on_store_commit(CoreId core,
@@ -19,54 +17,33 @@ bool BaselineSystem::StoreBufferEnv::on_store_commit(CoreId core,
 
 BaselineSystem::BaselineSystem(const SystemConfig& config,
                                const workload::InstStream& stream)
-    : BaselineSystem(config, detail::replicate(stream, config.num_threads)) {}
+    : BaselineSystem(config, engine::replicate(stream, config.num_threads)) {}
 
 BaselineSystem::BaselineSystem(
     const SystemConfig& config,
     const std::vector<const workload::InstStream*>& streams)
     : System(config.num_threads, config.fast_forward, config.avf),
       config_(config),
-      thread_lengths_(detail::lengths_of(streams)),
+      thread_lengths_(engine::lengths_of(streams)),
       memory_(config.mem, config.num_threads),
       env_(&memory_, kStoreBufferEntries) {
   if (streams.size() != config.num_threads) {
     throw std::invalid_argument("BaselineSystem: need one stream per thread");
   }
-  detail::prewarm_from(memory_, streams);
+  engine::prewarm_from(memory_, streams);
   for (unsigned t = 0; t < config.num_threads; ++t) {
     cores_.push_back(std::make_unique<cpu::OooCore>(
         t, config.core, &memory_, streams[t]->clone(), &env_));
     register_core(*cores_.back());
   }
-  RunResult& acc = kernel_.result();
+  engine::RunResult& acc = kernel_.result();
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
+  acc.instructions = engine::max_length(thread_lengths_);
 }
 
-void BaselineSystem::finish(RunResult& r) const {
+void BaselineSystem::finish(engine::RunResult& r) const {
   for (const auto& core : cores_) r.core_stats.push_back(core->stats());
-}
-
-void BaselineSystem::StoreBufferEnv::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("SBUF");
-  s.u64(in_flight_.size());
-  for (const auto& buf : in_flight_) ckpt::save_u64_vec(s, buf);
-  s.end_chunk();
-}
-
-void BaselineSystem::StoreBufferEnv::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("SBUF");
-  in_flight_.resize(d.u64());
-  for (auto& buf : in_flight_) ckpt::load_u64_vec(d, buf);
-  d.end_chunk();
-}
-
-void BaselineSystem::save_policy_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  env_.save_state(s);
-  s.u64(cores_.size());
-  for (const auto& core : cores_) core->save_state(s);
 }
 
 std::vector<SeqNum> BaselineSystem::group_progress() const {
@@ -74,15 +51,6 @@ std::vector<SeqNum> BaselineSystem::group_progress() const {
   p.reserve(cores_.size());
   for (const auto& core : cores_) p.push_back(core->retired());
   return p;
-}
-
-void BaselineSystem::load_policy_state(ckpt::Deserializer& d) {
-  memory_.load_state(d);
-  env_.load_state(d);
-  if (d.u64() != cores_.size()) {
-    throw ckpt::CkptError("baseline core-count mismatch");
-  }
-  for (const auto& core : cores_) core->load_state(d);
 }
 
 }  // namespace unsync::core

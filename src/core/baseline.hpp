@@ -48,19 +48,14 @@ class BaselineSystem final : public System {
   Cycle next_event(std::size_t g, Cycle now) const override {
     return members_next_event(g, now);
   }
-  void finish(RunResult& r) const override;
+  void finish(engine::RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "BASE"; }
-  void save_policy_state(ckpt::Serializer& s) const override;
-  void load_policy_state(ckpt::Deserializer& d) override;
+  void visit_policy_state(ckpt::Archive& ar) override;
 
   // Prefix-sharing hooks: the baseline has no error process at all, so its
   // fault channel is empty and its fingerprint is the full policy state.
-  bool supports_prefix() const override { return true; }
   std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override {
-    save_policy_state(s);
-  }
 
  private:
   /// Commit environment: a small post-commit store buffer in front of the
@@ -73,8 +68,7 @@ class BaselineSystem final : public System {
     bool on_store_commit(CoreId core, const workload::DynOp& op,
                          Cycle now) override;
 
-    void save_state(ckpt::Serializer& s) const;
-    void load_state(ckpt::Deserializer& d);
+    void visit(ckpt::Archive& ar);
 
    private:
     mem::MemoryHierarchy* memory_;

@@ -1,11 +1,9 @@
 #include "core/dmr_checkpoint_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <stdexcept>
 
-#include "ckpt/serializer.hpp"
 #include "core/baseline.hpp"
 #include "fault/ser.hpp"
 
@@ -74,7 +72,7 @@ DmrCheckpointSystem::DmrCheckpointSystem(const SystemConfig& config,
                                          const CheckpointParams& params,
                                          const workload::InstStream& stream)
     : DmrCheckpointSystem(config, params,
-                          detail::replicate(stream, config.num_threads)) {}
+                          engine::replicate(stream, config.num_threads)) {}
 
 DmrCheckpointSystem::DmrCheckpointSystem(
     const SystemConfig& config, const CheckpointParams& params,
@@ -82,7 +80,7 @@ DmrCheckpointSystem::DmrCheckpointSystem(
     : System(config.num_threads, config.fast_forward, config.avf),
       config_(config),
       params_(params),
-      thread_lengths_(detail::lengths_of(streams)),
+      thread_lengths_(engine::lengths_of(streams)),
       memory_(config.mem, config.num_threads * 2),
       rng_(config.seed) {
   assert(params_.checkpoint_interval > 0);
@@ -90,7 +88,7 @@ DmrCheckpointSystem::DmrCheckpointSystem(
     throw std::invalid_argument(
         "DmrCheckpointSystem: need one stream per thread");
   }
-  detail::prewarm_from(memory_, streams);
+  engine::prewarm_from(memory_, streams);
   for (unsigned t = 0; t < config_.num_threads; ++t) {
     auto pair = std::make_unique<Pair>();
     pair->store_buffer.resize(2);
@@ -107,10 +105,10 @@ DmrCheckpointSystem::DmrCheckpointSystem(
         config_.ser_per_inst, thread_lengths_[t], rng_);
     pairs_.push_back(std::move(pair));
   }
-  RunResult& acc = kernel_.result();
+  engine::RunResult& acc = kernel_.result();
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
+  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 void DmrCheckpointSystem::member_tick(std::size_t g, std::size_t m,
@@ -130,7 +128,8 @@ void DmrCheckpointSystem::member_skip_cycles(std::size_t g, std::size_t m,
   if (!core.done()) core.skip_cycles(from, to);
 }
 
-void DmrCheckpointSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
+void DmrCheckpointSystem::on_error(std::size_t g, Cycle now,
+                                   engine::RunResult& acc) {
   Pair& pair = *pairs_[g];
   const SeqNum progress =
       std::max(pair.core[0]->retired(), pair.core[1]->retired());
@@ -166,7 +165,7 @@ Cycle DmrCheckpointSystem::next_event(std::size_t g, Cycle now) const {
   return cand;
 }
 
-void DmrCheckpointSystem::finish(RunResult& r) const {
+void DmrCheckpointSystem::finish(engine::RunResult& r) const {
   for (const auto& pair : pairs_) {
     for (unsigned side = 0; side < 2; ++side) {
       r.core_stats.push_back(pair->core[side]->stats());
@@ -179,47 +178,6 @@ void DmrCheckpointSystem::publish_extra_metrics() {
   metrics_->set_counter(name_ + ".checkpoints_taken", checkpoints_taken_);
 }
 
-void DmrCheckpointSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  memory_.save_state(s);
-  s.u64(checkpoints_taken_);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-      ckpt::save_u64_vec(s, pair->store_buffer[side]);
-    }
-    s.u64(pair->next_boundary);
-    s.b(pair->reached[0]);
-    s.b(pair->reached[1]);
-    s.u64(pair->reached_at[0]);
-    s.u64(pair->reached_at[1]);
-    s.u64(pair->checkpoint_done);
-    s.u64(pair->last_committed_boundary);
-    pair->arrivals.save_state(s);
-  }
-}
-
-void DmrCheckpointSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    engine::save_arrival_schedule(s, pair->arrivals);
-  }
-}
-
-void DmrCheckpointSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != pairs_.size()) {
-    throw ckpt::CkptError("dmr-checkpoint fault-channel pair-count mismatch");
-  }
-  for (const auto& pair : pairs_) {
-    engine::load_arrival_schedule(d, pair->arrivals);
-  }
-}
-
 std::vector<SeqNum> DmrCheckpointSystem::group_progress() const {
   std::vector<SeqNum> p;
   p.reserve(pairs_.size());
@@ -227,50 +185,6 @@ std::vector<SeqNum> DmrCheckpointSystem::group_progress() const {
     p.push_back(std::max(pair->core[0]->retired(), pair->core[1]->retired()));
   }
   return p;
-}
-
-void DmrCheckpointSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(checkpoints_taken_);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-      ckpt::save_u64_vec(s, pair->store_buffer[side]);
-    }
-    s.u64(pair->next_boundary);
-    s.b(pair->reached[0]);
-    s.b(pair->reached[1]);
-    s.u64(pair->reached_at[0]);
-    s.u64(pair->reached_at[1]);
-    s.u64(pair->checkpoint_done);
-    s.u64(pair->last_committed_boundary);
-  }
-}
-
-void DmrCheckpointSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  memory_.load_state(d);
-  checkpoints_taken_ = d.u64();
-  if (d.u64() != pairs_.size()) {
-    throw ckpt::CkptError("dmr-checkpoint pair-count mismatch");
-  }
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->load_state(d);
-      ckpt::load_u64_vec(d, pair->store_buffer[side]);
-    }
-    pair->next_boundary = d.u64();
-    pair->reached[0] = d.b();
-    pair->reached[1] = d.b();
-    pair->reached_at[0] = d.u64();
-    pair->reached_at[1] = d.u64();
-    pair->checkpoint_done = d.u64();
-    pair->last_committed_boundary = d.u64();
-    pair->arrivals.load_state(d, "dmr-checkpoint");
-  }
 }
 
 }  // namespace unsync::core

@@ -55,20 +55,16 @@ class DmrCheckpointSystem final : public System {
                           Cycle now) const override;
   void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
                           Cycle to) override;
-  void on_error(std::size_t g, Cycle now, RunResult& acc) override;
+  void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
   Cycle next_event(std::size_t g, Cycle now) const override;
-  void finish(RunResult& r) const override;
+  void finish(engine::RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "DMRC"; }
-  void save_policy_state(ckpt::Serializer& s) const override;
-  void load_policy_state(ckpt::Deserializer& d) override;
+  void visit_policy_state(ckpt::Archive& ar) override;
 
   // Prefix-sharing hooks (see core/system.hpp).
-  bool supports_prefix() const override { return true; }
-  void save_fault_channel(ckpt::Serializer& s) const override;
-  void load_fault_channel(ckpt::Deserializer& d) override;
+  engine::FaultSources fault_sources() override;
   std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override;
 
  protected:
   void publish_extra_metrics() override;

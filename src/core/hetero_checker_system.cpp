@@ -1,11 +1,9 @@
 #include "core/hetero_checker_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <stdexcept>
 
-#include "ckpt/serializer.hpp"
 #include "fault/ser.hpp"
 
 namespace unsync::core {
@@ -96,7 +94,7 @@ HeteroCheckerSystem::HeteroCheckerSystem(const SystemConfig& config,
                                          const HeteroParams& params,
                                          const workload::InstStream& stream)
     : HeteroCheckerSystem(config, params,
-                          detail::replicate(stream, config.num_threads)) {}
+                          engine::replicate(stream, config.num_threads)) {}
 
 HeteroCheckerSystem::HeteroCheckerSystem(
     const SystemConfig& config, const HeteroParams& params,
@@ -104,7 +102,7 @@ HeteroCheckerSystem::HeteroCheckerSystem(
     : System(config.num_threads, config.fast_forward, config.avf),
       config_(config),
       params_(params),
-      thread_lengths_(detail::lengths_of(streams)),
+      thread_lengths_(engine::lengths_of(streams)),
       // Only the leaders own caches: the checker runs log-fed, touching the
       // hierarchy solely through verified-store writebacks on the leader's
       // L1.
@@ -114,7 +112,7 @@ HeteroCheckerSystem::HeteroCheckerSystem(
     throw std::invalid_argument(
         "HeteroCheckerSystem: need one stream per thread");
   }
-  detail::prewarm_from(memory_, streams);
+  engine::prewarm_from(memory_, streams);
   cpu::InOrderConfig checker_cfg;
   checker_cfg.width = params_.checker_width;
   checker_cfg.load_latency = params_.checker_load_latency;
@@ -136,10 +134,10 @@ HeteroCheckerSystem::HeteroCheckerSystem(
         config_.ser_per_inst, thread_lengths_[t], rng_);
     groups_.push_back(std::move(group));
   }
-  RunResult& acc = kernel_.result();
+  engine::RunResult& acc = kernel_.result();
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
+  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 bool HeteroCheckerSystem::member_finished(std::size_t g,
@@ -175,7 +173,8 @@ void HeteroCheckerSystem::member_skip_cycles(std::size_t g, std::size_t m,
   }
 }
 
-void HeteroCheckerSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
+void HeteroCheckerSystem::on_error(std::size_t g, Cycle now,
+                                   engine::RunResult& acc) {
   Group& group = *groups_[g];
   // A strike becomes latent when the leader's progress crosses it — the
   // leader keeps running on corrupted state until verification catches it.
@@ -238,7 +237,7 @@ Cycle HeteroCheckerSystem::next_event(std::size_t g, Cycle now) const {
   return std::min(lead, chk);
 }
 
-void HeteroCheckerSystem::finish(RunResult& r) const {
+void HeteroCheckerSystem::finish(engine::RunResult& r) const {
   // Leaders first (aligning core_stats[i] with registered core i and the
   // "<name>.core<i>" metric prefixes), then the checkers.
   for (const auto& group : groups_) {
@@ -274,66 +273,6 @@ void HeteroCheckerSystem::register_avf(fault::AvfCollector& collector) {
   }
 }
 
-void HeteroCheckerSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  memory_.save_state(s);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    group->leader->save_state(s);
-    group->checker->save_state(s);
-    group->log->save_state(s);
-    s.b(group->fault_pending);
-    s.u64(group->fault_position);
-    s.u64(group->fault_cycle);
-    group->arrivals.save_state(s);
-    s.u64(group->log_full_stalls);
-    s.u64(group->detections);
-    s.u64(group->detection_latency_total);
-  }
-}
-
-void HeteroCheckerSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  memory_.load_state(d);
-  if (d.u64() != groups_.size()) {
-    throw ckpt::CkptError("hetero group-count mismatch");
-  }
-  for (const auto& group : groups_) {
-    group->leader->load_state(d);
-    group->checker->load_state(d);
-    group->log->load_state(d);
-    group->fault_pending = d.b();
-    group->fault_position = d.u64();
-    group->fault_cycle = d.u64();
-    group->arrivals.load_state(d, "hetero");
-    group->log_full_stalls = d.u64();
-    group->detections = d.u64();
-    group->detection_latency_total = d.u64();
-  }
-}
-
-void HeteroCheckerSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    engine::save_arrival_schedule(s, group->arrivals);
-  }
-}
-
-void HeteroCheckerSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != groups_.size()) {
-    throw ckpt::CkptError("hetero fault-channel group-count mismatch");
-  }
-  for (const auto& group : groups_) {
-    engine::load_arrival_schedule(d, group->arrivals);
-  }
-}
-
 std::vector<SeqNum> HeteroCheckerSystem::group_progress() const {
   std::vector<SeqNum> p;
   p.reserve(groups_.size());
@@ -341,22 +280,6 @@ std::vector<SeqNum> HeteroCheckerSystem::group_progress() const {
     p.push_back(group->leader->retired());
   }
   return p;
-}
-
-void HeteroCheckerSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    group->leader->save_state(s);
-    group->checker->save_state(s);
-    group->log->save_state(s);
-    s.b(group->fault_pending);
-    s.u64(group->fault_position);
-    s.u64(group->fault_cycle);
-    s.u64(group->log_full_stalls);
-    s.u64(group->detections);
-    s.u64(group->detection_latency_total);
-  }
 }
 
 }  // namespace unsync::core

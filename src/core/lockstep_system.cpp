@@ -1,10 +1,8 @@
 #include "core/lockstep_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
-#include "ckpt/serializer.hpp"
 #include "core/baseline.hpp"
 #include "fault/ser.hpp"
 
@@ -50,7 +48,7 @@ LockstepSystem::LockstepSystem(const SystemConfig& config,
                                const LockstepParams& params,
                                const workload::InstStream& stream)
     : LockstepSystem(config, params,
-                     detail::replicate(stream, config.num_threads)) {}
+                     engine::replicate(stream, config.num_threads)) {}
 
 LockstepSystem::LockstepSystem(
     const SystemConfig& config, const LockstepParams& params,
@@ -58,13 +56,13 @@ LockstepSystem::LockstepSystem(
     : System(config.num_threads, config.fast_forward, config.avf),
       config_(config),
       params_(params),
-      thread_lengths_(detail::lengths_of(streams)),
+      thread_lengths_(engine::lengths_of(streams)),
       memory_(config.mem, config.num_threads * 2),
       rng_(config.seed) {
   if (streams.size() != config_.num_threads) {
     throw std::invalid_argument("LockstepSystem: need one stream per thread");
   }
-  detail::prewarm_from(memory_, streams);
+  engine::prewarm_from(memory_, streams);
   cpu::CoreConfig core_cfg = config_.core;
   core_cfg.extra_load_latency = params_.load_check_latency;
   for (unsigned t = 0; t < config_.num_threads; ++t) {
@@ -81,10 +79,10 @@ LockstepSystem::LockstepSystem(
         config_.ser_per_inst, thread_lengths_[t], rng_);
     pairs_.push_back(std::move(pair));
   }
-  RunResult& acc = kernel_.result();
+  engine::RunResult& acc = kernel_.result();
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
+  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 void LockstepSystem::member_tick(std::size_t g, std::size_t m, Cycle now) {
@@ -103,7 +101,8 @@ void LockstepSystem::member_skip_cycles(std::size_t g, std::size_t m,
   if (!core.done()) core.skip_cycles(from, to);
 }
 
-void LockstepSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
+void LockstepSystem::on_error(std::size_t g, Cycle now,
+                              engine::RunResult& acc) {
   Pair& pair = *pairs_[g];
   const SeqNum progress =
       std::max(pair.core[0]->retired(), pair.core[1]->retired());
@@ -134,46 +133,12 @@ Cycle LockstepSystem::next_event(std::size_t g, Cycle now) const {
   return cand;
 }
 
-void LockstepSystem::finish(RunResult& r) const {
+void LockstepSystem::finish(engine::RunResult& r) const {
   for (const auto& pair : pairs_) {
     for (unsigned side = 0; side < 2; ++side) {
       r.core_stats.push_back(pair->core[side]->stats());
     }
     r.fingerprint_syncs += pair->lockstep_stalls;  // repurposed: sync stalls
-  }
-}
-
-void LockstepSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  memory_.save_state(s);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-      ckpt::save_u64_vec(s, pair->store_buffer[side]);
-    }
-    pair->arrivals.save_state(s);
-    s.u64(pair->lockstep_stalls);
-  }
-}
-
-void LockstepSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    engine::save_arrival_schedule(s, pair->arrivals);
-  }
-}
-
-void LockstepSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != pairs_.size()) {
-    throw ckpt::CkptError("lockstep fault-channel pair-count mismatch");
-  }
-  for (const auto& pair : pairs_) {
-    engine::load_arrival_schedule(d, pair->arrivals);
   }
 }
 
@@ -184,36 +149,6 @@ std::vector<SeqNum> LockstepSystem::group_progress() const {
     p.push_back(std::max(pair->core[0]->retired(), pair->core[1]->retired()));
   }
   return p;
-}
-
-void LockstepSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-      ckpt::save_u64_vec(s, pair->store_buffer[side]);
-    }
-    s.u64(pair->lockstep_stalls);
-  }
-}
-
-void LockstepSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  memory_.load_state(d);
-  if (d.u64() != pairs_.size()) {
-    throw ckpt::CkptError("lockstep pair-count mismatch");
-  }
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->load_state(d);
-      ckpt::load_u64_vec(d, pair->store_buffer[side]);
-    }
-    pair->arrivals.load_state(d, "lockstep");
-    pair->lockstep_stalls = d.u64();
-  }
 }
 
 }  // namespace unsync::core

@@ -17,7 +17,7 @@ namespace unsync::core {
 ///   - memory-system summary when a hierarchy is supplied.
 class RunReport {
  public:
-  explicit RunReport(const RunResult& result,
+  explicit RunReport(const engine::RunResult& result,
                      const mem::MemoryHierarchy* memory = nullptr)
       : result_(result), memory_(memory) {}
 
@@ -30,7 +30,7 @@ class RunReport {
   std::string csv_rows() const;
 
  private:
-  const RunResult& result_;
+  const engine::RunResult& result_;
   const mem::MemoryHierarchy* memory_;
 };
 

@@ -1,11 +1,9 @@
 #include "core/reunion_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <stdexcept>
 
-#include "ckpt/serializer.hpp"
 #include "core/baseline.hpp"
 #include "fault/ser.hpp"
 
@@ -220,7 +218,7 @@ ReunionSystem::ReunionSystem(const SystemConfig& config,
                              const ReunionParams& params,
                              const workload::InstStream& stream)
     : ReunionSystem(config, params,
-                    detail::replicate(stream, config.num_threads)) {}
+                    engine::replicate(stream, config.num_threads)) {}
 
 ReunionSystem::ReunionSystem(
     const SystemConfig& config, const ReunionParams& params,
@@ -229,7 +227,7 @@ ReunionSystem::ReunionSystem(
       config_(config),
       params_(params),
       plan_(fault::reunion_plan()),
-      thread_lengths_(detail::lengths_of(streams)),
+      thread_lengths_(engine::lengths_of(streams)),
       memory_(config.mem, config.num_threads * 2),
       rng_(config.seed) {
   effective_fi_ = std::min(
@@ -238,7 +236,7 @@ ReunionSystem::ReunionSystem(
   if (streams.size() != config_.num_threads) {
     throw std::invalid_argument("ReunionSystem: need one stream per thread");
   }
-  detail::prewarm_from(memory_, streams);
+  engine::prewarm_from(memory_, streams);
   for (unsigned t = 0; t < config_.num_threads; ++t) {
     auto pair = std::make_unique<Pair>();
     pair->store_buffer.resize(2);
@@ -254,10 +252,10 @@ ReunionSystem::ReunionSystem(
         config_.ser_per_inst, thread_lengths_[t], rng_);
     pairs_.push_back(std::move(pair));
   }
-  RunResult& acc = kernel_.result();
+  engine::RunResult& acc = kernel_.result();
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
+  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 void ReunionSystem::member_tick(std::size_t g, std::size_t m, Cycle now) {
@@ -276,7 +274,8 @@ void ReunionSystem::member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
   if (!core.done()) core.skip_cycles(from, to);
 }
 
-void ReunionSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
+void ReunionSystem::on_error(std::size_t g, Cycle now,
+                             engine::RunResult& acc) {
   Pair& pair = *pairs_[g];
   const SeqNum progress =
       std::max(pair.core[0]->retired(), pair.core[1]->retired());
@@ -316,67 +315,12 @@ Cycle ReunionSystem::next_event(std::size_t g, Cycle now) const {
   return cand;
 }
 
-void ReunionSystem::finish(RunResult& r) const {
+void ReunionSystem::finish(engine::RunResult& r) const {
   for (const auto& pair : pairs_) {
     for (unsigned side = 0; side < 2; ++side) {
       r.core_stats.push_back(pair->core[side]->stats());
     }
     r.fingerprint_syncs += pair->serializing_syncs;
-  }
-}
-
-void ReunionSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  memory_.save_state(s);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-    }
-    s.u64(pair->fingerprints.size());
-    for (const Fingerprint& fp : pair->fingerprints) {
-      for (unsigned side = 0; side < 2; ++side) {
-        s.u64(fp.count[side]);
-        s.b(fp.closed[side]);
-        s.u64(fp.closed_at[side]);
-      }
-      s.u64(fp.verify_done);
-    }
-    s.u64(pair->serialize_queue.size());
-    for (const SerializeSync& sync : pair->serialize_queue) {
-      s.u64(sync.seq);
-      for (unsigned side = 0; side < 2; ++side) {
-        s.b(sync.requested[side]);
-        s.b(sync.committed[side]);
-        s.u64(sync.request_at[side]);
-      }
-      s.u64(sync.ready_at);
-    }
-    for (const auto& buf : pair->store_buffer) ckpt::save_u64_vec(s, buf);
-    pair->arrivals.save_state(s);
-    s.u64(pair->serializing_syncs);
-    s.u64(pair->verified_watermark[0]);
-    s.u64(pair->verified_watermark[1]);
-  }
-}
-
-void ReunionSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    engine::save_arrival_schedule(s, pair->arrivals);
-  }
-}
-
-void ReunionSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != pairs_.size()) {
-    throw ckpt::CkptError("reunion fault-channel pair-count mismatch");
-  }
-  for (const auto& pair : pairs_) {
-    engine::load_arrival_schedule(d, pair->arrivals);
   }
 }
 
@@ -387,78 +331,6 @@ std::vector<SeqNum> ReunionSystem::group_progress() const {
     p.push_back(std::max(pair->core[0]->retired(), pair->core[1]->retired()));
   }
   return p;
-}
-
-void ReunionSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-    }
-    s.u64(pair->fingerprints.size());
-    for (const Fingerprint& fp : pair->fingerprints) {
-      for (unsigned side = 0; side < 2; ++side) {
-        s.u64(fp.count[side]);
-        s.b(fp.closed[side]);
-        s.u64(fp.closed_at[side]);
-      }
-      s.u64(fp.verify_done);
-    }
-    s.u64(pair->serialize_queue.size());
-    for (const SerializeSync& sync : pair->serialize_queue) {
-      s.u64(sync.seq);
-      for (unsigned side = 0; side < 2; ++side) {
-        s.b(sync.requested[side]);
-        s.b(sync.committed[side]);
-        s.u64(sync.request_at[side]);
-      }
-      s.u64(sync.ready_at);
-    }
-    for (const auto& buf : pair->store_buffer) ckpt::save_u64_vec(s, buf);
-    s.u64(pair->serializing_syncs);
-    s.u64(pair->verified_watermark[0]);
-    s.u64(pair->verified_watermark[1]);
-  }
-}
-
-void ReunionSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  memory_.load_state(d);
-  if (d.u64() != pairs_.size()) {
-    throw ckpt::CkptError("reunion pair-count mismatch");
-  }
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->load_state(d);
-    }
-    pair->fingerprints.resize(d.u64());
-    for (Fingerprint& fp : pair->fingerprints) {
-      for (unsigned side = 0; side < 2; ++side) {
-        fp.count[side] = d.u64();
-        fp.closed[side] = d.b();
-        fp.closed_at[side] = d.u64();
-      }
-      fp.verify_done = d.u64();
-    }
-    pair->serialize_queue.resize(d.u64());
-    for (SerializeSync& sync : pair->serialize_queue) {
-      sync.seq = d.u64();
-      for (unsigned side = 0; side < 2; ++side) {
-        sync.requested[side] = d.b();
-        sync.committed[side] = d.b();
-        sync.request_at[side] = d.u64();
-      }
-      sync.ready_at = d.u64();
-    }
-    for (auto& buf : pair->store_buffer) ckpt::load_u64_vec(d, buf);
-    pair->arrivals.load_state(d, "reunion");
-    pair->serializing_syncs = d.u64();
-    pair->verified_watermark[0] = d.u64();
-    pair->verified_watermark[1] = d.u64();
-  }
 }
 
 }  // namespace unsync::core

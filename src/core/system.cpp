@@ -2,12 +2,6 @@
 
 namespace unsync::core {
 
-void System::save_state(ckpt::Serializer& s) const {
-  kernel_.save_state(*this, s);
-}
-
-void System::load_state(ckpt::Deserializer& d) { kernel_.load_state(*this, d); }
-
 void System::register_core(cpu::OooCore& core) {
   core.set_tracer(&tracer_);
   registered_cores_.push_back(&core);
@@ -90,7 +84,7 @@ void System::wire_avf() {
   m.avf_update_all(0);
 }
 
-void System::publish_metrics(const RunResult& r) {
+void System::publish_metrics(const engine::RunResult& r) {
   if (!metrics_) return;
   obs::MetricsRegistry& reg = *metrics_;
   for (std::size_t i = 0;

@@ -4,9 +4,8 @@
 //
 // Since the engine refactor (docs/ENGINE.md) the cycle loop itself lives in
 // engine::SimKernel; a System is an engine::SystemPolicy plus the shared
-// core/observability/checkpoint plumbing. The result and helper spellings
-// core::RunResult, core::ErrorEvent, core::save_result, core::detail::*
-// remain valid aliases of their engine:: homes.
+// core/observability/checkpoint plumbing. The result record is
+// engine::RunResult.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +16,7 @@
 #include "common/types.hpp"
 #include "cpu/core_config.hpp"
 #include "cpu/ooo_core.hpp"
+#include "engine/error_injection.hpp"
 #include "engine/policy.hpp"
 #include "fault/avf.hpp"
 #include "engine/run_result.hpp"
@@ -30,8 +30,7 @@
 #include "workload/dyn_op.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::core {
@@ -60,16 +59,6 @@ struct SystemConfig {
   fault::UncorePlan uncore_protect;
 };
 
-// The result record and its serialisations live in the engine layer (the
-// kernel accumulates them across run() segments); these aliases keep every
-// existing core:: spelling valid.
-using engine::ErrorEvent;
-using engine::RunResult;
-using engine::load_error_event;
-using engine::load_result;
-using engine::save_error_event;
-using engine::save_result;
-
 /// A simulated CMP. run() executes every thread's stream to completion (or
 /// max_cycles) and reports the aggregate result.
 ///
@@ -90,7 +79,7 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   ~System() override = default;
 
   /// Drives this system's policy phases through the shared kernel.
-  RunResult run(Cycle max_cycles = ~Cycle{0}) override {
+  engine::RunResult run(Cycle max_cycles = ~Cycle{0}) override {
     return kernel_.run(*this, max_cycles, fast_forward_);
   }
 
@@ -100,16 +89,12 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   const std::string& name() const override = 0;
 
   /// Serialises / restores the complete mutable simulation state (cycle
-  /// cursor, accumulated result, RNG, memory hierarchy, every core) as one
-  /// kernel-level chunk tagged ckpt_tag(). load_state() must be called on a
-  /// system constructed with the identical configuration, streams and
-  /// parameters as the saved one; mismatches throw ckpt::CkptError.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
-
-  /// Name-tagged checkpoint envelope around save_state()/load_state();
-  /// load_checkpoint() rejects a checkpoint taken from a different system
-  /// kind (ckpt::CkptError).
+  /// cursor, accumulated result, RNG, memory hierarchy, every core): a
+  /// name-tagged "SYS0" envelope around the kernel-level chunk tagged
+  /// ckpt_tag(). load_checkpoint() must be called on a system constructed
+  /// with the identical configuration, streams and parameters as the saved
+  /// one; mismatches — including a checkpoint taken from a different
+  /// system kind — throw ckpt::CkptError.
   void save_checkpoint(ckpt::Serializer& s) const;
   void load_checkpoint(ckpt::Deserializer& d);
 
@@ -135,34 +120,29 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   // once, restore its checkpoints into per-job systems, and install each
   // job's own channel on top.
 
-  /// Whether this system implements the fault-channel / fingerprint hooks
-  /// below (i.e. whether golden-run checkpoints can seed faulty runs).
-  virtual bool supports_prefix() const { return false; }
+  /// What this system's fault channel is made of (none by default).
+  virtual engine::FaultSources fault_sources() { return {}; }
 
-  /// Serialises / installs the fault channel: RNG words plus the FULL
-  /// per-group arrival schedules (positions, not just the cursor —
-  /// save_state pins only the length because construction re-derives the
-  /// positions, which a golden-configured system cannot).
-  virtual void save_fault_channel(ckpt::Serializer& s) const { (void)s; }
-  virtual void load_fault_channel(ckpt::Deserializer& d) { (void)d; }
-
-  /// The fault channel's wire bytes (empty for a system without one).
+  /// The fault channel's wire bytes: RNG words plus the FULL per-group
+  /// arrival schedules (positions, not just the cursor — the checkpoint
+  /// pins only the length because construction re-derives the positions,
+  /// which a golden-configured system cannot). Empty without a channel.
   std::string fault_channel_bytes() const;
+
+  /// Installs a channel in fault_channel_bytes() form; throws
+  /// ckpt::CkptError on a mismatch or trailing bytes.
+  void install_fault_channel(std::string_view bytes);
 
   /// Per-group commit progress: the same watermark arrival consumption is
   /// keyed on (max retired over the group's cores). Used to pick the
   /// latest golden checkpoint that provably precedes a job's first strike.
   virtual std::vector<SeqNum> group_progress() const { return {}; }
 
-  /// Fingerprintable architectural state: save_policy_state minus the
-  /// fault channel. Two runs with equal fingerprints at the same cycle
-  /// boundary — and no arrivals left to fire — evolve identically from
-  /// there, which is what makes convergence splicing exact.
-  virtual void save_fingerprint_state(ckpt::Serializer& s) const {
-    (void)s;
-  }
-
-  /// ckpt::hash64 over save_fingerprint_state().
+  /// ckpt::hash64 over a Fingerprint-mode walk of visit_policy_state():
+  /// the architectural state minus the fault channel. Two runs with equal
+  /// fingerprints at the same cycle boundary — and no arrivals left to
+  /// fire — evolve identically from there, which is what makes
+  /// convergence splicing exact.
   std::uint64_t state_fingerprint() const;
 
   /// The system's memory hierarchy (every concrete system owns exactly one).
@@ -184,7 +164,7 @@ class System : public engine::SystemPolicy, public engine::SimModel {
 
   /// Kernel hook: publishes the standard metric tree plus the system's
   /// extras once the run loop exits.
-  void on_run_complete(const RunResult& r) override {
+  void on_run_complete(const engine::RunResult& r) override {
     publish_metrics(r);
     publish_extra_metrics();
   }
@@ -208,7 +188,7 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   /// Publishes the standard metric tree for a finished run: per-core
   /// counters/gauges, the memory hierarchy, and the system-level error /
   /// stall counters. No-op without an attached registry.
-  void publish_metrics(const RunResult& r);
+  void publish_metrics(const engine::RunResult& r);
 
   /// System-specific metrics published after the standard tree (UnSync CB
   /// occupancy, DMR-checkpoint counts, ...). No-op by default; only called
@@ -236,6 +216,9 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   obs::MetricsRegistry* metrics_ = nullptr;
 
  private:
+  /// The "SYS0" envelope: system name, then the kernel chunk.
+  void visit_checkpoint(ckpt::Archive& ar);
+
   /// Builds the collector and attaches residency trackers to the memory
   /// hierarchy (bus, DRAM queue, cache tags, MSHRs) and every registered
   /// core's TLBs, then gives the concrete system its register_avf() turn.
@@ -247,15 +230,5 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   std::vector<cpu::OooCore*> registered_cores_;
   std::unique_ptr<fault::AvfCollector> avf_collector_;
 };
-
-namespace detail {
-
-// Hoisted into engine/stream_utils.hpp; the core::detail:: spellings stay.
-using engine::lengths_of;
-using engine::max_length;
-using engine::prewarm_from;
-using engine::replicate;
-
-}  // namespace detail
 
 }  // namespace unsync::core

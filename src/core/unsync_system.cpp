@@ -1,11 +1,9 @@
 #include "core/unsync_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <stdexcept>
 
-#include "ckpt/serializer.hpp"
 #include "fault/ser.hpp"
 
 namespace unsync::core {
@@ -41,7 +39,7 @@ UnSyncSystem::UnSyncSystem(const SystemConfig& config,
                            const UnSyncParams& params,
                            const workload::InstStream& stream)
     : UnSyncSystem(config, params,
-                   detail::replicate(stream, config.num_threads)) {}
+                   engine::replicate(stream, config.num_threads)) {}
 
 UnSyncSystem::UnSyncSystem(
     const SystemConfig& config, const UnSyncParams& params,
@@ -50,7 +48,7 @@ UnSyncSystem::UnSyncSystem(
       config_(config),
       params_(params),
       plan_(fault::unsync_plan()),
-      thread_lengths_(detail::lengths_of(streams)),
+      thread_lengths_(engine::lengths_of(streams)),
       memory_([&] {
         // UnSync requires write-through L1s (§III-C.1).
         mem::MemConfig m = config.mem;
@@ -62,7 +60,7 @@ UnSyncSystem::UnSyncSystem(
   if (streams.size() != config_.num_threads) {
     throw std::invalid_argument("UnSyncSystem: need one stream per thread");
   }
-  detail::prewarm_from(memory_, streams);
+  engine::prewarm_from(memory_, streams);
   for (unsigned t = 0; t < config_.num_threads; ++t) {
     auto group = std::make_unique<Group>();
     for (unsigned side = 0; side < params_.group_size; ++side) {
@@ -80,10 +78,10 @@ UnSyncSystem::UnSyncSystem(
         config_.ser_per_inst, thread_lengths_[t], rng_);
     groups_.push_back(std::move(group));
   }
-  RunResult& acc = kernel_.result();
+  engine::RunResult& acc = kernel_.result();
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
+  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 bool UnSyncSystem::member_finished(std::size_t g, std::size_t m) const {
@@ -156,7 +154,8 @@ Cycle UnSyncSystem::recovery_cost(const Group& group,
          l1_lines * params_.l1_copy_line_cycles;
 }
 
-void UnSyncSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
+void UnSyncSystem::on_error(std::size_t g, Cycle now,
+                            engine::RunResult& acc) {
   Group& group = *groups_[g];
   // An error strikes when program progress (the leading core's commit
   // watermark) crosses the arrival position.
@@ -217,7 +216,7 @@ Cycle UnSyncSystem::next_event(std::size_t g, Cycle now) const {
   return cand;
 }
 
-void UnSyncSystem::finish(RunResult& r) const {
+void UnSyncSystem::finish(engine::RunResult& r) const {
   for (const auto& group : groups_) {
     for (const auto& core : group->cores) {
       r.core_stats.push_back(core->stats());
@@ -250,76 +249,11 @@ void UnSyncSystem::register_avf(fault::AvfCollector& collector) {
   }
 }
 
-void UnSyncSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  memory_.save_state(s);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    s.u64(group->cores.size());
-    for (const auto& core : group->cores) core->save_state(s);
-    for (const auto& cb : group->cbs) cb->save_state(s);
-    // Arrivals are re-derived deterministically at construction from
-    // (seed, ser_per_inst, lengths); only the consumption cursor is state.
-    group->arrivals.save_state(s);
-    s.u64(group->cb_full_stalls);
-  }
-}
-
-void UnSyncSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    engine::save_arrival_schedule(s, group->arrivals);
-  }
-}
-
-void UnSyncSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != groups_.size()) {
-    throw ckpt::CkptError("unsync fault-channel group-count mismatch");
-  }
-  for (const auto& group : groups_) {
-    engine::load_arrival_schedule(d, group->arrivals);
-  }
-}
-
 std::vector<SeqNum> UnSyncSystem::group_progress() const {
   std::vector<SeqNum> p;
   p.reserve(groups_.size());
   for (const auto& group : groups_) p.push_back(progress_of(group->cores));
   return p;
-}
-
-void UnSyncSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    s.u64(group->cores.size());
-    for (const auto& core : group->cores) core->save_state(s);
-    for (const auto& cb : group->cbs) cb->save_state(s);
-    s.u64(group->cb_full_stalls);
-  }
-}
-
-void UnSyncSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  memory_.load_state(d);
-  if (d.u64() != groups_.size()) {
-    throw ckpt::CkptError("unsync group-count mismatch");
-  }
-  for (const auto& group : groups_) {
-    if (d.u64() != group->cores.size()) {
-      throw ckpt::CkptError("unsync group-size mismatch");
-    }
-    for (const auto& core : group->cores) core->load_state(d);
-    for (const auto& cb : group->cbs) cb->load_state(d);
-    group->arrivals.load_state(d, "unsync");
-    group->cb_full_stalls = d.u64();
-  }
 }
 
 }  // namespace unsync::core

@@ -90,21 +90,17 @@ class UnSyncSystem final : public System {
   void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
                           Cycle to) override;
   void sync_phase(std::size_t g, Cycle now) override;
-  void on_error(std::size_t g, Cycle now, RunResult& acc) override;
+  void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
   Cycle next_event(std::size_t g, Cycle now) const override;
-  void finish(RunResult& r) const override;
+  void finish(engine::RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "UNSY"; }
-  void save_policy_state(ckpt::Serializer& s) const override;
-  void load_policy_state(ckpt::Deserializer& d) override;
+  void visit_policy_state(ckpt::Archive& ar) override;
 
   // Prefix-sharing hooks: RNG + per-group arrival schedules are the fault
   // channel; the fingerprint is the policy state with that channel removed.
-  bool supports_prefix() const override { return true; }
-  void save_fault_channel(ckpt::Serializer& s) const override;
-  void load_fault_channel(ckpt::Deserializer& d) override;
+  engine::FaultSources fault_sources() override;
   std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override;
 
  protected:
   void publish_extra_metrics() override;

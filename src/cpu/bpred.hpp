@@ -11,8 +11,7 @@
 #include "common/types.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::cpu {
@@ -37,10 +36,9 @@ class GsharePredictor {
                     : 0.0;
   }
 
-  /// Checkpoint hooks: counter table, global history, and statistics.
+  /// Checkpoint walk: counter table, global history, and statistics.
   /// Table size must match the saved instance.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  void visit(ckpt::Archive& ar);
 
  private:
   std::size_t index(Addr pc) const;

@@ -21,8 +21,7 @@
 #include "obs/metrics.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::cpu {
@@ -92,10 +91,9 @@ class CheckLog {
     if (avf_) avf_->set_live(now, entries_.size());
   }
 
-  /// Checkpoint hooks: entries plus occupancy counters. Capacity must match
-  /// the saved instance. Defined in core_ckpt.cpp with the other cpu hooks.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  /// Checkpoint walk: entries plus occupancy counters. Capacity must match
+  /// the saved instance. Defined in core_ckpt.cpp with the other cpu walks.
+  void visit(ckpt::Archive& ar);
 
  private:
   std::size_t capacity_;

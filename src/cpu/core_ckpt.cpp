@@ -1,9 +1,9 @@
-// Checkpoint hooks for the CPU layer: branch predictor, CoreStats blocks,
-// and the full out-of-order core. One translation unit so the core's wire
-// layout is reviewable in a single place.
+// Checkpoint walks for the CPU layer: branch predictor, CoreStats blocks,
+// the check log, and both core models. One translation unit so the core's
+// wire layout is reviewable in a single place.
 #include <algorithm>
 
-#include "ckpt/serializer.hpp"
+#include "ckpt/archive.hpp"
 #include "cpu/bpred.hpp"
 #include "cpu/check_log.hpp"
 #include "cpu/in_order_core.hpp"
@@ -11,273 +11,123 @@
 
 namespace unsync::cpu {
 
-void GsharePredictor::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("BPRD");
-  s.u64(counters_.size());
-  for (const std::uint8_t c : counters_) s.u8(c);
-  s.u64(history_);
-  s.u64(lookups_);
-  s.u64(wrong_);
-  s.end_chunk();
+void GsharePredictor::visit(ckpt::Archive& ar) {
+  ar.chunk("BPRD", [&] {
+    ar.expect(counters_.size(), "branch predictor table-size mismatch");
+    for (std::uint8_t& c : counters_) ar.u8(c);
+    ar.u64(history_);
+    ar.u64(lookups_);
+    ar.u64(wrong_);
+  });
 }
 
-void GsharePredictor::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("BPRD");
-  if (d.u64() != counters_.size()) {
-    throw ckpt::CkptError("branch predictor table-size mismatch");
-  }
-  for (std::uint8_t& c : counters_) c = d.u8();
-  history_ = d.u64();
-  lookups_ = d.u64();
-  wrong_ = d.u64();
-  d.end_chunk();
+void CoreStats::visit(ckpt::Archive& ar) {
+  ar.chunk("CSTA", [&] {
+    for (std::uint64_t* field :
+         {&cycles, &committed, &loads, &stores, &branches, &mispredicts,
+          &serializing, &commit_stall_store, &commit_stall_gate,
+          &dispatch_stall_rob, &dispatch_stall_iq, &dispatch_stall_lsq,
+          &fetch_blocked_branch, &fetch_blocked_serialize,
+          &fetch_blocked_icache, &itlb_misses, &dtlb_misses,
+          &recovery_stall_cycles, &rob_occupancy_accum}) {
+      ar.u64(*field);
+    }
+    ar.u64s(interval_committed);
+  });
 }
 
-void save_stats(ckpt::Serializer& s, const CoreStats& stats) {
-  s.begin_chunk("CSTA");
-  s.u64(stats.cycles);
-  s.u64(stats.committed);
-  s.u64(stats.loads);
-  s.u64(stats.stores);
-  s.u64(stats.branches);
-  s.u64(stats.mispredicts);
-  s.u64(stats.serializing);
-  s.u64(stats.commit_stall_store);
-  s.u64(stats.commit_stall_gate);
-  s.u64(stats.dispatch_stall_rob);
-  s.u64(stats.dispatch_stall_iq);
-  s.u64(stats.dispatch_stall_lsq);
-  s.u64(stats.fetch_blocked_branch);
-  s.u64(stats.fetch_blocked_serialize);
-  s.u64(stats.fetch_blocked_icache);
-  s.u64(stats.itlb_misses);
-  s.u64(stats.dtlb_misses);
-  s.u64(stats.recovery_stall_cycles);
-  s.u64(stats.rob_occupancy_accum);
-  ckpt::save_u64_vec(s, stats.interval_committed);
-  s.end_chunk();
+void OooCore::visit(ckpt::Archive& ar) {
+  ar.chunk("CPU0", [&] {
+    ar.expect(id_, "core id mismatch");
+    stats_.visit(ar);
+    ar.u64(next_sample_);
+    ar.u64(frozen_until_);
+
+    ar.count(fetch_queue_);
+    for (workload::DynOp& op : fetch_queue_) op.visit(ar);
+
+    ar.count(rob_);
+    for (RobEntry& e : rob_) {
+      e.op.visit(ar);
+      ar.b(e.in_iq);
+      ar.b(e.issued);
+      ar.u64(e.complete_at);
+      ar.b(e.mispredicted);
+    }
+
+    // unordered_map: walked sorted by key so identical state always
+    // produces identical bytes (save -> load -> save is byte-comparable).
+    std::vector<std::pair<SeqNum, Cycle>> completions;
+    if (!ar.loading()) {
+      completions.assign(completion_.begin(), completion_.end());
+      std::sort(completions.begin(), completions.end());
+    }
+    ar.count(completions);
+    for (auto& [seq, at] : completions) {
+      ar.u64(seq);
+      ar.u64(at);
+    }
+    if (ar.loading()) {
+      completion_.clear();
+      for (const auto& [seq, at] : completions) completion_[seq] = at;
+    }
+
+    bpred_.visit(ar);
+    itlb_.visit(ar);
+    dtlb_.visit(ar);
+
+    for (FuPool* pool : {&fu_int_alu_, &fu_int_mul_, &fu_int_div_,
+                         &fu_fp_alu_, &fu_fp_mul_, &fu_fp_div_, &fu_mem_}) {
+      ar.expect(pool->next_free.size(), "functional-unit pool width mismatch");
+      for (Cycle& c : pool->next_free) ar.u64(c);
+    }
+
+    stream_->visit(ar);
+    ar.b(stream_done_);
+    ar.u64(fetch_blocked_on_);
+    ar.u64(fetch_resume_at_);
+    ar.b(pending_stream_op_valid_);
+    pending_stream_op_.visit(ar);
+
+    ar.u32(iq_count_);
+    ar.u32(lq_count_);
+    ar.u32(sq_count_);
+
+    ar.u64s(committed_store_words_);
+  });
 }
 
-void load_stats(ckpt::Deserializer& d, CoreStats& stats) {
-  d.begin_chunk("CSTA");
-  stats.cycles = d.u64();
-  stats.committed = d.u64();
-  stats.loads = d.u64();
-  stats.stores = d.u64();
-  stats.branches = d.u64();
-  stats.mispredicts = d.u64();
-  stats.serializing = d.u64();
-  stats.commit_stall_store = d.u64();
-  stats.commit_stall_gate = d.u64();
-  stats.dispatch_stall_rob = d.u64();
-  stats.dispatch_stall_iq = d.u64();
-  stats.dispatch_stall_lsq = d.u64();
-  stats.fetch_blocked_branch = d.u64();
-  stats.fetch_blocked_serialize = d.u64();
-  stats.fetch_blocked_icache = d.u64();
-  stats.itlb_misses = d.u64();
-  stats.dtlb_misses = d.u64();
-  stats.recovery_stall_cycles = d.u64();
-  stats.rob_occupancy_accum = d.u64();
-  ckpt::load_u64_vec(d, stats.interval_committed);
-  d.end_chunk();
+void InOrderCore::visit(ckpt::Archive& ar) {
+  ar.chunk("IOC0", [&] {
+    ar.expect(id_, "in-order core id mismatch");
+    stats_.visit(ar);
+    ar.u64(next_sample_);
+    ar.u64(frozen_until_);
+    stream_->visit(ar);
+    ar.b(stream_done_);
+    ar.b(op_valid_);
+    op_.visit(ar);
+    ar.b(started_);
+    ar.u64(complete_at_);
+  });
 }
 
-namespace {
-
-void save_pool(ckpt::Serializer& s, const std::vector<Cycle>& next_free) {
-  s.u64(next_free.size());
-  for (const Cycle c : next_free) s.u64(c);
-}
-
-void load_pool(ckpt::Deserializer& d, std::vector<Cycle>& next_free) {
-  if (d.u64() != next_free.size()) {
-    throw ckpt::CkptError("functional-unit pool width mismatch");
-  }
-  for (Cycle& c : next_free) c = d.u64();
-}
-
-}  // namespace
-
-void OooCore::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("CPU0");
-  s.u32(id_);
-  save_stats(s, stats_);
-  s.u64(next_sample_);
-  s.u64(frozen_until_);
-
-  s.u64(fetch_queue_.size());
-  for (const workload::DynOp& op : fetch_queue_) workload::save_op(s, op);
-
-  s.u64(rob_.size());
-  for (const RobEntry& e : rob_) {
-    workload::save_op(s, e.op);
-    s.b(e.in_iq);
-    s.b(e.issued);
-    s.u64(e.complete_at);
-    s.b(e.mispredicted);
-  }
-
-  // unordered_map: saved sorted by key so identical state always produces
-  // identical bytes (save -> load -> save round-trips are byte-comparable).
-  std::vector<std::pair<SeqNum, Cycle>> completions(completion_.begin(),
-                                                    completion_.end());
-  std::sort(completions.begin(), completions.end());
-  s.u64(completions.size());
-  for (const auto& [seq, at] : completions) {
-    s.u64(seq);
-    s.u64(at);
-  }
-
-  bpred_.save_state(s);
-  itlb_.save_state(s);
-  dtlb_.save_state(s);
-
-  save_pool(s, fu_int_alu_.next_free);
-  save_pool(s, fu_int_mul_.next_free);
-  save_pool(s, fu_int_div_.next_free);
-  save_pool(s, fu_fp_alu_.next_free);
-  save_pool(s, fu_fp_mul_.next_free);
-  save_pool(s, fu_fp_div_.next_free);
-  save_pool(s, fu_mem_.next_free);
-
-  stream_->save_state(s);
-  s.b(stream_done_);
-  s.u64(fetch_blocked_on_);
-  s.u64(fetch_resume_at_);
-  s.b(pending_stream_op_valid_);
-  workload::save_op(s, pending_stream_op_);
-
-  s.u32(iq_count_);
-  s.u32(lq_count_);
-  s.u32(sq_count_);
-
-  s.u64(committed_store_words_.size());
-  for (const Addr a : committed_store_words_) s.u64(a);
-  s.end_chunk();
-}
-
-void OooCore::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("CPU0");
-  if (d.u32() != id_) {
-    throw ckpt::CkptError("core id mismatch");
-  }
-  load_stats(d, stats_);
-  next_sample_ = d.u64();
-  frozen_until_ = d.u64();
-
-  fetch_queue_.resize(d.u64());
-  for (workload::DynOp& op : fetch_queue_) workload::load_op(d, op);
-
-  rob_.resize(d.u64());
-  for (RobEntry& e : rob_) {
-    workload::load_op(d, e.op);
-    e.in_iq = d.b();
-    e.issued = d.b();
-    e.complete_at = d.u64();
-    e.mispredicted = d.b();
-  }
-
-  completion_.clear();
-  const std::uint64_t n_completions = d.u64();
-  for (std::uint64_t i = 0; i < n_completions; ++i) {
-    const SeqNum seq = d.u64();
-    completion_[seq] = d.u64();
-  }
-
-  bpred_.load_state(d);
-  itlb_.load_state(d);
-  dtlb_.load_state(d);
-
-  load_pool(d, fu_int_alu_.next_free);
-  load_pool(d, fu_int_mul_.next_free);
-  load_pool(d, fu_int_div_.next_free);
-  load_pool(d, fu_fp_alu_.next_free);
-  load_pool(d, fu_fp_mul_.next_free);
-  load_pool(d, fu_fp_div_.next_free);
-  load_pool(d, fu_mem_.next_free);
-
-  stream_->load_state(d);
-  stream_done_ = d.b();
-  fetch_blocked_on_ = d.u64();
-  fetch_resume_at_ = d.u64();
-  pending_stream_op_valid_ = d.b();
-  workload::load_op(d, pending_stream_op_);
-
-  iq_count_ = d.u32();
-  lq_count_ = d.u32();
-  sq_count_ = d.u32();
-
-  committed_store_words_.resize(d.u64());
-  for (Addr& a : committed_store_words_) a = d.u64();
-  d.end_chunk();
-}
-
-void InOrderCore::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("IOC0");
-  s.u32(id_);
-  save_stats(s, stats_);
-  s.u64(next_sample_);
-  s.u64(frozen_until_);
-  stream_->save_state(s);
-  s.b(stream_done_);
-  s.b(op_valid_);
-  workload::save_op(s, op_);
-  s.b(started_);
-  s.u64(complete_at_);
-  s.end_chunk();
-}
-
-void InOrderCore::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("IOC0");
-  if (d.u32() != id_) {
-    throw ckpt::CkptError("in-order core id mismatch");
-  }
-  load_stats(d, stats_);
-  next_sample_ = d.u64();
-  frozen_until_ = d.u64();
-  stream_->load_state(d);
-  stream_done_ = d.b();
-  op_valid_ = d.b();
-  workload::load_op(d, op_);
-  started_ = d.b();
-  complete_at_ = d.u64();
-  d.end_chunk();
-}
-
-void CheckLog::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("CLOG");
-  s.u64(capacity_);
-  s.u64(entries_.size());
-  for (const CheckLogEntry& e : entries_) {
-    s.u64(e.seq);
-    s.u64(e.addr);
-    s.u8(static_cast<std::uint8_t>(e.kind));
-    s.b(e.taken);
-  }
-  s.u64(peak_);
-  s.u64(total_pushed_);
-  s.end_chunk();
-}
-
-void CheckLog::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("CLOG");
-  if (d.u64() != capacity_) {
-    throw ckpt::CkptError("check-log capacity mismatch");
-  }
-  entries_.resize(d.u64());
-  if (entries_.size() > capacity_) {
-    throw ckpt::CkptError("check-log over capacity");
-  }
-  for (CheckLogEntry& e : entries_) {
-    e.seq = d.u64();
-    e.addr = d.u64();
-    e.kind = static_cast<CheckKind>(d.u8());
-    e.taken = d.b();
-  }
-  peak_ = d.u64();
-  total_pushed_ = d.u64();
-  d.end_chunk();
+void CheckLog::visit(ckpt::Archive& ar) {
+  ar.chunk("CLOG", [&] {
+    ar.expect(capacity_, "check-log capacity mismatch");
+    ar.count(entries_);
+    if (entries_.size() > capacity_) {
+      throw ckpt::CkptError("check-log over capacity");
+    }
+    for (CheckLogEntry& e : entries_) {
+      ar.u64(e.seq);
+      ar.u64(e.addr);
+      ar.u8(e.kind);
+      ar.b(e.taken);
+    }
+    ar.u64(peak_);
+    ar.u64(total_pushed_);
+  });
 }
 
 }  // namespace unsync::cpu

@@ -112,10 +112,9 @@ class InOrderCore {
 
   void set_tracer(const obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Checkpoint hooks: cursor + in-flight instruction + statistics.
+  /// Checkpoint walk: cursor + in-flight instruction + statistics.
   /// Defined in core_ckpt.cpp with the other cpu wire layouts.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  void visit(ckpt::Archive& ar);
 
  private:
   static constexpr Cycle kNever = ~Cycle{0};

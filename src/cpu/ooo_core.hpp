@@ -122,13 +122,11 @@ struct CoreStats {
                         static_cast<double>(cycles)
                   : 0.0;
   }
-};
 
-/// Checkpoint helpers: serialise / restore a CoreStats block (all fields,
-/// including the interval-IPC samples). Also used by the system layer to
-/// persist RunResult::core_stats.
-void save_stats(ckpt::Serializer& s, const CoreStats& stats);
-void load_stats(ckpt::Deserializer& d, CoreStats& stats);
+  /// Checkpoint walk over every field, including the interval-IPC samples.
+  /// Also how the engine persists RunResult::core_stats.
+  void visit(ckpt::Archive& ar);
+};
 
 class OooCore {
  public:
@@ -205,14 +203,13 @@ class OooCore {
 
   GsharePredictor& predictor() { return bpred_; }
 
-  /// Checkpoint hooks: the complete per-core mutable state — fetch queue,
+  /// Checkpoint walk: the complete per-core mutable state — fetch queue,
   /// ROB, in-flight producer completions, predictor, TLBs, FU reservations,
   /// front-end cursor (including the stream's own state), LSQ occupancy,
-  /// the committed-store forwarding window, and statistics. load_state()
+  /// the committed-store forwarding window, and statistics. Loading
   /// requires a core constructed with the same id, config and stream
   /// identity. Observability attachments are not part of the state.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  void visit(ckpt::Archive& ar);
 
  private:
   static constexpr Cycle kNever = ~Cycle{0};

@@ -11,10 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "ckpt/serializer.hpp"
+#include "ckpt/archive.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "engine/run_result.hpp"
 #include "obs/trace.hpp"
@@ -36,42 +36,44 @@ struct ArrivalCursor {
   /// Consumes and returns the next arrival position.
   SeqNum take() { return positions[next++]; }
 
-  void save_state(ckpt::Serializer& s) const {
-    s.u64(positions.size());
-    s.u64(next);
+  /// Checkpoint walk: the schedule length (pinned — construction re-derives
+  /// the positions) and the cursor. `mismatch` is the load error message.
+  void visit(ckpt::Archive& ar, const char* mismatch) {
+    ar.expect(positions.size(), mismatch);
+    ar.u64(next);
   }
 
-  /// `system` names the restoring system in the mismatch error.
-  void load_state(ckpt::Deserializer& d, const char* system) {
-    if (d.u64() != positions.size()) {
-      throw ckpt::CkptError(std::string(system) +
-                            " error-arrival schedule mismatch");
+  /// Fault-channel walk: the positions themselves plus the cursor, so a
+  /// schedule sampled under one configuration can be installed into a
+  /// system constructed with a *different* (golden, ser=0) configuration
+  /// whose own schedule is empty.
+  void visit_schedule(ckpt::Archive& ar) {
+    ar.u64s(positions);
+    ar.u64(next);
+    if (next > positions.size()) {
+      throw ckpt::CkptError("arrival-schedule cursor out of range");
     }
-    next = d.u64();
   }
 };
 
-/// Full-schedule serialisation for the prefix-sharing fault channel. Unlike
-/// ArrivalCursor::save_state (which pins only the schedule length plus the
-/// cursor, because construction re-derives the positions), this round-trips
-/// the positions themselves — so a schedule sampled under one configuration
-/// can be installed into a system constructed with a *different* (golden,
-/// ser=0) configuration whose own schedule is empty.
-inline void save_arrival_schedule(ckpt::Serializer& s,
-                                  const ArrivalCursor& c) {
-  s.u64(c.positions.size());
-  for (const SeqNum p : c.positions) s.u64(p);
-  s.u64(c.next);
-}
+/// The prefix-sharing fault channel: the RNG that draws strike sides and
+/// one arrival cursor per group. Its walk — the RNG words, then every
+/// group's full schedule — is the one behind both a system's channel
+/// (core::System::fault_channel_bytes / install_fault_channel) and the
+/// campaign layer's out-of-band computation of a job's channel. Systems
+/// without an error process (the baseline) have no RNG: an empty channel.
+struct FaultSources {
+  Rng* rng = nullptr;
+  std::vector<ArrivalCursor*> arrivals;
+  const char* count_mismatch = "";  ///< load error: group count differs
 
-inline void load_arrival_schedule(ckpt::Deserializer& d, ArrivalCursor& c) {
-  c.positions.resize(d.u64());
-  for (SeqNum& p : c.positions) p = d.u64();
-  c.next = d.u64();
-  if (c.next > c.positions.size()) {
-    throw ckpt::CkptError("arrival-schedule cursor out of range");
+  void visit(ckpt::Archive& ar) const {
+    if (rng == nullptr) return;
+    ar.rng(*rng);
+    ar.expect(arrivals.size(), count_mismatch);
+    for (ArrivalCursor* c : arrivals) c->visit_schedule(ar);
   }
-}
+};
 
 /// Applies the common accounting for one handled error: result counters
 /// (recoveries vs rollbacks keyed on e.rollback), the chronological error

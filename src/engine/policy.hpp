@@ -18,7 +18,7 @@
 //
 // plus the fast-forward hooks (next_event / skip_cycles, with per-member
 // defaults), the result finaliser (finish / on_run_complete) and the
-// checkpoint body (ckpt_tag / save_policy_state / load_policy_state).
+// checkpoint body (ckpt_tag / visit_policy_state).
 #pragma once
 
 #include <cstddef>
@@ -27,8 +27,7 @@
 #include "engine/run_result.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::engine {
@@ -134,12 +133,13 @@ class SystemPolicy {
   virtual void on_run_complete(const RunResult& r) { (void)r; }
 
   /// Checkpoint body: the 4-character chunk tag identifying this system's
-  /// state layout, and the policy payload written inside the kernel's
-  /// chunk (after the cycle cursor and accumulated result — see
-  /// SimKernel::save_state and docs/CHECKPOINTS.md).
+  /// state layout, and the one walk over the policy payload inside the
+  /// kernel's chunk (after the cycle cursor and accumulated result — see
+  /// SimKernel::visit and docs/CHECKPOINTS.md). The walk marks the RNG
+  /// words and arrival cursors with ar.fault_channel(), so the same walk
+  /// yields save, load and the state fingerprint.
   virtual const char* ckpt_tag() const = 0;
-  virtual void save_policy_state(ckpt::Serializer& s) const = 0;
-  virtual void load_policy_state(ckpt::Deserializer& d) = 0;
+  virtual void visit_policy_state(ckpt::Archive& ar) = 0;
 
  protected:
   /// Minimum of member_next_event over every member of `g`; `now` (veto)

@@ -1,68 +1,48 @@
-// Checkpoint wire layout of ErrorEvent and RunResult — shared by the
-// kernel-level system checkpoint (SimKernel::save_state) and the campaign
-// journal. The "RRES" chunk layout is load-bearing: existing checkpoints
-// and journals decode against it.
-#include "ckpt/serializer.hpp"
+// Checkpoint walks of the engine layer: the kernel-level system chunk
+// (SimKernel::visit) and the ErrorEvent / RunResult layout it shares with
+// the campaign journal. The "RRES" chunk layout is load-bearing: existing
+// checkpoints and journals decode against it.
+#include "ckpt/archive.hpp"
 #include "engine/run_result.hpp"
+#include "engine/sim_kernel.hpp"
 
 namespace unsync::engine {
 
-void save_error_event(ckpt::Serializer& s, const ErrorEvent& e) {
-  s.u64(e.cycle);
-  s.u64(e.position);
-  s.u32(e.thread);
-  s.u32(e.struck_core);
-  s.u64(e.cost);
-  s.b(e.rollback);
+void ErrorEvent::visit(ckpt::Archive& ar) {
+  ar.u64(cycle);
+  ar.u64(position);
+  ar.u32(thread);
+  ar.u32(struck_core);
+  ar.u64(cost);
+  ar.b(rollback);
 }
 
-void load_error_event(ckpt::Deserializer& d, ErrorEvent& e) {
-  e.cycle = d.u64();
-  e.position = d.u64();
-  e.thread = d.u32();
-  e.struck_core = d.u32();
-  e.cost = d.u64();
-  e.rollback = d.b();
+void RunResult::visit(ckpt::Archive& ar) {
+  ar.chunk("RRES", [&] {
+    ar.str(system);
+    ar.u64(cycles);
+    ar.u64(instructions);
+    ar.u64s(thread_instructions);
+    ar.count(core_stats);
+    for (cpu::CoreStats& cs : core_stats) cs.visit(ar);
+    ar.u64(errors_injected);
+    ar.u64(recoveries);
+    ar.u64(rollbacks);
+    ar.u64(recovery_cycles_total);
+    ar.u64(cb_full_stalls);
+    ar.u64(fingerprint_syncs);
+    ar.count(error_log);
+    for (ErrorEvent& e : error_log) e.visit(ar);
+    ar.b(approximate);
+  });
 }
 
-void save_result(ckpt::Serializer& s, const RunResult& r) {
-  s.begin_chunk("RRES");
-  s.str(r.system);
-  s.u64(r.cycles);
-  s.u64(r.instructions);
-  ckpt::save_u64_vec(s, r.thread_instructions);
-  s.u64(r.core_stats.size());
-  for (const cpu::CoreStats& cs : r.core_stats) cpu::save_stats(s, cs);
-  s.u64(r.errors_injected);
-  s.u64(r.recoveries);
-  s.u64(r.rollbacks);
-  s.u64(r.recovery_cycles_total);
-  s.u64(r.cb_full_stalls);
-  s.u64(r.fingerprint_syncs);
-  s.u64(r.error_log.size());
-  for (const ErrorEvent& e : r.error_log) save_error_event(s, e);
-  s.b(r.approximate);
-  s.end_chunk();
-}
-
-void load_result(ckpt::Deserializer& d, RunResult& r) {
-  d.begin_chunk("RRES");
-  r.system = d.str();
-  r.cycles = d.u64();
-  r.instructions = d.u64();
-  ckpt::load_u64_vec(d, r.thread_instructions);
-  r.core_stats.resize(d.u64());
-  for (cpu::CoreStats& cs : r.core_stats) cpu::load_stats(d, cs);
-  r.errors_injected = d.u64();
-  r.recoveries = d.u64();
-  r.rollbacks = d.u64();
-  r.recovery_cycles_total = d.u64();
-  r.cb_full_stalls = d.u64();
-  r.fingerprint_syncs = d.u64();
-  r.error_log.resize(d.u64());
-  for (ErrorEvent& e : r.error_log) load_error_event(d, e);
-  r.approximate = d.b();
-  d.end_chunk();
+void SimKernel::visit(SystemPolicy& policy, ckpt::Archive& ar) {
+  ar.chunk(policy.ckpt_tag(), [&] {
+    ar.u64(now_);
+    acc_.visit(ar);
+    policy.visit_policy_state(ar);
+  });
 }
 
 }  // namespace unsync::engine

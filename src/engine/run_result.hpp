@@ -4,8 +4,6 @@
 // RunResult lives in the engine layer because the SimKernel accumulates it
 // across run() segments (the resumable-run contract) and every system
 // policy only appends its per-core stats and system counters at the end.
-// The core:: spellings (core::RunResult, core::save_result, ...) remain
-// valid aliases — see core/system.hpp.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +14,7 @@
 #include "cpu/ooo_core.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::engine {
@@ -30,6 +27,8 @@ struct ErrorEvent {
   unsigned struck_core = 0; ///< side within the group (bad core)
   Cycle cost = 0;           ///< stall / penalty cycles charged
   bool rollback = false;    ///< true = re-execution; false = forward recovery
+
+  void visit(ckpt::Archive& ar);
 };
 
 struct RunResult {
@@ -72,13 +71,10 @@ struct RunResult {
   /// ignores unknown keys still parses v2. `indent` = 0 emits the canonical
   /// compact form; > 0 pretty-prints. Byte-identical for identical results.
   std::string to_json(int indent = 0) const;
-};
 
-/// Checkpoint helpers: serialise / restore an ErrorEvent and a full
-/// RunResult (used by system checkpoints and the campaign journal).
-void save_error_event(ckpt::Serializer& s, const ErrorEvent& e);
-void load_error_event(ckpt::Deserializer& d, ErrorEvent& e);
-void save_result(ckpt::Serializer& s, const RunResult& r);
-void load_result(ckpt::Deserializer& d, RunResult& r);
+  /// Checkpoint walk: the "RRES" chunk shared by system checkpoints and
+  /// the campaign journal.
+  void visit(ckpt::Archive& ar);
+};
 
 }  // namespace unsync::engine

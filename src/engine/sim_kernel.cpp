@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/serializer.hpp"
-
 namespace unsync::engine {
 
 namespace {
@@ -60,23 +58,6 @@ RunResult SimKernel::run(SystemPolicy& policy, Cycle max_cycles,
   policy.finish(r);
   policy.on_run_complete(r);
   return r;
-}
-
-void SimKernel::save_state(const SystemPolicy& policy,
-                           ckpt::Serializer& s) const {
-  s.begin_chunk(policy.ckpt_tag());
-  s.u64(now_);
-  save_result(s, acc_);
-  policy.save_policy_state(s);
-  s.end_chunk();
-}
-
-void SimKernel::load_state(SystemPolicy& policy, ckpt::Deserializer& d) {
-  d.begin_chunk(policy.ckpt_tag());
-  now_ = d.u64();
-  load_result(d, acc_);
-  policy.load_policy_state(d);
-  d.end_chunk();
 }
 
 }  // namespace unsync::engine

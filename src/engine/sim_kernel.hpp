@@ -36,12 +36,10 @@ class SimKernel {
   RunResult& result() { return acc_; }
   const RunResult& result() const { return acc_; }
 
-  /// Kernel-level checkpoint: one chunk tagged policy.ckpt_tag() holding
-  /// the cycle cursor, the accumulated result, then the policy payload.
-  /// The wire layout is byte-identical to the pre-engine per-system
-  /// save_state implementations (see docs/CHECKPOINTS.md).
-  void save_state(const SystemPolicy& policy, ckpt::Serializer& s) const;
-  void load_state(SystemPolicy& policy, ckpt::Deserializer& d);
+  /// Kernel-level checkpoint walk: one chunk tagged policy.ckpt_tag()
+  /// holding the cycle cursor, the accumulated result, then the policy
+  /// payload (see docs/CHECKPOINTS.md).
+  void visit(SystemPolicy& policy, ckpt::Archive& ar);
 
  private:
   Cycle now_ = 0;

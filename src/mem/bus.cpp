@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/serializer.hpp"
-
 namespace unsync::mem {
 
 Cycle Bus::acquire(Cycle now, Cycle hold) {
@@ -19,22 +17,6 @@ void Bus::reset() {
   next_free_ = 0;
   busy_cycles_ = 0;
   transactions_ = 0;
-}
-
-void Bus::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("BUS0");
-  s.u64(next_free_);
-  s.u64(busy_cycles_);
-  s.u64(transactions_);
-  s.end_chunk();
-}
-
-void Bus::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("BUS0");
-  next_free_ = d.u64();
-  busy_cycles_ = d.u64();
-  transactions_ = d.u64();
-  d.end_chunk();
 }
 
 }  // namespace unsync::mem

@@ -13,8 +13,7 @@
 #include "fault/avf.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::mem {
@@ -40,9 +39,8 @@ class Bus {
 
   void reset();
 
-  /// Checkpoint hooks: reservation horizon and utilisation counters.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  /// Checkpoint walk: reservation horizon and utilisation counters.
+  void visit(ckpt::Archive& ar);
 
  private:
   Cycle next_free_ = 0;

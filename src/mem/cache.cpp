@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ckpt/serializer.hpp"
-
 namespace unsync::mem {
 
 void MshrFile::prune(Cycle now) const {
@@ -176,70 +174,6 @@ std::uint64_t Cache::lines_dirty() const {
 double Cache::miss_rate() const {
   const auto total = hits_ + misses_;
   return total ? static_cast<double>(misses_) / static_cast<double>(total) : 0.0;
-}
-
-void MshrFile::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("MSHR");
-  s.u32(entries_);
-  s.u64(misses_.size());
-  for (const Entry& e : misses_) {
-    s.u64(e.line_addr);
-    s.u64(e.done);
-  }
-  s.u64(stall_cycles_);
-  s.end_chunk();
-}
-
-void MshrFile::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("MSHR");
-  if (d.u32() != entries_) {
-    throw ckpt::CkptError("MSHR capacity mismatch");
-  }
-  misses_.resize(d.u64());
-  for (Entry& e : misses_) {
-    e.line_addr = d.u64();
-    e.done = d.u64();
-  }
-  stall_cycles_ = d.u64();
-  d.end_chunk();
-}
-
-void Cache::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("CACH");
-  s.u64(lines_.size());
-  for (const Line& l : lines_) {
-    s.u64(l.tag);
-    s.b(l.valid);
-    s.b(l.dirty);
-    s.u64(l.lru);
-  }
-  s.u64(lru_clock_);
-  s.u64(hits_);
-  s.u64(misses_);
-  s.u64(writebacks_);
-  mshrs_.save_state(s);
-  s.end_chunk();
-}
-
-void Cache::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("CACH");
-  if (d.u64() != lines_.size()) {
-    throw ckpt::CkptError("cache geometry mismatch");
-  }
-  valid_count_ = 0;
-  for (Line& l : lines_) {
-    l.tag = d.u64();
-    l.valid = d.b();
-    l.dirty = d.b();
-    l.lru = d.u64();
-    if (l.valid) ++valid_count_;
-  }
-  lru_clock_ = d.u64();
-  hits_ = d.u64();
-  misses_ = d.u64();
-  writebacks_ = d.u64();
-  mshrs_.load_state(d);
-  d.end_chunk();
 }
 
 }  // namespace unsync::mem

@@ -17,8 +17,7 @@
 #include "mem/config.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::mem {
@@ -53,10 +52,9 @@ class MshrFile {
 
   void reset() { misses_.clear(); stall_cycles_ = 0; }
 
-  /// Checkpoint hooks (in-flight misses including lazily-expired entries,
+  /// Checkpoint walk (in-flight misses including lazily-expired entries,
   /// stall counter). Capacity must match the saved instance.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  void visit(ckpt::Archive& ar);
 
  private:
   struct Entry {
@@ -137,10 +135,9 @@ class Cache {
   MshrFile& mshrs() { return mshrs_; }
   const MshrFile& mshrs() const { return mshrs_; }
 
-  /// Checkpoint hooks: tag array, LRU clock, statistics and the MSHR file.
+  /// Checkpoint walk: tag array, LRU clock, statistics and the MSHR file.
   /// Geometry (sets/assoc/line size) must match the saved instance.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  void visit(ckpt::Archive& ar);
 
  private:
   struct Line {

@@ -1,6 +1,5 @@
 #include "mem/hierarchy.hpp"
 
-#include "ckpt/serializer.hpp"
 #include "mem/write_buffer.hpp"
 
 namespace unsync::mem {
@@ -217,60 +216,6 @@ void MemoryHierarchy::publish_metrics(obs::MetricsRegistry& reg,
   reg.set_counter(prefix + ".bus.transactions", bus_.transactions());
   reg.set_counter(prefix + ".dram.busy_cycles", dram_chan_.busy_cycles());
   reg.set_counter(prefix + ".dram.transactions", dram_chan_.transactions());
-}
-
-void WriteBuffer::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("WBUF");
-  s.u64(capacity_);
-  s.u64(entries_.size());
-  for (const WriteBufferEntry& e : entries_) {
-    s.u64(e.addr);
-    s.u64(e.seq);
-    s.u64(e.ready);
-  }
-  s.u64(peak_);
-  s.u64(total_pushed_);
-  s.end_chunk();
-}
-
-void WriteBuffer::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("WBUF");
-  if (d.u64() != capacity_) {
-    throw ckpt::CkptError("write buffer capacity mismatch");
-  }
-  entries_.resize(d.u64());
-  for (WriteBufferEntry& e : entries_) {
-    e.addr = d.u64();
-    e.seq = d.u64();
-    e.ready = d.u64();
-  }
-  peak_ = d.u64();
-  total_pushed_ = d.u64();
-  d.end_chunk();
-}
-
-void MemoryHierarchy::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("MEMH");
-  s.u64(l1d_.size());
-  for (const auto& c : l1d_) c->save_state(s);
-  for (const auto& c : l1i_) c->save_state(s);
-  l2_.save_state(s);
-  bus_.save_state(s);
-  dram_chan_.save_state(s);
-  s.end_chunk();
-}
-
-void MemoryHierarchy::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("MEMH");
-  if (d.u64() != l1d_.size()) {
-    throw ckpt::CkptError("memory hierarchy core-count mismatch");
-  }
-  for (const auto& c : l1d_) c->load_state(d);
-  for (const auto& c : l1i_) c->load_state(d);
-  l2_.load_state(d);
-  bus_.load_state(d);
-  dram_chan_.load_state(d);
-  d.end_chunk();
 }
 
 }  // namespace unsync::mem

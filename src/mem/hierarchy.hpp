@@ -99,11 +99,10 @@ class MemoryHierarchy {
   void publish_metrics(obs::MetricsRegistry& reg,
                        const std::string& prefix) const;
 
-  /// Checkpoint hooks: every cache (tags, LRU, stats, MSHRs) plus both
+  /// Checkpoint walk: every cache (tags, LRU, stats, MSHRs) plus both
   /// buses. The hierarchy must be constructed with the same MemConfig and
   /// core count as the saved instance.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  void visit(ckpt::Archive& ar);
 
  private:
   /// L2 read reached at cycle `t` (after bus transfer); returns fill-ready

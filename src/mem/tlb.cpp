@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "ckpt/serializer.hpp"
-
 namespace unsync::mem {
 
 Tlb::Tlb(const TlbConfig& config)
@@ -54,38 +52,6 @@ bool Tlb::access(Addr addr) {
 void Tlb::flush() {
   for (auto& e : entries_) e.valid = false;
   valid_count_ = 0;
-}
-
-void Tlb::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("TLB0");
-  s.u64(entries_.size());
-  for (const Entry& e : entries_) {
-    s.u64(e.vpn);
-    s.b(e.valid);
-    s.u64(e.lru);
-  }
-  s.u64(clock_);
-  s.u64(hits_);
-  s.u64(misses_);
-  s.end_chunk();
-}
-
-void Tlb::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("TLB0");
-  if (d.u64() != entries_.size()) {
-    throw ckpt::CkptError("TLB geometry mismatch");
-  }
-  valid_count_ = 0;
-  for (Entry& e : entries_) {
-    e.vpn = d.u64();
-    e.valid = d.b();
-    e.lru = d.u64();
-    if (e.valid) ++valid_count_;
-  }
-  clock_ = d.u64();
-  hits_ = d.u64();
-  misses_ = d.u64();
-  d.end_chunk();
 }
 
 }  // namespace unsync::mem

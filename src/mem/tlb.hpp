@@ -14,8 +14,7 @@
 #include "fault/avf.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::mem {
@@ -59,10 +58,9 @@ class Tlb {
     if (avf_) avf_->set_live(now, valid_count_);
   }
 
-  /// Checkpoint hooks: serialise / restore all mutable state (entries, LRU
-  /// clock, hit/miss counters). Geometry must match the saved instance.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  /// Checkpoint walk over all mutable state (entries, LRU clock, hit/miss
+  /// counters). Geometry must match the saved instance.
+  void visit(ckpt::Archive& ar);
 
  private:
   struct Entry {

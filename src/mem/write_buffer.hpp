@@ -17,8 +17,7 @@
 #include "obs/metrics.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::mem {
@@ -82,10 +81,9 @@ class WriteBuffer {
     if (avf_) avf_->set_live(now, entries_.size());
   }
 
-  /// Checkpoint hooks: entries plus occupancy counters. Capacity must match
-  /// the saved instance. Defined in hierarchy.cpp with the other mem hooks.
-  void save_state(ckpt::Serializer& s) const;
-  void load_state(ckpt::Deserializer& d);
+  /// Checkpoint walk: entries plus occupancy counters. Capacity must match
+  /// the saved instance. Defined in mem_ckpt.cpp with the other mem walks.
+  void visit(ckpt::Archive& ar);
 
  private:
   std::size_t capacity_;

@@ -119,7 +119,7 @@ obs::MetricsSnapshot scheduler_snapshot(
 
 }  // namespace
 
-double screening_score(const core::RunResult& result) {
+double screening_score(const engine::RunResult& result) {
   double score = static_cast<double>(result.errors_injected) +
                  static_cast<double>(result.recoveries) +
                  static_cast<double>(result.rollbacks);
@@ -130,9 +130,9 @@ double screening_score(const core::RunResult& result) {
   return score;
 }
 
-core::RunResult CampaignRunner::run_job(const SimJob& job, std::uint64_t seed,
-                                        obs::MetricsRegistry* metrics,
-                                        obs::TraceSink* trace) {
+engine::RunResult CampaignRunner::run_job(const SimJob& job, std::uint64_t seed,
+                                          obs::MetricsRegistry* metrics,
+                                          obs::TraceSink* trace) {
   const auto stream = make_job_stream(job, seed);
   const auto model = core::make_model(job.system, job_system_config(job, seed),
                                       *stream, job.params);
@@ -140,10 +140,9 @@ core::RunResult CampaignRunner::run_job(const SimJob& job, std::uint64_t seed,
   return model->run();
 }
 
-core::RunResult CampaignRunner::run_job_screened(const SimJob& job,
-                                                 std::uint64_t seed,
-                                                 double threshold,
-                                                 obs::MetricsSnapshot* metrics) {
+engine::RunResult CampaignRunner::run_job_screened(
+    const SimJob& job, std::uint64_t seed, double threshold,
+    obs::MetricsSnapshot* metrics) {
   SimJob screened = job;
   // The reported snapshot must come from exactly the tier that produced the
   // reported result: run_tier REPLACES `snap` wholesale (never merges), and
@@ -154,11 +153,11 @@ core::RunResult CampaignRunner::run_job_screened(const SimJob& job,
     screened.params.tier = tier;
     if (!metrics) return run_job(screened, seed);
     obs::MetricsRegistry reg;
-    core::RunResult r = run_job(screened, seed, &reg);
+    engine::RunResult r = run_job(screened, seed, &reg);
     snap = reg.snapshot();
     return r;
   };
-  core::RunResult result = run_tier(engine::Tier::kFast);
+  engine::RunResult result = run_tier(engine::Tier::kFast);
   if (screening_score(result) >= threshold) {
     result = run_tier(engine::Tier::kDetailed);
   }

@@ -38,12 +38,6 @@
 
 namespace unsync::runtime {
 
-// The system taxonomy lives in core::factory (the single construction
-// switch); these aliases keep existing runtime:: spellings working.
-using SystemKind = core::SystemKind;
-using core::name_of;
-using core::parse_system;
-
 /// One cell of the campaign grid. Workload selection: `profile` names a
 /// built-in statistical benchmark (generated per job from the job seed);
 /// otherwise `trace` replays shared immutable recorded ops (kernel /
@@ -54,7 +48,7 @@ struct SimJob {
   std::string profile;  ///< synthetic workload when non-empty
   std::shared_ptr<const std::vector<workload::DynOp>> trace;
 
-  SystemKind system = SystemKind::kUnSync;
+  core::SystemKind system = core::SystemKind::kUnSync;
   std::uint64_t insts = 50000;  ///< synthetic stream length
   double ser_per_inst = 0.0;
   unsigned app_threads = 1;  ///< simulated application threads
@@ -109,11 +103,11 @@ core::SystemConfig job_system_config(const SimJob& job, std::uint64_t seed);
 /// error / recovery activity plus the fraction of cycles spent recovering.
 /// Always >= 0, so a screen threshold of 0 re-runs EVERY cell detailed
 /// (byte-identical to a pure detailed campaign) and +infinity re-runs none.
-double screening_score(const core::RunResult& result);
+double screening_score(const engine::RunResult& result);
 
 struct CampaignOutput {
   /// One result per job, in submission order.
-  std::vector<core::RunResult> results;
+  std::vector<engine::RunResult> results;
   /// Job labels and the seeds actually used, parallel to `results`.
   std::vector<std::string> labels;
   std::vector<std::uint64_t> seeds;
@@ -210,19 +204,18 @@ class CampaignRunner {
   /// single-job path unsync_sim's `run` subcommand uses), honouring
   /// job.params.tier via core::make_model. Optional observability: metrics
   /// are published into `metrics`, events into `trace`.
-  static core::RunResult run_job(const SimJob& job, std::uint64_t seed,
-                                 obs::MetricsRegistry* metrics = nullptr,
-                                 obs::TraceSink* trace = nullptr);
+  static engine::RunResult run_job(const SimJob& job, std::uint64_t seed,
+                                   obs::MetricsRegistry* metrics = nullptr,
+                                   obs::TraceSink* trace = nullptr);
 
   /// One job under the two-phase screening policy: fast tier first, then a
   /// detailed re-run iff screening_score(fast result) >= threshold. When
   /// `metrics` is non-null it receives the snapshot of whichever tier
   /// produced the returned result. Shared by the in-process runner and the
   /// distributed fabric so both merge identical bytes.
-  static core::RunResult run_job_screened(const SimJob& job,
-                                          std::uint64_t seed, double threshold,
-                                          obs::MetricsSnapshot* metrics =
-                                              nullptr);
+  static engine::RunResult run_job_screened(
+      const SimJob& job, std::uint64_t seed, double threshold,
+      obs::MetricsSnapshot* metrics = nullptr);
 
   const Options& options() const { return options_; }
 

@@ -2,7 +2,7 @@
 
 #include <fstream>
 
-#include "ckpt/serializer.hpp"
+#include "ckpt/archive.hpp"
 #include "common/rng.hpp"
 
 namespace unsync::runtime {
@@ -86,7 +86,7 @@ ckpt::JournalHeader make_journal_header(const std::vector<SimJob>& jobs,
   return h;
 }
 
-bool entry_acceptable(const SimJob& job, const core::RunResult& result,
+bool entry_acceptable(const SimJob& job, const engine::RunResult& result,
                       bool screen, double screen_threshold) {
   if (screen) {
     return !result.approximate ||
@@ -95,10 +95,11 @@ bool entry_acceptable(const SimJob& job, const core::RunResult& result,
   return result.approximate == (job.params.tier == engine::Tier::kFast);
 }
 
-std::string encode_entry_blob(const core::RunResult& result,
+std::string encode_entry_blob(const engine::RunResult& result,
                               const obs::MetricsSnapshot* metrics) {
   ckpt::Serializer s;
-  core::save_result(s, result);
+  ckpt::Archive ar(s);
+  const_cast<engine::RunResult&>(result).visit(ar);  // Save mode only reads
   s.b(metrics != nullptr);
   if (metrics) metrics->save(s);
   return s.take();
@@ -108,7 +109,8 @@ std::optional<RestoredJob> decode_entry_blob(std::string blob) {
   try {
     ckpt::Deserializer d(std::move(blob));
     RestoredJob r;
-    core::load_result(d, r.result);
+    ckpt::Archive ar(d);
+    r.result.visit(ar);
     r.has_metrics = d.b();
     if (r.has_metrics) r.metrics.load(d);
     if (!d.at_end()) return std::nullopt;

@@ -56,18 +56,18 @@ ckpt::JournalHeader make_journal_header(const std::vector<SimJob>& jobs,
 /// when their screening_score stayed below the threshold (an entry at or
 /// above it would have been re-run detailed before journaling). Entries
 /// failing this simply re-run.
-bool entry_acceptable(const SimJob& job, const core::RunResult& result,
+bool entry_acceptable(const SimJob& job, const engine::RunResult& result,
                       bool screen, double screen_threshold);
 
 /// One journaled job, decoded.
 struct RestoredJob {
-  core::RunResult result;
+  engine::RunResult result;
   bool has_metrics = false;
   obs::MetricsSnapshot metrics;
 };
 
 /// Serializes a completed job into journal-blob bytes.
-std::string encode_entry_blob(const core::RunResult& result,
+std::string encode_entry_blob(const engine::RunResult& result,
                               const obs::MetricsSnapshot* metrics);
 
 /// Decodes journal-blob bytes; nullopt if truncated/corrupt/trailing.

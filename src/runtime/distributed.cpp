@@ -151,7 +151,7 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
   std::size_t unflushed = 0;
   const auto run_and_record = [&](std::size_t i) {
     const std::uint64_t seed = job_seed(jobs, opts.campaign_seed, i);
-    core::RunResult result;
+    engine::RunResult result;
     obs::MetricsSnapshot metrics;
     if (opts.screen) {
       result = CampaignRunner::run_job_screened(

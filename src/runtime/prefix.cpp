@@ -4,7 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "ckpt/serializer.hpp"
+#include "ckpt/archive.hpp"
 #include "common/rng.hpp"
 #include "core/factory.hpp"
 #include "fault/ser.hpp"
@@ -47,20 +47,11 @@ bool eligible(const SimJob& job) {
   return job.params.tier == engine::Tier::kDetailed;
 }
 
-/// True once every group's arrival cursor is exhausted, read back through
-/// the system's own fault-channel serialisation (the cursor is not
-/// otherwise observable from outside).
-bool channel_exhausted(const core::System& sys) {
-  ckpt::Serializer s;
-  sys.save_fault_channel(s);
-  ckpt::Deserializer d(s.take());
-  if (d.at_end()) return true;  // no error process at all
-  for (int i = 0; i < 4; ++i) d.u64();
-  const std::uint64_t groups = d.u64();
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    const std::uint64_t npos = d.u64();
-    for (std::uint64_t p = 0; p < npos; ++p) d.u64();
-    if (d.u64() != npos) return false;
+/// True once every group's arrival cursor is exhausted (trivially so for a
+/// system without an error process).
+bool channel_exhausted(core::System& sys) {
+  for (const engine::ArrivalCursor* c : sys.fault_sources().arrivals) {
+    if (c->next != c->positions.size()) return false;
   }
   return true;
 }
@@ -89,9 +80,9 @@ const GoldenTrace::Snap* latest_safe_snap(const GoldenTrace& golden,
 /// golden run's final result. Exact because the fingerprinted state fully
 /// determines the post-convergence evolution and the error counters can no
 /// longer change once every arrival has fired.
-core::RunResult splice_result(const GoldenTrace& golden,
-                              const core::RunResult& faulty_segment) {
-  core::RunResult out = golden.final_result;
+engine::RunResult splice_result(const GoldenTrace& golden,
+                                const engine::RunResult& faulty_segment) {
+  engine::RunResult out = golden.final_result;
   out.errors_injected = faulty_segment.errors_injected;
   out.recoveries = faulty_segment.recoveries;
   out.rollbacks = faulty_segment.rollbacks;
@@ -159,7 +150,7 @@ FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed) {
   FaultChannel ch;
   if (job.system == core::SystemKind::kBaseline) {
     // The baseline has no error process: empty channel, empty wire bytes
-    // (its load_fault_channel is a no-op).
+    // (installing it is a no-op).
     ch.schedules.assign(job.app_threads, {});
     return ch;
   }
@@ -173,17 +164,19 @@ FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed) {
     ch.schedules.push_back(
         fault::schedule_arrivals(job.ser_per_inst, len, rng));
   }
-  ch.rng_words = rng.state();
   ch.has_rng = true;
 
-  ckpt::Serializer s;
-  for (const std::uint64_t word : ch.rng_words) s.u64(word);
-  s.u64(ch.schedules.size());
-  for (const auto& sched : ch.schedules) {
-    s.u64(sched.size());
-    for (const SeqNum p : sched) s.u64(p);
-    s.u64(0);  // cursor: nothing fired yet
+  // Encoded through the systems' own channel walk, with every cursor at 0:
+  // nothing has fired yet.
+  std::vector<engine::ArrivalCursor> cursors(ch.schedules.size());
+  engine::FaultSources sources{&rng, {}, ""};
+  for (std::size_t g = 0; g < cursors.size(); ++g) {
+    cursors[g].positions = ch.schedules[g];
+    sources.arrivals.push_back(&cursors[g]);
   }
+  ckpt::Serializer s;
+  ckpt::Archive ar(s);
+  sources.visit(ar);
   ch.encoded = s.take();
   return ch;
 }
@@ -292,13 +285,13 @@ std::shared_ptr<const GoldenTrace> PrefixEngine::build_golden(
   const auto model = core::make_model(
       gjob.system, job_system_config(gjob, seed), *stream, gjob.params);
   auto* sys = dynamic_cast<core::System*>(model.get());
-  if (!sys || !sys->supports_prefix()) return nullptr;
+  if (!sys) return nullptr;
 
   auto trace = std::make_shared<GoldenTrace>();
   trace->interval = options_.interval;
   for (Cycle k = 1;; ++k) {
     const Cycle boundary = k * options_.interval;
-    core::RunResult r = sys->run(boundary);
+    engine::RunResult r = sys->run(boundary);
     if (r.cycles < boundary) {
       trace->final_result = std::move(r);
       break;
@@ -415,7 +408,7 @@ std::shared_ptr<const GoldenTrace> PrefixEngine::acquire_golden(
   return trace;
 }
 
-core::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
+engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
   if (!options_.enabled || !eligible(job)) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -464,19 +457,13 @@ core::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
     stats_.restore_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
   }
-  {
-    ckpt::Deserializer d(channel.encoded);
-    sys->load_fault_channel(d);
-    if (!d.at_end()) {
-      throw ckpt::CkptError("trailing bytes after fault channel");
-    }
-  }
+  sys->install_fault_channel(channel.encoded);
 
   const Cycle last_golden_boundary =
       static_cast<Cycle>(golden->fingerprints.size()) * options_.interval;
   for (Cycle k = resumed_from / options_.interval + 1;; ++k) {
     const Cycle boundary = k * options_.interval;
-    const core::RunResult r = sys->run(boundary);
+    const engine::RunResult r = sys->run(boundary);
     if (r.cycles < boundary) return r;  // finished naturally
     if (boundary > last_golden_boundary) {
       // Ran past the golden fingerprint stream (recovery pushed the run

@@ -14,7 +14,7 @@
 //  * Each injection job computes its fault channel out of band (the same
 //    fault::schedule_arrivals draw sequence construction performs),
 //    restores from the latest golden checkpoint that provably precedes its
-//    first arrival, installs its own channel (System::load_fault_channel),
+//    first arrival, installs its own channel (System::install_fault_channel),
 //    and runs forward.
 //  * Convergence-based early termination: once a job's arrivals are
 //    exhausted, its per-interval fingerprint is compared against the golden
@@ -29,7 +29,6 @@
 // campaign (enforced by parity tests and the bench_injection_prefix gate).
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -77,14 +76,14 @@ struct PrefixStats {
 };
 
 /// One job's fault channel, computed without constructing a system: the
-/// per-group arrival schedules plus the RNG state construction leaves
-/// behind. Bit-identical to what System::save_fault_channel serialises for
-/// a freshly built system of the same cell (pinned by test_prefix).
+/// per-group arrival schedules, and wire bytes that also carry the RNG
+/// state construction leaves behind. `encoded` is bit-identical to
+/// System::fault_channel_bytes() of a freshly built system of the same
+/// cell (pinned by test_prefix).
 struct FaultChannel {
   std::vector<std::vector<SeqNum>> schedules;  ///< per group, ascending
-  std::array<std::uint64_t, 4> rng_words{};
   bool has_rng = false;  ///< false for systems without an error process
-  std::string encoded;   ///< load_fault_channel wire bytes
+  std::string encoded;   ///< install_fault_channel wire bytes
 
   /// True when no group has any arrival — the job is provably identical
   /// to the golden run, end to end.
@@ -111,7 +110,7 @@ struct GoldenTrace {
   /// Checkpoints, ascending by boundary; may be thinned under cache
   /// pressure (restores then fall back to an earlier boundary).
   std::vector<Snap> snaps;
-  core::RunResult final_result;
+  engine::RunResult final_result;
   std::size_t bytes = 0;  ///< total checkpoint-blob bytes
 
   /// Golden fingerprint at `boundary`, or nullptr when the golden run
@@ -140,7 +139,7 @@ class PrefixEngine {
   /// Runs one job through the prefix-sharing path. Byte-identical to
   /// CampaignRunner::run_job(job, seed) — jobs the engine cannot share
   /// (non-detailed tier, models without the prefix hooks) fall back to it.
-  core::RunResult run_job(const SimJob& job, std::uint64_t seed);
+  engine::RunResult run_job(const SimJob& job, std::uint64_t seed);
 
   /// Execution-order permutation for a grid: jobs grouped by golden
   /// configuration (so each golden is built once and stays hot), ordered

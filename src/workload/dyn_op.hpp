@@ -15,8 +15,7 @@
 #include "isa/isa.hpp"
 
 namespace unsync::ckpt {
-class Serializer;
-class Deserializer;
+class Archive;
 }  // namespace unsync::ckpt
 
 namespace unsync::workload {
@@ -45,11 +44,10 @@ struct DynOp {
   bool is_load() const { return cls == isa::InstClass::kLoad; }
   bool is_store() const { return cls == isa::InstClass::kStore; }
   bool is_serializing() const { return cls == isa::InstClass::kSerializing; }
-};
 
-/// Checkpoint helpers: serialise / restore one DynOp (all fields).
-void save_op(ckpt::Serializer& s, const DynOp& op);
-void load_op(ckpt::Deserializer& d, DynOp& op);
+  /// Checkpoint walk over every field (ckpt/archive.hpp).
+  void visit(ckpt::Archive& ar);
+};
 
 /// A forward iterator over a dynamic instruction stream.
 ///
@@ -89,12 +87,11 @@ class InstStream {
     return std::nullopt;
   }
 
-  /// Checkpoint hooks: serialise / restore the cursor state so a restored
-  /// stream yields the identical remaining sequence. The base implementations
-  /// throw ckpt::CkptError — every stream type fed to a system that is
-  /// checkpointed mid-run must override both.
-  virtual void save_state(ckpt::Serializer& s) const;
-  virtual void load_state(ckpt::Deserializer& d);
+  /// Checkpoint walk over the cursor state, so a restored stream yields the
+  /// identical remaining sequence. The base implementation throws
+  /// ckpt::CkptError — every stream type fed to a system that is
+  /// checkpointed mid-run must override it.
+  virtual void visit(ckpt::Archive& ar);
 };
 
 }  // namespace unsync::workload

@@ -1,97 +1,57 @@
-// Checkpoint hooks for the workload layer: DynOp records and the two
+// Checkpoint walks for the workload layer: DynOp records and the two
 // stream cursor types. Kept in one translation unit so the wire layout of
 // a stream's state is reviewable in a single place.
-#include "ckpt/serializer.hpp"
+#include "ckpt/archive.hpp"
 #include "workload/dyn_op.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace.hpp"
 
 namespace unsync::workload {
 
-void save_op(ckpt::Serializer& s, const DynOp& op) {
-  s.u64(op.seq);
-  s.u8(static_cast<std::uint8_t>(op.cls));
-  s.u64(op.pc);
-  s.u64(op.src[0]);
-  s.u64(op.src[1]);
-  s.b(op.writes_reg);
-  s.u64(op.mem_addr);
-  s.b(op.taken);
-  s.b(op.has_mispredict_hint);
-  s.b(op.mispredict_hint);
+void DynOp::visit(ckpt::Archive& ar) {
+  ar.u64(seq);
+  ar.u8(cls);
+  ar.u64(pc);
+  ar.u64(src[0]);
+  ar.u64(src[1]);
+  ar.b(writes_reg);
+  ar.u64(mem_addr);
+  ar.b(taken);
+  ar.b(has_mispredict_hint);
+  ar.b(mispredict_hint);
 }
 
-void load_op(ckpt::Deserializer& d, DynOp& op) {
-  op.seq = d.u64();
-  op.cls = static_cast<isa::InstClass>(d.u8());
-  op.pc = d.u64();
-  op.src[0] = d.u64();
-  op.src[1] = d.u64();
-  op.writes_reg = d.b();
-  op.mem_addr = d.u64();
-  op.taken = d.b();
-  op.has_mispredict_hint = d.b();
-  op.mispredict_hint = d.b();
-}
-
-void InstStream::save_state(ckpt::Serializer&) const {
+void InstStream::visit(ckpt::Archive&) {
   throw ckpt::CkptError("this stream type does not support checkpointing");
 }
 
-void InstStream::load_state(ckpt::Deserializer&) {
-  throw ckpt::CkptError("this stream type does not support checkpointing");
+void SyntheticStream::visit(ckpt::Archive& ar) {
+  ar.chunk("SYNS", [&] {
+    // Identity of the generation function — everything else (locality
+    // model, cumulative mix weights, address-space base) is re-derived from
+    // it at construction, so only the mutable cursor is state.
+    const std::string name = ar.pinned(profile_.name);
+    const std::uint64_t seed = ar.pinned(seed_);
+    const std::uint64_t length = ar.pinned(length_);
+    if (name != profile_.name || seed != seed_ || length != length_) {
+      throw ckpt::CkptError(
+          "synthetic stream identity mismatch: checkpoint " + name + "/" +
+          std::to_string(seed) + "/" + std::to_string(length) + ", stream " +
+          profile_.name + "/" + std::to_string(seed_) + "/" +
+          std::to_string(length_));
+    }
+    ar.rng(rng_);
+    ar.u64(next_seq_);
+    ar.u64(cold_cursor_);
+    ar.b(last_was_store_);
+  });
 }
 
-void SyntheticStream::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("SYNS");
-  // Identity of the generation function — everything else (locality model,
-  // cumulative mix weights, address-space base) is re-derived from it at
-  // construction, so only the mutable cursor needs saving.
-  s.str(profile_.name);
-  s.u64(seed_);
-  s.u64(length_);
-  for (std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(next_seq_);
-  s.u64(cold_cursor_);
-  s.b(last_was_store_);
-  s.end_chunk();
-}
-
-void SyntheticStream::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("SYNS");
-  const std::string name = d.str();
-  const std::uint64_t seed = d.u64();
-  const std::uint64_t length = d.u64();
-  if (name != profile_.name || seed != seed_ || length != length_) {
-    throw ckpt::CkptError("synthetic stream identity mismatch: checkpoint " +
-                          name + "/" + std::to_string(seed) + "/" +
-                          std::to_string(length) + ", stream " +
-                          profile_.name + "/" + std::to_string(seed_) + "/" +
-                          std::to_string(length_));
-  }
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = d.u64();
-  rng_.set_state(state);
-  next_seq_ = d.u64();
-  cold_cursor_ = d.u64();
-  last_was_store_ = d.b();
-  d.end_chunk();
-}
-
-void TraceStream::save_state(ckpt::Serializer& s) const {
-  s.begin_chunk("TRCS");
-  s.u64(ops_->size());
-  s.u64(cursor_);
-  s.end_chunk();
-}
-
-void TraceStream::load_state(ckpt::Deserializer& d) {
-  d.begin_chunk("TRCS");
-  if (d.u64() != ops_->size()) {
-    throw ckpt::CkptError("trace stream length mismatch");
-  }
-  cursor_ = d.u64();
-  d.end_chunk();
+void TraceStream::visit(ckpt::Archive& ar) {
+  ar.chunk("TRCS", [&] {
+    ar.expect(ops_->size(), "trace stream length mismatch");
+    ar.u64(cursor_);
+  });
 }
 
 }  // namespace unsync::workload

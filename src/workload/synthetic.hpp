@@ -40,10 +40,9 @@ class SyntheticStream final : public InstStream {
 
   const BenchmarkProfile& profile() const { return profile_; }
 
-  /// Checkpoint hooks: RNG state + generation cursor. The restored stream
+  /// Checkpoint walk: RNG state + generation cursor. The restored stream
   /// must be constructed with the same (profile, seed, length).
-  void save_state(ckpt::Serializer& s) const override;
-  void load_state(ckpt::Deserializer& d) override;
+  void visit(ckpt::Archive& ar) override;
 
  private:
   Addr draw_address(bool is_store);

@@ -44,10 +44,9 @@ class TraceStream final : public InstStream {
   std::uint64_t length() const override { return ops_->size(); }
   std::optional<WarmRegion> code_region() const override;
 
-  /// Checkpoint hooks: replay cursor only (the trace itself is immutable
+  /// Checkpoint walk: replay cursor only (the trace itself is immutable
   /// and must be supplied identically at restore).
-  void save_state(ckpt::Serializer& s) const override;
-  void load_state(ckpt::Deserializer& d) override;
+  void visit(ckpt::Archive& ar) override;
 
  private:
   std::shared_ptr<const std::vector<DynOp>> ops_;

@@ -50,6 +50,26 @@ expect_rc 2 "$SIM" "${RUN_ARGS[@]}" resume="$DIR/trail.ckpt"
 echo "this is not a checkpoint" > "$DIR/bad.ckpt"
 expect_rc 2 "$SIM" "${RUN_ARGS[@]}" resume="$DIR/bad.ckpt"
 
+# A CRC-valid container whose element count is absurd (the first MSHR
+# file's in-flight count, patched, then the container re-signed) -> exit 2,
+# not an allocation failure.
+for COUNT in 4611686018427387904 17179869184; do
+  python3 - "$DIR/snap.ckpt" "$DIR/count.ckpt" "$COUNT" <<'PY' ||
+import struct, sys, zlib
+src, dst, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+blob = open(src, "rb").read()
+# magic (8), schema length (u64) + schema, payload length (u64), CRC (u32)
+crc_at = 16 + struct.unpack_from("<Q", blob, 8)[0] + 8
+payload = bytearray(blob[crc_at + 4:])
+at = payload.index(b"MSHR") + 4 + 8 + 4  # tag, chunk length, capacity
+struct.pack_into("<Q", payload, at, count)
+crc = struct.pack("<I", zlib.crc32(payload))
+open(dst, "wb").write(blob[:crc_at] + crc + bytes(payload))
+PY
+    fail "cannot patch the element count"
+  expect_rc 2 "$SIM" "${RUN_ARGS[@]}" resume="$DIR/count.ckpt"
+done
+
 # Campaign journals: a complete journal is healthy (exit 0), a torn one
 # reports corrupt lines with exit 2 — including under prefix-sharing, whose
 # trailing stats line must parse cleanly too.

@@ -295,7 +295,7 @@ runtime::SimJob avf_job(const char* bench, bool avf) {
   runtime::SimJob j;
   j.label = bench;
   j.profile = bench;
-  j.system = runtime::SystemKind::kUnSync;
+  j.system = core::SystemKind::kUnSync;
   j.insts = 3000;
   j.ser_per_inst = 1e-4;  // exercise recovery alongside the hooks
   j.avf = avf;
@@ -335,7 +335,7 @@ TEST(AvfEndToEnd, MergedCountersAreWorkerCountIndependent) {
   // UnSync covers the write buffers (its CBs); the hetero checker is the
   // only system with a check log. Together the grid lights every structure.
   jobs.push_back(avf_job("mcf", true));
-  jobs.back().system = runtime::SystemKind::kHetero;
+  jobs.back().system = core::SystemKind::kHetero;
   runtime::CampaignRunner::Options serial;
   serial.threads = 1;
   serial.collect_metrics = true;

@@ -17,7 +17,7 @@ SystemConfig small_config(unsigned threads = 1) {
 TEST(BaselineSystem, CompletesAStream) {
   workload::SyntheticStream stream(workload::profile("gzip"), 1, 20000);
   BaselineSystem sys(small_config(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.system, "baseline");
   EXPECT_EQ(r.instructions, 20000u);
   EXPECT_GT(r.cycles, 0u);
@@ -28,7 +28,7 @@ TEST(BaselineSystem, CompletesAStream) {
 TEST(BaselineSystem, IpcInPlausibleRange) {
   workload::SyntheticStream stream(workload::profile("gzip"), 2, 50000);
   BaselineSystem sys(small_config(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_GT(r.thread_ipc(), 0.3);
   EXPECT_LT(r.thread_ipc(), 4.0);
 }
@@ -37,8 +37,8 @@ TEST(BaselineSystem, TwoThreadsShareTheL2) {
   workload::SyntheticStream stream(workload::profile("mcf"), 3, 20000);
   BaselineSystem one(small_config(1), stream);
   BaselineSystem two(small_config(2), stream);
-  const RunResult r1 = one.run();
-  const RunResult r2 = two.run();
+  const engine::RunResult r1 = one.run();
+  const engine::RunResult r2 = two.run();
   // Contention can only slow a thread down.
   EXPECT_GE(r2.cycles, r1.cycles);
   ASSERT_EQ(r2.core_stats.size(), 2u);
@@ -56,7 +56,7 @@ TEST(BaselineSystem, DeterministicAcrossRuns) {
 TEST(BaselineSystem, MaxCyclesBoundsRun) {
   workload::SyntheticStream stream(workload::profile("gzip"), 5, 1000000);
   BaselineSystem sys(small_config(), stream);
-  const RunResult r = sys.run(1000);
+  const engine::RunResult r = sys.run(1000);
   EXPECT_EQ(r.cycles, 1000u);
   EXPECT_LT(r.core_stats[0].committed, 1000000u);
 }

@@ -22,7 +22,7 @@ namespace {
 
 using runtime::CampaignRunner;
 using runtime::SimJob;
-using runtime::SystemKind;
+using core::SystemKind;
 
 // ---------------------------------------------------------------------------
 // Seed derivation
@@ -67,8 +67,8 @@ std::vector<SimJob> mixed_grid() {
   return jobs;
 }
 
-void expect_identical(const std::vector<core::RunResult>& a,
-                      const std::vector<core::RunResult>& b) {
+void expect_identical(const std::vector<engine::RunResult>& a,
+                      const std::vector<engine::RunResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
@@ -328,11 +328,11 @@ TEST(SystemKindNames, RoundTrip) {
   for (const auto s :
        {SystemKind::kBaseline, SystemKind::kUnSync, SystemKind::kReunion,
         SystemKind::kLockstep, SystemKind::kCheckpoint}) {
-    const auto parsed = runtime::parse_system(runtime::name_of(s));
+    const auto parsed = core::parse_system(core::name_of(s));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, s);
   }
-  EXPECT_FALSE(runtime::parse_system("notasystem").has_value());
+  EXPECT_FALSE(core::parse_system("notasystem").has_value());
 }
 
 }  // namespace

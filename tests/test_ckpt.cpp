@@ -1,5 +1,5 @@
-// Checkpoint/restore subsystem tests (src/ckpt + the save_state/load_state
-// hooks): wire-format primitives, the "unsync.ckpt.v1" container (golden-
+// Checkpoint/restore subsystem tests (src/ckpt + the components' visit()
+// walks): wire-format primitives, the "unsync.ckpt.v1" container (golden-
 // pinned bytes), corruption rejection, component round-trips, and the
 // headline guarantee — a system snapshotted mid-run and restored into a
 // fresh process-equivalent instance finishes with a bit-identical RunResult
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/archive.hpp"
 #include "ckpt/serializer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -35,6 +36,24 @@ std::string hex(std::string_view bytes) {
     out.push_back(digits[c & 0xF]);
   }
   return out;
+}
+
+/// One Save walk of `c`.
+template <typename T>
+std::string saved(T& c) {
+  ckpt::Serializer s;
+  ckpt::Archive ar(s);
+  c.visit(ar);
+  return s.take();
+}
+
+/// One Load walk of `c` over `bytes`; true when every byte was consumed.
+template <typename T>
+bool load(T& c, std::string bytes) {
+  ckpt::Deserializer d(std::move(bytes));
+  ckpt::Archive ar(d);
+  c.visit(ar);
+  return d.at_end();
 }
 
 // ---- CRC and scalar wire format ---------------------------------------------
@@ -231,13 +250,10 @@ TEST(ComponentCkpt, WriteBufferRoundTrips) {
   wb.push(0x3000, 3, 12);
   wb.pop();
 
-  ckpt::Serializer s;
-  wb.save_state(s);
-  const std::string bytes = s.take();
+  const std::string bytes = saved(wb);
 
   mem::WriteBuffer restored(8);
-  ckpt::Deserializer d(bytes);
-  restored.load_state(d);
+  EXPECT_TRUE(load(restored, bytes));
   EXPECT_EQ(restored.size(), wb.size());
   EXPECT_EQ(restored.front().addr, wb.front().addr);
   EXPECT_EQ(restored.front().seq, wb.front().seq);
@@ -245,15 +261,12 @@ TEST(ComponentCkpt, WriteBufferRoundTrips) {
   EXPECT_EQ(restored.total_pushed(), wb.total_pushed());
 
   // save -> load -> save is byte-identical.
-  ckpt::Serializer s2;
-  restored.save_state(s2);
-  EXPECT_EQ(s2.data(), bytes);
+  EXPECT_EQ(saved(restored), bytes);
 
   // Capacity is configuration, not state: restoring into a differently
   // sized buffer is rejected.
   mem::WriteBuffer wrong(16);
-  ckpt::Deserializer d2(bytes);
-  EXPECT_THROW(wrong.load_state(d2), ckpt::CkptError);
+  EXPECT_THROW(load(wrong, bytes), ckpt::CkptError);
 }
 
 TEST(ComponentCkpt, SyntheticStreamRoundTrips) {
@@ -261,11 +274,8 @@ TEST(ComponentCkpt, SyntheticStreamRoundTrips) {
   workload::DynOp op;
   for (int i = 0; i < 1234; ++i) ASSERT_TRUE(a.next(&op));
 
-  ckpt::Serializer s;
-  a.save_state(s);
   workload::SyntheticStream b(workload::profile("gzip"), 7, 10000);
-  ckpt::Deserializer d(s.take());
-  b.load_state(d);
+  EXPECT_TRUE(load(b, saved(a)));
 
   workload::DynOp oa, ob;
   while (true) {
@@ -281,17 +291,13 @@ TEST(ComponentCkpt, SyntheticStreamRoundTrips) {
 
 TEST(ComponentCkpt, SyntheticStreamRejectsIdentityMismatch) {
   workload::SyntheticStream a(workload::profile("gzip"), 7, 10000);
-  ckpt::Serializer s;
-  a.save_state(s);
-  const std::string bytes = s.take();
+  const std::string bytes = saved(a);
 
   workload::SyntheticStream wrong_seed(workload::profile("gzip"), 8, 10000);
-  ckpt::Deserializer d1(bytes);
-  EXPECT_THROW(wrong_seed.load_state(d1), ckpt::CkptError);
+  EXPECT_THROW(load(wrong_seed, bytes), ckpt::CkptError);
 
   workload::SyntheticStream wrong_prof(workload::profile("mcf"), 7, 10000);
-  ckpt::Deserializer d2(bytes);
-  EXPECT_THROW(wrong_prof.load_state(d2), ckpt::CkptError);
+  EXPECT_THROW(load(wrong_prof, bytes), ckpt::CkptError);
 }
 
 TEST(ComponentCkpt, RunningStatRestoreIsExact) {
@@ -347,7 +353,7 @@ class SystemCkpt : public ::testing::TestWithParam<core::SystemKind> {
 
 TEST_P(SystemCkpt, MidRunSnapshotResumesBitExactly) {
   // Ground truth: one uninterrupted run.
-  const core::RunResult full = make()->run();
+  const engine::RunResult full = make()->run();
   ASSERT_GT(full.cycles, 100u);
 
   // Interrupted twin: run to ~40%, snapshot, discard the instance.
@@ -374,14 +380,14 @@ TEST_P(SystemCkpt, MidRunSnapshotResumesBitExactly) {
     resumed->save_checkpoint(s);
     EXPECT_EQ(s.data(), snapshot);
   }
-  const core::RunResult after = resumed->run();
+  const engine::RunResult after = resumed->run();
   EXPECT_EQ(after.to_json(), full.to_json());
 }
 
 TEST_P(SystemCkpt, SegmentedRunMatchesUninterrupted) {
   // The resumable-run contract alone (no serialization): run(N) then run()
   // is the same as one run().
-  const core::RunResult full = make()->run();
+  const engine::RunResult full = make()->run();
   auto sys = make();
   sys->run(full.cycles / 3);
   sys->run(full.cycles * 2 / 3);
@@ -389,7 +395,7 @@ TEST_P(SystemCkpt, SegmentedRunMatchesUninterrupted) {
 }
 
 TEST_P(SystemCkpt, FileRoundTripResumesBitExactly) {
-  const core::RunResult full = make()->run();
+  const engine::RunResult full = make()->run();
   const std::string path = ::testing::TempDir() + "sys_" +
                            std::string(core::name_of(GetParam())) + ".ckpt";
   {
@@ -639,7 +645,7 @@ TEST_P(CkptFuzz, CorruptCheckpointFilesAlwaysThrow) {
 TEST_P(CkptFuzz, SaveLoadBytesRoundTripsBitExactly) {
   // The in-memory path mirrors the file path: save_checkpoint_bytes ->
   // load_checkpoint_bytes resumes to a bit-identical final result.
-  const core::RunResult full = make()->run();
+  const engine::RunResult full = make()->run();
   const std::string blob = snapshot();
   auto resumed = make();
   resumed->load_checkpoint_bytes(blob);
@@ -647,9 +653,126 @@ TEST_P(CkptFuzz, SaveLoadBytesRoundTripsBitExactly) {
   EXPECT_EQ(resumed->run().to_json(), full.to_json());
 }
 
+TEST_P(CkptFuzz, OversizedElementCountThrowsInsteadOfAllocating) {
+  // A CRC-valid checkpoint whose element count was patched: the container
+  // checks all pass, so only the Load-mode count bound stands between the
+  // count and a multi-exabyte resize. The patched count is the first MSHR
+  // file's in-flight count (tag, chunk length, u32 capacity, then count).
+  const std::string payload = ckpt::unwrap_container(snapshot());
+  const std::size_t tag = payload.find("MSHR");
+  ASSERT_NE(tag, std::string::npos);
+  const std::size_t at = tag + 4 + 8 + 4;
+  for (const std::uint64_t count :
+       {0x4000000000000000ull, 0x400000000ull, 1000000ull}) {
+    std::string patched = payload;
+    for (std::size_t i = 0; i < 8; ++i) {
+      patched[at + i] = static_cast<char>((count >> (8 * i)) & 0xFF);
+    }
+    auto sys = make();
+    EXPECT_THROW(sys->load_checkpoint_bytes(ckpt::wrap_container(patched)),
+                 ckpt::CkptError)
+        << "count " << count;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     WireFormats, CkptFuzz,
     ::testing::Values(core::SystemKind::kUnSync, core::SystemKind::kHetero),
+    [](const auto& info) { return std::string(core::name_of(info.param)); });
+
+// ---- One walk per component: mutation coverage -----------------------------
+//
+// Perturbs the k-th numeric scalar of a system's visit_policy_state() walk,
+// for every k, and checks that the walk is the single description of the
+// state: the perturbed value changes state_fingerprint() unless it lies in
+// a fault_channel() span (then only the fault channel changes), and it
+// survives save -> load into a freshly built system. A field that a walk
+// reads but then drops, or recomputes from others, fails here.
+
+class StateWalkMutation : public ::testing::TestWithParam<core::SystemKind> {
+ protected:
+  /// One thread and small caches keep the walk (and so the number of
+  /// perturbations) short; the branch-predictor tables stay full size.
+  std::unique_ptr<core::System> make() const {
+    core::SystemConfig cfg;
+    cfg.num_threads = 1;
+    cfg.ser_per_inst = 1e-3;
+    cfg.seed = 5;
+    cfg.mem.l1d.size_bytes = 1024;
+    cfg.mem.l1i.size_bytes = 1024;
+    cfg.mem.l2.size_bytes = 8 * 1024;
+    cfg.core.itlb.entries = 8;
+    cfg.core.dtlb.entries = 8;
+    workload::SyntheticStream stream(workload::profile("gzip"), cfg.seed,
+                                     3000);
+    return core::make_system(GetParam(), cfg, stream);
+  }
+};
+
+TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
+  auto sys = make();
+  sys->run(6000);  // mid-run: queues, MSHRs and arrival cursors populated
+
+  std::vector<ckpt::Archive::ScalarSite> sites;
+  std::string bytes;
+  {
+    ckpt::Serializer s;
+    ckpt::Archive ar(s);
+    ar.record_scalars(&sites);
+    sys->visit_policy_state(ar);
+    bytes = s.take();
+  }
+  ASSERT_GT(sites.size(), 100u);
+  const std::uint64_t fingerprint = sys->state_fingerprint();
+  const std::string channel = sys->fault_channel_bytes();
+
+  auto perturbed = make();  // loaded with each perturbed walk in turn
+  auto restored = make();   // loaded from perturbed's checkpoint
+  {
+    // Unperturbed, the walk reproduces the state exactly — so a scalar
+    // that loading drops cannot hide behind a difference elsewhere.
+    ckpt::Deserializer d(bytes);
+    ckpt::Archive ar(d);
+    perturbed->visit_policy_state(ar);
+    ASSERT_EQ(perturbed->state_fingerprint(), fingerprint);
+    ASSERT_EQ(perturbed->fault_channel_bytes(), channel);
+  }
+  std::size_t channel_scalars = 0;
+  for (std::size_t k = 0; k < sites.size(); ++k) {
+    std::string mutated = bytes;
+    mutated[sites[k].offset] ^= 1;  // lowest bit: scalars are little-endian
+    {
+      ckpt::Deserializer d(mutated);
+      ckpt::Archive ar(d);
+      perturbed->visit_policy_state(ar);
+      ASSERT_TRUE(d.at_end()) << "scalar " << k;
+    }
+    const std::uint64_t fp = perturbed->state_fingerprint();
+    if (sites[k].fault_channel) {
+      ++channel_scalars;
+      EXPECT_EQ(fp, fingerprint) << "fault-channel scalar " << k;
+      EXPECT_NE(perturbed->fault_channel_bytes(), channel) << "scalar " << k;
+    } else {
+      EXPECT_NE(fp, fingerprint)
+          << "scalar " << k << " (byte " << sites[k].offset
+          << ") is walked but does not reach the fingerprint";
+    }
+    restored->load_checkpoint_bytes(perturbed->save_checkpoint_bytes());
+    EXPECT_EQ(restored->state_fingerprint(), fp) << "scalar " << k;
+    EXPECT_EQ(restored->fault_channel_bytes(),
+              perturbed->fault_channel_bytes())
+        << "scalar " << k;
+  }
+  // Only the baseline has no fault channel.
+  EXPECT_EQ(channel_scalars == 0,
+            GetParam() == core::SystemKind::kBaseline);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSystems, StateWalkMutation,
+    ::testing::Values(core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+                      core::SystemKind::kReunion, core::SystemKind::kLockstep,
+                      core::SystemKind::kCheckpoint, core::SystemKind::kHetero),
     [](const auto& info) { return std::string(core::name_of(info.param)); });
 
 }  // namespace

@@ -29,7 +29,7 @@ std::vector<SimJob> small_grid() {
   std::vector<SimJob> jobs;
   for (const char* bench : {"gzip", "mcf", "susan"}) {
     for (const auto kind :
-         {runtime::SystemKind::kBaseline, runtime::SystemKind::kUnSync}) {
+         {core::SystemKind::kBaseline, core::SystemKind::kUnSync}) {
       SimJob job;
       job.label = bench;
       job.profile = bench;

@@ -50,7 +50,7 @@ std::vector<DynOp> ops_of(std::initializer_list<isa::InstClass> classes) {
 TEST(EdgeCases, EmptyStreamFinishesImmediately) {
   TraceStream empty{std::vector<DynOp>{}};
   BaselineSystem base(cfg1(), empty);
-  const RunResult r = base.run(1000);
+  const engine::RunResult r = base.run(1000);
   EXPECT_EQ(r.core_stats[0].committed, 0u);
   EXPECT_LT(r.cycles, 10u);
 }
@@ -70,7 +70,7 @@ TEST(EdgeCases, SingleInstructionStream) {
   UnSyncParams up;
   up.cb_entries = 4;
   UnSyncSystem sys(cfg1(), up, one);
-  const RunResult r = sys.run(10000);
+  const engine::RunResult r = sys.run(10000);
   EXPECT_EQ(r.core_stats[0].committed, 1u);
   EXPECT_EQ(r.core_stats[1].committed, 1u);
 }
@@ -78,7 +78,7 @@ TEST(EdgeCases, SingleInstructionStream) {
 TEST(EdgeCases, SingleSerializingInstruction) {
   TraceStream one(ops_of({isa::InstClass::kSerializing}));
   ReunionSystem sys(cfg1(), ReunionParams{}, one);
-  const RunResult r = sys.run(10000);
+  const engine::RunResult r = sys.run(10000);
   EXPECT_EQ(r.core_stats[0].committed, 1u);
   EXPECT_EQ(r.fingerprint_syncs, 1u);
 }
@@ -87,7 +87,7 @@ TEST(EdgeCases, SerializingAtStreamEnd) {
   TraceStream t(ops_of({isa::InstClass::kIntAlu, isa::InstClass::kIntAlu,
                         isa::InstClass::kSerializing}));
   ReunionSystem sys(cfg1(), ReunionParams{}, t);
-  const RunResult r = sys.run(10000);
+  const engine::RunResult r = sys.run(10000);
   EXPECT_EQ(r.core_stats[0].committed, 3u);
 }
 
@@ -96,7 +96,7 @@ TEST(EdgeCases, BackToBackSerializing) {
                         isa::InstClass::kSerializing,
                         isa::InstClass::kSerializing}));
   ReunionSystem sys(cfg1(), ReunionParams{}, t);
-  const RunResult r = sys.run(100000);
+  const engine::RunResult r = sys.run(100000);
   EXPECT_EQ(r.core_stats[0].committed, 3u);
   EXPECT_EQ(r.fingerprint_syncs, 3u);
 }
@@ -110,7 +110,7 @@ TEST(EdgeCases, StoreOnlyStreamDrainsCompletely) {
   UnSyncParams up;
   up.cb_entries = 2;  // minimal CB: maximal backpressure
   UnSyncSystem sys(cfg1(), up, t);
-  const RunResult r = sys.run(1000000);
+  const engine::RunResult r = sys.run(1000000);
   EXPECT_EQ(r.core_stats[0].committed, 200u);
   EXPECT_EQ(r.core_stats[1].committed, 200u);
 }
@@ -120,7 +120,7 @@ TEST(EdgeCases, CbOfOneEntryStillCorrect) {
   UnSyncParams up;
   up.cb_entries = 1;
   UnSyncSystem sys(cfg1(), up, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.core_stats[0].committed, 5000u);
   EXPECT_GT(r.cb_full_stalls, 0u);
 }
@@ -130,7 +130,7 @@ TEST(EdgeCases, FiLargerThanStream) {
   ReunionParams rp;
   rp.fingerprint_interval = 10000;  // never closes naturally
   ReunionSystem sys(cfg1(), rp, s);
-  const RunResult r = sys.run(1000000);
+  const engine::RunResult r = sys.run(1000000);
   EXPECT_EQ(r.core_stats[0].committed, 500u);
 }
 
@@ -140,7 +140,7 @@ TEST(EdgeCases, FiOfOne) {
   rp.fingerprint_interval = 1;
   rp.compare_latency = 10;
   ReunionSystem sys(cfg1(), rp, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.core_stats[0].committed, 2000u);
 }
 
@@ -153,7 +153,7 @@ TEST(EdgeCases, ErrorAtVeryFirstInstruction) {
   UnSyncSystem sys(cfg, up, s);
   // Bound the run: with per-instruction errors this is recovery-dominated,
   // but it must still make forward progress (always-forward execution).
-  const RunResult r = sys.run(3000000);
+  const engine::RunResult r = sys.run(3000000);
   EXPECT_GT(r.recoveries, 100u);
   EXPECT_GT(r.core_stats[0].committed, 0u);
 }
@@ -169,7 +169,7 @@ TEST(EdgeCases, ZeroSerNeverInjects) {
 TEST(EdgeCases, MaxCyclesZeroReturnsImmediately) {
   workload::SyntheticStream s(workload::profile("gzip"), 6, 5000);
   BaselineSystem base(cfg1(), s);
-  const RunResult r = base.run(0);
+  const engine::RunResult r = base.run(0);
   EXPECT_EQ(r.cycles, 0u);
 }
 
@@ -181,7 +181,7 @@ TEST(EdgeCases, TinyRobAndIqStillComplete) {
   cfg.core.lq_entries = 2;
   cfg.core.sq_entries = 2;
   BaselineSystem base(cfg, s);
-  const RunResult r = base.run();
+  const engine::RunResult r = base.run();
   EXPECT_EQ(r.core_stats[0].committed, 3000u);
 }
 
@@ -193,8 +193,8 @@ TEST(EdgeCases, SingleWideCore) {
   cfg.core.commit_width = 1;
   BaselineSystem narrow(cfg, s);
   BaselineSystem wide(cfg1(), s);
-  const RunResult rn = narrow.run();
-  const RunResult rw = wide.run();
+  const engine::RunResult rn = narrow.run();
+  const engine::RunResult rw = wide.run();
   EXPECT_EQ(rn.core_stats[0].committed, 3000u);
   EXPECT_GT(rn.cycles, rw.cycles);
   EXPECT_LE(rn.thread_ipc(), 1.0 + 1e-9);
@@ -213,7 +213,7 @@ TEST(EdgeCases, HugeCbNeverStalls) {
   UnSyncParams up;
   up.cb_entries = 1u << 20;
   UnSyncSystem sys(cfg1(), up, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.cb_full_stalls, 0u);
 }
 

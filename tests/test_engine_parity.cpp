@@ -76,7 +76,7 @@ void expect_grid_matches_goldens(bool fast_forward) {
     for (const char* prof : kProfiles) {
       for (const auto seed : kSeeds) {
         const auto sys = make_grid_system(kind, prof, seed, fast_forward);
-        const core::RunResult r = sys->run();
+        const engine::RunResult r = sys->run();
         // gen_engine_goldens writes to_json() plus a trailing newline.
         EXPECT_EQ(r.to_json() + "\n",
                   read_golden(golden_name(kind, prof, seed)))
@@ -109,14 +109,14 @@ TEST(EngineParity, ResumableRunUnderFastForward) {
   for (const auto kind : kKinds) {
     for (const auto cut : kCuts) {
       const auto whole = make_grid_system(kind, "galgel", 21, true);
-      const core::RunResult full = whole->run();
+      const engine::RunResult full = whole->run();
 
       const auto split = make_grid_system(kind, "galgel", 21, true);
-      const core::RunResult partial = split->run(cut);
+      const engine::RunResult partial = split->run(cut);
       EXPECT_LE(partial.cycles, cut)
           << core::name_of(kind) << ": run(" << cut
           << ") overshot the absolute max_cycles bound";
-      const core::RunResult resumed = split->run();
+      const engine::RunResult resumed = split->run();
       EXPECT_EQ(resumed.to_json(), full.to_json())
           << core::name_of(kind) << ": run(" << cut
           << ") + run() != run() under fast-forward";
@@ -128,8 +128,8 @@ TEST(EngineParity, ResumableRunUnderFastForward) {
 // advancing (the kernel's run() is idempotent once every group is done).
 TEST(EngineParity, RunAfterCompletionIsIdempotent) {
   const auto sys = make_grid_system(core::SystemKind::kUnSync, "gzip", 7, true);
-  const core::RunResult first = sys->run();
-  const core::RunResult again = sys->run();
+  const engine::RunResult first = sys->run();
+  const engine::RunResult again = sys->run();
   EXPECT_EQ(first.to_json(), again.to_json());
 }
 

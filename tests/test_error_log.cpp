@@ -25,7 +25,7 @@ TEST(ErrorLog, UnsyncLogsForwardRecoveries) {
   UnSyncParams p;
   p.cb_entries = 256;
   UnSyncSystem sys(cfg1(2e-4), p, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_GT(r.errors_injected, 0u);
   ASSERT_EQ(r.error_log.size(), r.errors_injected);
   Cycle prev = 0;
@@ -47,7 +47,7 @@ TEST(ErrorLog, UnsyncLogsForwardRecoveries) {
 TEST(ErrorLog, ReunionLogsRollbacks) {
   workload::SyntheticStream s(workload::profile("gzip"), 2, 25000);
   ReunionSystem sys(cfg1(2e-4), ReunionParams{}, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.error_log.size(), r.rollbacks);
   for (const auto& e : r.error_log) EXPECT_TRUE(e.rollback);
 }
@@ -76,7 +76,7 @@ TEST(ErrorLog, ReportRendersEvents) {
   UnSyncParams p;
   p.cb_entries = 256;
   UnSyncSystem sys(cfg1(2e-4), p, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_FALSE(r.error_log.empty());
   const std::string text = RunReport(r).str();
   EXPECT_NE(text.find("Soft-error events"), std::string::npos);
@@ -94,7 +94,7 @@ TEST(IntervalSampling, SamplesMonotoneCommitCounts) {
   SystemConfig cfg = cfg1(0.0);
   cfg.core.sample_interval = 1000;
   BaselineSystem sys(cfg, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   const auto& samples = r.core_stats[0].interval_committed;
   ASSERT_GT(samples.size(), 5u);
   for (std::size_t i = 1; i < samples.size(); ++i) {
@@ -111,7 +111,7 @@ TEST(IntervalSampling, SparklineRendered) {
   SystemConfig cfg = cfg1(0.0);
   cfg.core.sample_interval = 1000;
   BaselineSystem sys(cfg, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   const std::string text = RunReport(r).str();
   EXPECT_NE(text.find("IPC over time"), std::string::npos);
 }
@@ -125,7 +125,7 @@ TEST(IntervalSampling, RecoveryShowsAsThroughputDip) {
   UnSyncParams p;
   p.cb_entries = 256;
   UnSyncSystem sys(cfg, p, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_GT(r.recoveries, 2u);
   const auto& samples = r.core_stats[0].interval_committed;
   ASSERT_GT(samples.size(), 10u);

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/serializer.hpp"
+#include "ckpt/archive.hpp"
 #include "core/baseline.hpp"
 #include "cpu/check_log.hpp"
 #include "cpu/in_order_core.hpp"
@@ -62,12 +62,14 @@ TEST(CheckLog, SaveLoadRoundTripsBitExactly) {
   log.pop();
 
   ckpt::Serializer s;
-  log.save_state(s);
+  ckpt::Archive save(s);
+  log.visit(save);
   const std::string bytes = s.take();
 
   cpu::CheckLog restored(8);
   ckpt::Deserializer d(bytes);
-  restored.load_state(d);
+  ckpt::Archive load(d);
+  restored.visit(load);
   EXPECT_TRUE(d.at_end());
   ASSERT_EQ(restored.size(), 2u);
   EXPECT_EQ(restored.front().seq, 11u);
@@ -77,7 +79,8 @@ TEST(CheckLog, SaveLoadRoundTripsBitExactly) {
   EXPECT_EQ(restored.total_pushed(), log.total_pushed());
 
   ckpt::Serializer s2;
-  restored.save_state(s2);
+  ckpt::Archive resave(s2);
+  restored.visit(resave);
   EXPECT_EQ(s2.data(), bytes);
 }
 
@@ -234,7 +237,7 @@ core::SystemConfig hetero_config(double ser = 0.0, unsigned threads = 1) {
 TEST(HeteroCheckerSystem, CheckerShadowsTheLeaderExactly) {
   workload::SyntheticStream stream(workload::profile("gzip"), 1, 20000);
   core::HeteroCheckerSystem sys(hetero_config(), {}, stream);
-  const core::RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.system, "hetero");
   ASSERT_EQ(r.core_stats.size(), 2u);  // leader + checker
   EXPECT_EQ(r.core_stats[0].committed, 20000u);
@@ -253,8 +256,8 @@ TEST(HeteroCheckerSystem, TinyLogBackPressuresTheLeader) {
   roomy.log_entries = 256;
   core::HeteroCheckerSystem small(hetero_config(), tiny, stream);
   core::HeteroCheckerSystem large(hetero_config(), roomy, stream);
-  const core::RunResult rs = small.run();
-  const core::RunResult rl = large.run();
+  const engine::RunResult rs = small.run();
+  const engine::RunResult rl = large.run();
   EXPECT_GT(rs.cb_full_stalls, rl.cb_full_stalls);
   EXPECT_GE(rs.cycles, rl.cycles);
 }
@@ -263,7 +266,7 @@ TEST(HeteroCheckerSystem, DetectionRollsBackBothCoresAndFinishes) {
   workload::SyntheticStream stream(workload::profile("gzip"), 3, 30000);
   core::HeteroParams p;
   core::HeteroCheckerSystem sys(hetero_config(/*ser=*/1e-4), p, stream);
-  const core::RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_GT(r.errors_injected, 0u);
   // Every strike is detected at log verification and recovered by rollback
   // (never in place — the checker has no copy to correct from).
@@ -285,7 +288,7 @@ TEST(HeteroCheckerSystem, PublishesLogAndDetectionMetrics) {
   core::HeteroParams p;
   core::HeteroCheckerSystem sys(hetero_config(/*ser=*/2e-4), p, stream);
   sys.set_observability(&reg, nullptr);
-  const core::RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(reg.counter("hetero.group0.log.capacity").value(), p.log_entries);
   EXPECT_GT(reg.counter("hetero.group0.log.total_pushed").value(), 0u);
   EXPECT_EQ(reg.counter("hetero.group0.detections").value(),
@@ -300,7 +303,7 @@ TEST(HeteroCheckerSystem, PublishesLogAndDetectionMetrics) {
 TEST(HeteroCheckerSystem, MultiprogrammedGroupsStayIndependent) {
   workload::SyntheticStream stream(workload::profile("gzip"), 5, 6000);
   core::HeteroCheckerSystem sys(hetero_config(0.0, /*threads=*/2), {}, stream);
-  const core::RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 4u);  // two leaders then two checkers
   EXPECT_EQ(r.core_stats[0].committed, 6000u);
   EXPECT_EQ(r.core_stats[1].committed, 6000u);

@@ -136,17 +136,17 @@ TEST(TraceDriven, RealProgramRunsOnAllThreeSystems) {
   ASSERT_GT(trace.length(), 2000u);
 
   BaselineSystem base(cfg1(), trace);
-  const RunResult rb = base.run();
+  const engine::RunResult rb = base.run();
   EXPECT_EQ(rb.core_stats[0].committed, trace.length());
 
   UnSyncParams up;
   up.cb_entries = 256;
   UnSyncSystem us(cfg1(), up, trace);
-  const RunResult ru = us.run();
+  const engine::RunResult ru = us.run();
   EXPECT_EQ(ru.core_stats[0].committed, trace.length());
 
   ReunionSystem re(cfg1(), ReunionParams{}, trace);
-  const RunResult rr = re.run();
+  const engine::RunResult rr = re.run();
   EXPECT_EQ(rr.core_stats[0].committed, trace.length());
 
   // Shape: baseline >= unsync > reunion is the expected order here (the

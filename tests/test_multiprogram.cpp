@@ -23,7 +23,7 @@ TEST(Multiprogram, BaselineRunsDifferentBenchmarksPerThread) {
   workload::SyntheticStream a(workload::profile("gzip"), 1, 12000);
   workload::SyntheticStream b(workload::profile("mcf"), 1, 8000);
   BaselineSystem sys(cfg(2), {&a, &b});
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 2u);
   EXPECT_EQ(r.core_stats[0].committed, 12000u);
   EXPECT_EQ(r.core_stats[1].committed, 8000u);
@@ -61,7 +61,7 @@ TEST(Multiprogram, UnsyncHeterogeneousGroups) {
   UnSyncParams p;
   p.cb_entries = 128;
   UnSyncSystem sys(cfg(2), p, {&a, &b});
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 4u);  // two pairs
   EXPECT_EQ(r.core_stats[0].committed, 8000u);
   EXPECT_EQ(r.core_stats[1].committed, 8000u);
@@ -73,7 +73,7 @@ TEST(Multiprogram, ReunionHeterogeneousPairs) {
   workload::SyntheticStream a(workload::profile("bzip2"), 4, 6000);
   workload::SyntheticStream b(workload::profile("equake"), 4, 6000);
   ReunionSystem sys(cfg(2), ReunionParams{}, {&a, &b});
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 4u);
   for (const auto& cs : r.core_stats) EXPECT_EQ(cs.committed, 6000u);
 }
@@ -97,7 +97,7 @@ TEST(Multiprogram, ErrorsScaledPerThreadLength) {
   UnSyncParams p;
   p.cb_entries = 128;
   UnSyncSystem sys(c, p, {&a, &b});
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_GT(r.errors_injected, 3u);
   EXPECT_EQ(r.recoveries, r.errors_injected);
 }

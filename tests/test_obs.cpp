@@ -254,8 +254,8 @@ TEST(JsonlTraceSink, UnwritablePathThrows) {
 // System integration: attaching observability must not perturb the run
 // ---------------------------------------------------------------------------
 
-core::RunResult run_unsync(obs::MetricsRegistry* metrics,
-                           obs::TraceSink* trace) {
+engine::RunResult run_unsync(obs::MetricsRegistry* metrics,
+                             obs::TraceSink* trace) {
   workload::SyntheticStream stream(workload::profile("susan"), 7, 3000);
   core::SystemConfig cfg;
   cfg.num_threads = 1;

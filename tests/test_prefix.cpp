@@ -46,9 +46,9 @@ std::vector<SimJob> mixed_grid() {
   static const auto trace = shared_trace(2500);
   std::vector<SimJob> jobs;
   for (const auto kind :
-       {runtime::SystemKind::kBaseline, runtime::SystemKind::kUnSync,
-        runtime::SystemKind::kReunion, runtime::SystemKind::kLockstep,
-        runtime::SystemKind::kCheckpoint}) {
+       {core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+        core::SystemKind::kReunion, core::SystemKind::kLockstep,
+        core::SystemKind::kCheckpoint}) {
     for (const double ser : {0.0, 1e-7, 2e-4}) {
       SimJob job;
       job.label = "trace";
@@ -63,7 +63,7 @@ std::vector<SimJob> mixed_grid() {
     job.label = bench;
     job.profile = bench;
     job.insts = 2500;
-    job.system = runtime::SystemKind::kUnSync;
+    job.system = core::SystemKind::kUnSync;
     job.ser_per_inst = 1e-4;
     jobs.push_back(std::move(job));
   }
@@ -91,9 +91,9 @@ void write_all(const std::string& path, const std::string& content) {
 TEST(PrefixFaultChannel, MatchesFreshlyConstructedSystems) {
   const auto trace = shared_trace(1200);
   for (const auto kind :
-       {runtime::SystemKind::kBaseline, runtime::SystemKind::kUnSync,
-        runtime::SystemKind::kReunion, runtime::SystemKind::kLockstep,
-        runtime::SystemKind::kCheckpoint}) {
+       {core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+        core::SystemKind::kReunion, core::SystemKind::kLockstep,
+        core::SystemKind::kCheckpoint}) {
     SimJob job;
     job.label = "chan";
     job.trace = trace;
@@ -109,10 +109,8 @@ TEST(PrefixFaultChannel, MatchesFreshlyConstructedSystems) {
                          job.params);
     auto* sys = dynamic_cast<core::System*>(model.get());
     ASSERT_NE(sys, nullptr) << name_of(kind);
-    ckpt::Serializer s;
-    sys->save_fault_channel(s);
-    EXPECT_EQ(s.take(), channel.encoded) << name_of(kind);
-    if (kind == runtime::SystemKind::kBaseline) {
+    EXPECT_EQ(sys->fault_channel_bytes(), channel.encoded) << name_of(kind);
+    if (kind == core::SystemKind::kBaseline) {
       EXPECT_TRUE(channel.empty());
       EXPECT_FALSE(channel.has_rng);
     } else {
@@ -123,13 +121,13 @@ TEST(PrefixFaultChannel, MatchesFreshlyConstructedSystems) {
 }
 
 TEST(PrefixFaultChannel, InstallingTheChannelReproducesTheFaultyRun) {
-  // A golden-configured system + load_fault_channel must equal a system
+  // A golden-configured system + install_fault_channel must equal a system
   // constructed with the fault process on — the core restore identity.
   const auto trace = shared_trace(1500);
   SimJob job;
   job.label = "install";
   job.trace = trace;
-  job.system = runtime::SystemKind::kUnSync;
+  job.system = core::SystemKind::kUnSync;
   job.ser_per_inst = 3e-4;
   const std::uint64_t seed = 4242;
   const auto direct = CampaignRunner::run_job(job, seed);
@@ -143,9 +141,7 @@ TEST(PrefixFaultChannel, InstallingTheChannelReproducesTheFaultyRun) {
   auto* sys = dynamic_cast<core::System*>(model.get());
   ASSERT_NE(sys, nullptr);
   const auto channel = runtime::compute_fault_channel(job, seed);
-  ckpt::Deserializer d(channel.encoded);
-  sys->load_fault_channel(d);
-  EXPECT_TRUE(d.at_end());
+  sys->install_fault_channel(channel.encoded);
   EXPECT_EQ(sys->run().to_json(), direct.to_json());
 }
 
@@ -153,7 +149,7 @@ TEST(PrefixGoldenKey, SharesTrialsAndSerPointsOfATraceCell) {
   const auto trace = shared_trace(500);
   SimJob a;
   a.trace = trace;
-  a.system = runtime::SystemKind::kUnSync;
+  a.system = core::SystemKind::kUnSync;
   a.ser_per_inst = 1e-5;
 
   SimJob b = a;
@@ -162,7 +158,7 @@ TEST(PrefixGoldenKey, SharesTrialsAndSerPointsOfATraceCell) {
   EXPECT_EQ(runtime::golden_job_key(a, 1), runtime::golden_job_key(b, 2));
 
   SimJob c = a;
-  c.system = runtime::SystemKind::kReunion;
+  c.system = core::SystemKind::kReunion;
   EXPECT_NE(runtime::golden_job_key(a, 1), runtime::golden_job_key(c, 1));
 
   SimJob d = a;
@@ -172,7 +168,7 @@ TEST(PrefixGoldenKey, SharesTrialsAndSerPointsOfATraceCell) {
   // Profile streams are generated from the seed: trials never share.
   SimJob p;
   p.profile = "gzip";
-  p.system = runtime::SystemKind::kUnSync;
+  p.system = core::SystemKind::kUnSync;
   EXPECT_NE(runtime::golden_job_key(p, 1), runtime::golden_job_key(p, 2));
   EXPECT_EQ(runtime::golden_job_key(p, 1), runtime::golden_job_key(p, 1));
 }

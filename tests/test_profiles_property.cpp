@@ -30,7 +30,7 @@ class EveryProfile : public ::testing::TestWithParam<int> {
 TEST_P(EveryProfile, BaselineIpcPlausible) {
   workload::SyntheticStream s(prof(), 21, kInsts);
   BaselineSystem sys(cfg1(), s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.core_stats[0].committed, kInsts);
   // A 4-wide core on any realistic mix lands well inside (0.05, 4.0).
   EXPECT_GT(r.thread_ipc(), 0.05) << prof().name;
@@ -42,7 +42,7 @@ TEST_P(EveryProfile, UnsyncCompletesBothCores) {
   UnSyncParams p;
   p.cb_entries = 128;
   UnSyncSystem sys(cfg1(), p, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.core_stats[0].committed, kInsts) << prof().name;
   EXPECT_EQ(r.core_stats[1].committed, kInsts) << prof().name;
 }
@@ -50,7 +50,7 @@ TEST_P(EveryProfile, UnsyncCompletesBothCores) {
 TEST_P(EveryProfile, ReunionCompletesBothCores) {
   workload::SyntheticStream s(prof(), 23, kInsts);
   ReunionSystem sys(cfg1(), ReunionParams{}, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.core_stats[0].committed, kInsts) << prof().name;
   EXPECT_EQ(r.core_stats[1].committed, kInsts) << prof().name;
 }

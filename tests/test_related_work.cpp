@@ -20,7 +20,7 @@ SystemConfig cfg1(double ser = 0.0) {
 TEST(Lockstep, CompletesAndStaysCoupled) {
   workload::SyntheticStream s(workload::profile("gzip"), 1, 15000);
   LockstepSystem sys(cfg1(), LockstepParams{}, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 2u);
   EXPECT_EQ(r.core_stats[0].committed, 15000u);
   EXPECT_EQ(r.core_stats[1].committed, 15000u);
@@ -74,7 +74,7 @@ TEST(Checkpoint, CompletesWithPeriodicCaptures) {
   CheckpointParams p;
   p.checkpoint_interval = 1000;
   DmrCheckpointSystem sys(cfg1(), p, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.core_stats[0].committed, 20000u);
   EXPECT_EQ(r.core_stats[1].committed, 20000u);
   // 20000 insts / 1000 = 20 boundaries (the final one falls exactly at the

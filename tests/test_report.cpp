@@ -11,7 +11,7 @@
 namespace unsync::core {
 namespace {
 
-RunResult sample_run(UnSyncSystem** out_sys = nullptr) {
+engine::RunResult sample_run(UnSyncSystem** out_sys = nullptr) {
   static workload::SyntheticStream stream(workload::profile("gzip"), 1, 8000);
   SystemConfig cfg;
   cfg.num_threads = 1;
@@ -24,7 +24,7 @@ RunResult sample_run(UnSyncSystem** out_sys = nullptr) {
 }
 
 TEST(RunReport, HeadlineFieldsPresent) {
-  const RunResult r = sample_run();
+  const engine::RunResult r = sample_run();
   const std::string text = RunReport(r).str();
   EXPECT_NE(text.find("unsync"), std::string::npos);
   EXPECT_NE(text.find("thread IPC"), std::string::npos);
@@ -34,7 +34,7 @@ TEST(RunReport, HeadlineFieldsPresent) {
 
 TEST(RunReport, MemorySectionWhenHierarchyGiven) {
   UnSyncSystem* sys = nullptr;
-  const RunResult r = sample_run(&sys);
+  const engine::RunResult r = sample_run(&sys);
   ASSERT_NE(sys, nullptr);
   const std::string text = RunReport(r, &sys->memory()).str();
   EXPECT_NE(text.find("Memory system"), std::string::npos);
@@ -44,7 +44,7 @@ TEST(RunReport, MemorySectionWhenHierarchyGiven) {
 }
 
 TEST(RunReport, CsvRowsMatchCoreCount) {
-  const RunResult r = sample_run();
+  const engine::RunResult r = sample_run();
   const std::string rows = RunReport(r).csv_rows();
   EXPECT_EQ(std::count(rows.begin(), rows.end(), '\n'),
             static_cast<std::ptrdiff_t>(r.core_stats.size()));
@@ -58,7 +58,7 @@ TEST(RunReport, CsvRowsMatchCoreCount) {
 }
 
 TEST(RunReport, CsvContainsSystemName) {
-  const RunResult r = sample_run();
+  const engine::RunResult r = sample_run();
   EXPECT_EQ(RunReport(r).csv_rows().rfind("unsync,", 0), 0u);
 }
 

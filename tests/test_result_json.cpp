@@ -32,8 +32,8 @@ std::string read_golden(const std::string& name) {
 
 /// A fully populated result with every field nonzero — hand-built, so the
 /// golden pins serialisation only, not simulator behaviour.
-core::RunResult sample_result() {
-  core::RunResult r;
+engine::RunResult sample_result() {
+  engine::RunResult r;
   r.system = "unsync";
   r.cycles = 4321;
   r.instructions = 3000;
@@ -91,7 +91,7 @@ TEST(RunResultJson, MatchesGoldenSchema) {
 }
 
 TEST(RunResultJson, FastTierResultsAreTagged) {
-  core::RunResult r = sample_result();
+  engine::RunResult r = sample_result();
   r.approximate = true;
   const std::string j = r.to_json();
   EXPECT_NE(j.find("\"tier\":\"fast\""), std::string::npos);
@@ -142,7 +142,7 @@ TEST(RunResultJson, SerialisationIsAPureFunction) {
 }
 
 TEST(RunResultJson, EmptyResultStillCarriesTheSchema) {
-  const core::RunResult r;
+  const engine::RunResult r;
   const std::string j = r.to_json();
   EXPECT_NE(j.find("\"schema\":\"unsync.run_result.v2\""), std::string::npos);
   EXPECT_NE(j.find("\"cores\":[]"), std::string::npos);

@@ -76,7 +76,7 @@ TEST(ReunionDetails, RollbackDuringSerializingSyncIsClean) {
   // commits exactly once per core.
   workload::SyntheticStream s(workload::profile("bzip2"), 3, 20000);
   ReunionSystem sys(cfg1(5e-4), ReunionParams{}, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_GT(r.rollbacks, 3u);
   EXPECT_EQ(r.core_stats[0].committed, 20000u);
   EXPECT_EQ(r.core_stats[1].committed, 20000u);
@@ -112,7 +112,7 @@ TEST(ReunionDetails, SerializingOnlyStreamTerminates) {
   }
   TraceStream t(std::move(ops));
   ReunionSystem sys(cfg1(), ReunionParams{}, t);
-  const RunResult r = sys.run(1000000);
+  const engine::RunResult r = sys.run(1000000);
   EXPECT_EQ(r.core_stats[0].committed, 40u);
   EXPECT_EQ(r.fingerprint_syncs, 40u);
 }
@@ -122,7 +122,7 @@ TEST(ReunionDetails, CompareLatencyZeroStillSynchronises) {
   ReunionParams p;
   p.compare_latency = 0;
   ReunionSystem sys(cfg1(), p, s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.core_stats[0].committed, 10000u);
   EXPECT_GT(r.fingerprint_syncs, 100u);  // bzip2: ~2% serializing
 }

@@ -20,7 +20,7 @@ ReunionParams default_params() { return ReunionParams{}; }
 TEST(ReunionSystem, CompletesAStreamOnBothCores) {
   workload::SyntheticStream stream(workload::profile("gzip"), 1, 20000);
   ReunionSystem sys(small_config(), default_params(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.system, "reunion");
   ASSERT_EQ(r.core_stats.size(), 2u);
   EXPECT_EQ(r.core_stats[0].committed, 20000u);
@@ -38,7 +38,7 @@ TEST(ReunionSystem, SerializingInstructionsCostSynchronisations) {
   // bzip2 has 2% serializing instructions -> ~600 syncs over 30k insts.
   workload::SyntheticStream stream(workload::profile("bzip2"), 3, 30000);
   ReunionSystem sys(small_config(), default_params(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_GT(r.fingerprint_syncs, 400u);
 }
 
@@ -88,7 +88,7 @@ TEST(ReunionSystem, CompareLatencySweepMonotonic) {
 TEST(ReunionSystem, ErrorFreeRunHasNoRollbacks) {
   workload::SyntheticStream stream(workload::profile("gzip"), 7, 10000);
   ReunionSystem sys(small_config(), default_params(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.errors_injected, 0u);
   EXPECT_EQ(r.rollbacks, 0u);
 }
@@ -98,7 +98,7 @@ TEST(ReunionSystem, ErrorsTriggerRollbacksAndStillComplete) {
   SystemConfig cfg = small_config();
   cfg.ser_per_inst = 1e-4;
   ReunionSystem sys(cfg, default_params(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_GT(r.rollbacks, 0u);
   EXPECT_EQ(r.core_stats[0].committed, 30000u);
   EXPECT_EQ(r.core_stats[1].committed, 30000u);
@@ -132,7 +132,7 @@ TEST(ReunionSystem, DeterministicAcrossRuns) {
 TEST(ReunionSystem, TwoPairsComplete) {
   workload::SyntheticStream stream(workload::profile("gzip"), 12, 10000);
   ReunionSystem sys(small_config(2), default_params(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 4u);
   for (const auto& cs : r.core_stats) EXPECT_EQ(cs.committed, 10000u);
 }

@@ -21,7 +21,7 @@ using runtime::CampaignRunner;
 using runtime::parallel_for;
 using runtime::SchedulerStats;
 using runtime::SimJob;
-using runtime::SystemKind;
+using core::SystemKind;
 
 void expect_each_index_once(unsigned threads, std::size_t n,
                             SchedulerStats* stats = nullptr) {

@@ -25,8 +25,8 @@ std::vector<runtime::SimJob> small_grid() {
   std::vector<runtime::SimJob> jobs;
   for (const char* bench : {"gzip", "galgel"}) {
     for (const auto kind :
-         {runtime::SystemKind::kBaseline, runtime::SystemKind::kUnSync,
-          runtime::SystemKind::kReunion}) {
+         {core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+          core::SystemKind::kReunion}) {
       runtime::SimJob job;
       job.label = bench;
       job.profile = bench;
@@ -78,7 +78,7 @@ TEST(TierScreening, FastTierReproducesTheArrivalSchedule) {
   runtime::SimJob job;
   job.label = "gzip";
   job.profile = "gzip";
-  job.system = runtime::SystemKind::kUnSync;
+  job.system = core::SystemKind::kUnSync;
   job.insts = 30000;
   job.ser_per_inst = 2e-4;
 
@@ -120,11 +120,11 @@ TEST(TierScreening, ScreenedCellMetricsComeFromTheProducingTierOnly) {
 }
 
 TEST(TierScreening, ScreeningScoreReflectsErrorActivity) {
-  core::RunResult quiet;
+  engine::RunResult quiet;
   quiet.cycles = 1000;
   EXPECT_EQ(runtime::screening_score(quiet), 0.0);
 
-  core::RunResult busy;
+  engine::RunResult busy;
   busy.cycles = 1000;
   busy.errors_injected = 2;
   busy.recoveries = 1;
@@ -139,8 +139,8 @@ TEST(TierScreening, JournalEntryAcceptancePinsTheTierPolicy) {
   runtime::SimJob fast_job;
   fast_job.params.tier = engine::Tier::kFast;
 
-  core::RunResult exact;
-  core::RunResult approx;
+  engine::RunResult exact;
+  engine::RunResult approx;
   approx.approximate = true;
   approx.errors_injected = 3;  // screening_score 3
 

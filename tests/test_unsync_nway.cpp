@@ -26,7 +26,7 @@ UnSyncParams params_n(unsigned n, std::size_t cb = 256) {
 TEST(UnSyncNWay, TripleGroupCompletesOnAllCores) {
   workload::SyntheticStream s(workload::profile("gzip"), 1, 15000);
   UnSyncSystem sys(cfg1(), params_n(3), s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 3u);
   for (const auto& cs : r.core_stats) EXPECT_EQ(cs.committed, 15000u);
 }
@@ -34,7 +34,7 @@ TEST(UnSyncNWay, TripleGroupCompletesOnAllCores) {
 TEST(UnSyncNWay, TripleDrainsOneCopyOfStores) {
   workload::SyntheticStream s(workload::profile("susan"), 2, 15000);
   UnSyncSystem sys(cfg1(), params_n(3), s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   // All three cores committed the same store count.
   EXPECT_EQ(r.core_stats[0].stores, r.core_stats[1].stores);
   EXPECT_EQ(r.core_stats[1].stores, r.core_stats[2].stores);
@@ -55,7 +55,7 @@ TEST(UnSyncNWay, MoreCoresCostPerformanceNotCorrectness) {
 TEST(UnSyncNWay, TripleGroupRecoversFromErrors) {
   workload::SyntheticStream s(workload::profile("gzip"), 4, 20000);
   UnSyncSystem sys(cfg1(1e-4), params_n(3), s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_GT(r.errors_injected, 0u);
   EXPECT_EQ(r.recoveries, r.errors_injected);
   for (const auto& cs : r.core_stats) EXPECT_EQ(cs.committed, 20000u);
@@ -64,7 +64,7 @@ TEST(UnSyncNWay, TripleGroupRecoversFromErrors) {
 TEST(UnSyncNWay, QuadGroupWorks) {
   workload::SyntheticStream s(workload::profile("gzip"), 5, 8000);
   UnSyncSystem sys(cfg1(1e-4), params_n(4), s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 4u);
   for (const auto& cs : r.core_stats) EXPECT_EQ(cs.committed, 8000u);
 }
@@ -91,7 +91,7 @@ class GroupSize : public ::testing::TestWithParam<unsigned> {};
 TEST_P(GroupSize, StreamCompletesExactly) {
   workload::SyntheticStream s(workload::profile("qsort"), 8, 10000);
   UnSyncSystem sys(cfg1(5e-5), params_n(GetParam()), s);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), GetParam());
   for (const auto& cs : r.core_stats) EXPECT_EQ(cs.committed, 10000u);
 }

@@ -24,7 +24,7 @@ UnSyncParams big_cb() {
 TEST(UnSyncSystem, CompletesAStreamOnBothCores) {
   workload::SyntheticStream stream(workload::profile("gzip"), 1, 20000);
   UnSyncSystem sys(small_config(), big_cb(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.system, "unsync");
   ASSERT_EQ(r.core_stats.size(), 2u);  // one pair
   EXPECT_EQ(r.core_stats[0].committed, 20000u);
@@ -44,7 +44,7 @@ TEST(UnSyncSystem, UsesWriteThroughL1) {
 TEST(UnSyncSystem, DrainsOneCopyOfEveryStore) {
   workload::SyntheticStream stream(workload::profile("susan"), 3, 20000);
   UnSyncSystem sys(small_config(), big_cb(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   // Both cores committed every store, but the L2 received one copy each:
   // bus word pushes == stores per thread (no coalescing).
   const std::uint64_t stores = r.core_stats[0].stores;
@@ -69,8 +69,8 @@ TEST(UnSyncSystem, TinyCbCausesStalls) {
   tiny.cb_entries = 4;
   UnSyncSystem small(small_config(), tiny, stream);
   UnSyncSystem large(small_config(), big_cb(), stream);
-  const RunResult rs = small.run();
-  const RunResult rl = large.run();
+  const engine::RunResult rs = small.run();
+  const engine::RunResult rl = large.run();
   EXPECT_GT(rs.cb_full_stalls, rl.cb_full_stalls);
   EXPECT_GT(rs.cycles, rl.cycles);
 }
@@ -91,7 +91,7 @@ TEST(UnSyncSystem, CbSizeMonotonicallyHelps) {
 TEST(UnSyncSystem, ErrorFreeRunHasNoRecoveries) {
   workload::SyntheticStream stream(workload::profile("gzip"), 7, 10000);
   UnSyncSystem sys(small_config(), big_cb(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_EQ(r.errors_injected, 0u);
   EXPECT_EQ(r.recoveries, 0u);
   EXPECT_EQ(r.recovery_cycles_total, 0u);
@@ -102,7 +102,7 @@ TEST(UnSyncSystem, ErrorsTriggerForwardRecovery) {
   SystemConfig cfg = small_config();
   cfg.ser_per_inst = 1e-4;  // ~3 errors over the run
   UnSyncSystem sys(cfg, big_cb(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   EXPECT_GT(r.errors_injected, 0u);
   EXPECT_EQ(r.recoveries, r.errors_injected);
   EXPECT_GT(r.recovery_cycles_total, 0u);
@@ -119,8 +119,8 @@ TEST(UnSyncSystem, RecoveryCostScalesWithErrors) {
   high.ser_per_inst = 1e-3;
   UnSyncSystem a(low, big_cb(), stream);
   UnSyncSystem b(high, big_cb(), stream);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
+  const engine::RunResult ra = a.run();
+  const engine::RunResult rb = b.run();
   EXPECT_GT(rb.errors_injected, ra.errors_injected);
   EXPECT_GT(rb.cycles, ra.cycles);
 }
@@ -139,7 +139,7 @@ TEST(UnSyncSystem, SerializingInstructionsDoNotSynchronise) {
 TEST(UnSyncSystem, TwoPairsRunConcurrently) {
   workload::SyntheticStream stream(workload::profile("gzip"), 11, 10000);
   UnSyncSystem sys(small_config(2), big_cb(), stream);
-  const RunResult r = sys.run();
+  const engine::RunResult r = sys.run();
   ASSERT_EQ(r.core_stats.size(), 4u);
   for (const auto& cs : r.core_stats) EXPECT_EQ(cs.committed, 10000u);
 }
@@ -150,8 +150,8 @@ TEST(UnSyncSystem, DeterministicAcrossRuns) {
   cfg.ser_per_inst = 1e-4;
   UnSyncSystem a(cfg, big_cb(), stream);
   UnSyncSystem b(cfg, big_cb(), stream);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
+  const engine::RunResult ra = a.run();
+  const engine::RunResult rb = b.run();
   EXPECT_EQ(ra.cycles, rb.cycles);
   EXPECT_EQ(ra.errors_injected, rb.errors_injected);
 }

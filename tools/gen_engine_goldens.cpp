@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         cfg.ser_per_inst = 5e-4;
         cfg.seed = seed;
         const auto sys = core::make_system(kind, cfg, stream);
-        const core::RunResult r = sys->run();
+        const engine::RunResult r = sys->run();
         const std::string path = dir + "/" + core::name_of(kind) + "_" +
                                  prof + "_s" + std::to_string(seed) + ".json";
         std::ofstream out(path);

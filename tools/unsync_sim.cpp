@@ -417,7 +417,7 @@ int cmd_run(const Config& cfg) {
   const std::string trace_path = cfg.get_string("trace_out", "");
 
   const std::string system = cfg.get_string("system", "unsync");
-  const auto kind = runtime::parse_system(system);
+  const auto kind = core::parse_system(system);
   if (!kind) throw ConfigError("unknown system: " + system);
   const auto model = core::make_model(*kind, sys_cfg, *stream, knobs.params);
   // The detailed tier is a full System (checkpoints, memory hierarchy
@@ -461,7 +461,7 @@ int cmd_run(const Config& cfg) {
     return kExitOk;
   }
 
-  const core::RunResult result = model->run();
+  const engine::RunResult result = model->run();
   if (!ckpt_path.empty()) sys->save_checkpoint_file(ckpt_path);
 
   if (!metrics_path.empty()) {
@@ -504,11 +504,11 @@ int cmd_sweep(const Config& cfg) {
   const std::vector<std::string> points = split_csv(values);
 
   const std::string system = cfg.get_string("system", "unsync");
-  const auto kind = runtime::parse_system(system);
-  if (!kind || (*kind != runtime::SystemKind::kUnSync &&
-                *kind != runtime::SystemKind::kReunion &&
-                *kind != runtime::SystemKind::kBaseline &&
-                *kind != runtime::SystemKind::kHetero)) {
+  const auto kind = core::parse_system(system);
+  if (!kind || (*kind != core::SystemKind::kUnSync &&
+                *kind != core::SystemKind::kReunion &&
+                *kind != core::SystemKind::kBaseline &&
+                *kind != core::SystemKind::kHetero)) {
     throw ConfigError("sweep supports system=unsync|reunion|baseline|hetero");
   }
 
@@ -591,7 +591,7 @@ runtime::PrefixOptions prefix_from(const Config& cfg) {
 /// build the identical grid from identical args — the journal grid-CRC
 /// rejects any divergence.
 struct CampaignGrid {
-  std::vector<runtime::SystemKind> systems;
+  std::vector<core::SystemKind> systems;
   std::vector<std::string> benches;
   std::vector<runtime::SimJob> jobs;
   std::uint64_t insts = 0;
@@ -602,7 +602,7 @@ CampaignGrid build_campaign_grid(const Config& cfg, const CommonKnobs& knobs) {
   const auto systems_arg =
       split_csv(cfg.get_string("systems", "baseline,unsync,reunion"));
   for (const auto& s : systems_arg) {
-    const auto kind = runtime::parse_system(s);
+    const auto kind = core::parse_system(s);
     if (!kind) throw ConfigError("unknown system: " + s);
     grid.systems.push_back(*kind);
   }
@@ -927,9 +927,9 @@ int cmd_avf_report(const Config& cfg) {
   }
 
   const auto systems_arg = split_csv(cfg.get_string("systems", "unsync"));
-  std::vector<runtime::SystemKind> systems;
+  std::vector<core::SystemKind> systems;
   for (const auto& s : systems_arg) {
-    const auto kind = runtime::parse_system(s);
+    const auto kind = core::parse_system(s);
     if (!kind) throw ConfigError("unknown system: " + s);
     systems.push_back(*kind);
   }

@@ -45,7 +45,7 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
-double cpi_of(const core::RunResult& r) {
+double cpi_of(const engine::RunResult& r) {
   const double ipc = r.thread_ipc();
   return ipc > 0 ? 1.0 / ipc : 0.0;
 }
