@@ -14,6 +14,7 @@
 
 #include "ckpt/serializer.hpp"
 #include "runtime/campaign.hpp"
+#include "runtime/campaign_journal.hpp"
 
 namespace {
 
@@ -240,6 +241,103 @@ TEST(CampaignJournal, CheckpointEveryOnlyAffectsFlushCadence) {
   for (std::string line; std::getline(lines, line);) ++count;
   EXPECT_EQ(count, small_grid().size() + 1);
   std::remove(path.c_str());
+}
+
+// ---- Journal identity pins ----------------------------------------------
+//
+// The header line a journal starts with is what resume and the distributed
+// merge match on, so its bytes must not drift with refactors of the code
+// that computes them. These values were recorded from the implementation
+// that first wrote them; a journal written by any later build must carry
+// the same line for the same grid.
+
+/// Architecture knobs with every field distinct from its default and from
+/// its neighbours, so a reordered or dropped field changes the bytes.
+core::SystemParams distinct_params() {
+  core::SystemParams p;
+  p.unsync.group_size = 3;
+  p.unsync.cb_entries = 101;
+  p.unsync.drain_per_cycle = 2;
+  p.unsync.eih_signal_cycles = 28;
+  p.unsync.state_copy_word_cycles = 5;
+  p.unsync.arch_state_words = 69;
+  p.unsync.l1_copy_line_cycles = 9;
+  p.reunion.fingerprint_interval = 11;
+  p.reunion.compare_latency = 12;
+  p.reunion.csb_entries = 13;
+  p.reunion.rollback_penalty = 14;
+  p.lockstep.max_skew = 15;
+  p.lockstep.load_check_latency = 16;
+  p.lockstep.resync_penalty = 17;
+  p.checkpoint.checkpoint_interval = 18;
+  p.checkpoint.checkpoint_cost = 19;
+  p.checkpoint.compare_latency = 22;
+  p.checkpoint.restore_cost = 23;
+  p.hetero.log_entries = 24;
+  p.hetero.checker_width = 25;
+  p.hetero.checker_load_latency = 26;
+  p.hetero.rollback_penalty = 27;
+  return p;
+}
+
+/// Every system, each with one profile job and one trace job, seed set on
+/// one and unset on the other (alternating by system). Profile jobs keep
+/// the default knobs; trace jobs carry distinct_params().
+std::vector<SimJob> identity_grid() {
+  const auto trace = std::make_shared<const std::vector<workload::DynOp>>(64);
+  std::vector<SimJob> jobs;
+  const core::SystemKind kinds[] = {
+      core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+      core::SystemKind::kReunion,  core::SystemKind::kLockstep,
+      core::SystemKind::kCheckpoint, core::SystemKind::kHetero};
+  for (std::size_t i = 0; i < std::size(kinds); ++i) {
+    SimJob profile;
+    profile.label = "gzip";
+    profile.profile = "gzip";
+    profile.system = kinds[i];
+    profile.insts = 3000;
+    profile.ser_per_inst = 2e-5;
+    profile.app_threads = 2;
+    SimJob replay;
+    replay.label = "trace";
+    replay.trace = trace;
+    replay.system = kinds[i];
+    replay.params = distinct_params();
+    if (i % 2 == 0) {
+      profile.seed = 11 + i;
+    } else {
+      replay.seed = 11 + i;
+    }
+    jobs.push_back(std::move(profile));
+    jobs.push_back(std::move(replay));
+  }
+  return jobs;
+}
+
+TEST(JournalIdentity, GridFingerprintIsPinned) {
+  EXPECT_EQ(runtime::grid_fingerprint(identity_grid()), 1578564289u);
+}
+
+TEST(JournalIdentity, HeaderLinesArePinned) {
+  const auto jobs = identity_grid();
+  const std::string head =
+      R"({"schema":"unsync.campaign_journal.v1","campaign_seed":)";
+  EXPECT_EQ(runtime::make_journal_header(jobs, 42, false).to_line(),
+            head + R"(42,"jobs":12,"grid_crc":1578564289,)"
+                   R"("collect_metrics":false})");
+  EXPECT_EQ(runtime::make_journal_header(jobs, 7, true).to_line(),
+            head + R"(7,"jobs":12,"grid_crc":1578564289,)"
+                   R"("collect_metrics":true})");
+  // Screening and an active prefix engine fold their policy into grid_crc.
+  EXPECT_EQ(
+      runtime::make_journal_header(jobs, 42, false, true, 0.5).to_line(),
+      head + R"(42,"jobs":12,"grid_crc":2135056175,)"
+             R"("collect_metrics":false})");
+  EXPECT_EQ(runtime::make_journal_header(jobs, 42, false, false, 0.0, true,
+                                         5000)
+                .to_line(),
+            head + R"(42,"jobs":12,"grid_crc":1102223810,)"
+                   R"("collect_metrics":false})");
 }
 
 }  // namespace
