@@ -111,6 +111,19 @@ class Archive {
       out_->str(v);
     }
   }
+  /// A fixed-length run of bytes whose size is the instance's geometry
+  /// (a predictor table): the same wire bytes as one u8() per element,
+  /// written and read as one block.
+  void u8s(std::vector<std::uint8_t>& v) {
+    if (in_) {
+      in_->bytes(v.data(), v.size());
+      return;
+    }
+    for (std::size_t i = 0; sites_ && i < v.size(); ++i) {
+      sites_->push_back({out_->data().size() + i, fault_depth_ > 0});
+    }
+    out_->bytes(v.data(), v.size());
+  }
   /// The four xoshiro state words.
   void rng(Rng& r) {
     std::array<std::uint64_t, 4> words = r.state();

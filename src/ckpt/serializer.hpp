@@ -114,6 +114,11 @@ class Deserializer {
     return v;
   }
   std::string str();
+  void bytes(void* data, std::size_t len) {
+    need(len);
+    if (len != 0) std::memcpy(data, buf_.data() + pos_, len);
+    pos_ += len;
+  }
 
   /// Consumes the header of a chunk and verifies its tag; end_chunk()
   /// verifies the advertised length was consumed exactly.

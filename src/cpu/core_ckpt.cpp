@@ -14,7 +14,7 @@ namespace unsync::cpu {
 void GsharePredictor::visit(ckpt::Archive& ar) {
   ar.chunk("BPRD", [&] {
     ar.expect(counters_.size(), "branch predictor table-size mismatch");
-    for (std::uint8_t& c : counters_) ar.u8(c);
+    ar.u8s(counters_);
     ar.u64(history_);
     ar.u64(lookups_);
     ar.u64(wrong_);

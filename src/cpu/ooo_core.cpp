@@ -280,11 +280,16 @@ void OooCore::skip_cycles(Cycle from, Cycle to) {
     return;
   }
 
+  // do_dispatch queries the environment every unfrozen cycle, and the
+  // query may catch up lazy state (Reunion's prune_verified). Querying at
+  // the window's last cycle leaves that state exactly where the naive
+  // loop's last query would. The reserved count itself is constant over
+  // the window: a ROB-full stall is bounded by next_state_change.
+  const std::uint32_t reserved = env_->reserved_rob_slots(id_, to - 1);
   // The window's stall reason is stable (next_event bounded it on every
   // input that could flip it), so the one counter the naive loop would
   // charge per cycle advances by the window length.
   if (!fetch_queue_.empty()) {
-    const std::uint32_t reserved = env_->reserved_rob_slots(id_, from);
     const workload::DynOp& op = fetch_queue_.front();
     if (rob_.size() + reserved >= config_.rob_entries) {
       stats_.dispatch_stall_rob += w;
