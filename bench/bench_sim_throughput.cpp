@@ -81,10 +81,11 @@ void BM_UnSyncSystem(benchmark::State& state) {
 BENCHMARK(BM_UnSyncSystem)->Arg(5000)->Arg(20000);
 
 // Shared cycle-engine throughput (simulated cycles per wall-clock second),
-// naive loop vs quiescence fast-forwarding, on the stall-heavy galgel
-// profile — long ROB-full and fence windows are exactly what fast-forwarding
-// elides, so this pair is the regression gate for both the kernel hot path
-// and the ff speedup (tools/check_bench_regression.py; docs/ENGINE.md).
+// the reference run_naive() loop (*_naive) vs the default fast-forwarding
+// run() (*_ff), on the stall-heavy galgel profile — long ROB-full and fence
+// windows are exactly what fast-forwarding elides, so this pair is the
+// regression gate for both the kernel hot path and the ff speedup
+// (tools/check_bench_regression.py; docs/ENGINE.md).
 // Items processed = simulated cycles, so items_per_second is cycles/sec.
 void BM_CycleEngine(benchmark::State& state, core::SystemKind kind,
                     bool fast_forward) {
@@ -95,9 +96,8 @@ void BM_CycleEngine(benchmark::State& state, core::SystemKind kind,
     cfg.num_threads = 2;
     cfg.ser_per_inst = 5e-4;
     cfg.seed = 7;
-    cfg.fast_forward = fast_forward;
     const auto sys = core::make_system(kind, cfg, s);
-    simulated_cycles += sys->run().cycles;
+    simulated_cycles += (fast_forward ? sys->run() : sys->run_naive()).cycles;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(simulated_cycles));
 }

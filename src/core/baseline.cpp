@@ -22,7 +22,7 @@ BaselineSystem::BaselineSystem(const SystemConfig& config,
 BaselineSystem::BaselineSystem(
     const SystemConfig& config,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
+    : System(config.num_threads, config.avf),
       config_(config),
       thread_lengths_(engine::lengths_of(streams)),
       memory_(config.mem, config.num_threads),

@@ -34,17 +34,6 @@ class BaselineSystem final : public System {
   bool member_finished(std::size_t g, std::size_t) const override {
     return cores_[g]->done();
   }
-  void member_tick(std::size_t g, std::size_t, Cycle now) override {
-    cores_[g]->tick(now);
-  }
-  Cycle member_next_event(std::size_t g, std::size_t,
-                          Cycle now) const override {
-    return cores_[g]->next_event(now);
-  }
-  void member_skip_cycles(std::size_t g, std::size_t, Cycle from,
-                          Cycle to) override {
-    cores_[g]->skip_cycles(from, to);
-  }
   Cycle next_event(std::size_t g, Cycle now) const override {
     return members_next_event(g, now);
   }

@@ -77,7 +77,7 @@ DmrCheckpointSystem::DmrCheckpointSystem(const SystemConfig& config,
 DmrCheckpointSystem::DmrCheckpointSystem(
     const SystemConfig& config, const CheckpointParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
+    : System(config.num_threads, config.avf),
       config_(config),
       params_(params),
       thread_lengths_(engine::lengths_of(streams)),
@@ -109,23 +109,6 @@ DmrCheckpointSystem::DmrCheckpointSystem(
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
   acc.instructions = engine::max_length(thread_lengths_);
-}
-
-void DmrCheckpointSystem::member_tick(std::size_t g, std::size_t m,
-                                      Cycle now) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.tick(now);
-}
-
-Cycle DmrCheckpointSystem::member_next_event(std::size_t g, std::size_t m,
-                                             Cycle now) const {
-  return pairs_[g]->core[m]->next_event(now);
-}
-
-void DmrCheckpointSystem::member_skip_cycles(std::size_t g, std::size_t m,
-                                             Cycle from, Cycle to) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.skip_cycles(from, to);
 }
 
 void DmrCheckpointSystem::on_error(std::size_t g, Cycle now,

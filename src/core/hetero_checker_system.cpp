@@ -99,7 +99,7 @@ HeteroCheckerSystem::HeteroCheckerSystem(const SystemConfig& config,
 HeteroCheckerSystem::HeteroCheckerSystem(
     const SystemConfig& config, const HeteroParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
+    : System(config.num_threads, config.avf),
       config_(config),
       params_(params),
       thread_lengths_(engine::lengths_of(streams)),

@@ -53,7 +53,7 @@ LockstepSystem::LockstepSystem(const SystemConfig& config,
 LockstepSystem::LockstepSystem(
     const SystemConfig& config, const LockstepParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
+    : System(config.num_threads, config.avf),
       config_(config),
       params_(params),
       thread_lengths_(engine::lengths_of(streams)),
@@ -83,22 +83,6 @@ LockstepSystem::LockstepSystem(
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
   acc.instructions = engine::max_length(thread_lengths_);
-}
-
-void LockstepSystem::member_tick(std::size_t g, std::size_t m, Cycle now) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.tick(now);
-}
-
-Cycle LockstepSystem::member_next_event(std::size_t g, std::size_t m,
-                                        Cycle now) const {
-  return pairs_[g]->core[m]->next_event(now);
-}
-
-void LockstepSystem::member_skip_cycles(std::size_t g, std::size_t m,
-                                        Cycle from, Cycle to) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.skip_cycles(from, to);
 }
 
 void LockstepSystem::on_error(std::size_t g, Cycle now,

@@ -45,11 +45,6 @@ class LockstepSystem final : public System {
   bool member_finished(std::size_t g, std::size_t m) const override {
     return pairs_[g]->core[m]->done();
   }
-  void member_tick(std::size_t g, std::size_t m, Cycle now) override;
-  Cycle member_next_event(std::size_t g, std::size_t m,
-                          Cycle now) const override;
-  void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                          Cycle to) override;
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
   Cycle next_event(std::size_t g, Cycle now) const override;
   void finish(engine::RunResult& r) const override;

@@ -223,7 +223,7 @@ ReunionSystem::ReunionSystem(const SystemConfig& config,
 ReunionSystem::ReunionSystem(
     const SystemConfig& config, const ReunionParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
+    : System(config.num_threads, config.avf),
       config_(config),
       params_(params),
       plan_(fault::reunion_plan()),
@@ -256,22 +256,6 @@ ReunionSystem::ReunionSystem(
   acc.system = name_;
   acc.thread_instructions = thread_lengths_;
   acc.instructions = engine::max_length(thread_lengths_);
-}
-
-void ReunionSystem::member_tick(std::size_t g, std::size_t m, Cycle now) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.tick(now);
-}
-
-Cycle ReunionSystem::member_next_event(std::size_t g, std::size_t m,
-                                       Cycle now) const {
-  return pairs_[g]->core[m]->next_event(now);
-}
-
-void ReunionSystem::member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                                       Cycle to) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.skip_cycles(from, to);
 }
 
 void ReunionSystem::on_error(std::size_t g, Cycle now,

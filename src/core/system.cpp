@@ -5,14 +5,14 @@ namespace unsync::core {
 void System::register_core(cpu::OooCore& core) {
   core.set_tracer(&tracer_);
   registered_cores_.push_back(&core);
+  cores_per_group_ =
+      num_threads_ ? registered_cores_.size() / num_threads_ : 1;
 }
 
 std::string System::core_prefix(std::size_t i) const {
-  const std::size_t per =
-      num_threads_ ? registered_cores_.size() / num_threads_ : 1;
-  if (per <= 1) return name() + ".core" + std::to_string(i);
-  return name() + ".group" + std::to_string(i / per) + ".core" +
-         std::to_string(i % per);
+  if (cores_per_group_ <= 1) return name() + ".core" + std::to_string(i);
+  return name() + ".group" + std::to_string(i / cores_per_group_) +
+         ".core" + std::to_string(i % cores_per_group_);
 }
 
 void System::set_observability(obs::MetricsRegistry* metrics,

@@ -44,7 +44,7 @@ UnSyncSystem::UnSyncSystem(const SystemConfig& config,
 UnSyncSystem::UnSyncSystem(
     const SystemConfig& config, const UnSyncParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
+    : System(config.num_threads, config.avf),
       config_(config),
       params_(params),
       plan_(fault::unsync_plan()),
@@ -87,22 +87,6 @@ UnSyncSystem::UnSyncSystem(
 bool UnSyncSystem::member_finished(std::size_t g, std::size_t m) const {
   const Group& group = *groups_[g];
   return group.cores[m]->done() && group.cbs[m]->empty();
-}
-
-void UnSyncSystem::member_tick(std::size_t g, std::size_t m, Cycle now) {
-  auto& core = *groups_[g]->cores[m];
-  if (!core.done()) core.tick(now);
-}
-
-Cycle UnSyncSystem::member_next_event(std::size_t g, std::size_t m,
-                                      Cycle now) const {
-  return groups_[g]->cores[m]->next_event(now);
-}
-
-void UnSyncSystem::member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                                      Cycle to) {
-  auto& core = *groups_[g]->cores[m];
-  if (!core.done()) core.skip_cycles(from, to);
 }
 
 void UnSyncSystem::sync_phase(std::size_t g, Cycle now) {

@@ -84,11 +84,6 @@ class UnSyncSystem final : public System {
     return groups_[g]->cores.size();
   }
   bool member_finished(std::size_t g, std::size_t m) const override;
-  void member_tick(std::size_t g, std::size_t m, Cycle now) override;
-  Cycle member_next_event(std::size_t g, std::size_t m,
-                          Cycle now) const override;
-  void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                          Cycle to) override;
   void sync_phase(std::size_t g, Cycle now) override;
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
   Cycle next_event(std::size_t g, Cycle now) const override;

@@ -75,7 +75,6 @@ core::SystemConfig job_system_config(const SimJob& job, std::uint64_t seed) {
   sys_cfg.num_threads = job.app_threads;
   sys_cfg.ser_per_inst = job.ser_per_inst;
   sys_cfg.seed = seed;
-  sys_cfg.fast_forward = job.fast_forward;
   sys_cfg.avf = job.avf;
   sys_cfg.uncore_protect = job.protect;
   return sys_cfg;

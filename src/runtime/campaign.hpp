@@ -52,10 +52,6 @@ struct SimJob {
   std::uint64_t insts = 50000;  ///< synthetic stream length
   double ser_per_inst = 0.0;
   unsigned app_threads = 1;  ///< simulated application threads
-  /// Enable the kernel's quiescence fast-forwarding (engine.fast_forward=1
-  /// on the CLI). Bit-invisible in results — see docs/ENGINE.md — but part
-  /// of the grid fingerprint so a journal records how it was produced.
-  bool fast_forward = false;
   /// Fixed workload/system seed; unset = derive_seed(campaign_seed, index).
   std::optional<std::uint64_t> seed;
   /// ACE/AVF residency accounting (CLI: avf=1). Observation-only and

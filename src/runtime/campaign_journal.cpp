@@ -7,6 +7,32 @@
 
 namespace unsync::runtime {
 
+void encode_params(ckpt::Serializer& s, const core::SystemParams& p) {
+  s.u32(p.unsync.group_size);
+  s.u64(p.unsync.cb_entries);
+  s.u32(p.unsync.drain_per_cycle);
+  s.u64(p.unsync.eih_signal_cycles);
+  s.u64(p.unsync.state_copy_word_cycles);
+  s.u32(p.unsync.arch_state_words);
+  s.u64(p.unsync.l1_copy_line_cycles);
+  s.u32(p.reunion.fingerprint_interval);
+  s.u64(p.reunion.compare_latency);
+  s.u32(p.reunion.csb_entries);
+  s.u64(p.reunion.rollback_penalty);
+  s.u32(p.lockstep.max_skew);
+  s.u64(p.lockstep.load_check_latency);
+  s.u64(p.lockstep.resync_penalty);
+  s.u64(p.checkpoint.checkpoint_interval);
+  s.u64(p.checkpoint.checkpoint_cost);
+  s.u64(p.checkpoint.compare_latency);
+  s.u64(p.checkpoint.restore_cost);
+  s.u64(p.hetero.log_entries);
+  s.u32(p.hetero.checker_width);
+  s.u64(p.hetero.checker_load_latency);
+  s.u64(p.hetero.rollback_penalty);
+  s.u8(static_cast<std::uint8_t>(p.tier));
+}
+
 std::uint32_t grid_fingerprint(const std::vector<SimJob>& jobs) {
   ckpt::Serializer s;
   for (const auto& job : jobs) {
@@ -18,37 +44,17 @@ std::uint32_t grid_fingerprint(const std::vector<SimJob>& jobs) {
     s.u64(job.insts);
     s.f64(job.ser_per_inst);
     s.u32(job.app_threads);
-    s.b(job.fast_forward);
+    // Formerly the engine.fast_forward flag; every run fast-forwards now.
+    // Written as false so existing journal headers keep their bytes, while
+    // a journal written with the flag set matches no grid and is refused.
+    s.b(false);
     s.b(job.seed.has_value());
     s.u64(job.seed.value_or(0));
     s.b(job.avf);
     for (const auto m : job.protect.mechanism) {
       s.u8(static_cast<std::uint8_t>(m));
     }
-    const auto& p = job.params;
-    s.u32(p.unsync.group_size);
-    s.u64(p.unsync.cb_entries);
-    s.u32(p.unsync.drain_per_cycle);
-    s.u64(p.unsync.eih_signal_cycles);
-    s.u64(p.unsync.state_copy_word_cycles);
-    s.u32(p.unsync.arch_state_words);
-    s.u64(p.unsync.l1_copy_line_cycles);
-    s.u32(p.reunion.fingerprint_interval);
-    s.u64(p.reunion.compare_latency);
-    s.u32(p.reunion.csb_entries);
-    s.u64(p.reunion.rollback_penalty);
-    s.u32(p.lockstep.max_skew);
-    s.u64(p.lockstep.load_check_latency);
-    s.u64(p.lockstep.resync_penalty);
-    s.u64(p.checkpoint.checkpoint_interval);
-    s.u64(p.checkpoint.checkpoint_cost);
-    s.u64(p.checkpoint.compare_latency);
-    s.u64(p.checkpoint.restore_cost);
-    s.u64(p.hetero.log_entries);
-    s.u32(p.hetero.checker_width);
-    s.u64(p.hetero.checker_load_latency);
-    s.u64(p.hetero.rollback_penalty);
-    s.u8(static_cast<std::uint8_t>(p.tier));
+    encode_params(s, job.params);
   }
   return ckpt::crc32(s.data());
 }

@@ -26,6 +26,11 @@
 
 namespace unsync::runtime {
 
+/// Appends every SystemParams field (the architecture knobs, then the
+/// model tier) in one fixed order: the single encoding behind both the
+/// grid fingerprint and the prefix engine's golden_job_key.
+void encode_params(ckpt::Serializer& s, const core::SystemParams& p);
+
 /// CRC-32 fingerprint of the whole job grid: any change to a label,
 /// workload, architecture, knob, model tier or seed yields a different
 /// fingerprint.

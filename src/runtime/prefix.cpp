@@ -189,7 +189,6 @@ std::string golden_job_key(const SimJob& job, std::uint64_t seed) {
   s.u64(job.trace ? job.trace->size() : 0);
   s.u64(job.insts);
   s.u32(job.app_threads);
-  s.b(job.fast_forward);
   s.b(job.avf);
   for (const auto m : job.protect.mechanism) {
     s.u8(static_cast<std::uint8_t>(m));
@@ -199,30 +198,7 @@ std::string golden_job_key(const SimJob& job, std::uint64_t seed) {
   // every Monte-Carlo trial of a trace cell shares one golden run.
   s.b(!job.profile.empty());
   s.u64(job.profile.empty() ? 0 : seed);
-  const auto& p = job.params;
-  s.u32(p.unsync.group_size);
-  s.u64(p.unsync.cb_entries);
-  s.u32(p.unsync.drain_per_cycle);
-  s.u64(p.unsync.eih_signal_cycles);
-  s.u64(p.unsync.state_copy_word_cycles);
-  s.u32(p.unsync.arch_state_words);
-  s.u64(p.unsync.l1_copy_line_cycles);
-  s.u32(p.reunion.fingerprint_interval);
-  s.u64(p.reunion.compare_latency);
-  s.u32(p.reunion.csb_entries);
-  s.u64(p.reunion.rollback_penalty);
-  s.u32(p.lockstep.max_skew);
-  s.u64(p.lockstep.load_check_latency);
-  s.u64(p.lockstep.resync_penalty);
-  s.u64(p.checkpoint.checkpoint_interval);
-  s.u64(p.checkpoint.checkpoint_cost);
-  s.u64(p.checkpoint.compare_latency);
-  s.u64(p.checkpoint.restore_cost);
-  s.u64(p.hetero.log_entries);
-  s.u32(p.hetero.checker_width);
-  s.u64(p.hetero.checker_load_latency);
-  s.u64(p.hetero.rollback_penalty);
-  s.u8(static_cast<std::uint8_t>(p.tier));
+  encode_params(s, job.params);
   return s.take();
 }
 

@@ -8,9 +8,9 @@ Consumes a google-benchmark JSON report (BENCH_sim.json, produced by
 and enforces two properties:
 
 1. Fast-forward speedup (machine-independent): on the stall-heavy galgel
-   grid point, the baseline system with engine.fast_forward=1 must simulate
-   cycles at least --ff-min-speedup (default 1.15x) faster than the naive
-   cycle loop. Both sides run in the same process on the same machine, so
+   grid point, the baseline system's default run() (which fast-forwards)
+   must simulate cycles at least --ff-min-speedup (default 1.15x) faster
+   than the reference run_naive() cycle loop. Both sides run in the same process on the same machine, so
    this ratio is stable across hosts.
 
 2. Absolute throughput vs the committed baseline (10% tolerance): each
@@ -126,7 +126,8 @@ def load_report(path):
 
 
 def check_ff_speedup(ips, min_speedup):
-    """The machine-independent gate: ff vs naive, same run, same host."""
+    """The machine-independent gate: default run() (ff) vs run_naive(),
+    same run, same host."""
     ok = True
     pairs = []
     for name in sorted(ips):

@@ -4,9 +4,11 @@
 // The goldens pin RunResult::to_json for every system on a fixed grid of
 // (profile x seed) points with error injection enabled. They were captured
 // BEFORE the SimKernel refactor, so test_engine_parity proves the shared
-// cycle engine — with and without quiescence fast-forwarding — reproduces
-// the original bespoke run() loops bit for bit. Regenerate only for a
-// deliberate, documented behaviour change (see docs/ENGINE.md).
+// cycle engine — both the reference run_naive() loop and the
+// fast-forwarding run() — reproduces the original bespoke run() loops bit
+// for bit. They are captured through run_naive(), so a fast-forward bug
+// can never leak into them. Regenerate only for a deliberate, documented
+// behaviour change (see docs/ENGINE.md).
 //
 // Usage: gen_engine_goldens <output-dir>
 #include <fstream>
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
         cfg.ser_per_inst = 5e-4;
         cfg.seed = seed;
         const auto sys = core::make_system(kind, cfg, stream);
-        const engine::RunResult r = sys->run();
+        const engine::RunResult r = sys->run_naive();
         const std::string path = dir + "/" + core::name_of(kind) + "_" +
                                  prof + "_s" + std::to_string(seed) + ".json";
         std::ofstream out(path);

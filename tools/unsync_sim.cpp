@@ -159,8 +159,6 @@ void print_usage(std::ostream& os) {
       "            threads= value (docs/FAULTS.md)\n"
       "  version: print schema versions and build configuration\n"
       "  global: log=debug|info|warn|error   (diagnostic verbosity)\n"
-      "          engine.fast_forward=1  quiescence fast-forwarding for\n"
-      "            run/sweep/campaign — bit-identical results, fewer ticks\n"
       "          avf=1  ACE/AVF residency accounting for run/sweep/campaign\n"
       "            (observation-only: simulated results are bit-identical;\n"
       "            adds the fault.avf.* metric tree)\n"
@@ -241,13 +239,12 @@ std::unique_ptr<workload::InstStream> make_stream(const Config& cfg,
 /// Every simulation knob shared by run/sweep/campaign, parsed in ONE place
 /// so the subcommands cannot drift apart: the SystemParams block (which
 /// carries the architecture knobs AND the model-tier choice, docs/TIERS.md)
-/// plus the run-environment trio seed / SER / fast-forward, plus the
+/// plus the run-environment pair seed / SER, plus the
 /// campaign-only screening policy.
 struct CommonKnobs {
   core::SystemParams params;
   double ser = 0.0;
   std::uint64_t seed = 42;
-  bool fast_forward = false;
   /// tier=screen (two-phase screening; campaign family only).
   bool screen = false;
   double screen_threshold = 0.0;
@@ -314,7 +311,6 @@ CommonKnobs knobs_from(const Config& cfg, bool allow_screen = false) {
   }
   k.ser = cfg.get_double("ser", 0.0);
   k.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
-  k.fast_forward = cfg.get_bool("engine.fast_forward", false);
   k.avf = cfg.get_bool("avf", false);
   k.protect = protect_plan_from(cfg);
 
@@ -361,7 +357,6 @@ runtime::SimJob job_template(const Config& cfg, const CommonKnobs& knobs,
   job.insts = static_cast<std::uint64_t>(cfg.get_int("insts", 50000));
   job.params = knobs.params;
   job.ser_per_inst = knobs.ser;
-  job.fast_forward = knobs.fast_forward;
   job.avf = knobs.avf;
   job.protect = knobs.protect;
   if (cfg.has("bench")) {
@@ -403,7 +398,6 @@ int cmd_run(const Config& cfg) {
   sys_cfg.num_threads = static_cast<unsigned>(cfg.get_int("threads", 1));
   sys_cfg.ser_per_inst = knobs.ser;
   sys_cfg.seed = knobs.seed;
-  sys_cfg.fast_forward = knobs.fast_forward;
   sys_cfg.avf = knobs.avf;
   sys_cfg.uncore_protect = knobs.protect;
 
@@ -622,7 +616,6 @@ CampaignGrid build_campaign_grid(const Config& cfg, const CommonKnobs& knobs) {
   base.app_threads = static_cast<unsigned>(cfg.get_int("app_threads", 1));
   base.params = knobs.params;
   base.ser_per_inst = knobs.ser;
-  base.fast_forward = knobs.fast_forward;
   base.avf = knobs.avf;
   base.protect = knobs.protect;
   grid.insts = base.insts;
@@ -941,7 +934,6 @@ int cmd_avf_report(const Config& cfg) {
   base.app_threads = static_cast<unsigned>(cfg.get_int("app_threads", 1));
   base.params = knobs.params;
   base.ser_per_inst = knobs.ser;
-  base.fast_forward = knobs.fast_forward;
   base.avf = true;
   base.protect = knobs.protect;
 
