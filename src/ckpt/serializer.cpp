@@ -13,27 +13,42 @@ namespace {
 
 constexpr std::string_view kMagic = "UNSYCKPT";
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
+/// t[0] is the classic byte table and t[k][i] advances t[k-1][i] by one
+/// more zero byte, so crc32 folds in eight input bytes per step. Same
+/// checksum as the byte-at-a-time loop, several times faster on the
+/// megabyte checkpoint blobs every save and restore checks.
+std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const auto t = make_crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; len >= 8; len -= 8, p += 8) {
+    const std::uint32_t lo =
+        c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+             std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; len > 0; --len, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -1,7 +1,7 @@
 // Checkpoint walks for the CPU layer: branch predictor, CoreStats blocks,
 // the check log, and both core models. One translation unit so the core's
 // wire layout is reviewable in a single place.
-#include <algorithm>
+#include <string>
 
 #include "ckpt/archive.hpp"
 #include "cpu/bpred.hpp"
@@ -10,6 +10,24 @@
 #include "cpu/ooo_core.hpp"
 
 namespace unsync::cpu {
+
+namespace {
+
+/// A ring's element count, as the same u64 Archive::count walks. Load
+/// checks it against the ring's fixed capacity before anything is read
+/// into the ring.
+template <typename Ring>
+void ring_count(ckpt::Archive& ar, Ring& ring, const char* what) {
+  const std::uint64_t n = ar.pinned(ring.size());
+  if (!ar.loading()) return;
+  if (n > ring.capacity()) {
+    throw ckpt::CkptError("checkpoint " + std::string(what) + " count " +
+                          std::to_string(n) + " exceeds its capacity");
+  }
+  ring.resize(n);
+}
+
+}  // namespace
 
 void GsharePredictor::visit(ckpt::Archive& ar) {
   ar.chunk("BPRD", [&] {
@@ -43,11 +61,14 @@ void OooCore::visit(ckpt::Archive& ar) {
     ar.u64(next_sample_);
     ar.u64(frozen_until_);
 
-    ar.count(fetch_queue_);
-    for (workload::DynOp& op : fetch_queue_) op.visit(ar);
+    ring_count(ar, fetch_queue_, "fetch queue");
+    for (std::size_t i = 0; i < fetch_queue_.size(); ++i) {
+      fetch_queue_[i].visit(ar);
+    }
 
-    ar.count(rob_);
-    for (RobEntry& e : rob_) {
+    ring_count(ar, rob_, "ROB");
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+      RobEntry& e = rob_[i];
       e.op.visit(ar);
       ar.b(e.in_iq);
       ar.b(e.issued);
@@ -55,31 +76,24 @@ void OooCore::visit(ckpt::Archive& ar) {
       ar.b(e.mispredicted);
     }
 
-    // unordered_map: walked sorted by key so identical state always
-    // produces identical bytes (save -> load -> save is byte-comparable).
-    std::vector<std::pair<SeqNum, Cycle>> completions;
-    if (!ar.loading()) {
-      completions.assign(completion_.begin(), completion_.end());
-      std::sort(completions.begin(), completions.end());
+    // One (seq, complete_at) pair per ROB entry, oldest first: the bytes
+    // of the producer map this ring replaced. Derived identity fields —
+    // Save writes them from the ROB; Load reads and drops them and
+    // rebuilds every derived structure from the ROB instead.
+    ar.expect(std::uint64_t{rob_.size()}, "completion count differs from ROB");
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+      ar.pinned(rob_[i].op.seq);
+      ar.pinned(rob_[i].complete_at);
     }
-    ar.count(completions);
-    for (auto& [seq, at] : completions) {
-      ar.u64(seq);
-      ar.u64(at);
-    }
-    if (ar.loading()) {
-      completion_.clear();
-      for (const auto& [seq, at] : completions) completion_[seq] = at;
-    }
+    if (ar.loading()) rebuild_derived();
 
     bpred_.visit(ar);
     itlb_.visit(ar);
     dtlb_.visit(ar);
 
-    for (FuPool* pool : {&fu_int_alu_, &fu_int_mul_, &fu_int_div_,
-                         &fu_fp_alu_, &fu_fp_mul_, &fu_fp_div_, &fu_mem_}) {
-      ar.expect(pool->next_free.size(), "functional-unit pool width mismatch");
-      for (Cycle& c : pool->next_free) ar.u64(c);
+    for (FuPool& pool : fu_) {
+      ar.expect(pool.next_free.size(), "functional-unit pool width mismatch");
+      for (Cycle& c : pool.next_free) ar.u64(c);
     }
 
     stream_->visit(ar);

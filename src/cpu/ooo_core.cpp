@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <utility>
 
 namespace unsync::cpu {
 
@@ -17,21 +19,24 @@ OooCore::OooCore(CoreId id, const CoreConfig& config,
       memory_(memory),
       stream_(std::move(stream)),
       env_(env ? env : &default_env_),
+      fetch_queue_(config.fetch_queue_entries),
+      rob_(config.rob_entries),
+      stores_(config.rob_entries),
+      fences_(config.rob_entries),
       itlb_(config.itlb),
       dtlb_(config.dtlb),
-      fu_int_alu_{config.int_alu, {}},
-      fu_int_mul_{config.int_mul, {}},
-      fu_int_div_{config.int_div, {}},
-      fu_fp_alu_{config.fp_alu, {}},
-      fu_fp_mul_{config.fp_mul, {}},
-      fu_fp_div_{config.fp_div, {}},
-      fu_mem_{config.mem_port, {}} {
+      fu_{{{config.int_alu, {}},
+           {config.int_mul, {}},
+           {config.int_div, {}},
+           {config.fp_alu, {}},
+           {config.fp_mul, {}},
+           {config.fp_div, {}},
+           {config.mem_port, {}}}} {
   assert(memory_ != nullptr);
   assert(stream_ != nullptr);
-  for (FuPool* p : {&fu_int_alu_, &fu_int_mul_, &fu_int_div_, &fu_fp_alu_,
-                    &fu_fp_mul_, &fu_fp_div_, &fu_mem_}) {
-    p->next_free.assign(p->cfg.count, 0);
-  }
+  for (FuPool& p : fu_) p.next_free.assign(p.cfg.count, 0);
+  ready_.reserve(config.iq_entries);
+  timers_.reserve(config.iq_entries);
 }
 
 bool OooCore::done() const {
@@ -47,7 +52,10 @@ void OooCore::flush_pipeline() {
   const SeqNum resume = stats_.committed;
   fetch_queue_.clear();
   rob_.clear();
-  completion_.clear();
+  ready_.clear();
+  timers_.clear();
+  stores_.clear();
+  fences_.clear();
   committed_store_words_.clear();
   iq_count_ = lq_count_ = sq_count_ = 0;
   fetch_blocked_on_ = kNoSeq;
@@ -69,25 +77,25 @@ void OooCore::set_position(SeqNum seq) {
   flush_pipeline();
 }
 
-OooCore::FuPool* OooCore::pool_for(isa::InstClass cls) {
+OooCore::FuKind OooCore::pool_for(isa::InstClass cls) {
   using isa::InstClass;
   switch (cls) {
     case InstClass::kIntAlu:
     case InstClass::kBranch:
-      return &fu_int_alu_;
-    case InstClass::kIntMul: return &fu_int_mul_;
-    case InstClass::kIntDiv: return &fu_int_div_;
-    case InstClass::kFpAlu: return &fu_fp_alu_;
-    case InstClass::kFpMul: return &fu_fp_mul_;
-    case InstClass::kFpDiv: return &fu_fp_div_;
+      return kFuIntAlu;
+    case InstClass::kIntMul: return kFuIntMul;
+    case InstClass::kIntDiv: return kFuIntDiv;
+    case InstClass::kFpAlu: return kFuFpAlu;
+    case InstClass::kFpMul: return kFuFpMul;
+    case InstClass::kFpDiv: return kFuFpDiv;
     case InstClass::kLoad:
     case InstClass::kStore:
-      return &fu_mem_;
+      return kFuMem;
     case InstClass::kSerializing:
     case InstClass::kHalt:
-      return nullptr;  // no functional unit needed
+      break;  // no functional unit needed
   }
-  return nullptr;
+  return kFuNone;
 }
 
 bool OooCore::try_fu(FuPool& pool, Cycle now, Cycle* complete_at) {
@@ -101,12 +109,73 @@ bool OooCore::try_fu(FuPool& pool, Cycle now, Cycle* complete_at) {
   return false;
 }
 
-bool OooCore::src_ready(SeqNum src, Cycle now, Cycle* ready_at) const {
-  if (src == kNoSeq) return true;
-  const auto it = completion_.find(src);
-  if (it == completion_.end()) return true;  // producer already committed
-  if (ready_at) *ready_at = it->second;
-  return it->second <= now;
+void OooCore::track(RobEntry& e) {
+  if (e.in_iq) wait_for_sources(e);
+  if (e.op.is_load()) {
+    // Older entries leave the ROB only by in-order commit, so once this
+    // store has committed every older store has too: the match resolved
+    // now stays the youngest older same-word store for the load's life.
+    const Addr word = word_of(e.op.mem_addr);
+    for (std::size_t i = stores_.size(); i-- > 0;) {
+      if (stores_[i].word == word) {
+        e.fwd_store = stores_[i].seq;
+        break;
+      }
+    }
+  } else if (e.op.is_store()) {
+    stores_.push_back({e.op.seq, word_of(e.op.mem_addr)});
+  } else if (e.op.is_serializing()) {
+    fences_.push_back(e.op.seq);
+  }
+}
+
+void OooCore::rebuild_derived() {
+  ready_.clear();
+  timers_.clear();
+  stores_.clear();
+  fences_.clear();
+  for (std::size_t i = 0; i < rob_.size(); ++i) {
+    RobEntry& e = rob_[i];
+    e.fwd_store = e.waiters = e.next_waiter = kNoSeq;
+  }
+  for (std::size_t i = 0; i < rob_.size(); ++i) track(rob_[i]);
+}
+
+void OooCore::wait_for_sources(RobEntry& e) {
+  Cycle ready = 0;
+  for (const SeqNum src : e.op.src) {
+    if (src == kNoSeq) continue;
+    RobEntry* producer = in_flight(src);
+    if (!producer) continue;  // producer already committed
+    if (producer->complete_at == kNever) {
+      e.next_waiter = producer->waiters;
+      producer->waiters = e.op.seq;
+      return;
+    }
+    ready = std::max(ready, producer->complete_at);
+  }
+  timers_.push_back({ready, e.op.seq});
+  std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
+}
+
+void OooCore::wake_waiters(RobEntry& producer) {
+  // Bounded by the ROB size, so even a corrupt restore's list ends.
+  SeqNum seq = std::exchange(producer.waiters, kNoSeq);
+  for (std::size_t n = 0; seq != kNoSeq && n < rob_.size(); ++n) {
+    RobEntry* e = in_flight(seq);
+    if (!e) break;
+    seq = std::exchange(e->next_waiter, kNoSeq);
+    wait_for_sources(*e);
+  }
+}
+
+void OooCore::promote(Cycle cycle) {
+  while (!timers_.empty() && timers_.front().ready <= cycle) {
+    const SeqNum seq = timers_.front().seq;
+    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
+    timers_.pop_back();
+    ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), seq), seq);
+  }
 }
 
 void OooCore::tick(Cycle now) {
@@ -128,25 +197,32 @@ void OooCore::tick(Cycle now) {
   do_issue(now);
   do_dispatch(now);
   do_fetch(now);
+  // Entries ready next cycle join ready_ now, so next_event sees them there.
+  promote(now + 1);
 }
 
-Cycle OooCore::load_block_bound(const RobEntry& e, Cycle now) const {
-  const Addr word = word_of(e.op.mem_addr);
-  const RobEntry* match = nullptr;
-  for (const RobEntry& other : rob_) {
-    if (other.op.seq >= e.op.seq) break;
-    // Fence: clears only when the serializing instruction retires — a
-    // commit event next_event() already vetoes at the head.
-    if (other.op.is_serializing()) return kNever;
-    if (other.op.is_store() && word_of(other.op.mem_addr) == word) {
-      match = &other;
-    }
+Cycle OooCore::issue_bound(const RobEntry& e, Cycle now) const {
+  switch (e.op.cls) {
+    case isa::InstClass::kSerializing:
+      // Issues only from the ROB head; becoming head takes an older
+      // commit, which is itself a vetoed event.
+      return rob_.front().op.seq == e.op.seq ? now : kNever;
+    case isa::InstClass::kLoad:
+      // A fence clears only when the serializing instruction retires, a
+      // commit event next_event() already vetoes at the head.
+      if (fenced(e.op.seq)) return kNever;
+      if (const RobEntry* store = in_flight(e.fwd_store)) {
+        if (!store->issued) return kNever;  // the store's issue is covered
+        if (store->complete_at > now) return store->complete_at;
+      }
+      return now;  // lsq_load_can_issue would pass
+    case isa::InstClass::kStore:
+      // Blocked only by an older in-flight serializing instruction, whose
+      // retirement is a covered commit event.
+      return fenced(e.op.seq) ? kNever : now;
+    default:
+      return now;  // would attempt a functional unit
   }
-  if (match) {
-    if (!match->issued) return kNever;  // the store's own issue is covered
-    if (match->complete_at > now) return match->complete_at;
-  }
-  return now;  // lsq_load_can_issue would pass: an issue attempt happens
 }
 
 Cycle OooCore::next_event(Cycle now) const {
@@ -166,63 +242,29 @@ Cycle OooCore::next_event(Cycle now) const {
     }
   }
 
-  // Issue stage: scan exactly the issue-queue window do_issue examines.
-  std::uint32_t examined = 0;
-  for (const RobEntry& e : rob_) {
-    if (!e.in_iq) continue;
-    if (++examined > config_.iq_entries) break;
-
-    // Source readiness. A source whose producer has not issued yet
-    // (completion kNever) is covered: the producer is an older in_iq
-    // entry inside this same window, so its own issue bounds e's.
-    Cycle bound = now;
-    bool covered = false;
-    for (const SeqNum src : e.op.src) {
-      if (src == kNoSeq) continue;
-      const auto it = completion_.find(src);
-      if (it == completion_.end()) continue;  // producer already committed
-      if (it->second == kNever) {
-        covered = true;
-        break;
+  // Issue stage. An entry parked on an unissued producer is covered: the
+  // producer's own issue bounds it. Timed entries are bounded by their
+  // ready cycle; the ones due by now (not yet promoted) and ready_ are
+  // checked exactly as do_issue would try them.
+  const auto check = [&](SeqNum seq) {
+    const RobEntry* e = in_flight(seq);
+    if (e && e->in_iq) cand = std::min(cand, issue_bound(*e, now));
+  };
+  for (const SeqNum seq : ready_) {
+    check(seq);
+    if (cand == now) return now;
+  }
+  if (!timers_.empty() && timers_.front().ready > now) {
+    cand = std::min(cand, timers_.front().ready);
+  } else {
+    for (const Timer& t : timers_) {
+      if (t.ready > now) {
+        cand = std::min(cand, t.ready);
+      } else {
+        check(t.seq);
       }
-      bound = std::max(bound, it->second);
     }
-    if (covered) continue;
-    if (bound > now) {
-      cand = std::min(cand, bound);
-      continue;
-    }
-
-    // Sources ready now: would do_issue attempt (and possibly mutate)?
-    switch (e.op.cls) {
-      case isa::InstClass::kSerializing:
-        // Issues only from the ROB head; becoming head takes an older
-        // commit, which is itself a vetoed event.
-        if (rob_.front().op.seq == e.op.seq) return now;
-        continue;
-      case isa::InstClass::kLoad: {
-        const Cycle block = load_block_bound(e, now);
-        if (block == now) return now;
-        if (block != kNever) cand = std::min(cand, block);
-        continue;
-      }
-      case isa::InstClass::kStore: {
-        // Blocked only by an older in-flight serializing instruction,
-        // whose retirement is a covered commit event.
-        bool fenced = false;
-        for (const RobEntry& other : rob_) {
-          if (other.op.seq >= e.op.seq) break;
-          if (other.op.is_serializing()) {
-            fenced = true;
-            break;
-          }
-        }
-        if (fenced) continue;
-        return now;
-      }
-      default:
-        return now;  // would attempt a functional unit
-    }
+    if (cand == now) return now;
   }
 
   // Dispatch stage: while the fetch queue is non-empty it either acts or
@@ -259,6 +301,7 @@ Cycle OooCore::next_event(Cycle now) const {
 
 void OooCore::skip_cycles(Cycle from, Cycle to) {
   assert(to > from);
+  promote(to);  // as the window's last tick would have left ready_
   const Cycle w = to - from;
   stats_.cycles += w;
   stats_.rob_occupancy_accum += static_cast<std::uint64_t>(rob_.size()) * w;
@@ -324,6 +367,7 @@ void OooCore::do_commit(Cycle now) {
       }
       --sq_count_;
       ++stats_.stores;
+      stores_.pop_front();
       committed_store_words_.push_back(head.op.mem_addr & ~Addr{7});
       if (committed_store_words_.size() > 16) {
         committed_store_words_.pop_front();
@@ -341,6 +385,7 @@ void OooCore::do_commit(Cycle now) {
         break;
       case isa::InstClass::kSerializing:
         ++stats_.serializing;
+        fences_.pop_front();
         // Trap/barrier drains the front end after it retires.
         fetch_resume_at_ =
             std::max(fetch_resume_at_, now + config_.serialize_fetch_penalty);
@@ -355,7 +400,6 @@ void OooCore::do_commit(Cycle now) {
                      .thread = 0, .core = id_, .seq = head.op.seq,
                      .addr = head.op.mem_addr, .value = 0});
     }
-    completion_.erase(head.op.seq);
     rob_.pop_front();
     ++stats_.committed;
   }
@@ -364,25 +408,18 @@ void OooCore::do_commit(Cycle now) {
 bool OooCore::lsq_load_can_issue(const RobEntry& e, Cycle now,
                                  bool* forwarded) const {
   *forwarded = false;
-  const Addr word = word_of(e.op.mem_addr);
-  // Youngest older store to the same word decides: not-yet-executed blocks
-  // the load; an executed one forwards. Memory ops never pass an in-flight
-  // serializing instruction (fence semantics).
-  const RobEntry* match = nullptr;
-  for (const RobEntry& other : rob_) {
-    if (other.op.seq >= e.op.seq) break;
-    if (other.op.is_serializing()) return false;
-    if (other.op.is_store() && word_of(other.op.mem_addr) == word) {
-      match = &other;
-    }
-  }
-  if (match) {
-    if (!match->issued || match->complete_at > now) return false;
+  // Memory ops never pass an in-flight serializing instruction (fence
+  // semantics). The youngest older store to the same word decides: not yet
+  // executed blocks the load; an executed one forwards.
+  if (fenced(e.op.seq)) return false;
+  if (const RobEntry* store = in_flight(e.fwd_store)) {
+    if (!store->issued || store->complete_at > now) return false;
     *forwarded = true;
     return true;
   }
   // No in-ROB producer: the word may still live in the post-commit store
   // buffer on its way to the cache.
+  const Addr word = word_of(e.op.mem_addr);
   for (const Addr w : committed_store_words_) {
     if (w == word) {
       *forwarded = true;
@@ -393,92 +430,101 @@ bool OooCore::lsq_load_can_issue(const RobEntry& e, Cycle now,
 }
 
 void OooCore::do_issue(Cycle now) {
+  promote(now);
   std::uint32_t issued = 0;
-  std::uint32_t examined = 0;
-  for (RobEntry& e : rob_) {
-    if (issued >= config_.issue_width) break;
-    if (!e.in_iq) continue;
-    // Only entries inside the issue-queue window are candidates.
-    if (++examined > config_.iq_entries) break;
-
-    if (!src_ready(e.op.src[0], now, nullptr) ||
-        !src_ready(e.op.src[1], now, nullptr)) {
-      continue;
-    }
-
-    Cycle complete_at = kNever;
-    switch (e.op.cls) {
-      case isa::InstClass::kSerializing: {
-        // Issues only from the ROB head, after everything older retired.
-        if (rob_.front().op.seq != e.op.seq) continue;
-        complete_at = now + 1;
-        break;
-      }
-      case isa::InstClass::kLoad: {
-        bool forwarded = false;
-        if (!lsq_load_can_issue(e, now, &forwarded)) continue;
-        Cycle port_done = 0;
-        if (!try_fu(fu_mem_, now, &port_done)) continue;
-        // Address translation precedes the cache access; a D-TLB miss
-        // inserts the page-walk latency.
-        Cycle start = now;
-        if (!dtlb_.access(e.op.mem_addr)) {
-          start += config_.tlb_walk_latency;
-          ++stats_.dtlb_misses;
-        }
-        dtlb_.avf_update(now);
-        if (forwarded) {
-          complete_at = start + config_.store_forward_latency;
-        } else {
-          complete_at = memory_->load(id_, e.op.mem_addr, start).done;
-        }
-        complete_at += config_.extra_load_latency;
-        break;
-      }
-      case isa::InstClass::kStore: {
-        // Execution = address generation + data capture; the memory write
-        // happens at commit through the CommitEnv.
-        bool blocked = false;
-        for (const RobEntry& other : rob_) {
-          if (other.op.seq >= e.op.seq) break;
-          if (other.op.is_serializing()) {
-            blocked = true;
-            break;
-          }
-        }
-        if (blocked) continue;
-        Cycle port_done = 0;
-        if (!try_fu(fu_mem_, now, &port_done)) continue;
-        complete_at = now + 1;
-        if (!dtlb_.access(e.op.mem_addr)) {
-          complete_at += config_.tlb_walk_latency;
-          ++stats_.dtlb_misses;
-        }
-        dtlb_.avf_update(now);
-        break;
-      }
-      default: {
-        FuPool* pool = pool_for(e.op.cls);
-        assert(pool != nullptr);
-        if (!try_fu(*pool, now, &complete_at)) continue;
-        break;
-      }
-    }
-
-    e.in_iq = false;
-    e.issued = true;
-    e.complete_at = complete_at;
-    completion_[e.op.seq] = complete_at;
-    --iq_count_;
-    ++issued;
-
-    // A resolving mispredicted branch un-blocks the front end.
-    if (e.op.is_branch() && fetch_blocked_on_ == e.op.seq) {
-      fetch_blocked_on_ = kNoSeq;
-      fetch_resume_at_ =
-          std::max(fetch_resume_at_, complete_at + config_.mispredict_penalty);
+  std::uint32_t full_pools = 0;  // bit per FuKind found busy this cycle
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i < ready_.size() && issued < config_.issue_width; ++i) {
+    RobEntry* e = in_flight(ready_[i]);
+    if (!e || !e->in_iq) continue;  // only after a corrupt restore: drop
+    if (try_issue(*e, now, &full_pools)) {
+      ++issued;
+      wake_waiters(*e);
+    } else {
+      ready_[kept++] = ready_[i];
     }
   }
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(kept),
+               ready_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+bool OooCore::try_issue(RobEntry& e, Cycle now, std::uint32_t* full_pools) {
+  // A pool found busy stays busy for the rest of the cycle.
+  const FuKind kind = pool_for(e.op.cls);
+  const std::uint32_t pool_bit = 1u << kind;
+  if (*full_pools & pool_bit) return false;
+  const auto reserve = [&](Cycle* complete_at) {
+    if (try_fu(fu_[kind], now, complete_at)) return true;
+    *full_pools |= pool_bit;
+    return false;
+  };
+
+  Cycle complete_at = kNever;
+  switch (e.op.cls) {
+    case isa::InstClass::kSerializing: {
+      // Issues only from the ROB head, after everything older retired.
+      if (rob_.front().op.seq != e.op.seq) return false;
+      complete_at = now + 1;
+      break;
+    }
+    case isa::InstClass::kLoad: {
+      bool forwarded = false;
+      if (!lsq_load_can_issue(e, now, &forwarded)) return false;
+      Cycle port_done = 0;
+      if (!reserve(&port_done)) return false;
+      // Address translation precedes the cache access; a D-TLB miss
+      // inserts the page-walk latency.
+      Cycle start = now;
+      if (!dtlb_.access(e.op.mem_addr)) {
+        start += config_.tlb_walk_latency;
+        ++stats_.dtlb_misses;
+      }
+      dtlb_.avf_update(now);
+      if (forwarded) {
+        complete_at = start + config_.store_forward_latency;
+      } else {
+        complete_at = memory_->load(id_, e.op.mem_addr, start).done;
+      }
+      complete_at += config_.extra_load_latency;
+      break;
+    }
+    case isa::InstClass::kStore: {
+      // Execution = address generation + data capture; the memory write
+      // happens at commit through the CommitEnv.
+      if (fenced(e.op.seq)) return false;
+      Cycle port_done = 0;
+      if (!reserve(&port_done)) return false;
+      complete_at = now + 1;
+      if (!dtlb_.access(e.op.mem_addr)) {
+        complete_at += config_.tlb_walk_latency;
+        ++stats_.dtlb_misses;
+      }
+      dtlb_.avf_update(now);
+      break;
+    }
+    default: {
+      if (kind == kFuNone) {
+        complete_at = now + 1;  // kHalt (or a corrupt class): no unit
+      } else if (!reserve(&complete_at)) {
+        return false;
+      }
+      break;
+    }
+  }
+
+  e.in_iq = false;
+  e.issued = true;
+  e.complete_at = complete_at;
+  --iq_count_;
+
+  // A resolving mispredicted branch un-blocks the front end.
+  if (e.op.is_branch() && fetch_blocked_on_ == e.op.seq) {
+    fetch_blocked_on_ = kNoSeq;
+    fetch_resume_at_ =
+        std::max(fetch_resume_at_, complete_at + config_.mispredict_penalty);
+  }
+  return true;
 }
 
 void OooCore::do_dispatch(Cycle now) {
@@ -509,7 +555,7 @@ void OooCore::do_dispatch(Cycle now) {
                          ? op.mispredict_hint
                          : false;
     rob_.push_back(e);
-    completion_[op.seq] = kNever;
+    track(rob_.back());
     ++iq_count_;
     if (op.is_load()) ++lq_count_;
     if (op.is_store()) ++sq_count_;

@@ -5,6 +5,16 @@
 // with store-to-load forwarding, functional-unit pools, gshare branch
 // prediction, and serializing-instruction drain semantics.
 //
+// The issue stage is wakeup-driven and does no per-cycle ROB walks. The
+// ROB is a ring whose sequence numbers are contiguous, so a producer's
+// completion is one indexed lookup (in_flight). An instruction waiting on
+// an unissued producer is parked on it and woken when it issues; one whose
+// producers have all issued waits on a timer for the cycle its sources are
+// ready; only instructions whose sources are ready are tried, oldest
+// first. Each load resolves its forwarding store once at dispatch, and the
+// in-flight serializing instructions form a FIFO, so the LSQ and fence
+// checks are O(1).
+//
 // The model is trace/stream-driven: it consumes retired-order DynOps, so
 // wrong-path work is modelled as fetch bubbles (the front end stalls from
 // the fetch of a mispredicted branch until it resolves plus the refill
@@ -17,10 +27,14 @@
 // committed-but-unverified instructions (Reunion CHECK-stage pressure).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -180,6 +194,14 @@ class OooCore {
     return static_cast<std::uint32_t>(rob_.size());
   }
 
+  /// When in-flight instruction `seq` completes: ~Cycle{0} while it waits
+  /// to issue, or when it is not in the ROB (committed, not yet
+  /// dispatched, or flushed). Pipeline introspection for tests.
+  Cycle completion_at(SeqNum seq) const {
+    const RobEntry* e = in_flight(seq);
+    return e ? e->complete_at : kNever;
+  }
+
   /// Attaches an event-trace gate. The core emits kFetch and kCommit
   /// records through it; a gate with no sink costs one branch per event
   /// site, so leaving this attached permanently is free.
@@ -204,15 +226,61 @@ class OooCore {
   GsharePredictor& predictor() { return bpred_; }
 
   /// Checkpoint walk: the complete per-core mutable state — fetch queue,
-  /// ROB, in-flight producer completions, predictor, TLBs, FU reservations,
-  /// front-end cursor (including the stream's own state), LSQ occupancy,
-  /// the committed-store forwarding window, and statistics. Loading
-  /// requires a core constructed with the same id, config and stream
-  /// identity. Observability attachments are not part of the state.
+  /// ROB (followed by its derived completion pairs), predictor, TLBs, FU
+  /// reservations, front-end cursor (including the stream's own state),
+  /// LSQ occupancy, the committed-store forwarding window, and statistics.
+  /// Loading requires a core constructed with the same id, config and
+  /// stream identity, and rebuilds the derived issue, store and fence
+  /// structures from the loaded ROB. Observability attachments are not
+  /// part of the state.
   void visit(ckpt::Archive& ar);
 
  private:
   static constexpr Cycle kNever = ~Cycle{0};
+
+  /// A FIFO over power-of-two storage of fixed capacity.
+  template <typename T>
+  class Ring {
+   public:
+    explicit Ring(std::size_t min_capacity)
+        : slots_(std::bit_ceil(std::max<std::size_t>(min_capacity, 1))),
+          mask_(slots_.size() - 1) {}
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t capacity() const { return slots_.size(); }
+    /// The i-th oldest element; i < size().
+    T& operator[](std::size_t i) { return slots_[(head_ + i) & mask_]; }
+    const T& operator[](std::size_t i) const {
+      return slots_[(head_ + i) & mask_];
+    }
+    T& front() { return (*this)[0]; }
+    const T& front() const { return (*this)[0]; }
+    T& back() { return (*this)[size_ - 1]; }
+    void push_back(const T& v) {
+      assert(size_ < slots_.size());
+      slots_[(head_ + size_++) & mask_] = v;
+    }
+    void pop_front() {
+      assert(size_ > 0);
+      head_ = (head_ + 1) & mask_;
+      --size_;
+    }
+    void clear() { head_ = size_ = 0; }
+    /// Makes the ring hold `n` <= capacity() elements, oldest in slot 0,
+    /// for the caller to overwrite.
+    void resize(std::size_t n) {
+      assert(n <= slots_.size());
+      head_ = 0;
+      size_ = n;
+    }
+
+   private:
+    std::vector<T> slots_;
+    std::size_t mask_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
 
   struct RobEntry {
     workload::DynOp op;
@@ -220,6 +288,33 @@ class OooCore {
     bool issued = false;
     Cycle complete_at = kNever;
     bool mispredicted = false;  // resolved at dispatch (hint or predictor)
+
+    // Derived (set at dispatch and issue, rebuilt on load), not walked:
+    /// Loads: the youngest older store to the same word at dispatch.
+    SeqNum fwd_store = kNoSeq;
+    /// Entries parked on this unissued one, linked through next_waiter.
+    SeqNum waiters = kNoSeq;
+    SeqNum next_waiter = kNoSeq;
+  };
+
+  /// An issue-queue entry whose producers have all issued, keyed by the
+  /// cycle its sources are ready. A producer's complete_at never changes
+  /// after issue, so the key is exact.
+  struct Timer {
+    Cycle ready;
+    SeqNum seq;
+    bool operator>(const Timer& o) const { return ready > o.ready; }
+  };
+
+  /// One in-flight store: its seq and the word it writes.
+  struct StoreRef {
+    SeqNum seq = kNoSeq;
+    Addr word = 0;
+  };
+
+  enum FuKind : std::uint8_t {
+    kFuIntAlu, kFuIntMul, kFuIntDiv, kFuFpAlu, kFuFpMul, kFuFpDiv, kFuMem,
+    kFuNone,
   };
 
   struct FuPool {
@@ -229,22 +324,55 @@ class OooCore {
 
   void do_commit(Cycle now);
   void do_issue(Cycle now);
+  /// Issues `e`, whose sources are ready, at `now` if the LSQ/fence rules
+  /// and a unit allow; `full_pools` collects the pools found busy this
+  /// cycle.
+  bool try_issue(RobEntry& e, Cycle now, std::uint32_t* full_pools);
+  /// next_event's view of an entry whose sources are ready: `now` =
+  /// do_issue would attempt it (veto), kNever = it waits on an event
+  /// next_event already covers, otherwise the cycle its blocker clears.
+  Cycle issue_bound(const RobEntry& e, Cycle now) const;
   void do_dispatch(Cycle now);
   void do_fetch(Cycle now);
 
-  bool src_ready(SeqNum src, Cycle now, Cycle* ready_at) const;
-  FuPool* pool_for(isa::InstClass cls);
-  /// Earliest cycle >= now a unit in `pool` is free; kNever if none this
-  /// cycle. On success reserves the unit and returns completion time.
+  /// The ROB entry holding `seq`, or nullptr when `seq` is not in flight.
+  /// The one seq -> entry lookup: bounds- and tag-checked, so a corrupt
+  /// checkpoint cannot index outside the ring.
+  const RobEntry* in_flight(SeqNum seq) const {
+    if (rob_.empty()) return nullptr;
+    const SeqNum offset = seq - rob_.front().op.seq;
+    if (offset >= rob_.size()) return nullptr;
+    const RobEntry& e = rob_[offset];
+    return e.op.seq == seq ? &e : nullptr;
+  }
+  RobEntry* in_flight(SeqNum seq) {
+    return const_cast<RobEntry*>(std::as_const(*this).in_flight(seq));
+  }
+
+  /// Adds a dispatched entry to the derived structures.
+  void track(RobEntry& e);
+  /// Rebuilds the issue structures, store list and fence FIFO from the
+  /// ROB.
+  void rebuild_derived();
+
+  /// Files waiting entry `e` by its sources: parked on an unissued
+  /// producer, or timed for the cycle its sources are ready.
+  void wait_for_sources(RobEntry& e);
+  /// Re-files the entries parked on `producer`, which just issued.
+  void wake_waiters(RobEntry& producer);
+  /// Moves the timed entries ready by `cycle` to ready_.
+  void promote(Cycle cycle);
+  /// True when a serializing instruction older than `seq` is in flight.
+  bool fenced(SeqNum seq) const {
+    return !fences_.empty() && fences_.front() < seq;
+  }
+
+  static FuKind pool_for(isa::InstClass cls);
+  /// Reserves a free unit of `pool` at `now` and sets *complete_at;
+  /// false when every unit is busy.
   bool try_fu(FuPool& pool, Cycle now, Cycle* complete_at);
 
   bool lsq_load_can_issue(const RobEntry& e, Cycle now, bool* forwarded) const;
-
-  /// Fast-forward helper for a load whose sources are ready: `now` = the
-  /// load could attempt issue this cycle (veto), kNever = its blocker
-  /// clears only via an event next_event already covers, otherwise the
-  /// cycle the blocking older store completes.
-  Cycle load_block_bound(const RobEntry& e, Cycle now) const;
 
   CoreId id_;
   CoreConfig config_;
@@ -253,17 +381,23 @@ class OooCore {
   CommitEnv* env_;
   CommitEnv default_env_;
 
-  std::deque<workload::DynOp> fetch_queue_;
-  std::deque<RobEntry> rob_;
-  std::unordered_map<SeqNum, Cycle> completion_;  // in-flight producers
+  Ring<workload::DynOp> fetch_queue_;
+  /// Contiguous seqs [front().op.seq, front().op.seq + size()).
+  Ring<RobEntry> rob_;
+
+  // Derived from the ROB (rebuilt on load, cleared on flush). Every
+  // waiting entry is in exactly one place: parked on a producer, in
+  // timers_, or in ready_.
+  std::vector<SeqNum> ready_;  ///< sources ready, oldest first
+  std::vector<Timer> timers_;  ///< min-heap on Timer::ready
+  Ring<StoreRef> stores_;      ///< in-flight stores, oldest first
+  Ring<SeqNum> fences_;        ///< in-flight serializing, oldest first
 
   GsharePredictor bpred_;
   mem::Tlb itlb_;
   mem::Tlb dtlb_;
 
-  FuPool fu_int_alu_, fu_int_mul_, fu_int_div_;
-  FuPool fu_fp_alu_, fu_fp_mul_, fu_fp_div_;
-  FuPool fu_mem_;
+  std::array<FuPool, kFuNone> fu_;
 
   // Front-end state.
   bool stream_done_ = false;

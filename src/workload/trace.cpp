@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace unsync::workload {
 
@@ -77,6 +78,21 @@ std::vector<DynOp> load_trace(const std::string& path) {
     DiskOp d{};
     in.read(reinterpret_cast<char*>(&d), sizeof d);
     if (!in) throw std::runtime_error("truncated trace file: " + path);
+    // The core model indexes its ROB by seq and reads each source's
+    // producer there, so a record's seq is its index and its sources
+    // precede it.
+    if (d.seq != i) {
+      throw std::runtime_error("trace record " + std::to_string(i) +
+                               " has seq " + std::to_string(d.seq) +
+                               " in " + path);
+    }
+    for (const std::uint64_t src : {d.src0, d.src1}) {
+      if (src != kNoSeq && src >= d.seq) {
+        throw std::runtime_error("trace record " + std::to_string(i) +
+                                 " reads source " + std::to_string(src) +
+                                 ", which is not older, in " + path);
+      }
+    }
     DynOp op;
     op.seq = d.seq;
     op.pc = d.pc;

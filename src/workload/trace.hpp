@@ -25,7 +25,8 @@ std::vector<DynOp> record_trace(const isa::Program& program,
 void save_trace(const std::string& path, const std::vector<DynOp>& ops);
 
 /// Loads a trace written by save_trace. Throws std::runtime_error on I/O
-/// failure, bad magic, or version mismatch.
+/// failure, bad magic, version mismatch, truncation, a record whose seq is
+/// not its index, or a source that is not older than its record.
 std::vector<DynOp> load_trace(const std::string& path);
 
 /// Replays a recorded trace. Clones share the immutable trace storage and

@@ -74,6 +74,25 @@ TEST(Crc32, SeedChainsIncrementally) {
   EXPECT_EQ(whole, part);
 }
 
+TEST(Crc32, EightByteStepsMatchTheByteLoop) {
+  // Every length 0..63 at every start offset 0..7: the eight-byte steps
+  // and the tail loop agree with folding in one byte at a time.
+  std::string data(72, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 37 + 11);
+  }
+  for (std::size_t at = 0; at < 8; ++at) {
+    for (std::size_t len = 0; len < 64; ++len) {
+      const std::string_view span(data.data() + at, len);
+      std::uint32_t bytewise = 0;
+      for (const char c : span) {
+        bytewise = ckpt::crc32(std::string_view(&c, 1), bytewise);
+      }
+      EXPECT_EQ(ckpt::crc32(span), bytewise) << at << "+" << len;
+    }
+  }
+}
+
 TEST(Serializer, ScalarsRoundTrip) {
   ckpt::Serializer s;
   s.u8(0xAB);
@@ -672,6 +691,70 @@ TEST_P(CkptFuzz, OversizedElementCountThrowsInsteadOfAllocating) {
     EXPECT_THROW(sys->load_checkpoint_bytes(ckpt::wrap_container(patched)),
                  ckpt::CkptError)
         << "count " << count;
+  }
+}
+
+TEST_P(CkptFuzz, CorruptRobSeqsNeverReachOutOfBoundsEntries) {
+  // A CRC-valid checkpoint whose first core's ROB seqs and completion
+  // pairs were patched: the core looks every seq up through one bounds-
+  // and tag-checked index, so the restore either throws CkptError or runs
+  // on without touching memory outside the ROB.
+  const std::string payload = ckpt::unwrap_container(snapshot());
+  const auto u64_at = [](const std::string& b, std::size_t at) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      v |= std::uint64_t{static_cast<std::uint8_t>(b[at + i])} << (8 * i);
+    }
+    return v;
+  };
+  const auto put_u64 = [](std::string& b, std::size_t at, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      b[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+  };
+  // CPU0 layout: tag, length, u32 core id, the CSTA chunk, two u64s, the
+  // fetch queue (count + 45-byte ops), the ROB (count + 56-byte entries:
+  // op, in_iq, issued, complete_at, mispredicted), then the completion
+  // pairs (count + 16-byte pairs).
+  constexpr std::size_t kOpBytes = 45;
+  constexpr std::size_t kEntryBytes = kOpBytes + 11;
+  const std::size_t cpu = payload.find("CPU0");
+  ASSERT_NE(cpu, std::string::npos);
+  const std::size_t csta = cpu + 4 + 8 + 4;
+  ASSERT_EQ(payload.compare(csta, 4, "CSTA"), 0);
+  const std::size_t fetch = csta + 4 + 8 + u64_at(payload, csta + 4) + 16;
+  const std::size_t rob = fetch + 8 + u64_at(payload, fetch) * kOpBytes;
+  const std::uint64_t rob_count = u64_at(payload, rob);
+  ASSERT_GE(rob_count, 3u) << "snapshot should hold a busy ROB";
+  const auto entry_seq = [&](std::uint64_t k) {
+    return rob + 8 + k * kEntryBytes;
+  };
+  const std::size_t pairs = rob + 8 + rob_count * kEntryBytes;
+  ASSERT_EQ(u64_at(payload, pairs), rob_count);
+  ASSERT_EQ(u64_at(payload, pairs + 8), u64_at(payload, entry_seq(0)));
+  const auto pair_at = [&](std::uint64_t k) { return pairs + 8 + k * 16; };
+
+  const std::uint64_t head = u64_at(payload, entry_seq(0));
+  const std::uint64_t mid = rob_count / 2;
+  struct Patch {
+    std::uint64_t entry;
+    std::uint64_t seq;
+  };
+  for (const Patch& patch :
+       {Patch{0, head + 1000}, Patch{0, ~std::uint64_t{0} - 1},
+        Patch{mid, head}, Patch{mid, head + rob_count + 5},
+        Patch{rob_count - 1, kNoSeq}}) {
+    std::string patched = payload;
+    put_u64(patched, entry_seq(patch.entry), patch.seq);
+    put_u64(patched, pair_at(patch.entry), patch.seq ^ 1);  // the pair's seq
+    put_u64(patched, pair_at(mid) + 8, 0);  // a completion cycle
+    auto sys = make();
+    try {
+      sys->load_checkpoint_bytes(ckpt::wrap_container(patched));
+      sys->run(400 + 2000);
+    } catch (const ckpt::CkptError&) {
+      // Rejecting the corrupt state is the other accepted outcome.
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "ckpt/archive.hpp"
 #include "workload/trace.hpp"
 
 namespace unsync::cpu {
@@ -443,6 +446,245 @@ TEST(OooCoreFrontend, DtlbFriendlyAccessesMissRarely) {
   Rig rig(std::move(ops), cfg);
   rig.run();
   EXPECT_LE(rig.core.stats().dtlb_misses, 1u);
+}
+
+// ---- Directed issue timelines ------------------------------------------------
+//
+// Each case pins, for every instruction, the cycle it issued, the cycle it
+// completes and the cycle it committed. The values were recorded from the
+// model before the issue stage became wakeup-driven (ROB ring, dispatch-time
+// store matching, fence FIFO); any drift means the issue rules moved.
+
+/// One issue event: {seq, issue cycle, completion cycle}.
+using Issue = std::array<std::uint64_t, 3>;
+/// One commit event: {seq, commit cycle}.
+using Commit = std::array<std::uint64_t, 2>;
+
+class CommitProbe : public CommitEnv {
+ public:
+  void on_commit(CoreId, const workload::DynOp& op, Cycle now) override {
+    commits.push_back({op.seq, now});
+  }
+  std::vector<Commit> commits;
+};
+
+/// Ticks a back-end rig and logs every issue (an instruction whose
+/// completion_at() turns from kNever to a cycle) and every commit.
+struct Timeline {
+  explicit Timeline(std::vector<DynOp> ops)
+      : n(ops.size()),
+        last(ops.size(), kNeverCycle),
+        rig(std::move(ops), Rig::no_frontend(), &probe) {}
+
+  static constexpr Cycle kNeverCycle = ~Cycle{0};
+
+  void tick() {
+    rig.core.tick(now);
+    poll();
+    ++now;
+  }
+  void run_until(Cycle to) {
+    while (now < to && !rig.core.done()) tick();
+  }
+  void finish() { run_until(100000); }
+
+  /// Logs issues since the last poll; also resets the log state of
+  /// instructions a flush removed.
+  void poll() {
+    for (SeqNum s = 0; s < n; ++s) {
+      const Cycle c = rig.core.completion_at(s);
+      if (c != kNeverCycle && last[s] == kNeverCycle) {
+        issues.push_back({s, now, c});
+      }
+      last[s] = c;
+    }
+  }
+
+  std::uint64_t n;
+  std::vector<Cycle> last;
+  CommitProbe probe;
+  Rig rig;
+  Cycle now = 0;
+  std::vector<Issue> issues;
+};
+
+DynOp div_op(SeqNum seq, SeqNum src0 = kNoSeq) {
+  DynOp op = alu_op(seq, src0);
+  op.cls = isa::InstClass::kIntDiv;
+  return op;
+}
+
+TEST(OooCoreTimeline, LoadBehindUnissuedSameWordStoreThenForwards) {
+  // The store's data waits on a 20-cycle divide: the load may not issue
+  // before the store does, and then forwards from the store queue.
+  Timeline t({div_op(0), store_op(1, 0x300000, 0), load_op(2, 0x300000),
+              alu_op(3, 2)});
+  t.finish();
+  EXPECT_EQ(t.issues,
+            (std::vector<Issue>{{0, 2, 22}, {1, 22, 53}, {2, 53, 54},
+                                {3, 54, 55}}));
+  EXPECT_EQ(t.probe.commits,
+            (std::vector<Commit>{{0, 22}, {1, 53}, {2, 54}, {3, 55}}));
+}
+
+TEST(OooCoreTimeline, LoadForwardsFromIssuedStoreInRob) {
+  // A cold load at the head keeps the store in the ROB long after it
+  // executed; the load, held back by its address source, forwards from it.
+  Timeline t({load_op(0, 0x900000), store_op(1, 0x300040), div_op(2),
+              div_op(3, 2), load_op(4, 0x300040, 3), alu_op(5, 4)});
+  t.finish();
+  EXPECT_EQ(t.issues,
+            (std::vector<Issue>{{0, 2, 458}, {1, 2, 33}, {2, 2, 22},
+                                {3, 22, 42}, {4, 42, 43}, {5, 43, 44}}));
+  EXPECT_EQ(t.probe.commits,
+            (std::vector<Commit>{{0, 458}, {1, 458}, {2, 458}, {3, 458},
+                                 {4, 459}, {5, 459}}));
+}
+
+TEST(OooCoreTimeline, YoungestOlderSameWordStoreDecides) {
+  // Two in-flight stores to one word: the older one issues and commits
+  // while the younger still waits on a divide chain. The load must wait
+  // for the younger store, although the older one's word already sits in
+  // the post-commit window.
+  Timeline t({store_op(0, 0x300080), div_op(1), div_op(2, 1),
+              store_op(3, 0x300080, 2), load_op(4, 0x300080), alu_op(5, 4)});
+  t.finish();
+  EXPECT_EQ(t.issues,
+            (std::vector<Issue>{{0, 2, 33}, {1, 2, 22}, {2, 22, 42},
+                                {3, 42, 43}, {4, 43, 44}, {5, 44, 45}}));
+  EXPECT_EQ(t.probe.commits,
+            (std::vector<Commit>{{0, 33}, {1, 33}, {2, 42}, {3, 43}, {4, 44},
+                                 {5, 45}}));
+}
+
+TEST(OooCoreTimeline, LoadForwardsFromPostCommitStoreWindow) {
+  // The load dispatches while its store is in flight, but its address
+  // comes from a divide chain, so by the time it issues the store has
+  // committed: it forwards from the post-commit window. A second load to
+  // a word no store touched goes to the cache.
+  Timeline t({store_op(0, 0x3000c0), div_op(1), div_op(2, 1),
+              load_op(3, 0x3000c0, 2), load_op(4, 0x3000c8, 2),
+              alu_op(5, 3, 4)});
+  t.finish();
+  EXPECT_EQ(t.issues,
+            (std::vector<Issue>{{0, 2, 33}, {1, 2, 22}, {2, 22, 42},
+                                {3, 42, 43}, {4, 42, 468}, {5, 468, 469}}));
+  EXPECT_EQ(t.probe.commits,
+            (std::vector<Commit>{{0, 33}, {1, 33}, {2, 42}, {3, 43}, {4, 468},
+                                 {5, 469}}));
+}
+
+TEST(OooCoreTimeline, MemoryOpsWaitBehindOlderSerializingOp) {
+  // The serializing op issues only at the ROB head (after the divide
+  // commits); the load and store behind it wait for it to retire, while an
+  // independent ALU op passes it.
+  Timeline t({div_op(0), serial_op(1), load_op(2, 0x300100),
+              store_op(3, 0x300108), alu_op(4), load_op(5, 0x300108)});
+  t.finish();
+  EXPECT_EQ(t.issues,
+            (std::vector<Issue>{{0, 2, 22}, {4, 3, 4}, {1, 22, 23},
+                                {2, 23, 479}, {3, 23, 24}, {5, 24, 25}}));
+  EXPECT_EQ(t.probe.commits,
+            (std::vector<Commit>{{0, 22}, {1, 23}, {2, 479}, {3, 479}, {4, 479},
+                                 {5, 479}}));
+}
+
+std::vector<DynOp> mixed_memory_ops() {
+  // Stores, a fence and loads that match them, in flight together.
+  return {div_op(0),
+          store_op(1, 0x300140, 0),
+          load_op(2, 0x300140),
+          serial_op(3),
+          store_op(4, 0x300148),
+          load_op(5, 0x300148),
+          div_op(6, 5),
+          store_op(7, 0x300140, 6),
+          load_op(8, 0x300140),
+          alu_op(9, 8),
+          store_op(10, 0x300150),
+          load_op(11, 0x300150, 9)};
+}
+
+TEST(OooCoreTimeline, FlushWithInFlightStoresAndFenceRedispatches) {
+  Timeline t(mixed_memory_ops());
+  t.run_until(12);  // stores, the fence and loads in flight
+  ASSERT_GT(t.rig.core.rob_occupancy(), 4u);
+  t.rig.core.flush_pipeline();
+  t.poll();
+  t.finish();
+  EXPECT_EQ(t.rig.core.retired(), 12u);
+  EXPECT_EQ(t.issues,
+            (std::vector<Issue>{{0, 2, 22}, {0, 22, 42}, {1, 42, 73},
+                                {2, 73, 74}, {3, 74, 75}, {4, 75, 76},
+                                {10, 75, 76}, {5, 76, 77}, {6, 77, 97},
+                                {7, 97, 98}, {8, 98, 99}, {9, 99, 100},
+                                {11, 100, 101}}));
+  EXPECT_EQ(t.probe.commits,
+            (std::vector<Commit>{{0, 42}, {1, 73}, {2, 74}, {3, 75}, {4, 76},
+                                 {5, 77}, {6, 97}, {7, 98}, {8, 99}, {9, 100},
+                                 {10, 100}, {11, 101}}));
+}
+
+TEST(OooCoreTimeline, SetPositionWithInFlightStoresAndFenceRedispatches) {
+  Timeline t(mixed_memory_ops());
+  t.run_until(40);
+  ASSERT_GT(t.rig.core.rob_occupancy(), 4u);
+  t.rig.core.set_position(1);  // roll back behind the first store
+  t.poll();
+  t.finish();
+  EXPECT_EQ(t.rig.core.retired(), 12u);
+  EXPECT_EQ(t.issues,
+            (std::vector<Issue>{{0, 2, 22}, {1, 22, 53}, {1, 42, 43},
+                                {2, 43, 44}, {3, 44, 45}, {4, 45, 46},
+                                {10, 45, 46}, {5, 46, 47}, {6, 47, 67},
+                                {7, 67, 68}, {8, 68, 69}, {9, 69, 70},
+                                {11, 70, 71}}));
+  EXPECT_EQ(t.probe.commits,
+            (std::vector<Commit>{{0, 22}, {1, 43}, {2, 44}, {3, 45}, {4, 46},
+                                 {5, 47}, {6, 67}, {7, 68}, {8, 69}, {9, 70},
+                                 {10, 70}, {11, 71}}));
+}
+
+TEST(OooCoreTimeline, SaveLoadMidFlightContinuesIdentically) {
+  // Checkpointed with stores, a fence and waiting loads in flight: the
+  // restored core rebuilds its derived issue state from the ROB and
+  // continues exactly like the original.
+  Timeline a(mixed_memory_ops());
+  a.run_until(12);
+  ASSERT_GT(a.rig.core.rob_occupancy(), 4u);
+  ckpt::Serializer out;
+  {
+    ckpt::Archive ar(out);
+    a.rig.memory.visit(ar);
+    a.rig.core.visit(ar);
+  }
+  Timeline b(mixed_memory_ops());
+  {
+    ckpt::Deserializer in(out.take());
+    ckpt::Archive ar(in);
+    b.rig.memory.visit(ar);
+    b.rig.core.visit(ar);
+    EXPECT_TRUE(in.at_end());
+  }
+  b.now = a.now;
+  b.poll();
+  b.issues.clear();
+  a.issues.clear();
+  a.probe.commits.clear();
+  a.finish();
+  b.finish();
+  EXPECT_EQ(b.issues, a.issues);
+  EXPECT_EQ(b.probe.commits, a.probe.commits);
+  EXPECT_EQ(b.rig.core.stats().cycles, a.rig.core.stats().cycles);
+  EXPECT_EQ(a.issues,
+            (std::vector<Issue>{{1, 22, 53}, {2, 53, 54}, {3, 54, 55},
+                                {4, 55, 56}, {10, 55, 56}, {5, 56, 57},
+                                {6, 57, 77}, {7, 77, 78}, {8, 78, 79},
+                                {9, 79, 80}, {11, 80, 81}}));
+  EXPECT_EQ(a.probe.commits,
+            (std::vector<Commit>{{0, 22}, {1, 53}, {2, 54}, {3, 55}, {4, 56},
+                                 {5, 57}, {6, 77}, {7, 78}, {8, 79}, {9, 80},
+                                 {10, 80}, {11, 81}}));
 }
 
 }  // namespace

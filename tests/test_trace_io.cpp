@@ -89,6 +89,26 @@ TEST(TraceIo, TruncatedFileThrows) {
   std::remove(path.c_str());
 }
 
+TEST(TraceIo, SeqThatIsNotTheRecordIndexThrows) {
+  auto ops = sample_ops();
+  ops[100].seq = 101;
+  const std::string path = temp_path("unsync_trace_seq.utrc");
+  save_trace(path, ops);
+  EXPECT_THROW(load_trace(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, SourceNotOlderThanItsRecordThrows) {
+  for (const SeqNum src : {SeqNum{200}, SeqNum{201}}) {  // itself, younger
+    auto ops = sample_ops();
+    ops[200].src[1] = src;
+    const std::string path = temp_path("unsync_trace_src.utrc");
+    save_trace(path, ops);
+    EXPECT_THROW(load_trace(path), std::runtime_error) << "src " << src;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(TraceIo, LoadedTraceDrivesStream) {
   const auto ops = sample_ops();
   const std::string path = temp_path("unsync_trace_stream.utrc");
