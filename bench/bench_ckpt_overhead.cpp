@@ -7,7 +7,9 @@
 //   2. In-memory container round trip (save_checkpoint_bytes /
 //      load_checkpoint_bytes — the buffer-backed path the prefix-sharing
 //      engine caches and restores from): blob size plus save and restore
-//      latency into a fresh system.
+//      latency into a fresh system, and what one convergence check costs:
+//      state_fingerprint() (FNV-1a) next to the prefix engine's core and
+//      full digests (xxh64).
 //   3. Simulation throughput with periodic snapshots vs. none (a snapshot
 //      is taken from a paused simulation, so the only cost is the
 //      serialization itself).
@@ -24,6 +26,7 @@
 #include "ckpt/serializer.hpp"
 #include "core/factory.hpp"
 #include "core/system.hpp"
+#include "runtime/prefix.hpp"
 
 namespace {
 
@@ -41,6 +44,15 @@ std::unique_ptr<core::System> make(const bench::BenchArgs& a,
   return core::make_system(kind, cfg, s);
 }
 
+/// Mean wall time of `fn` over a few calls, in ms.
+template <typename Fn>
+double mean_ms(Fn&& fn) {
+  constexpr int kReps = 5;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kReps; ++i) fn();
+  return seconds_since(t0) * 1e3 / kReps;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -50,7 +62,7 @@ int main(int argc, char** argv) {
   const core::SystemKind kinds[] = {
       core::SystemKind::kBaseline, core::SystemKind::kUnSync,
       core::SystemKind::kReunion, core::SystemKind::kLockstep,
-      core::SystemKind::kCheckpoint};
+      core::SystemKind::kCheckpoint, core::SystemKind::kHetero};
 
   // 1) Snapshot size + save/load time, taken mid-run.
   TextTable t1("Mid-run snapshot: size and (de)serialization time");
@@ -79,8 +91,11 @@ int main(int argc, char** argv) {
 
   // 2) In-memory container round trip — the prefix engine's hot path: one
   //    save per golden interval, one restore per shared injection job.
-  TextTable t1b("In-memory container: blob size and save/restore latency");
-  t1b.set_header({"system", "blob bytes", "save ms", "restore ms"});
+  TextTable t1b(
+      "In-memory container: blob size, save/restore and convergence-check "
+      "latency");
+  t1b.set_header({"system", "blob bytes", "save ms", "restore ms",
+                  "fingerprint ms", "core digest ms", "full digest ms"});
   for (const auto kind : kinds) {
     auto sys = make(a, kind);
     sys->run(static_cast<Cycle>(a.insts / 2));
@@ -94,9 +109,13 @@ int main(int argc, char** argv) {
     fresh->load_checkpoint_bytes(blob);
     const double restore_s = seconds_since(t0);
 
+    const double fp_ms = mean_ms([&] { (void)sys->state_fingerprint(); });
+    const double core_ms = mean_ms([&] { (void)runtime::core_digest(*sys); });
+    const double full_ms = mean_ms([&] { (void)runtime::full_digest(*sys); });
     t1b.add_row({core::name_of(kind), std::to_string(blob.size()),
                  TextTable::num(save_s * 1e3, 3),
-                 TextTable::num(restore_s * 1e3, 3)});
+                 TextTable::num(restore_s * 1e3, 3), TextTable::num(fp_ms, 3),
+                 TextTable::num(core_ms, 3), TextTable::num(full_ms, 3)});
   }
   t1b.print(std::cout);
 

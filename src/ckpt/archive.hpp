@@ -11,6 +11,10 @@
 //   Fingerprint — Save, minus the spans marked fault_channel(): the RNG
 //                 words and arrival cursors that are the only difference
 //                 between a faulty run and its fault-free golden run.
+//   Core        — Fingerprint, minus the spans marked bulk(): the cache
+//                 and TLB line arrays, nearly all of a system's bytes. The
+//                 prefix engine hashes this small walk first and the full
+//                 Fingerprint walk only when it matches.
 //
 // Because save, load and fingerprint are one walk, they cannot disagree: a
 // field added to visit() is saved, restored and fingerprinted at once. The
@@ -29,19 +33,20 @@
 
 namespace unsync::ckpt {
 
-/// One state walk, run in Save, Load or Fingerprint mode (see above).
+/// One state walk, run in Save, Load, Fingerprint or Core mode (see above).
 class Archive {
  public:
-  enum class Mode : std::uint8_t { kSave, kLoad, kFingerprint };
+  enum class Mode : std::uint8_t { kSave, kLoad, kFingerprint, kCore };
 
   /// Where one numeric scalar landed in the saved bytes (see
   /// record_scalars()).
   struct ScalarSite {
     std::size_t offset = 0;      ///< first byte in the Serializer's data
     bool fault_channel = false;  ///< inside a fault_channel() span
+    bool bulk = false;           ///< inside a bulk() span
   };
 
-  /// A Save (or Fingerprint) walk appending to `out`.
+  /// A Save (or Fingerprint, or Core) walk appending to `out`.
   explicit Archive(Serializer& out, Mode mode = Mode::kSave)
       : out_(&out), mode_(mode) {}
   /// A Load walk consuming `in`.
@@ -119,10 +124,27 @@ class Archive {
       in_->bytes(v.data(), v.size());
       return;
     }
-    for (std::size_t i = 0; sites_ && i < v.size(); ++i) {
-      sites_->push_back({out_->data().size() + i, fault_depth_ > 0});
-    }
+    for (std::size_t i = 0; sites_ && i < v.size(); ++i) note(i);
     out_->bytes(v.data(), v.size());
+  }
+  /// A fixed-length run of records whose size is the instance's geometry
+  /// (cache lines, TLB entries), each walked as the listed fields in
+  /// order: the same wire bytes as one scalar call per field
+  /// (little-endian, a bool as one byte), written and read as one block.
+  template <typename T, typename... F>
+  void records(std::vector<T>& v, F T::*... field) {
+    static_assert(((std::is_same_v<F, bool> || std::is_unsigned_v<F>) && ...));
+    constexpr std::size_t kWidth = (sizeof(F) + ...);
+    if (in_) {
+      const char* p = in_->take(v.size() * kWidth);
+      for (T& r : v) ((p = get_field(p, r.*field)), ...);
+      return;
+    }
+    for (std::size_t at = 0; sites_ && at < v.size() * kWidth;) {
+      ((note(at), at += sizeof(F)), ...);
+    }
+    char* p = out_->extend(v.size() * kWidth);
+    for (const T& r : v) ((p = put_field(p, r.*field)), ...);
   }
   /// The four xoshiro state words.
   void rng(Rng& r) {
@@ -201,24 +223,58 @@ class Archive {
     for (std::uint64_t& v : c) u64(v);
   }
 
-  /// The fault channel: walked by Save and Load, skipped by Fingerprint.
+  /// The fault channel: walked by Save and Load, skipped by Fingerprint
+  /// and Core.
   template <typename Fn>
   void fault_channel(Fn&& fn) {
-    if (mode_ == Mode::kFingerprint) return;
+    if (mode_ == Mode::kFingerprint || mode_ == Mode::kCore) return;
     ++fault_depth_;
     fn();
     --fault_depth_;
   }
 
+  /// A line array: walked by every mode but Core.
+  template <typename Fn>
+  void bulk(Fn&& fn) {
+    if (mode_ == Mode::kCore) return;
+    ++bulk_depth_;
+    fn();
+    --bulk_depth_;
+  }
+
  private:
-  void note() {
-    if (sites_) sites_->push_back({out_->data().size(), fault_depth_ > 0});
+  /// Logs a scalar `ahead` bytes past the end of the written data.
+  void note(std::size_t ahead = 0) {
+    if (sites_) {
+      sites_->push_back(
+          {out_->data().size() + ahead, fault_depth_ > 0, bulk_depth_ > 0});
+    }
+  }
+
+  template <typename T>
+  static char* put_field(char* p, T v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      *p = v ? 1 : 0;
+    } else {
+      store_le(p, v);
+    }
+    return p + sizeof(T);
+  }
+  template <typename T>
+  static const char* get_field(const char* p, T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = *p != 0;
+    } else {
+      v = load_le<T>(p);
+    }
+    return p + sizeof(T);
   }
 
   Serializer* out_ = nullptr;
   Deserializer* in_ = nullptr;
   const Mode mode_;
   unsigned fault_depth_ = 0;
+  unsigned bulk_depth_ = 0;
   std::vector<ScalarSite>* sites_ = nullptr;
 };
 

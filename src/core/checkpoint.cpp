@@ -76,7 +76,7 @@ std::string System::fault_channel_bytes() const {
 }
 
 void System::install_fault_channel(std::string_view bytes) {
-  ckpt::Deserializer d{std::string(bytes)};
+  ckpt::Deserializer d{bytes};
   ckpt::Archive ar(d);
   fault_sources().visit(ar);
   if (!d.at_end()) {

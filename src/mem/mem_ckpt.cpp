@@ -1,6 +1,9 @@
 // Checkpoint walks for the memory layer: buses, MSHR files, caches, TLBs,
 // write buffers and the hierarchy that owns them. One translation unit so
-// the uncore's wire layout is reviewable in a single place.
+// the uncore's wire layout is reviewable in a single place. Cache lines
+// and TLB entries are the bulk of a system's state: they are walked as one
+// block of records, inside a bulk() span the prefix engine's core digest
+// skips.
 #include <algorithm>
 
 #include "ckpt/archive.hpp"
@@ -35,12 +38,9 @@ void MshrFile::visit(ckpt::Archive& ar) {
 void Cache::visit(ckpt::Archive& ar) {
   ar.chunk("CACH", [&] {
     ar.expect(lines_.size(), "cache geometry mismatch");
-    for (Line& l : lines_) {
-      ar.u64(l.tag);
-      ar.b(l.valid);
-      ar.b(l.dirty);
-      ar.u64(l.lru);
-    }
+    ar.bulk([&] {
+      ar.records(lines_, &Line::tag, &Line::valid, &Line::dirty, &Line::lru);
+    });
     if (ar.loading()) {
       valid_count_ = static_cast<std::uint64_t>(std::count_if(
           lines_.begin(), lines_.end(), [](const Line& l) { return l.valid; }));
@@ -56,11 +56,9 @@ void Cache::visit(ckpt::Archive& ar) {
 void Tlb::visit(ckpt::Archive& ar) {
   ar.chunk("TLB0", [&] {
     ar.expect(entries_.size(), "TLB geometry mismatch");
-    for (Entry& e : entries_) {
-      ar.u64(e.vpn);
-      ar.b(e.valid);
-      ar.u64(e.lru);
-    }
+    ar.bulk([&] {
+      ar.records(entries_, &Entry::vpn, &Entry::valid, &Entry::lru);
+    });
     if (ar.loading()) {
       valid_count_ = static_cast<std::uint64_t>(
           std::count_if(entries_.begin(), entries_.end(),

@@ -76,8 +76,16 @@ const GoldenTrace::Snap* latest_safe_snap(const GoldenTrace& golden,
   return nullptr;
 }
 
+/// xxh64 over one `mode` walk of `sys`'s policy state.
+std::uint64_t walk_digest(core::System& sys, ckpt::Archive::Mode mode) {
+  ckpt::Serializer buf;
+  ckpt::Archive ar(buf, mode);
+  sys.visit_policy_state(ar);
+  return ckpt::xxh64(buf.data());
+}
+
 /// Splices a converged (or arrival-free) job's error channel into the
-/// golden run's final result. Exact because the fingerprinted state fully
+/// golden run's final result. Exact because the digested state fully
 /// determines the post-convergence evolution and the error counters can no
 /// longer change once every arrival has fired.
 engine::RunResult splice_result(const GoldenTrace& golden,
@@ -139,11 +147,25 @@ std::optional<PrefixStats> PrefixStats::decode(std::string blob) {
   }
 }
 
-const std::uint64_t* GoldenTrace::fingerprint_at(Cycle boundary) const {
+std::uint64_t core_digest(core::System& sys) {
+  return walk_digest(sys, ckpt::Archive::Mode::kCore);
+}
+
+std::uint64_t full_digest(core::System& sys) {
+  return walk_digest(sys, ckpt::Archive::Mode::kFingerprint);
+}
+
+const StateDigests* GoldenTrace::digests_at(Cycle boundary) const {
   if (interval == 0 || boundary % interval != 0) return nullptr;
   const Cycle k = boundary / interval;
-  if (k == 0 || k > fingerprints.size()) return nullptr;
-  return &fingerprints[static_cast<std::size_t>(k - 1)];
+  if (k == 0 || k > digests.size()) return nullptr;
+  return &digests[static_cast<std::size_t>(k - 1)];
+}
+
+bool GoldenTrace::converged(Cycle boundary, core::System& sys) const {
+  const StateDigests* d = digests_at(boundary);
+  return d != nullptr && d->core == core_digest(sys) &&
+         d->full == full_digest(sys);
 }
 
 FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed) {
@@ -254,8 +276,9 @@ std::vector<std::size_t> PrefixEngine::schedule_order(
   return order;
 }
 
-std::shared_ptr<const GoldenTrace> PrefixEngine::build_golden(
-    const SimJob& job, std::uint64_t seed) const {
+std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
+                                                std::uint64_t seed,
+                                                Cycle interval) {
   const SimJob gjob = golden_job(job);
   const auto stream = make_job_stream(gjob, seed);
   const auto model = core::make_model(
@@ -264,15 +287,15 @@ std::shared_ptr<const GoldenTrace> PrefixEngine::build_golden(
   if (!sys) return nullptr;
 
   auto trace = std::make_shared<GoldenTrace>();
-  trace->interval = options_.interval;
+  trace->interval = interval;
   for (Cycle k = 1;; ++k) {
-    const Cycle boundary = k * options_.interval;
+    const Cycle boundary = k * interval;
     engine::RunResult r = sys->run(boundary);
     if (r.cycles < boundary) {
       trace->final_result = std::move(r);
       break;
     }
-    trace->fingerprints.push_back(sys->state_fingerprint());
+    trace->digests.push_back({core_digest(*sys), full_digest(*sys)});
     GoldenTrace::Snap snap;
     snap.boundary = boundary;
     snap.state = sys->save_checkpoint_bytes();
@@ -310,7 +333,7 @@ void PrefixEngine::insert_golden(const std::string& key,
   const std::size_t budget = options_.cache_mb * std::size_t{1024} * 1024;
   // A single golden larger than the whole budget is thinned before
   // publication (dropping every other checkpoint halves the bytes while
-  // keeping restore coverage; the fingerprint stream is never thinned).
+  // keeping restore coverage; the digest stream is never thinned).
   if (trace && trace->bytes > budget) {
     auto thinned = std::make_shared<GoldenTrace>(*trace);
     while (thinned->bytes > budget && thinned->snaps.size() > 1) {
@@ -369,7 +392,7 @@ std::shared_ptr<const GoldenTrace> PrefixEngine::acquire_golden(
   }
   std::shared_ptr<const GoldenTrace> trace;
   try {
-    trace = build_golden(job, seed);
+    trace = build_golden(job, seed, options_.interval);
   } catch (...) {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = cache_.find(key);
@@ -436,19 +459,18 @@ engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
   sys->install_fault_channel(channel.encoded);
 
   const Cycle last_golden_boundary =
-      static_cast<Cycle>(golden->fingerprints.size()) * options_.interval;
+      static_cast<Cycle>(golden->digests.size()) * options_.interval;
   for (Cycle k = resumed_from / options_.interval + 1;; ++k) {
     const Cycle boundary = k * options_.interval;
     const engine::RunResult r = sys->run(boundary);
     if (r.cycles < boundary) return r;  // finished naturally
     if (boundary > last_golden_boundary) {
-      // Ran past the golden fingerprint stream (recovery pushed the run
+      // Ran past the golden digest stream (recovery pushed the run
       // beyond the golden finish): no splice possible any more.
       return sys->run();
     }
     if (!channel_exhausted(*sys)) continue;
-    const std::uint64_t* gfp = golden->fingerprint_at(boundary);
-    if (gfp != nullptr && *gfp == sys->state_fingerprint()) {
+    if (golden->converged(boundary, *sys)) {
       const std::lock_guard<std::mutex> lock(mu_);
       ++stats_.jobs_spliced;
       stats_.cycles_skipped += golden->final_result.cycles - boundary;

@@ -9,19 +9,21 @@
 //  * For each unique fault-free configuration it simulates the GOLDEN
 //    (ser=0) run once, dropping periodic in-memory checkpoints
 //    (System::save_checkpoint_bytes — the buffer-backed container path, no
-//    temp-file round trip) plus a per-interval architectural-state
-//    fingerprint stream (System::state_fingerprint).
+//    temp-file round trip) plus two per-interval digests of the
+//    architectural state (StateDigests).
 //  * Each injection job computes its fault channel out of band (the same
 //    fault::schedule_arrivals draw sequence construction performs),
 //    restores from the latest golden checkpoint that provably precedes its
 //    first arrival, installs its own channel (System::install_fault_channel),
 //    and runs forward.
 //  * Convergence-based early termination: once a job's arrivals are
-//    exhausted, its per-interval fingerprint is compared against the golden
-//    stream — on match the outcome is provably masked, and the job finishes
-//    immediately with the golden run's remaining counters spliced in,
-//    byte-identical to the full run (a job with an empty schedule converges
-//    at cycle 0 and returns the golden result outright).
+//    exhausted, its per-interval digests are compared against the golden
+//    stream — the small core digest first, the full one only when that
+//    matches. On a match of both the outcome is provably masked, and the
+//    job finishes immediately with the golden run's remaining counters
+//    spliced in, byte-identical to the full run (a job with an empty
+//    schedule converges at cycle 0 and returns the golden result
+//    outright).
 //
 // Golden traces live in a bounded LRU cache shared by all workers of a
 // process. Everything here is an execution strategy, never a result change:
@@ -95,6 +97,20 @@ struct FaultChannel {
   }
 };
 
+/// The prefix engine's convergence digests of a system's state, both
+/// ckpt::xxh64 over a walk of visit_policy_state(): `core` over the Core
+/// walk (no cache or TLB lines, a few percent of the bytes), `full` over
+/// the whole Fingerprint walk — the bytes state_fingerprint() hashes with
+/// FNV-1a. Equal states give equal digests; a splice needs both to match.
+/// They live in memory only (never journaled or written), so unlike
+/// state_fingerprint() their values are not pinned.
+struct StateDigests {
+  std::uint64_t core = 0;
+  std::uint64_t full = 0;
+};
+std::uint64_t core_digest(core::System& sys);
+std::uint64_t full_digest(core::System& sys);
+
 /// The per-interval record of one golden (fault-free) run.
 struct GoldenTrace {
   struct Snap {
@@ -104,19 +120,31 @@ struct GoldenTrace {
   };
 
   Cycle interval = 0;
-  /// Fingerprint at boundary k*interval lives at [k-1]. Never thinned —
-  /// 8 bytes per boundary.
-  std::vector<std::uint64_t> fingerprints;
+  /// Digests at boundary k*interval live at [k-1]. Never thinned — 16
+  /// bytes per boundary.
+  std::vector<StateDigests> digests;
   /// Checkpoints, ascending by boundary; may be thinned under cache
   /// pressure (restores then fall back to an earlier boundary).
   std::vector<Snap> snaps;
   engine::RunResult final_result;
   std::size_t bytes = 0;  ///< total checkpoint-blob bytes
 
-  /// Golden fingerprint at `boundary`, or nullptr when the golden run
-  /// ended before it.
-  const std::uint64_t* fingerprint_at(Cycle boundary) const;
+  /// Golden digests at `boundary`, or nullptr when the golden run ended
+  /// before it.
+  const StateDigests* digests_at(Cycle boundary) const;
+
+  /// The staged compare: true iff `sys`, at `boundary`, matches the golden
+  /// core digest and then the full one (computed only after the core
+  /// digest matched).
+  bool converged(Cycle boundary, core::System& sys) const;
 };
+
+/// Simulates the golden twin of `job` (ser zeroed), recording digests and
+/// a checkpoint at every `interval` boundary. nullptr for a model without
+/// the prefix hooks.
+std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
+                                                std::uint64_t seed,
+                                                Cycle interval);
 
 /// Computes a job's fault channel out of band (see FaultChannel).
 FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed);
@@ -165,8 +193,6 @@ class PrefixEngine {
 
   std::shared_ptr<const GoldenTrace> acquire_golden(const SimJob& job,
                                                     std::uint64_t seed);
-  std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
-                                                  std::uint64_t seed) const;
   void insert_golden(const std::string& key,
                      std::shared_ptr<const GoldenTrace> trace);
   void evict_over_budget_locked(const std::string& keep);

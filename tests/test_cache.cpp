@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/archive.hpp"
+
 namespace unsync::mem {
 namespace {
 
@@ -173,6 +175,52 @@ TEST(Cache, VictimAddressReconstruction) {
   const auto r = c.access_write(0x1200);  // same set as the others
   ASSERT_TRUE(r.dirty_victim.has_value());
   EXPECT_EQ(c.line_addr(*r.dirty_victim) % (4 * 64), 0x1000u % (4 * 64));
+}
+
+// The line array is saved and loaded as one block of 18-byte records: a
+// restored cache holds the same lines, a second save gives the same bytes,
+// and a block cut short throws instead of reading past the end.
+TEST(Cache, CheckpointRoundTripsTheLineBlock) {
+  Cache c(small_cache(WritePolicy::kWriteBack));
+  c.access_write(0x000);
+  c.access_read(0x140);
+  c.access_read(0x2c0);
+  ckpt::Serializer s;
+  {
+    ckpt::Archive ar(s);
+    c.visit(ar);
+  }
+  const std::string bytes = s.take();
+
+  Cache back(small_cache(WritePolicy::kWriteBack));
+  {
+    ckpt::Deserializer d(bytes);
+    ckpt::Archive ar(d);
+    back.visit(ar);
+    EXPECT_TRUE(d.at_end());
+  }
+  EXPECT_EQ(back.lines_valid(), 3u);
+  EXPECT_EQ(back.lines_dirty(), 1u);
+  for (const Addr a : {0x000, 0x140, 0x2c0}) EXPECT_TRUE(back.contains(a)) << a;
+  EXPECT_TRUE(back.line_dirty(0x000));
+  ckpt::Serializer again;
+  {
+    ckpt::Archive ar(again);
+    back.visit(ar);
+  }
+  EXPECT_EQ(again.data(), bytes);
+
+  // CACH tag, chunk length, line count, then 8 lines x 18 bytes.
+  ASSERT_GT(bytes.size(), 4u + 8 + 8 + 8 * 18);
+  std::string cut = bytes.substr(0, 4 + 8 + 8 + 8 * 18 - 1);
+  const std::uint64_t len = cut.size() - 12;
+  for (std::size_t i = 0; i < 8; ++i) {
+    cut[4 + i] = static_cast<char>((len >> (8 * i)) & 0xFF);
+  }
+  Cache victim(small_cache(WritePolicy::kWriteBack));
+  ckpt::Deserializer d(cut);
+  ckpt::Archive ar(d);
+  EXPECT_THROW(victim.visit(ar), ckpt::CkptError);
 }
 
 }  // namespace

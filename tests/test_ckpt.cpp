@@ -21,6 +21,7 @@
 #include "core/system.hpp"
 #include "mem/write_buffer.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/prefix.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
 
@@ -89,6 +90,39 @@ TEST(Crc32, EightByteStepsMatchTheByteLoop) {
         bytewise = ckpt::crc32(std::string_view(&c, 1), bytewise);
       }
       EXPECT_EQ(ckpt::crc32(span), bytewise) << at << "+" << len;
+    }
+  }
+}
+
+TEST(Xxh64, MatchesTheReferenceVectors) {
+  EXPECT_EQ(ckpt::xxh64(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(ckpt::xxh64("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(ckpt::xxh64("abc"), 0x44bc2cf5ad770999ull);
+  // 43 bytes: one 32-byte step of the four lanes, an 8-byte word, then
+  // three tail bytes.
+  EXPECT_EQ(ckpt::xxh64("The quick brown fox jumps over the lazy dog"),
+            0x0b242d361fda71bcull);
+}
+
+TEST(Xxh64, IndependentOfAlignmentAndSensitiveToEveryByte) {
+  // Every length 0..99 at every start offset 0..7: the same bytes hash
+  // alike wherever they sit, and flipping any one of them changes the hash.
+  std::string data(108, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 37 + 11);
+  }
+  for (std::size_t len = 0; len < 100; ++len) {
+    const std::uint64_t want = ckpt::xxh64(std::string_view(data.data(), len));
+    for (std::size_t at = 1; at < 8; ++at) {
+      std::string shifted(at, 'x');
+      shifted.append(data, 0, len);
+      EXPECT_EQ(ckpt::xxh64(std::string_view(shifted).substr(at)), want)
+          << at << "+" << len;
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+      std::string flipped = data.substr(0, len);
+      flipped[i] = static_cast<char>(flipped[i] ^ 0x10);
+      EXPECT_NE(ckpt::xxh64(flipped), want) << "byte " << i << " of " << len;
     }
   }
 }
@@ -253,6 +287,77 @@ TEST(Container, FileRoundTripAndCorruptFileRejection) {
 }
 
 // ---- Component round-trips --------------------------------------------------
+
+// ---- Record blocks ------------------------------------------------------------
+
+struct Rec {
+  std::uint64_t tag = 0;
+  bool valid = false;
+  std::uint64_t lru = 0;
+};
+
+TEST(ArchiveRecords, SameBytesAndSitesAsOneScalarPerField) {
+  std::vector<Rec> recs = {{0x0102030405060708ull, true, 9},
+                           {~std::uint64_t{0}, false, 0},
+                           {42, true, 1ull << 63}};
+  std::vector<ckpt::Archive::ScalarSite> block_sites, scalar_sites;
+  ckpt::Serializer block, scalars;
+  {
+    ckpt::Archive ar(block);
+    ar.record_scalars(&block_sites);
+    ar.bulk([&] { ar.records(recs, &Rec::tag, &Rec::valid, &Rec::lru); });
+  }
+  {
+    ckpt::Archive ar(scalars);
+    ar.record_scalars(&scalar_sites);
+    for (Rec& r : recs) {
+      ar.u64(r.tag);
+      ar.b(r.valid);
+      ar.u64(r.lru);
+    }
+  }
+  EXPECT_EQ(hex(block.data()), hex(scalars.data()));
+  ASSERT_EQ(block_sites.size(), scalar_sites.size());
+  for (std::size_t k = 0; k < block_sites.size(); ++k) {
+    EXPECT_EQ(block_sites[k].offset, scalar_sites[k].offset) << k;
+    EXPECT_TRUE(block_sites[k].bulk) << k;
+    EXPECT_FALSE(scalar_sites[k].bulk) << k;
+  }
+
+  // Load: back into zeroed records; a block one byte short throws.
+  std::vector<Rec> back(recs.size());
+  {
+    ckpt::Deserializer d(block.data());
+    ckpt::Archive ar(d);
+    ar.records(back, &Rec::tag, &Rec::valid, &Rec::lru);
+    EXPECT_TRUE(d.at_end());
+  }
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(back[i].tag, recs[i].tag);
+    EXPECT_EQ(back[i].valid, recs[i].valid);
+    EXPECT_EQ(back[i].lru, recs[i].lru);
+  }
+  ckpt::Deserializer short_block(block.data().substr(1));
+  ckpt::Archive ar(short_block);
+  EXPECT_THROW(ar.records(back, &Rec::tag, &Rec::valid, &Rec::lru),
+               ckpt::CkptError);
+}
+
+TEST(ArchiveRecords, CoreWalksSkipBulkSpansAndFaultChannels) {
+  std::vector<Rec> recs(4);
+  std::uint64_t scalar = 7, channel = 8;
+  const auto walk = [&](ckpt::Archive::Mode mode) {
+    ckpt::Serializer s;
+    ckpt::Archive ar(s, mode);
+    ar.u64(scalar);
+    ar.fault_channel([&] { ar.u64(channel); });
+    ar.bulk([&] { ar.records(recs, &Rec::tag, &Rec::valid, &Rec::lru); });
+    return s.take();
+  };
+  EXPECT_EQ(walk(ckpt::Archive::Mode::kSave).size(), 8u + 8u + 4u * 17u);
+  EXPECT_EQ(walk(ckpt::Archive::Mode::kFingerprint).size(), 8u + 4u * 17u);
+  EXPECT_EQ(walk(ckpt::Archive::Mode::kCore).size(), 8u);
+}
 
 TEST(ComponentCkpt, RngStateRoundTrips) {
   Rng a(12345);
@@ -694,6 +799,51 @@ TEST_P(CkptFuzz, OversizedElementCountThrowsInsteadOfAllocating) {
   }
 }
 
+TEST_P(CkptFuzz, TruncatedCacheLineBlockThrows) {
+  // A CRC-valid checkpoint cut inside the first cache's line block, with
+  // every enclosing chunk (SYS0, the policy chunk, MEMH, CACH) shortened to
+  // end at the cut: every header check passes, so the block read itself
+  // must find the bytes missing.
+  const std::string payload = ckpt::unwrap_container(snapshot());
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      v |= std::uint64_t{static_cast<std::uint8_t>(payload[at + i])}
+           << (8 * i);
+    }
+    return v;
+  };
+  // SYS0 holds the system name, then the policy chunk.
+  ASSERT_EQ(payload.compare(0, 4, "SYS0"), 0);
+  const std::size_t policy = 4 + 8 + 8 + u64_at(12);
+  const std::size_t memh = payload.find("MEMH", policy);
+  const std::size_t cach = payload.find("CACH", memh);
+  ASSERT_NE(cach, std::string::npos);
+  const std::size_t lines = u64_at(cach + 12);
+  const std::size_t block = cach + 4 + 8 + 8;  // tag, length, line count
+  ASSERT_GT(lines, 2u);
+  for (const std::size_t cut :
+       {block, block + 5, block + 18, block + 18 * lines - 1}) {
+    std::string cut_payload = payload.substr(0, cut);
+    for (const std::size_t chunk : {std::size_t{0}, policy, memh, cach}) {
+      const std::uint64_t len = cut - (chunk + 12);
+      for (std::size_t i = 0; i < 8; ++i) {
+        cut_payload[chunk + 4 + i] = static_cast<char>((len >> (8 * i)) & 0xFF);
+      }
+    }
+    auto sys = make();
+    try {
+      sys->load_checkpoint_bytes(ckpt::wrap_container(cut_payload));
+      ADD_FAILURE() << "cut at " << cut << " restored";
+    } catch (const ckpt::CkptError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "need " + std::to_string(18 * lines) + " bytes"),
+                std::string::npos)
+          << "cut at " << cut << ": " << e.what();
+    }
+  }
+}
+
 TEST_P(CkptFuzz, CorruptRobSeqsNeverReachOutOfBoundsEntries) {
   // A CRC-valid checkpoint whose first core's ROB seqs and completion
   // pairs were patched: the core looks every seq up through one bounds-
@@ -767,10 +917,12 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // Perturbs the k-th numeric scalar of a system's visit_policy_state() walk,
 // for every k, and checks that the walk is the single description of the
-// state: the perturbed value changes state_fingerprint() unless it lies in
-// a fault_channel() span (then only the fault channel changes), and it
-// survives save -> load into a freshly built system. A field that a walk
-// reads but then drops, or recomputes from others, fails here.
+// state: the perturbed value changes state_fingerprint() and the prefix
+// engine's full digest unless it lies in a fault_channel() span (then only
+// the fault channel changes), it changes the core digest too unless it lies
+// in a bulk() span, and it survives save -> load into a freshly built
+// system. A field that a walk reads but then drops, or recomputes from
+// others, fails here.
 
 class StateWalkMutation : public ::testing::TestWithParam<core::SystemKind> {
  protected:
@@ -790,6 +942,20 @@ class StateWalkMutation : public ::testing::TestWithParam<core::SystemKind> {
                                      3000);
     return core::make_system(GetParam(), cfg, stream);
   }
+
+  /// Scalars the walk records, one per cache-line and TLB-entry field
+  /// too: the counts from before those arrays became one block each.
+  std::size_t pinned_sites() const {
+    switch (GetParam()) {
+      case core::SystemKind::kBaseline: return 5332;
+      case core::SystemKind::kUnSync: return 10109;
+      case core::SystemKind::kReunion: return 10028;
+      case core::SystemKind::kLockstep: return 9991;
+      case core::SystemKind::kCheckpoint: return 9998;
+      case core::SystemKind::kHetero: return 5382;
+    }
+    return 0;
+  }
 };
 
 TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
@@ -806,7 +972,11 @@ TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
     bytes = s.take();
   }
   ASSERT_GT(sites.size(), 100u);
+  // The block path still exposes every line field to the perturbation.
+  EXPECT_EQ(sites.size(), pinned_sites());
   const std::uint64_t fingerprint = sys->state_fingerprint();
+  const std::uint64_t core = runtime::core_digest(*sys);
+  const std::uint64_t full = runtime::full_digest(*sys);
   const std::string channel = sys->fault_channel_bytes();
 
   auto perturbed = make();  // loaded with each perturbed walk in turn
@@ -820,7 +990,7 @@ TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
     ASSERT_EQ(perturbed->state_fingerprint(), fingerprint);
     ASSERT_EQ(perturbed->fault_channel_bytes(), channel);
   }
-  std::size_t channel_scalars = 0;
+  std::size_t channel_scalars = 0, bulk_scalars = 0;
   for (std::size_t k = 0; k < sites.size(); ++k) {
     std::string mutated = bytes;
     mutated[sites[k].offset] ^= 1;  // lowest bit: scalars are little-endian
@@ -831,14 +1001,28 @@ TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
       ASSERT_TRUE(d.at_end()) << "scalar " << k;
     }
     const std::uint64_t fp = perturbed->state_fingerprint();
+    const std::uint64_t pcore = runtime::core_digest(*perturbed);
+    const std::uint64_t pfull = runtime::full_digest(*perturbed);
     if (sites[k].fault_channel) {
       ++channel_scalars;
       EXPECT_EQ(fp, fingerprint) << "fault-channel scalar " << k;
+      EXPECT_EQ(pfull, full) << "fault-channel scalar " << k;
+      EXPECT_EQ(pcore, core) << "fault-channel scalar " << k;
       EXPECT_NE(perturbed->fault_channel_bytes(), channel) << "scalar " << k;
     } else {
       EXPECT_NE(fp, fingerprint)
           << "scalar " << k << " (byte " << sites[k].offset
           << ") is walked but does not reach the fingerprint";
+      EXPECT_NE(pfull, full)
+          << "scalar " << k << " does not reach the full digest";
+      if (sites[k].bulk) {
+        ++bulk_scalars;
+        EXPECT_EQ(pcore, core) << "bulk scalar " << k;
+      } else {
+        EXPECT_NE(pcore, core)
+            << "scalar " << k << " (byte " << sites[k].offset
+            << ") lies outside the bulk spans but misses the core digest";
+      }
     }
     restored->load_checkpoint_bytes(perturbed->save_checkpoint_bytes());
     EXPECT_EQ(restored->state_fingerprint(), fp) << "scalar " << k;
@@ -846,9 +1030,10 @@ TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
               perturbed->fault_channel_bytes())
         << "scalar " << k;
   }
-  // Only the baseline has no fault channel.
+  // Only the baseline has no fault channel; every system has lines.
   EXPECT_EQ(channel_scalars == 0,
             GetParam() == core::SystemKind::kBaseline);
+  EXPECT_GT(bulk_scalars, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,6 +7,7 @@
 // distributed fabric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/archive.hpp"
 #include "ckpt/serializer.hpp"
 #include "core/factory.hpp"
 #include "runtime/campaign.hpp"
@@ -171,6 +173,100 @@ TEST(PrefixGoldenKey, SharesTrialsAndSerPointsOfATraceCell) {
   p.system = core::SystemKind::kUnSync;
   EXPECT_NE(runtime::golden_job_key(p, 1), runtime::golden_job_key(p, 2));
   EXPECT_EQ(runtime::golden_job_key(p, 1), runtime::golden_job_key(p, 1));
+}
+
+/// A golden-configured system of `job` (ser zeroed), as the engine builds
+/// its golden run and its injection jobs.
+struct GoldenTwin {
+  SimJob job;
+  std::unique_ptr<workload::InstStream> stream;
+  std::unique_ptr<engine::SimModel> model;
+  core::System* sys = nullptr;
+
+  GoldenTwin(SimJob j, std::uint64_t seed) : job(std::move(j)) {
+    job.ser_per_inst = 0.0;
+    stream = runtime::make_job_stream(job, seed);
+    model = core::make_model(job.system, runtime::job_system_config(job, seed),
+                             *stream, job.params);
+    sys = dynamic_cast<core::System*>(model.get());
+  }
+};
+
+TEST(PrefixDigests, GoldenDigestsMatchANaiveTwinAtEveryBoundary) {
+  const auto trace = shared_trace(1500);
+  const Cycle interval = 600;
+  for (const auto kind :
+       {core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+        core::SystemKind::kReunion, core::SystemKind::kLockstep,
+        core::SystemKind::kCheckpoint, core::SystemKind::kHetero}) {
+    SimJob job;
+    job.trace = trace;
+    job.system = kind;
+    job.ser_per_inst = 2e-4;
+    const auto golden = runtime::build_golden(job, 31, interval);
+    ASSERT_NE(golden, nullptr) << name_of(kind);
+    ASSERT_GE(golden->digests.size(), 2u) << name_of(kind);
+
+    GoldenTwin twin(job, 31);
+    ASSERT_NE(twin.sys, nullptr);
+    for (std::size_t k = 0; k < golden->digests.size(); ++k) {
+      const Cycle boundary = (k + 1) * interval;
+      (void)twin.sys->run_naive(boundary);
+      const runtime::StateDigests* d = golden->digests_at(boundary);
+      ASSERT_EQ(d, &golden->digests[k]);
+      EXPECT_EQ(d->core, runtime::core_digest(*twin.sys))
+          << name_of(kind) << " @" << boundary;
+      EXPECT_EQ(d->full, runtime::full_digest(*twin.sys))
+          << name_of(kind) << " @" << boundary;
+      EXPECT_TRUE(golden->converged(boundary, *twin.sys))
+          << name_of(kind) << " @" << boundary;
+    }
+    EXPECT_EQ(golden->digests_at(interval + 1), nullptr);
+    EXPECT_EQ(golden->digests_at(0), nullptr);
+  }
+}
+
+TEST(PrefixDigests, AFlippedCacheTagMatchesTheCoreDigestButIsNotSpliced) {
+  const auto trace = shared_trace(1500);
+  const Cycle interval = 600;
+  SimJob job;
+  job.trace = trace;
+  job.system = core::SystemKind::kUnSync;
+  job.ser_per_inst = 2e-4;
+  const auto golden = runtime::build_golden(job, 31, interval);
+  ASSERT_NE(golden, nullptr);
+
+  GoldenTwin twin(job, 31);
+  (void)twin.sys->run(interval);
+  ASSERT_TRUE(golden->converged(interval, *twin.sys));
+
+  // The first bulk scalar of the walk is the tag of the first L1D line:
+  // flip its low bit and load the walk back.
+  std::vector<ckpt::Archive::ScalarSite> sites;
+  ckpt::Serializer s;
+  {
+    ckpt::Archive ar(s);
+    ar.record_scalars(&sites);
+    twin.sys->visit_policy_state(ar);
+  }
+  std::string bytes = s.take();
+  const auto first_bulk = std::find_if(
+      sites.begin(), sites.end(),
+      [](const ckpt::Archive::ScalarSite& site) { return site.bulk; });
+  ASSERT_NE(first_bulk, sites.end());
+  ASSERT_EQ(bytes.compare(first_bulk->offset - 20, 4, "CACH"), 0);
+  bytes[first_bulk->offset] ^= 1;
+  {
+    ckpt::Deserializer d(bytes);
+    ckpt::Archive ar(d);
+    twin.sys->visit_policy_state(ar);
+  }
+
+  const runtime::StateDigests* d = golden->digests_at(interval);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(runtime::core_digest(*twin.sys), d->core);
+  EXPECT_NE(runtime::full_digest(*twin.sys), d->full);
+  EXPECT_FALSE(golden->converged(interval, *twin.sys));
 }
 
 TEST(PrefixStats, CodecRoundTripsAndRejectsCorruption) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/archive.hpp"
+
 namespace unsync::mem {
 namespace {
 
@@ -83,6 +85,48 @@ TEST(Tlb, PageBitsRespected) {
   big_pages.access(0x0000);
   EXPECT_TRUE(big_pages.contains(0xFFFF));   // same 64 KiB page
   EXPECT_FALSE(big_pages.contains(0x10000));
+}
+
+// The entry array is saved and loaded as one block of 17-byte records: a
+// restored TLB holds the same pages, a second save gives the same bytes,
+// and a block cut short throws instead of reading past the end.
+TEST(Tlb, CheckpointRoundTripsTheEntryBlock) {
+  Tlb tlb({.entries = 8, .assoc = 2, .page_bits = 12});
+  for (const Addr page : {1, 2, 9}) tlb.access(page << 12);
+  ckpt::Serializer s;
+  {
+    ckpt::Archive ar(s);
+    tlb.visit(ar);
+  }
+  const std::string bytes = s.take();
+
+  Tlb back({.entries = 8, .assoc = 2, .page_bits = 12});
+  {
+    ckpt::Deserializer d(bytes);
+    ckpt::Archive ar(d);
+    back.visit(ar);
+    EXPECT_TRUE(d.at_end());
+  }
+  for (const Addr page : {1, 2, 9}) EXPECT_TRUE(back.contains(page << 12));
+  EXPECT_FALSE(back.contains(Addr{3} << 12));
+  ckpt::Serializer again;
+  {
+    ckpt::Archive ar(again);
+    back.visit(ar);
+  }
+  EXPECT_EQ(again.data(), bytes);
+
+  // TLB0 tag, chunk length, entry count, then 8 entries x 17 bytes.
+  ASSERT_GT(bytes.size(), 4u + 8 + 8 + 8 * 17);
+  std::string cut = bytes.substr(0, 4 + 8 + 8 + 8 * 17 - 1);
+  const std::uint64_t len = cut.size() - 12;
+  for (std::size_t i = 0; i < 8; ++i) {
+    cut[4 + i] = static_cast<char>((len >> (8 * i)) & 0xFF);
+  }
+  Tlb victim({.entries = 8, .assoc = 2, .page_bits = 12});
+  ckpt::Deserializer d(cut);
+  ckpt::Archive ar(d);
+  EXPECT_THROW(victim.visit(ar), ckpt::CkptError);
 }
 
 }  // namespace
