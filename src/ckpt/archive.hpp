@@ -131,8 +131,8 @@ class Archive {
   /// (cache lines, TLB entries), each walked as the listed fields in
   /// order: the same wire bytes as one scalar call per field
   /// (little-endian, a bool as one byte), written and read as one block.
-  template <typename T, typename... F>
-  void records(std::vector<T>& v, F T::*... field) {
+  template <typename T, typename A, typename... F>
+  void records(std::vector<T, A>& v, F T::*... field) {
     static_assert(((std::is_same_v<F, bool> || std::is_unsigned_v<F>) && ...));
     constexpr std::size_t kWidth = (sizeof(F) + ...);
     if (in_) {

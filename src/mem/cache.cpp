@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace unsync::mem {
 
@@ -43,16 +45,31 @@ unsigned log2_exact(std::uint64_t v) {
   while ((std::uint64_t{1} << s) < v) ++s;
   return s;
 }
+
+bool power_of_two(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// The geometry checks run in every build (asserts compile out under
+/// NDEBUG); returns the validated config for the member initialisers.
+const CacheConfig& checked(const CacheConfig& c) {
+  if (!power_of_two(c.line_bytes)) {
+    throw std::invalid_argument("cache line size must be a power of two");
+  }
+  if (c.assoc < 1 || c.assoc > Cache::max_assoc()) {
+    throw std::invalid_argument("cache associativity must be in [1, " +
+                                std::to_string(Cache::max_assoc()) + "]");
+  }
+  if (!power_of_two(c.size_bytes / (std::uint64_t{c.line_bytes} * c.assoc))) {
+    throw std::invalid_argument("cache set count must be a power of two");
+  }
+  return c;
+}
 }  // namespace
 
 Cache::Cache(const CacheConfig& config)
-    : config_(config),
+    : config_(checked(config)),
       lines_(static_cast<std::size_t>(config.num_sets()) * config.assoc),
+      used_(config.num_sets()),
       mshrs_(config.mshrs) {
-  assert(config.num_sets() > 0 && (config.num_sets() & (config.num_sets() - 1)) == 0 &&
-         "set count must be a power of two");
-  assert((config.line_bytes & (config.line_bytes - 1)) == 0 &&
-         "line size must be a power of two");
   line_shift_ = log2_exact(config.line_bytes);
   set_shift_ = log2_exact(config.num_sets());
   set_mask_ = config.num_sets() - 1;
@@ -67,20 +84,21 @@ Addr Cache::tag_of(Addr addr) const {
 }
 
 bool Cache::contains(Addr addr) const {
-  const auto set = set_index(addr) * config_.assoc;
+  const auto set = set_index(addr);
   const Addr tag = tag_of(addr);
-  for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    if (lines_[set + w].valid && lines_[set + w].tag == tag) return true;
+  const Line* ways = &lines_[set * config_.assoc];
+  for (std::uint32_t w = 0; w < used_[set]; ++w) {
+    if (ways[w].valid && ways[w].tag == tag) return true;
   }
   return false;
 }
 
 bool Cache::line_dirty(Addr addr) const {
-  const auto set = set_index(addr) * config_.assoc;
+  const auto set = set_index(addr);
   const Addr tag = tag_of(addr);
-  for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    const Line& l = lines_[set + w];
-    if (l.valid && l.tag == tag) return l.dirty;
+  const Line* ways = &lines_[set * config_.assoc];
+  for (std::uint32_t w = 0; w < used_[set]; ++w) {
+    if (ways[w].valid && ways[w].tag == tag) return ways[w].dirty;
   }
   return false;
 }
@@ -90,12 +108,13 @@ LookupResult Cache::lookup(Addr addr, bool is_write) {
   // hot path; set_index()/tag_of() stay for the cold probe helpers.
   const Addr line = addr >> line_shift_;
   const auto set_bits = static_cast<std::size_t>(line & set_mask_);
-  const auto set = set_bits * config_.assoc;
+  Line* ways = &lines_[set_bits * config_.assoc];
+  const std::uint32_t used = used_[set_bits];
   const Addr tag = line >> set_shift_;
   ++lru_clock_;
 
-  for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    Line& l = lines_[set + w];
+  for (std::uint32_t w = 0; w < used; ++w) {
+    Line& l = ways[w];
     if (l.valid && l.tag == tag) {
       ++hits_;
       l.lru = lru_clock_;
@@ -113,19 +132,27 @@ LookupResult Cache::lookup(Addr addr, bool is_write) {
     return {.hit = false, .dirty_victim = std::nullopt};
   }
 
-  // Choose victim: first invalid way, else LRU.
-  std::size_t victim = set;
-  for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    if (!lines_[set + w].valid) {
-      victim = set + w;
+  // Choose victim: first invalid way, else LRU. An unused way is an
+  // invalid all-zero line, so the first one is taken after the used ways.
+  Line* victim = ways;
+  bool found_invalid = false;
+  for (std::uint32_t w = 0; w < used; ++w) {
+    if (!ways[w].valid) {
+      victim = &ways[w];
+      found_invalid = true;
       break;
     }
-    if (lines_[set + w].lru < lines_[victim].lru) victim = set + w;
+    if (ways[w].lru < victim->lru) victim = &ways[w];
+  }
+  if (!found_invalid && used < config_.assoc) {
+    victim = &ways[used];
+    *victim = Line{};
+    ++used_[set_bits];
   }
 
   LookupResult r;
   r.hit = false;
-  Line& v = lines_[victim];
+  Line& v = *victim;
   if (v.valid && v.dirty) {
     ++writebacks_;
     r.dirty_victim = ((v.tag << set_shift_) | set_bits) << line_shift_;
@@ -142,11 +169,30 @@ LookupResult Cache::access_read(Addr addr) { return lookup(addr, false); }
 
 LookupResult Cache::access_write(Addr addr) { return lookup(addr, true); }
 
+void Cache::prewarm(Addr base, std::uint64_t bytes) {
+  for (Addr a = line_addr(base); a < base + bytes; a += config_.line_bytes) {
+    const Addr line = a >> line_shift_;
+    const auto set = static_cast<std::size_t>(line & set_mask_);
+    if (used_[set] != 0) {
+      lookup(a, false);
+      continue;
+    }
+    // A set no fill has reached yet: the miss lookup() would take, without
+    // its way scans.
+    lines_[set * config_.assoc] = {.tag = line >> set_shift_, .valid = true,
+                                   .dirty = false, .lru = ++lru_clock_};
+    used_[set] = 1;
+    ++misses_;
+    ++valid_count_;
+  }
+}
+
 bool Cache::invalidate(Addr addr) {
-  const auto set = set_index(addr) * config_.assoc;
+  const auto set = set_index(addr);
   const Addr tag = tag_of(addr);
-  for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    Line& l = lines_[set + w];
+  Line* ways = &lines_[set * config_.assoc];
+  for (std::uint32_t w = 0; w < used_[set]; ++w) {
+    Line& l = ways[w];
     if (l.valid && l.tag == tag) {
       l.valid = false;
       l.dirty = false;
@@ -158,17 +204,35 @@ bool Cache::invalidate(Addr addr) {
 }
 
 void Cache::invalidate_all() {
-  for (auto& l : lines_) {
-    l.valid = false;
-    l.dirty = false;
+  // Tags and LRU stamps stay: they are part of the checkpointed state.
+  for (std::size_t set = 0; set < used_.size(); ++set) {
+    Line* ways = &lines_[set * config_.assoc];
+    for (std::uint32_t w = 0; w < used_[set]; ++w) {
+      ways[w].valid = false;
+      ways[w].dirty = false;
+    }
   }
   valid_count_ = 0;
 }
 
 std::uint64_t Cache::lines_dirty() const {
-  return static_cast<std::uint64_t>(
-      std::count_if(lines_.begin(), lines_.end(),
-                    [](const Line& l) { return l.valid && l.dirty; }));
+  std::uint64_t n = 0;
+  for (std::size_t set = 0; set < used_.size(); ++set) {
+    const Line* ways = &lines_[set * config_.assoc];
+    for (std::uint32_t w = 0; w < used_[set]; ++w) {
+      n += ways[w].valid && ways[w].dirty;
+    }
+  }
+  return n;
+}
+
+void Cache::materialise() {
+  if (materialised_) return;
+  for (std::size_t set = 0; set < used_.size(); ++set) {
+    Line* ways = &lines_[set * config_.assoc];
+    std::fill(ways + used_[set], ways + config_.assoc, Line{});
+  }
+  materialised_ = true;
 }
 
 double Cache::miss_rate() const {

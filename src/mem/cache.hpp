@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -77,9 +79,23 @@ struct LookupResult {
   std::optional<Addr> dirty_victim;
 };
 
+/// Tag array of a set-associative cache with LRU replacement.
+///
+/// Each set keeps a count of the ways in use: ways [used, assoc) have not
+/// been filled since construction and read as all-zero lines (tag 0,
+/// invalid, clean, lru 0). Their storage stays unwritten until a fill
+/// claims them or a walk needs their bytes, so building a cache — a 4 MiB
+/// L2 is 65,536 lines — costs what a job touches, not the capacity.
 class Cache {
  public:
+  /// Throws std::invalid_argument unless the set count and line size are
+  /// powers of two and 1 <= assoc <= max_assoc().
   explicit Cache(const CacheConfig& config);
+
+  /// The largest associativity the per-set in-use count can hold.
+  static constexpr std::uint32_t max_assoc() {
+    return std::numeric_limits<WayCount>::max();
+  }
 
   const CacheConfig& config() const { return config_; }
 
@@ -98,6 +114,10 @@ class Cache {
   /// a write miss does not allocate (no-write-allocate, the conventional
   /// pairing the paper's write-through L1 uses).
   LookupResult access_write(Addr addr);
+
+  /// Reads every line of [base, base + bytes) in, as access_read() would
+  /// (pre-warming: same LRU stamps, counters and victims).
+  void prewarm(Addr base, std::uint64_t bytes);
 
   /// Invalidates a single line (returns true if it was present).
   bool invalidate(Addr addr);
@@ -140,16 +160,33 @@ class Cache {
   void visit(ckpt::Archive& ar);
 
  private:
+  using WayCount = std::uint8_t;
+
+  /// No member initialisers: the line array is allocated unwritten (see
+  /// DefaultInit), and `Line{}` is the all-zero line of an unused way.
   struct Line {
-    Addr tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0;  // smaller = older
+    Addr tag;
+    bool valid;
+    bool dirty;
+    std::uint64_t lru;  // smaller = older
+  };
+
+  /// Allocator whose no-argument construct() default-initialises, so a
+  /// sized vector of Lines is allocated without being written.
+  template <typename T>
+  struct DefaultInit : std::allocator<T> {
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
   };
 
   std::size_t set_index(Addr addr) const;
   Addr tag_of(Addr addr) const;
   LookupResult lookup(Addr addr, bool is_write);
+  /// Gives every unused way its all-zero bytes, once, before a walk reads
+  /// the whole array.
+  void materialise();
 
   CacheConfig config_;
   // Hot-path shift/mask forms of the power-of-two geometry: lookup() runs
@@ -158,7 +195,9 @@ class Cache {
   unsigned line_shift_ = 0;  // log2(line_bytes)
   unsigned set_shift_ = 0;   // log2(num_sets)
   Addr set_mask_ = 0;        // num_sets - 1
-  std::vector<Line> lines_;  // sets * assoc, row-major by set
+  std::vector<Line, DefaultInit<Line>> lines_;  // sets * assoc, by set
+  std::vector<WayCount> used_;  // per set: ways [0, used) were written
+  bool materialised_ = false;   // every unused way holds Line{} bytes
   std::uint64_t lru_clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -175,20 +175,12 @@ Cycle MemoryHierarchy::store_writethrough_local(CoreId core, Addr addr,
 }
 
 void MemoryHierarchy::prewarm_l2(Addr base, std::uint64_t bytes) {
-  for (Addr a = l2_.line_addr(base); a < base + bytes;
-       a += config_.l2.line_bytes) {
-    l2_.access_read(a);
-  }
+  l2_.prewarm(base, bytes);
 }
 
 void MemoryHierarchy::prewarm_icaches(Addr base, std::uint64_t bytes) {
   prewarm_l2(base, bytes);
-  for (auto& icache : l1i_) {
-    for (Addr a = icache->line_addr(base); a < base + bytes;
-         a += config_.l1i.line_bytes) {
-      icache->access_read(a);
-    }
-  }
+  for (auto& icache : l1i_) icache->prewarm(base, bytes);
 }
 
 Cycle MemoryHierarchy::push_word_to_l2(Addr addr, Cycle now) {

@@ -39,9 +39,15 @@ void Cache::visit(ckpt::Archive& ar) {
   ar.chunk("CACH", [&] {
     ar.expect(lines_.size(), "cache geometry mismatch");
     ar.bulk([&] {
+      // Unused ways walk as the zero lines they read as; load writes every
+      // way, so all of them are in use after it.
+      if (!ar.loading()) materialise();
       ar.records(lines_, &Line::tag, &Line::valid, &Line::dirty, &Line::lru);
     });
     if (ar.loading()) {
+      materialised_ = true;
+      std::fill(used_.begin(), used_.end(),
+                static_cast<WayCount>(config_.assoc));
       valid_count_ = static_cast<std::uint64_t>(std::count_if(
           lines_.begin(), lines_.end(), [](const Line& l) { return l.valid; }));
     }

@@ -1,16 +1,25 @@
 #include "mem/tlb.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace unsync::mem {
 
-Tlb::Tlb(const TlbConfig& config)
-    : config_(config),
-      num_sets_(config.entries / config.assoc),
-      entries_(config.entries) {
-  assert(config.assoc > 0 && config.entries % config.assoc == 0);
-  assert(num_sets_ > 0);
+namespace {
+/// The geometry checks run in every build (asserts compile out under
+/// NDEBUG); returns the validated config for the member initialisers.
+const TlbConfig& checked(const TlbConfig& c) {
+  if (c.assoc < 1 || c.entries < c.assoc || c.entries % c.assoc != 0) {
+    throw std::invalid_argument(
+        "TLB entries must be a non-zero multiple of its associativity");
+  }
+  return c;
 }
+}  // namespace
+
+Tlb::Tlb(const TlbConfig& config)
+    : config_(checked(config)),
+      num_sets_(config.entries / config.assoc),
+      entries_(config.entries) {}
 
 bool Tlb::contains(Addr addr) const {
   const Addr vpn = vpn_of(addr);

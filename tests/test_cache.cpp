@@ -2,7 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "ckpt/archive.hpp"
+#include "core/factory.hpp"
+#include "core/system.hpp"
+#include "mem/config.hpp"
+#include "workload/profile.hpp"
+#include "workload/synthetic.hpp"
 
 namespace unsync::mem {
 namespace {
@@ -221,6 +235,325 @@ TEST(Cache, CheckpointRoundTripsTheLineBlock) {
   ckpt::Deserializer d(cut);
   ckpt::Archive ar(d);
   EXPECT_THROW(victim.visit(ar), ckpt::CkptError);
+}
+
+// ---- Geometry checks --------------------------------------------------------
+//
+// Every configured build defines NDEBUG, so the constructor checks throw
+// instead of asserting.
+
+TEST(CacheGeometry, SetCountMustBeAPowerOfTwo) {
+  CacheConfig c = small_cache();
+  c.size_bytes = 3 * 2 * 64;  // 3 sets
+  EXPECT_THROW((void)Cache{c}, std::invalid_argument);
+  c.size_bytes = 64;  // less than one set: 0 sets
+  EXPECT_THROW((void)Cache{c}, std::invalid_argument);
+}
+
+TEST(CacheGeometry, LineSizeMustBeAPowerOfTwo) {
+  CacheConfig c = small_cache();
+  c.line_bytes = 48;
+  c.size_bytes = 4 * 2 * 48;
+  EXPECT_THROW((void)Cache{c}, std::invalid_argument);
+  c.line_bytes = 0;
+  EXPECT_THROW((void)Cache{c}, std::invalid_argument);
+}
+
+TEST(CacheGeometry, AssociativityMustFitThePerSetCount) {
+  CacheConfig c = small_cache();
+  c.assoc = 0;
+  EXPECT_THROW((void)Cache{c}, std::invalid_argument);
+  c.assoc = Cache::max_assoc() + 1;
+  c.size_bytes = c.assoc * 64;
+  EXPECT_THROW((void)Cache{c}, std::invalid_argument);
+}
+
+TEST(CacheGeometry, LargestAssociativityIsUsable) {
+  // One fully associative set at the largest way count: every way fills,
+  // then the LRU line is the victim.
+  const std::uint32_t ways = Cache::max_assoc();
+  Cache c({.size_bytes = ways * 64, .line_bytes = 64, .assoc = ways,
+           .hit_latency = 2, .mshrs = 4,
+           .write_policy = WritePolicy::kWriteBack});
+  for (std::uint32_t i = 0; i < ways; ++i) c.access_read(Addr{i} * 64);
+  EXPECT_EQ(c.lines_valid(), ways);
+  EXPECT_EQ(c.misses(), ways);
+  c.access_read(Addr{ways} * 64);
+  EXPECT_FALSE(c.contains(0));
+  EXPECT_TRUE(c.contains(Addr{1} * 64));
+}
+
+// ---- Differential check against a dense reference tag array ----------------
+//
+// RefCache is the tag array without per-set in-use counts: every way of a
+// set is scanned, all lines start as zero lines, and the victim is the
+// first invalid way, else the least recently used one. Cache must agree
+// with it on every result, counter and probe, and on the saved bytes at
+// every save, including across save -> load into a fresh instance.
+class RefCache {
+ public:
+  struct Line {
+    Addr tag = 0;
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t lru = 0;
+  };
+
+  explicit RefCache(const CacheConfig& c)
+      : cfg_(c), sets_(c.num_sets()), lines_(std::size_t{sets_} * c.assoc) {}
+
+  LookupResult access(Addr addr, bool is_write) {
+    const bool write_back = cfg_.write_policy == WritePolicy::kWriteBack;
+    const Addr line = addr / cfg_.line_bytes;
+    const std::size_t set = line % sets_;
+    const Addr tag = line / sets_;
+    Line* ways = &lines_[set * cfg_.assoc];
+    ++clock_;
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+      if (ways[w].valid && ways[w].tag == tag) {
+        ++hits_;
+        ways[w].lru = clock_;
+        if (is_write && write_back) ways[w].dirty = true;
+        return {.hit = true, .dirty_victim = std::nullopt};
+      }
+    }
+    ++misses_;
+    if (is_write && !write_back) return {};
+    Line* victim = ways;
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+      if (!ways[w].valid) {
+        victim = &ways[w];
+        break;
+      }
+      if (ways[w].lru < victim->lru) victim = &ways[w];
+    }
+    LookupResult r;
+    if (victim->valid && victim->dirty) {
+      ++writebacks_;
+      r.dirty_victim = (victim->tag * sets_ + set) * cfg_.line_bytes;
+    }
+    *victim = {tag, true, is_write && write_back, clock_};
+    return r;
+  }
+
+  Line* find(Addr addr) {
+    const Addr line = addr / cfg_.line_bytes;
+    Line* ways = &lines_[(line % sets_) * cfg_.assoc];
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+      if (ways[w].valid && ways[w].tag == line / sets_) return &ways[w];
+    }
+    return nullptr;
+  }
+  bool invalidate(Addr addr) {
+    Line* l = find(addr);
+    if (l) l->valid = l->dirty = false;
+    return l != nullptr;
+  }
+  void invalidate_all() {
+    for (Line& l : lines_) l.valid = l.dirty = false;
+  }
+  std::uint64_t lines_valid() const {
+    return static_cast<std::uint64_t>(std::count_if(
+        lines_.begin(), lines_.end(), [](const Line& l) { return l.valid; }));
+  }
+  std::uint64_t lines_dirty() const {
+    return static_cast<std::uint64_t>(
+        std::count_if(lines_.begin(), lines_.end(),
+                      [](const Line& l) { return l.valid && l.dirty; }));
+  }
+
+  /// Cache::visit's Save bytes, written field by field.
+  std::string save() const {
+    ckpt::Serializer s;
+    s.begin_chunk("CACH");
+    s.u64(lines_.size());
+    for (const Line& l : lines_) {
+      s.u64(l.tag);
+      s.b(l.valid);
+      s.b(l.dirty);
+      s.u64(l.lru);
+    }
+    for (const std::uint64_t v : {clock_, hits_, misses_, writebacks_}) {
+      s.u64(v);
+    }
+    s.begin_chunk("MSHR");
+    s.u32(cfg_.mshrs);
+    s.u64(0);  // no in-flight misses
+    s.u64(0);  // stall cycles
+    s.end_chunk();
+    s.end_chunk();
+    return s.take();
+  }
+
+  std::uint64_t hits_ = 0, misses_ = 0, writebacks_ = 0;
+
+ private:
+  CacheConfig cfg_;
+  std::uint64_t sets_;
+  std::vector<Line> lines_;
+  std::uint64_t clock_ = 0;
+};
+
+std::string save_bytes(Cache& c) {
+  ckpt::Serializer s;
+  ckpt::Archive ar(s);
+  c.visit(ar);
+  return s.take();
+}
+
+std::unique_ptr<Cache> load_fresh(const CacheConfig& config,
+                                  const std::string& bytes) {
+  auto c = std::make_unique<Cache>(config);
+  ckpt::Deserializer d(bytes);
+  ckpt::Archive ar(d);
+  c->visit(ar);
+  EXPECT_TRUE(d.at_end());
+  return c;
+}
+
+/// Associativity (0 = the 4 MiB L2 of Table I) and write policy.
+using DiffParam = std::tuple<std::uint32_t, WritePolicy>;
+class CacheDifferential : public ::testing::TestWithParam<DiffParam> {};
+
+TEST_P(CacheDifferential, MatchesTheDenseReferenceModel) {
+  const auto [assoc, policy] = GetParam();
+  CacheConfig config = MemConfig{}.l2;
+  if (assoc != 0) {
+    config = {.size_bytes = 16 * assoc * 64, .line_bytes = 64, .assoc = assoc,
+              .hit_latency = 2, .mshrs = 4, .write_policy = policy};
+  }
+  config.write_policy = policy;
+  const std::uint64_t sets = config.num_sets();
+  // Up to 32 sets spread over the index range, and assoc + 3 tags per set,
+  // so sets overflow and evict.
+  const std::uint64_t set_pool = std::min<std::uint64_t>(sets, 32);
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto draw_addr = [&] {
+      const std::uint64_t set = (rng() % set_pool) * (sets / set_pool);
+      const std::uint64_t tag = rng() % (config.assoc + 3);
+      return ((tag * sets + set) * config.line_bytes) +
+             rng() % config.line_bytes;
+    };
+    auto cache = std::make_unique<Cache>(config);
+    RefCache ref(config);
+    // Fewer operations on the L2, whose every save is 1.2 MB.
+    const int ops = assoc == 0 ? 500 : 2000;
+    for (int op = 0; op < ops; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const Addr addr = draw_addr();
+      const std::uint64_t kind = rng() % 100;
+      if (kind < 45) {
+        const LookupResult got = cache->access_read(addr);
+        const LookupResult want = ref.access(addr, false);
+        ASSERT_EQ(got.hit, want.hit);
+        ASSERT_EQ(got.dirty_victim, want.dirty_victim);
+      } else if (kind < 75) {
+        const LookupResult got = cache->access_write(addr);
+        const LookupResult want = ref.access(addr, true);
+        ASSERT_EQ(got.hit, want.hit);
+        ASSERT_EQ(got.dirty_victim, want.dirty_victim);
+      } else if (kind < 88) {
+        ASSERT_EQ(cache->invalidate(addr), ref.invalidate(addr));
+      } else if (kind < 90) {
+        cache->invalidate_all();
+        ref.invalidate_all();
+      } else if (kind < 97) {
+        // Save (the walk that writes the unused ways' zero lines), then
+        // either keep going or continue in a freshly loaded instance.
+        const std::string bytes = save_bytes(*cache);
+        ASSERT_TRUE(bytes == ref.save());
+        if (kind >= 94) cache = load_fresh(config, bytes);
+      }
+      ASSERT_EQ(cache->hits(), ref.hits_);
+      ASSERT_EQ(cache->misses(), ref.misses_);
+      ASSERT_EQ(cache->writebacks(), ref.writebacks_);
+      ASSERT_EQ(cache->lines_valid(), ref.lines_valid());
+      ASSERT_EQ(cache->lines_dirty(), ref.lines_dirty());
+      for (const Addr probe : {addr, Addr{draw_addr()}}) {
+        const auto* line = ref.find(probe);
+        ASSERT_EQ(cache->contains(probe), line != nullptr);
+        ASSERT_EQ(cache->line_dirty(probe), line && line->dirty);
+      }
+    }
+    EXPECT_TRUE(save_bytes(*cache) == ref.save());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Combine(::testing::Values(1u, 2u, 8u, 16u, 0u),
+                       ::testing::Values(WritePolicy::kWriteBack,
+                                         WritePolicy::kWriteThrough)),
+    [](const auto& info) {
+      const std::uint32_t assoc = std::get<0>(info.param);
+      const bool wb = std::get<1>(info.param) == WritePolicy::kWriteBack;
+      return (assoc == 0 ? "L2" : "assoc" + std::to_string(assoc)) +
+             (wb ? "_wb" : "_wt");
+    });
+
+// ---- Unwritten line storage -------------------------------------------------
+//
+// The line array is allocated without being written. These tests free a
+// buffer of 0xFF bytes the size of a line array right before building, so
+// the allocation is likely to reuse it, and check that no byte of it shows:
+// sanitizers do not report reads of uninitialised memory, this does.
+
+/// Bytes of a cache's line array: one 24-byte line per way.
+std::size_t line_array_bytes(const CacheConfig& c) {
+  return std::size_t{c.num_sets()} * c.assoc * 24;
+}
+
+/// Frees `bytes` of 0xFF. Done twice: glibc serves the first request of a
+/// large size from a fresh mapping and only the later ones from its heap.
+void poison_heap(std::size_t bytes) {
+  for (int i = 0; i < 2; ++i) {
+    auto* p = static_cast<unsigned char*>(::operator new(bytes));
+    volatile unsigned char* v = p;
+    for (std::size_t b = 0; b < bytes; ++b) v[b] = 0xFF;
+    ::operator delete(p);
+  }
+}
+
+TEST(CachePoisonedHeap, SavedBytesMatchACleanBuild) {
+  const auto run = [](const CacheConfig& config, bool poison) {
+    if (poison) poison_heap(line_array_bytes(config));
+    Cache c(config);
+    c.access_write(0x40);
+    c.access_read(0x12340);
+    c.invalidate_all();
+    c.access_read(0x80);
+    return save_bytes(c);
+  };
+  for (const CacheConfig& config : {small_cache(), MemConfig{}.l1d,
+                                    MemConfig{}.l2}) {
+    const std::string poisoned = run(config, true);
+    EXPECT_TRUE(poisoned == run(config, false)) << config.size_bytes;
+  }
+}
+
+TEST(CachePoisonedHeap, PrewarmedSystemMatchesACleanBuild) {
+  core::SystemConfig cfg;
+  cfg.num_threads = 2;
+  cfg.seed = 11;
+  workload::SyntheticStream stream(workload::profile("gzip"), cfg.seed, 2000);
+  for (const auto kind : {core::SystemKind::kBaseline,
+                          core::SystemKind::kUnSync}) {
+    const auto build = [&](bool poison) {
+      if (poison) {
+        poison_heap(line_array_bytes(cfg.mem.l1d));
+        poison_heap(line_array_bytes(cfg.mem.l2));
+      }
+      auto sys = core::make_system(kind, cfg, stream);
+      const std::uint64_t fingerprint = sys->state_fingerprint();
+      return std::pair{fingerprint, sys->save_checkpoint_bytes()};
+    };
+    const auto clean = build(false);
+    const auto poisoned = build(true);
+    EXPECT_EQ(poisoned.first, clean.first) << core::name_of(kind);
+    EXPECT_TRUE(poisoned.second == clean.second) << core::name_of(kind);
+  }
 }
 
 }  // namespace

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "ckpt/archive.hpp"
+#include "ckpt/serializer.hpp"
+#include "engine/stream_utils.hpp"
 #include "mem/hierarchy.hpp"
+#include "workload/profile.hpp"
+#include "workload/synthetic.hpp"
 
 namespace unsync::mem {
 namespace {
@@ -51,6 +57,54 @@ TEST(Prewarm, IcachesWarmAllCores) {
   for (unsigned c = 0; c < 2; ++c) {
     const auto r = mh.ifetch(c, 0x1100, 0);
     EXPECT_TRUE(r.l1_hit) << "core " << c;
+  }
+}
+
+// Pre-warming pins: the counters and the hash of the saved bytes of each
+// warmed cache, on the Table I hierarchy with the synthetic streams'
+// regions (128 KiB warm region, 28 KiB code region at 0x1000).
+struct WarmPin {
+  std::uint64_t hits, misses, lines_valid, bytes_hash;
+};
+
+WarmPin pin_of(Cache& c) {
+  ckpt::Serializer s;
+  ckpt::Archive ar(s);
+  c.visit(ar);
+  return {c.hits(), c.misses(), c.lines_valid(), ckpt::hash64(s.data())};
+}
+
+void expect_pin(Cache& c, const WarmPin& want, const char* what) {
+  const WarmPin got = pin_of(c);
+  EXPECT_EQ(got.hits, want.hits) << what;
+  EXPECT_EQ(got.misses, want.misses) << what;
+  EXPECT_EQ(got.lines_valid, want.lines_valid) << what;
+  EXPECT_EQ(got.bytes_hash, want.bytes_hash) << what;
+}
+
+TEST(Prewarm, PinsTheWarmedL2AndIcaches) {
+  MemoryHierarchy mh(MemConfig{}, 2);
+  mh.prewarm_l2(0x0200'0000, 128 * 1024);
+  mh.prewarm_icaches(0x1000, 0x7000);
+  expect_pin(mh.l2(), {0, 2048 + 448, 2048 + 448, 17599697214592712782ull},
+             "L2");
+  for (unsigned c = 0; c < 2; ++c) {
+    expect_pin(mh.icache(c), {0, 448, 448, 5744653902414890587ull}, "L1i");
+  }
+}
+
+TEST(Prewarm, PinsASecondStreamWhoseCodeRegionIsAlreadyWarm) {
+  // Two streams with disjoint warm regions and the same code region: the
+  // second stream's code fills hit in the L2 and in every I-cache.
+  MemoryHierarchy mh(MemConfig{}, 2);
+  const workload::SyntheticStream gzip(workload::profile("gzip"), 1, 1000);
+  const workload::SyntheticStream mcf(workload::profile("mcf"), 1, 1000);
+  engine::prewarm_from(mh, {&gzip, &mcf});
+  expect_pin(mh.l2(),
+             {448, 2 * 2048 + 448, 2 * 2048 + 448, 8600469221717907354ull},
+             "L2");
+  for (unsigned c = 0; c < 2; ++c) {
+    expect_pin(mh.icache(c), {448, 448, 448, 12632750146956489387ull}, "L1i");
   }
 }
 

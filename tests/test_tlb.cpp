@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ckpt/archive.hpp"
 
 namespace unsync::mem {
@@ -127,6 +129,18 @@ TEST(Tlb, CheckpointRoundTripsTheEntryBlock) {
   ckpt::Deserializer d(cut);
   ckpt::Archive ar(d);
   EXPECT_THROW(victim.visit(ar), ckpt::CkptError);
+}
+
+// Every configured build defines NDEBUG, so the constructor checks throw
+// instead of asserting.
+TEST(TlbGeometry, EntriesMustBeAMultipleOfTheAssociativity) {
+  EXPECT_THROW((void)Tlb({.entries = 10, .assoc = 4, .page_bits = 12}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Tlb({.entries = 8, .assoc = 0, .page_bits = 12}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Tlb({.entries = 0, .assoc = 2, .page_bits = 12}),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)Tlb({.entries = 48, .assoc = 2, .page_bits = 12}));
 }
 
 }  // namespace
