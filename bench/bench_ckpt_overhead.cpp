@@ -7,9 +7,8 @@
 //   2. In-memory container round trip (save_checkpoint_bytes /
 //      load_checkpoint_bytes — the buffer-backed path the prefix-sharing
 //      engine caches and restores from): blob size plus save and restore
-//      latency into a fresh system, and what one convergence check costs:
-//      state_fingerprint() (FNV-1a) next to the prefix engine's core and
-//      full digests (xxh64).
+//      latency into a fresh system, and the cost of one
+//      state_fingerprint() (FNV-1a over the Fingerprint walk).
 //   3. Simulation throughput with periodic snapshots vs. none (a snapshot
 //      is taken from a paused simulation, so the only cost is the
 //      serialization itself).
@@ -26,7 +25,7 @@
 #include "ckpt/serializer.hpp"
 #include "core/factory.hpp"
 #include "core/system.hpp"
-#include "runtime/prefix.hpp"
+#include "runtime/campaign.hpp"
 
 namespace {
 
@@ -92,10 +91,10 @@ int main(int argc, char** argv) {
   // 2) In-memory container round trip — the prefix engine's hot path: one
   //    save per golden interval, one restore per shared injection job.
   TextTable t1b(
-      "In-memory container: blob size, save/restore and convergence-check "
+      "In-memory container: blob size, save/restore and fingerprint "
       "latency");
   t1b.set_header({"system", "blob bytes", "save ms", "restore ms",
-                  "fingerprint ms", "core digest ms", "full digest ms"});
+                  "fingerprint ms"});
   for (const auto kind : kinds) {
     auto sys = make(a, kind);
     sys->run(static_cast<Cycle>(a.insts / 2));
@@ -110,12 +109,10 @@ int main(int argc, char** argv) {
     const double restore_s = seconds_since(t0);
 
     const double fp_ms = mean_ms([&] { (void)sys->state_fingerprint(); });
-    const double core_ms = mean_ms([&] { (void)runtime::core_digest(*sys); });
-    const double full_ms = mean_ms([&] { (void)runtime::full_digest(*sys); });
     t1b.add_row({core::name_of(kind), std::to_string(blob.size()),
                  TextTable::num(save_s * 1e3, 3),
-                 TextTable::num(restore_s * 1e3, 3), TextTable::num(fp_ms, 3),
-                 TextTable::num(core_ms, 3), TextTable::num(full_ms, 3)});
+                 TextTable::num(restore_s * 1e3, 3),
+                 TextTable::num(fp_ms, 3)});
   }
   t1b.print(std::cout);
 

@@ -2,12 +2,12 @@
 //
 // Runs the same detailed-tier injection campaign twice — once naively
 // (every trial simulates its full run) and once through the prefix-sharing
-// engine (one golden run per unique fault-free configuration, trials
-// restore from its in-memory checkpoints and finish early on convergence)
-// — and reports the wall-clock speedup plus the engine's counters. Both
-// campaigns run in this process on the same grid, so the speedup is a
-// same-host ratio, stable across machines the way the tier and
-// fast-forward gates are.
+// engine (one golden run per unique fault-free configuration; arrival-free
+// trials return its result, the rest restore from its in-memory
+// checkpoints) — and reports the wall-clock speedup plus the engine's
+// counters. Both campaigns run in this process on the same grid, so the
+// speedup is a same-host ratio, stable across machines the way the tier
+// and fast-forward gates are.
 //
 // The grid is the shape prefix sharing exists for: trace-workload cells
 // (whose golden is shared across every SER point AND trial seed of the
@@ -99,11 +99,10 @@ int main(int argc, char** argv) {
 
   runtime::CampaignRunner::Options prefix_opts = naive_opts;
   prefix_opts.prefix.enabled = true;
-  // Checkpoint + fingerprint cadence: each boundary costs a full-state
-  // serialisation (in the golden build AND in every faulty job's
-  // convergence scan), so a coarse cadence wins on runs this short — the
-  // re-execution a coarser restore point adds is cheaper than the hashes
-  // a finer one spends. ~4-5 boundaries per run is the sweet spot here.
+  // Checkpoint cadence: each boundary costs one full-state save in the
+  // golden build, while a coarser cadence makes faulty jobs re-execute
+  // more cycles from an earlier restore point. ~4-5 boundaries per run;
+  // the committed baseline counters depend on this value.
   prefix_opts.prefix.interval = 15000;
   const auto prefix = runtime::CampaignRunner(prefix_opts).run(jobs);
 

@@ -11,10 +11,6 @@
 //   Fingerprint — Save, minus the spans marked fault_channel(): the RNG
 //                 words and arrival cursors that are the only difference
 //                 between a faulty run and its fault-free golden run.
-//   Core        — Fingerprint, minus the spans marked bulk(): the cache
-//                 and TLB line arrays, nearly all of a system's bytes. The
-//                 prefix engine hashes this small walk first and the full
-//                 Fingerprint walk only when it matches.
 //
 // Because save, load and fingerprint are one walk, they cannot disagree: a
 // field added to visit() is saved, restored and fingerprinted at once. The
@@ -33,20 +29,19 @@
 
 namespace unsync::ckpt {
 
-/// One state walk, run in Save, Load, Fingerprint or Core mode (see above).
+/// One state walk, run in Save, Load or Fingerprint mode (see above).
 class Archive {
  public:
-  enum class Mode : std::uint8_t { kSave, kLoad, kFingerprint, kCore };
+  enum class Mode : std::uint8_t { kSave, kLoad, kFingerprint };
 
   /// Where one numeric scalar landed in the saved bytes (see
   /// record_scalars()).
   struct ScalarSite {
     std::size_t offset = 0;      ///< first byte in the Serializer's data
     bool fault_channel = false;  ///< inside a fault_channel() span
-    bool bulk = false;           ///< inside a bulk() span
   };
 
-  /// A Save (or Fingerprint, or Core) walk appending to `out`.
+  /// A Save (or Fingerprint) walk appending to `out`.
   explicit Archive(Serializer& out, Mode mode = Mode::kSave)
       : out_(&out), mode_(mode) {}
   /// A Load walk consuming `in`.
@@ -223,31 +218,20 @@ class Archive {
     for (std::uint64_t& v : c) u64(v);
   }
 
-  /// The fault channel: walked by Save and Load, skipped by Fingerprint
-  /// and Core.
+  /// The fault channel: walked by Save and Load, skipped by Fingerprint.
   template <typename Fn>
   void fault_channel(Fn&& fn) {
-    if (mode_ == Mode::kFingerprint || mode_ == Mode::kCore) return;
+    if (mode_ == Mode::kFingerprint) return;
     ++fault_depth_;
     fn();
     --fault_depth_;
-  }
-
-  /// A line array: walked by every mode but Core.
-  template <typename Fn>
-  void bulk(Fn&& fn) {
-    if (mode_ == Mode::kCore) return;
-    ++bulk_depth_;
-    fn();
-    --bulk_depth_;
   }
 
  private:
   /// Logs a scalar `ahead` bytes past the end of the written data.
   void note(std::size_t ahead = 0) {
     if (sites_) {
-      sites_->push_back(
-          {out_->data().size() + ahead, fault_depth_ > 0, bulk_depth_ > 0});
+      sites_->push_back({out_->data().size() + ahead, fault_depth_ > 0});
     }
   }
 
@@ -274,7 +258,6 @@ class Archive {
   Deserializer* in_ = nullptr;
   const Mode mode_;
   unsigned fault_depth_ = 0;
-  unsigned bulk_depth_ = 0;
   std::vector<ScalarSite>* sites_ = nullptr;
 };
 

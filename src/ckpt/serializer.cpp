@@ -4,7 +4,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdio>
 #include <fstream>
 
@@ -51,73 +50,6 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
   }
   for (; len > 0; --len, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
-}
-
-namespace {
-
-constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ull;
-constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4Full;
-constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
-constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
-constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
-
-std::uint64_t xx_round(std::uint64_t acc, std::uint64_t input) {
-  acc += input * kXxPrime2;
-  acc = std::rotl(acc, 31);
-  return acc * kXxPrime1;
-}
-
-std::uint64_t xx_merge(std::uint64_t h, std::uint64_t lane) {
-  h ^= xx_round(0, lane);
-  return h * kXxPrime1 + kXxPrime4;
-}
-
-}  // namespace
-
-std::uint64_t xxh64(const void* data, std::size_t len, std::uint64_t seed) {
-  const auto* p = static_cast<const char*>(data);
-  const char* const end = p + len;
-  std::uint64_t h;
-  if (len >= 32) {
-    std::uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
-    std::uint64_t v2 = seed + kXxPrime2;
-    std::uint64_t v3 = seed;
-    std::uint64_t v4 = seed - kXxPrime1;
-    for (; end - p >= 32; p += 32) {
-      v1 = xx_round(v1, load_le<std::uint64_t>(p));
-      v2 = xx_round(v2, load_le<std::uint64_t>(p + 8));
-      v3 = xx_round(v3, load_le<std::uint64_t>(p + 16));
-      v4 = xx_round(v4, load_le<std::uint64_t>(p + 24));
-    }
-    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
-        std::rotl(v4, 18);
-    h = xx_merge(h, v1);
-    h = xx_merge(h, v2);
-    h = xx_merge(h, v3);
-    h = xx_merge(h, v4);
-  } else {
-    h = seed + kXxPrime5;
-  }
-  h += len;
-  for (; end - p >= 8; p += 8) {
-    h ^= xx_round(0, load_le<std::uint64_t>(p));
-    h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
-  }
-  if (end - p >= 4) {
-    h ^= load_le<std::uint32_t>(p) * kXxPrime1;
-    h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
-    p += 4;
-  }
-  for (; p < end; ++p) {
-    h ^= static_cast<unsigned char>(*p) * kXxPrime5;
-    h = std::rotl(h, 11) * kXxPrime1;
-  }
-  h ^= h >> 33;
-  h *= kXxPrime2;
-  h ^= h >> 29;
-  h *= kXxPrime3;
-  h ^= h >> 32;
-  return h;
 }
 
 // ---- Serializer -------------------------------------------------------------

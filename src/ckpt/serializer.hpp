@@ -42,10 +42,9 @@ inline std::uint32_t crc32(std::string_view s, std::uint32_t seed = 0) {
 }
 
 /// FNV-1a 64-bit hash. Used where a 32-bit CRC's collision rate is too high
-/// for comfort — e.g. the per-interval architectural-state fingerprints of
-/// prefix-shared campaigns, where a collision would silently splice the
-/// wrong tail onto a run. Not cryptographic; fine for states produced by
-/// the deterministic simulator rather than an adversary.
+/// for comfort — state_fingerprint() and the benchmark result digests.
+/// Not cryptographic; fine for states produced by the deterministic
+/// simulator rather than an adversary.
 inline std::uint64_t hash64(std::string_view s) {
   std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
   for (const char c : s) {
@@ -53,16 +52,6 @@ inline std::uint64_t hash64(std::string_view s) {
     h *= 1099511628211ull;  // FNV prime
   }
   return h;
-}
-
-/// XXH64 (seed 0 by default): a 64-bit hash that consumes 32 bytes per
-/// step in four independent lanes, an order of magnitude faster than the
-/// byte-serial FNV-1a above on megabyte inputs. The prefix engine's
-/// in-memory convergence digests use it; hash64() stays where its values
-/// are pinned (state_fingerprint() and the benchmark result digests).
-std::uint64_t xxh64(const void* data, std::size_t len, std::uint64_t seed = 0);
-inline std::uint64_t xxh64(std::string_view s, std::uint64_t seed = 0) {
-  return xxh64(s.data(), s.size(), seed);
 }
 
 /// Writes the unsigned `v` to `p` little-endian, whatever the host's byte

@@ -170,8 +170,7 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   /// ckpt::hash64 over a Fingerprint-mode walk of visit_policy_state():
   /// the architectural state minus the fault channel. Two runs with equal
   /// fingerprints at the same cycle boundary — and no arrivals left to
-  /// fire — evolve identically from there, which is what makes
-  /// convergence splicing exact.
+  /// fire — evolve identically from there.
   std::uint64_t state_fingerprint() const;
 
   /// The system's memory hierarchy (every concrete system owns exactly one).

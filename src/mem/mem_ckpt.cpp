@@ -1,9 +1,8 @@
 // Checkpoint walks for the memory layer: buses, MSHR files, caches, TLBs,
 // write buffers and the hierarchy that owns them. One translation unit so
 // the uncore's wire layout is reviewable in a single place. Cache lines
-// and TLB entries are the bulk of a system's state: they are walked as one
-// block of records, inside a bulk() span the prefix engine's core digest
-// skips.
+// and TLB entries are the bulk of a system's state: each array is walked
+// as one block of records.
 #include <algorithm>
 
 #include "ckpt/archive.hpp"
@@ -38,12 +37,10 @@ void MshrFile::visit(ckpt::Archive& ar) {
 void Cache::visit(ckpt::Archive& ar) {
   ar.chunk("CACH", [&] {
     ar.expect(lines_.size(), "cache geometry mismatch");
-    ar.bulk([&] {
-      // Unused ways walk as the zero lines they read as; load writes every
-      // way, so all of them are in use after it.
-      if (!ar.loading()) materialise();
-      ar.records(lines_, &Line::tag, &Line::valid, &Line::dirty, &Line::lru);
-    });
+    // Unused ways walk as the zero lines they read as; load writes every
+    // way, so all of them are in use after it.
+    if (!ar.loading()) materialise();
+    ar.records(lines_, &Line::tag, &Line::valid, &Line::dirty, &Line::lru);
     if (ar.loading()) {
       materialised_ = true;
       std::fill(used_.begin(), used_.end(),
@@ -62,9 +59,7 @@ void Cache::visit(ckpt::Archive& ar) {
 void Tlb::visit(ckpt::Archive& ar) {
   ar.chunk("TLB0", [&] {
     ar.expect(entries_.size(), "TLB geometry mismatch");
-    ar.bulk([&] {
-      ar.records(entries_, &Entry::vpn, &Entry::valid, &Entry::lru);
-    });
+    ar.records(entries_, &Entry::vpn, &Entry::valid, &Entry::lru);
     if (ar.loading()) {
       valid_count_ = static_cast<std::uint64_t>(
           std::count_if(entries_.begin(), entries_.end(),

@@ -177,10 +177,10 @@ class CampaignRunner {
     double screen_threshold = 0.0;
     /// Prefix-sharing (CLI: prefix_share= / prefix_interval= /
     /// prefix_cache_mb=): golden runs are simulated once per unique
-    /// fault-free configuration and injection jobs restore from their
-    /// in-memory checkpoints, finishing early when they provably converge
-    /// back onto the golden trajectory. Results stay byte-identical at any
-    /// worker count; inert while screening (the fast tier already is the
+    /// fault-free configuration; arrival-free jobs return its result and
+    /// every other injection job restores from its latest in-memory
+    /// checkpoint before the first arrival. Results stay byte-identical at
+    /// any worker count; inert while screening (the fast tier already is the
     /// shortcut) or while collect_metrics is on (per-cycle histograms
     /// depend on the cycles a shared prefix would skip).
     PrefixOptions prefix;

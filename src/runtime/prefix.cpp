@@ -47,15 +47,6 @@ bool eligible(const SimJob& job) {
   return job.params.tier == engine::Tier::kDetailed;
 }
 
-/// True once every group's arrival cursor is exhausted (trivially so for a
-/// system without an error process).
-bool channel_exhausted(core::System& sys) {
-  for (const engine::ArrivalCursor* c : sys.fault_sources().arrivals) {
-    if (c->next != c->positions.size()) return false;
-  }
-  return true;
-}
-
 /// Latest golden checkpoint that provably precedes every group's first
 /// arrival: safe iff no group's commit watermark has reached its first
 /// strike position (arrivals fire when progress >= position, so equality
@@ -74,29 +65,6 @@ const GoldenTrace::Snap* latest_safe_snap(const GoldenTrace& golden,
     if (safe) return &snap;
   }
   return nullptr;
-}
-
-/// xxh64 over one `mode` walk of `sys`'s policy state.
-std::uint64_t walk_digest(core::System& sys, ckpt::Archive::Mode mode) {
-  ckpt::Serializer buf;
-  ckpt::Archive ar(buf, mode);
-  sys.visit_policy_state(ar);
-  return ckpt::xxh64(buf.data());
-}
-
-/// Splices a converged (or arrival-free) job's error channel into the
-/// golden run's final result. Exact because the digested state fully
-/// determines the post-convergence evolution and the error counters can no
-/// longer change once every arrival has fired.
-engine::RunResult splice_result(const GoldenTrace& golden,
-                                const engine::RunResult& faulty_segment) {
-  engine::RunResult out = golden.final_result;
-  out.errors_injected = faulty_segment.errors_injected;
-  out.recoveries = faulty_segment.recoveries;
-  out.rollbacks = faulty_segment.rollbacks;
-  out.recovery_cycles_total = faulty_segment.recovery_cycles_total;
-  out.error_log = faulty_segment.error_log;
-  return out;
 }
 
 }  // namespace
@@ -145,27 +113,6 @@ std::optional<PrefixStats> PrefixStats::decode(std::string blob) {
   } catch (const ckpt::CkptError&) {
     return std::nullopt;
   }
-}
-
-std::uint64_t core_digest(core::System& sys) {
-  return walk_digest(sys, ckpt::Archive::Mode::kCore);
-}
-
-std::uint64_t full_digest(core::System& sys) {
-  return walk_digest(sys, ckpt::Archive::Mode::kFingerprint);
-}
-
-const StateDigests* GoldenTrace::digests_at(Cycle boundary) const {
-  if (interval == 0 || boundary % interval != 0) return nullptr;
-  const Cycle k = boundary / interval;
-  if (k == 0 || k > digests.size()) return nullptr;
-  return &digests[static_cast<std::size_t>(k - 1)];
-}
-
-bool GoldenTrace::converged(Cycle boundary, core::System& sys) const {
-  const StateDigests* d = digests_at(boundary);
-  return d != nullptr && d->core == core_digest(sys) &&
-         d->full == full_digest(sys);
 }
 
 FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed) {
@@ -254,8 +201,8 @@ std::vector<std::size_t> PrefixEngine::schedule_order(
       for (const auto& sched : ch.schedules) {
         if (!sched.empty()) first = std::min(first, sched.front());
       }
-      // Arrival-free jobs sort first within their group: they splice off
-      // the golden result directly, so running one early builds the golden
+      // Arrival-free jobs sort first within their group: they return the
+      // golden result directly, so running one early builds the golden
       // every sibling needs.
       k.first_arrival = first == kNoSeq ? 0 : first;
     }
@@ -287,7 +234,6 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
   if (!sys) return nullptr;
 
   auto trace = std::make_shared<GoldenTrace>();
-  trace->interval = interval;
   for (Cycle k = 1;; ++k) {
     const Cycle boundary = k * interval;
     engine::RunResult r = sys->run(boundary);
@@ -295,7 +241,6 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
       trace->final_result = std::move(r);
       break;
     }
-    trace->digests.push_back({core_digest(*sys), full_digest(*sys)});
     GoldenTrace::Snap snap;
     snap.boundary = boundary;
     snap.state = sys->save_checkpoint_bytes();
@@ -333,7 +278,7 @@ void PrefixEngine::insert_golden(const std::string& key,
   const std::size_t budget = options_.cache_mb * std::size_t{1024} * 1024;
   // A single golden larger than the whole budget is thinned before
   // publication (dropping every other checkpoint halves the bytes while
-  // keeping restore coverage; the digest stream is never thinned).
+  // keeping restore coverage).
   if (trace && trace->bytes > budget) {
     auto thinned = std::make_shared<GoldenTrace>(*trace);
     while (thinned->bytes > budget && thinned->snaps.size() > 1) {
@@ -444,12 +389,10 @@ engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
       gjob.system, job_system_config(gjob, seed), *stream, gjob.params);
   auto* sys = dynamic_cast<core::System*>(model.get());
 
-  Cycle resumed_from = 0;
   if (const GoldenTrace::Snap* snap = latest_safe_snap(*golden, channel)) {
     const auto t0 = std::chrono::steady_clock::now();
     sys->load_checkpoint_bytes(snap->state);
     const auto dt = std::chrono::steady_clock::now() - t0;
-    resumed_from = snap->boundary;
     const std::lock_guard<std::mutex> lock(mu_);
     ++stats_.jobs_restored;
     stats_.cycles_skipped += snap->boundary;
@@ -457,26 +400,7 @@ engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
   }
   sys->install_fault_channel(channel.encoded);
-
-  const Cycle last_golden_boundary =
-      static_cast<Cycle>(golden->digests.size()) * options_.interval;
-  for (Cycle k = resumed_from / options_.interval + 1;; ++k) {
-    const Cycle boundary = k * options_.interval;
-    const engine::RunResult r = sys->run(boundary);
-    if (r.cycles < boundary) return r;  // finished naturally
-    if (boundary > last_golden_boundary) {
-      // Ran past the golden digest stream (recovery pushed the run
-      // beyond the golden finish): no splice possible any more.
-      return sys->run();
-    }
-    if (!channel_exhausted(*sys)) continue;
-    if (golden->converged(boundary, *sys)) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.jobs_spliced;
-      stats_.cycles_skipped += golden->final_result.cycles - boundary;
-      return splice_result(*golden, r);
-    }
-  }
+  return sys->run();
 }
 
 }  // namespace unsync::runtime

@@ -7,23 +7,24 @@
 // engine removes that redundancy:
 //
 //  * For each unique fault-free configuration it simulates the GOLDEN
-//    (ser=0) run once, dropping periodic in-memory checkpoints
+//    (ser=0) run once, dropping a periodic in-memory checkpoint
 //    (System::save_checkpoint_bytes — the buffer-backed container path, no
-//    temp-file round trip) plus two per-interval digests of the
-//    architectural state (StateDigests).
-//  * Each injection job computes its fault channel out of band (the same
+//    temp-file round trip) at every interval boundary.
+//  * A job with no arrival at all is the golden run, end to end: it returns
+//    the golden result outright.
+//  * Every other job computes its fault channel out of band (the same
 //    fault::schedule_arrivals draw sequence construction performs),
 //    restores from the latest golden checkpoint that provably precedes its
 //    first arrival, installs its own channel (System::install_fault_channel),
-//    and runs forward.
-//  * Convergence-based early termination: once a job's arrivals are
-//    exhausted, its per-interval digests are compared against the golden
-//    stream — the small core digest first, the full one only when that
-//    matches. On a match of both the outcome is provably masked, and the
-//    job finishes immediately with the golden run's remaining counters
-//    spliced in, byte-identical to the full run (a job with an empty
-//    schedule converges at cycle 0 and returns the golden result
-//    outright).
+//    and runs to completion.
+//
+// A job never rejoins the golden run once an arrival fires: every redundant
+// system's recovery costs cycles (detection is certain and each strike
+// stalls its core), so the recovery-stall counters — part of the state —
+// differ from the golden run's for the rest of the run. So the engine never
+// compares a faulty job's state with the golden run's, and never splices
+// the golden tail onto a job; the PrefixPremise tests in test_prefix check
+// that a fired arrival's state never matches the golden twin's again.
 //
 // Golden traces live in a bounded LRU cache shared by all workers of a
 // process. Everything here is an execution strategy, never a result change:
@@ -63,7 +64,7 @@ struct PrefixStats {
   std::uint64_t restore_ns = 0;      ///< time spent in load_checkpoint_bytes
   std::uint64_t cycles_skipped = 0;  ///< simulated cycles not re-executed
   std::uint64_t jobs_restored = 0;   ///< jobs seeded from a golden checkpoint
-  std::uint64_t jobs_spliced = 0;    ///< jobs finished early by convergence
+  std::uint64_t jobs_spliced = 0;    ///< arrival-free jobs (golden result)
   std::uint64_t jobs_bypassed = 0;   ///< jobs that ran the naive path
 
   void merge(const PrefixStats& o);
@@ -97,20 +98,6 @@ struct FaultChannel {
   }
 };
 
-/// The prefix engine's convergence digests of a system's state, both
-/// ckpt::xxh64 over a walk of visit_policy_state(): `core` over the Core
-/// walk (no cache or TLB lines, a few percent of the bytes), `full` over
-/// the whole Fingerprint walk — the bytes state_fingerprint() hashes with
-/// FNV-1a. Equal states give equal digests; a splice needs both to match.
-/// They live in memory only (never journaled or written), so unlike
-/// state_fingerprint() their values are not pinned.
-struct StateDigests {
-  std::uint64_t core = 0;
-  std::uint64_t full = 0;
-};
-std::uint64_t core_digest(core::System& sys);
-std::uint64_t full_digest(core::System& sys);
-
 /// The per-interval record of one golden (fault-free) run.
 struct GoldenTrace {
   struct Snap {
@@ -119,29 +106,16 @@ struct GoldenTrace {
     std::vector<SeqNum> progress; ///< per-group commit watermark
   };
 
-  Cycle interval = 0;
-  /// Digests at boundary k*interval live at [k-1]. Never thinned — 16
-  /// bytes per boundary.
-  std::vector<StateDigests> digests;
   /// Checkpoints, ascending by boundary; may be thinned under cache
   /// pressure (restores then fall back to an earlier boundary).
   std::vector<Snap> snaps;
   engine::RunResult final_result;
   std::size_t bytes = 0;  ///< total checkpoint-blob bytes
-
-  /// Golden digests at `boundary`, or nullptr when the golden run ended
-  /// before it.
-  const StateDigests* digests_at(Cycle boundary) const;
-
-  /// The staged compare: true iff `sys`, at `boundary`, matches the golden
-  /// core digest and then the full one (computed only after the core
-  /// digest matched).
-  bool converged(Cycle boundary, core::System& sys) const;
 };
 
-/// Simulates the golden twin of `job` (ser zeroed), recording digests and
-/// a checkpoint at every `interval` boundary. nullptr for a model without
-/// the prefix hooks.
+/// Simulates the golden twin of `job` (ser zeroed), recording a checkpoint
+/// at every `interval` boundary. nullptr for a model without the prefix
+/// hooks.
 std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
                                                 std::uint64_t seed,
                                                 Cycle interval);
@@ -156,8 +130,8 @@ FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed);
 std::string golden_job_key(const SimJob& job, std::uint64_t seed);
 
 /// Campaign-level prefix-sharing engine: a golden-trace LRU cache plus the
-/// restore / convergence-splice job path. Thread-safe; one engine is shared
-/// by all workers of a campaign (per process in the distributed fabric).
+/// restore-then-run job path. Thread-safe; one engine is shared by all
+/// workers of a campaign (per process in the distributed fabric).
 class PrefixEngine {
  public:
   explicit PrefixEngine(PrefixOptions options) : options_(options) {}

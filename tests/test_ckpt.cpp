@@ -21,7 +21,6 @@
 #include "core/system.hpp"
 #include "mem/write_buffer.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/prefix.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
 
@@ -90,39 +89,6 @@ TEST(Crc32, EightByteStepsMatchTheByteLoop) {
         bytewise = ckpt::crc32(std::string_view(&c, 1), bytewise);
       }
       EXPECT_EQ(ckpt::crc32(span), bytewise) << at << "+" << len;
-    }
-  }
-}
-
-TEST(Xxh64, MatchesTheReferenceVectors) {
-  EXPECT_EQ(ckpt::xxh64(""), 0xef46db3751d8e999ull);
-  EXPECT_EQ(ckpt::xxh64("a"), 0xd24ec4f1a98c6e5bull);
-  EXPECT_EQ(ckpt::xxh64("abc"), 0x44bc2cf5ad770999ull);
-  // 43 bytes: one 32-byte step of the four lanes, an 8-byte word, then
-  // three tail bytes.
-  EXPECT_EQ(ckpt::xxh64("The quick brown fox jumps over the lazy dog"),
-            0x0b242d361fda71bcull);
-}
-
-TEST(Xxh64, IndependentOfAlignmentAndSensitiveToEveryByte) {
-  // Every length 0..99 at every start offset 0..7: the same bytes hash
-  // alike wherever they sit, and flipping any one of them changes the hash.
-  std::string data(108, '\0');
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<char>(i * 37 + 11);
-  }
-  for (std::size_t len = 0; len < 100; ++len) {
-    const std::uint64_t want = ckpt::xxh64(std::string_view(data.data(), len));
-    for (std::size_t at = 1; at < 8; ++at) {
-      std::string shifted(at, 'x');
-      shifted.append(data, 0, len);
-      EXPECT_EQ(ckpt::xxh64(std::string_view(shifted).substr(at)), want)
-          << at << "+" << len;
-    }
-    for (std::size_t i = 0; i < len; ++i) {
-      std::string flipped = data.substr(0, len);
-      flipped[i] = static_cast<char>(flipped[i] ^ 0x10);
-      EXPECT_NE(ckpt::xxh64(flipped), want) << "byte " << i << " of " << len;
     }
   }
 }
@@ -305,7 +271,7 @@ TEST(ArchiveRecords, SameBytesAndSitesAsOneScalarPerField) {
   {
     ckpt::Archive ar(block);
     ar.record_scalars(&block_sites);
-    ar.bulk([&] { ar.records(recs, &Rec::tag, &Rec::valid, &Rec::lru); });
+    ar.records(recs, &Rec::tag, &Rec::valid, &Rec::lru);
   }
   {
     ckpt::Archive ar(scalars);
@@ -320,8 +286,6 @@ TEST(ArchiveRecords, SameBytesAndSitesAsOneScalarPerField) {
   ASSERT_EQ(block_sites.size(), scalar_sites.size());
   for (std::size_t k = 0; k < block_sites.size(); ++k) {
     EXPECT_EQ(block_sites[k].offset, scalar_sites[k].offset) << k;
-    EXPECT_TRUE(block_sites[k].bulk) << k;
-    EXPECT_FALSE(scalar_sites[k].bulk) << k;
   }
 
   // Load: back into zeroed records; a block one byte short throws.
@@ -351,12 +315,11 @@ TEST(ArchiveRecords, CoreWalksSkipBulkSpansAndFaultChannels) {
     ckpt::Archive ar(s, mode);
     ar.u64(scalar);
     ar.fault_channel([&] { ar.u64(channel); });
-    ar.bulk([&] { ar.records(recs, &Rec::tag, &Rec::valid, &Rec::lru); });
+    ar.records(recs, &Rec::tag, &Rec::valid, &Rec::lru);
     return s.take();
   };
   EXPECT_EQ(walk(ckpt::Archive::Mode::kSave).size(), 8u + 8u + 4u * 17u);
   EXPECT_EQ(walk(ckpt::Archive::Mode::kFingerprint).size(), 8u + 4u * 17u);
-  EXPECT_EQ(walk(ckpt::Archive::Mode::kCore).size(), 8u);
 }
 
 TEST(ComponentCkpt, RngStateRoundTrips) {
@@ -917,11 +880,9 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // Perturbs the k-th numeric scalar of a system's visit_policy_state() walk,
 // for every k, and checks that the walk is the single description of the
-// state: the perturbed value changes state_fingerprint() and the prefix
-// engine's full digest unless it lies in a fault_channel() span (then only
-// the fault channel changes), it changes the core digest too unless it lies
-// in a bulk() span, and it survives save -> load into a freshly built
-// system. A field that a walk reads but then drops, or recomputes from
+// state: the perturbed value changes state_fingerprint() unless it lies in
+// a fault_channel() span (then only the fault channel changes), and it
+// survives save -> load into a freshly built system. A field that a walk reads but then drops, or recomputes from
 // others, fails here.
 
 class StateWalkMutation : public ::testing::TestWithParam<core::SystemKind> {
@@ -975,8 +936,6 @@ TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
   // The block path still exposes every line field to the perturbation.
   EXPECT_EQ(sites.size(), pinned_sites());
   const std::uint64_t fingerprint = sys->state_fingerprint();
-  const std::uint64_t core = runtime::core_digest(*sys);
-  const std::uint64_t full = runtime::full_digest(*sys);
   const std::string channel = sys->fault_channel_bytes();
 
   auto perturbed = make();  // loaded with each perturbed walk in turn
@@ -990,7 +949,7 @@ TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
     ASSERT_EQ(perturbed->state_fingerprint(), fingerprint);
     ASSERT_EQ(perturbed->fault_channel_bytes(), channel);
   }
-  std::size_t channel_scalars = 0, bulk_scalars = 0;
+  std::size_t channel_scalars = 0;
   for (std::size_t k = 0; k < sites.size(); ++k) {
     std::string mutated = bytes;
     mutated[sites[k].offset] ^= 1;  // lowest bit: scalars are little-endian
@@ -1001,28 +960,14 @@ TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
       ASSERT_TRUE(d.at_end()) << "scalar " << k;
     }
     const std::uint64_t fp = perturbed->state_fingerprint();
-    const std::uint64_t pcore = runtime::core_digest(*perturbed);
-    const std::uint64_t pfull = runtime::full_digest(*perturbed);
     if (sites[k].fault_channel) {
       ++channel_scalars;
       EXPECT_EQ(fp, fingerprint) << "fault-channel scalar " << k;
-      EXPECT_EQ(pfull, full) << "fault-channel scalar " << k;
-      EXPECT_EQ(pcore, core) << "fault-channel scalar " << k;
       EXPECT_NE(perturbed->fault_channel_bytes(), channel) << "scalar " << k;
     } else {
       EXPECT_NE(fp, fingerprint)
           << "scalar " << k << " (byte " << sites[k].offset
           << ") is walked but does not reach the fingerprint";
-      EXPECT_NE(pfull, full)
-          << "scalar " << k << " does not reach the full digest";
-      if (sites[k].bulk) {
-        ++bulk_scalars;
-        EXPECT_EQ(pcore, core) << "bulk scalar " << k;
-      } else {
-        EXPECT_NE(pcore, core)
-            << "scalar " << k << " (byte " << sites[k].offset
-            << ") lies outside the bulk spans but misses the core digest";
-      }
     }
     restored->load_checkpoint_bytes(perturbed->save_checkpoint_bytes());
     EXPECT_EQ(restored->state_fingerprint(), fp) << "scalar " << k;
@@ -1030,10 +975,9 @@ TEST_P(StateWalkMutation, EveryScalarReachesTheFingerprintAndTheCheckpoint) {
               perturbed->fault_channel_bytes())
         << "scalar " << k;
   }
-  // Only the baseline has no fault channel; every system has lines.
+  // Only the baseline has no fault channel.
   EXPECT_EQ(channel_scalars == 0,
             GetParam() == core::SystemKind::kBaseline);
-  EXPECT_GT(bulk_scalars, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
