@@ -1,13 +1,13 @@
 // Prefix-sharing speedup on a Monte-Carlo injection grid.
 //
-// Runs the same detailed-tier injection campaign twice — once naively
+// Runs the same injection campaign twice — once naively
 // (every trial simulates its full run) and once through the prefix-sharing
 // engine (one golden run per unique fault-free configuration; arrival-free
 // trials return its result, the rest restore from its in-memory
 // checkpoints) — and reports the wall-clock speedup plus the engine's
 // counters. Both campaigns run in this process on the same grid, so the
-// speedup is a same-host ratio, stable across machines the way the tier
-// and fast-forward gates are.
+// speedup is a same-host ratio, stable across machines the way the
+// fast-forward gate is.
 //
 // The grid is the shape prefix sharing exists for: trace-workload cells
 // (whose golden is shared across every SER point AND trial seed of the

@@ -53,82 +53,7 @@ std::unique_ptr<System> construct(SystemKind kind, const SystemConfig& config,
   return nullptr;  // unreachable: the switch covers every kind
 }
 
-// Fast-tier construction shared by both make_model overloads.
-template <typename Workload>
-std::unique_ptr<engine::SimModel> construct_model(SystemKind kind,
-                                                  const SystemConfig& config,
-                                                  const Workload& workload,
-                                                  const SystemParams& params) {
-  if (params.tier == engine::Tier::kDetailed) {
-    return construct(kind, config, workload, params);
-  }
-  return std::make_unique<engine::IntervalModel>(
-      interval_spec_for(kind, params), config.core, config.mem,
-      config.num_threads, config.ser_per_inst, config.seed, workload);
-}
-
 }  // namespace
-
-engine::IntervalSpec interval_spec_for(SystemKind kind,
-                                       const SystemParams& params) {
-  engine::IntervalSpec spec;
-  spec.system = name_of(kind);
-  switch (kind) {
-    case SystemKind::kBaseline:
-      // Unprotected single cores: no arrival schedule, no overheads.
-      break;
-    case SystemKind::kUnSync: {
-      const UnSyncParams& p = params.unsync;
-      spec.group_size = p.group_size;
-      spec.inject_errors = true;
-      spec.error_rollback = false;  // always-forward recovery (§III-A(c))
-      spec.error_penalty =
-          p.eih_signal_cycles + p.arch_state_words * p.state_copy_word_cycles;
-      spec.l1_copy_line_cycles = p.l1_copy_line_cycles;
-      break;
-    }
-    case SystemKind::kReunion: {
-      const ReunionParams& p = params.reunion;
-      spec.group_size = 2;
-      spec.inject_errors = true;
-      spec.error_rollback = true;  // squash to the last verified fingerprint
-      spec.error_penalty = p.rollback_penalty;
-      spec.rollback_window = p.fingerprint_interval;
-      spec.serialize_sync_cycles = p.compare_latency;
-      break;
-    }
-    case SystemKind::kLockstep: {
-      const LockstepParams& p = params.lockstep;
-      spec.group_size = 2;
-      spec.inject_errors = true;
-      spec.error_rollback = false;  // flush + retry, no re-execution window
-      spec.error_penalty = p.resync_penalty;
-      spec.load_check_latency = p.load_check_latency;
-      break;
-    }
-    case SystemKind::kCheckpoint: {
-      const CheckpointParams& p = params.checkpoint;
-      spec.group_size = 2;
-      spec.inject_errors = true;
-      spec.error_rollback = true;  // restore previous epoch, re-execute
-      spec.error_penalty = p.restore_cost;
-      spec.rollback_window = p.checkpoint_interval;
-      spec.checkpoint_interval = p.checkpoint_interval;
-      spec.checkpoint_cycles = p.checkpoint_cost + p.compare_latency;
-      break;
-    }
-    case SystemKind::kHetero: {
-      const HeteroParams& p = params.hetero;
-      spec.group_size = 2;
-      spec.inject_errors = true;
-      spec.error_rollback = true;  // roll back to the last verified commit
-      spec.error_penalty = p.rollback_penalty;
-      spec.rollback_window = p.log_entries;
-      break;
-    }
-  }
-  return spec;
-}
 
 std::unique_ptr<System> make_system(SystemKind kind,
                                     const SystemConfig& config,
@@ -148,14 +73,7 @@ std::unique_ptr<engine::SimModel> make_model(SystemKind kind,
                                              const SystemConfig& config,
                                              const workload::InstStream& stream,
                                              const SystemParams& params) {
-  return construct_model(kind, config, stream, params);
-}
-
-std::unique_ptr<engine::SimModel> make_model(
-    SystemKind kind, const SystemConfig& config,
-    const std::vector<const workload::InstStream*>& streams,
-    const SystemParams& params) {
-  return construct_model(kind, config, streams, params);
+  return make_system(kind, config, stream, params);
 }
 
 }  // namespace unsync::core

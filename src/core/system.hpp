@@ -112,9 +112,6 @@ class System : public engine::SystemPolicy, public engine::SimModel {
     if (!core.done()) core.skip_cycles(from, to);
   }
 
-  /// Every System is the cycle-accurate implementation of SimModel.
-  engine::Tier tier() const override { return engine::Tier::kDetailed; }
-
   const std::string& name() const override = 0;
 
   /// Serialises / restores the complete mutable simulation state (cycle

@@ -58,7 +58,7 @@ std::string RunResult::to_json(int indent) const {
   w.begin_object();
   w.key("schema").value("unsync.run_result.v2");
   w.key("system").value(system);
-  w.key("tier").value(approximate ? "fast" : "detailed");
+  w.key("tier").value("detailed");
   w.key("approximate").value(approximate);
   w.key("cycles").value(cycles);
   w.key("instructions").value(instructions);

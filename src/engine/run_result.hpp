@@ -52,9 +52,10 @@ struct RunResult {
   /// Chronological log of every injected error (all systems fill this).
   std::vector<ErrorEvent> error_log;
 
-  /// True when the result came from an approximate model tier (the interval
-  /// model); false for the cycle-accurate path. Serialised as both the
-  /// "tier" ("fast"/"detailed") and "approximate" JSON keys.
+  /// Always false: every run is cycle-accurate. Kept so the checkpoint and
+  /// journal bytes keep their layout (a journal entry with it set was
+  /// written by a retired approximate model and is re-run on resume) and
+  /// serialised as the "approximate" JSON key next to "tier":"detailed".
   bool approximate = false;
 
   /// Per-thread IPC: program instructions over total cycles (a redundant

@@ -118,50 +118,14 @@ obs::MetricsSnapshot scheduler_snapshot(
 
 }  // namespace
 
-double screening_score(const engine::RunResult& result) {
-  double score = static_cast<double>(result.errors_injected) +
-                 static_cast<double>(result.recoveries) +
-                 static_cast<double>(result.rollbacks);
-  if (result.cycles != 0) {
-    score += static_cast<double>(result.recovery_cycles_total) /
-             static_cast<double>(result.cycles);
-  }
-  return score;
-}
-
 engine::RunResult CampaignRunner::run_job(const SimJob& job, std::uint64_t seed,
                                           obs::MetricsRegistry* metrics,
                                           obs::TraceSink* trace) {
   const auto stream = make_job_stream(job, seed);
-  const auto model = core::make_model(job.system, job_system_config(job, seed),
-                                      *stream, job.params);
-  if (metrics || trace) model->set_observability(metrics, trace);
-  return model->run();
-}
-
-engine::RunResult CampaignRunner::run_job_screened(
-    const SimJob& job, std::uint64_t seed, double threshold,
-    obs::MetricsSnapshot* metrics) {
-  SimJob screened = job;
-  // The reported snapshot must come from exactly the tier that produced the
-  // reported result: run_tier REPLACES `snap` wholesale (never merges), and
-  // `*metrics` is assigned once, at the end — so a detailed re-run cannot
-  // leak fast-tier counters into the cell, structurally.
-  obs::MetricsSnapshot snap;
-  const auto run_tier = [&](engine::Tier tier) {
-    screened.params.tier = tier;
-    if (!metrics) return run_job(screened, seed);
-    obs::MetricsRegistry reg;
-    engine::RunResult r = run_job(screened, seed, &reg);
-    snap = reg.snapshot();
-    return r;
-  };
-  engine::RunResult result = run_tier(engine::Tier::kFast);
-  if (screening_score(result) >= threshold) {
-    result = run_tier(engine::Tier::kDetailed);
-  }
-  if (metrics) *metrics = std::move(snap);
-  return result;
+  const auto sys = core::make_system(job.system, job_system_config(job, seed),
+                                     *stream, job.params);
+  if (metrics || trace) sys->set_observability(metrics, trace);
+  return sys->run();
 }
 
 CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
@@ -178,15 +142,15 @@ CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
   std::vector<obs::MetricsSnapshot> job_metrics(
       options_.collect_metrics ? jobs.size() : 0);
 
-  // Prefix-sharing engine. Screening campaigns never construct one (the
-  // fast tier already is the shortcut); metrics-collecting campaigns keep
-  // the engine but route every job around it (per-cycle histograms depend
-  // on the cycles a shared prefix would skip), so `campaign status` still
-  // reports why nothing was shared.
-  const bool prefix_on = options_.prefix.enabled && !options_.screen;
+  // Prefix-sharing engine. Metrics-collecting campaigns keep the engine
+  // but route every job around it (per-cycle histograms depend on the
+  // cycles a shared prefix would skip), so `campaign status` still reports
+  // why nothing was shared.
   std::unique_ptr<PrefixEngine> engine;
-  if (prefix_on) engine = std::make_unique<PrefixEngine>(options_.prefix);
-  const bool prefix_jobs = prefix_on && !options_.collect_metrics;
+  if (options_.prefix.enabled) {
+    engine = std::make_unique<PrefixEngine>(options_.prefix);
+  }
+  const bool prefix_jobs = engine && !options_.collect_metrics;
 
   // Journal setup. On resume the surviving entries are re-encoded into a
   // fresh journal via atomic rewrite (dropping torn/corrupt lines), then
@@ -198,18 +162,13 @@ CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
   if (!options_.journal.empty()) {
     const ckpt::JournalHeader header = make_journal_header(
         jobs, options_.campaign_seed, options_.collect_metrics,
-        options_.screen, options_.screen_threshold, prefix_on,
-        options_.prefix.interval);
+        options_.prefix.enabled, options_.prefix.interval);
     std::string rewrite = header.to_line();
     rewrite.push_back('\n');
     if (options_.resume) {
       auto loaded = load_journal(options_.journal, header);
       for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!loaded[i] ||
-            !entry_acceptable(jobs[i], loaded[i]->result, options_.screen,
-                              options_.screen_threshold)) {
-          continue;
-        }
+        if (!loaded[i] || !entry_acceptable(loaded[i]->result)) continue;
         restored[i] = 1;
         const std::uint64_t seed = job_seed(jobs, options_.campaign_seed, i);
         const std::string blob = encode_entry_blob(
@@ -252,11 +211,7 @@ CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
         out.seeds[i] = seed;
         if (!restored[i]) {
           const auto job_start = std::chrono::steady_clock::now();
-          if (options_.screen) {
-            out.results[i] = run_job_screened(
-                jobs[i], seed, options_.screen_threshold,
-                options_.collect_metrics ? &job_metrics[i] : nullptr);
-          } else if (options_.collect_metrics) {
+          if (options_.collect_metrics) {
             if (engine) engine->note_bypass();
             obs::MetricsRegistry reg;
             out.results[i] = run_job(jobs[i], seed, &reg);

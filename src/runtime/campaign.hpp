@@ -62,9 +62,7 @@ struct SimJob {
   /// report time (CLI: protect.<structure>=none|parity|secded).
   fault::UncorePlan protect;
 
-  /// Architecture knobs (only the member matching `system` is read) plus
-  /// the model tier: params.tier == kFast runs the job on the approximate
-  /// interval model instead of the cycle-accurate system (docs/TIERS.md).
+  /// Architecture knobs (only the member matching `system` is read).
   core::SystemParams params;
 };
 
@@ -95,12 +93,6 @@ std::unique_ptr<workload::InstStream> make_job_stream(const SimJob& job,
 /// The core::SystemConfig run_job constructs for a job (exposed likewise).
 core::SystemConfig job_system_config(const SimJob& job, std::uint64_t seed);
 
-/// How "interesting" a cell's result is for tier screening: the detected
-/// error / recovery activity plus the fraction of cycles spent recovering.
-/// Always >= 0, so a screen threshold of 0 re-runs EVERY cell detailed
-/// (byte-identical to a pure detailed campaign) and +infinity re-runs none.
-double screening_score(const engine::RunResult& result);
-
 struct CampaignOutput {
   /// One result per job, in submission order.
   std::vector<engine::RunResult> results;
@@ -129,10 +121,9 @@ struct CampaignOutput {
   /// numerator for scaling studies).
   std::uint64_t total_instructions() const;
 
-  /// Stable "unsync.campaign.v2" schema (v2: embedded results are
-  /// "unsync.run_result.v2", which records the tier that produced each
-  /// cell). The default output is a pure function of the grid
-  /// (byte-identical across worker counts); `include_timing` adds
+  /// Stable "unsync.campaign.v2" schema (embedded results are
+  /// "unsync.run_result.v2"). The default output is a pure function of the
+  /// grid (byte-identical across worker counts); `include_timing` adds
   /// wall-clock fields (and scheduler_metrics) for humans and profilers.
   std::string to_json(int indent = 0, bool include_timing = false) const;
 };
@@ -166,23 +157,13 @@ class CampaignRunner {
     /// (those jobs simply re-run). A missing or empty journal file starts
     /// a fresh campaign.
     bool resume = false;
-    /// Two-phase tier screening (CLI: tier=screen): every job first runs on
-    /// the fast interval model; cells whose screening_score() reaches
-    /// screen_threshold are re-run on the detailed tier and only the final
-    /// result is kept (and journaled). The merged CampaignOutput records
-    /// which tier produced each cell via RunResult::approximate. Jobs'
-    /// params.tier is ignored while screening (the screen policy owns the
-    /// tier choice). threshold 0 == pure detailed, +infinity == pure fast.
-    bool screen = false;
-    double screen_threshold = 0.0;
     /// Prefix-sharing (CLI: prefix_share= / prefix_interval= /
     /// prefix_cache_mb=): golden runs are simulated once per unique
     /// fault-free configuration; arrival-free jobs return its result and
     /// every other injection job restores from its latest in-memory
     /// checkpoint before the first arrival. Results stay byte-identical at
-    /// any worker count; inert while screening (the fast tier already is the
-    /// shortcut) or while collect_metrics is on (per-cycle histograms
-    /// depend on the cycles a shared prefix would skip).
+    /// any worker count; inert while collect_metrics is on (per-cycle
+    /// histograms depend on the cycles a shared prefix would skip).
     PrefixOptions prefix;
     /// Invoked after each job completes with (jobs done so far, total).
     /// Called under an internal mutex: thread-safe, but keep it cheap.
@@ -197,21 +178,12 @@ class CampaignRunner {
   CampaignOutput run(const std::vector<SimJob>& jobs) const;
 
   /// Builds and runs one job with an already-derived seed (also the
-  /// single-job path unsync_sim's `run` subcommand uses), honouring
-  /// job.params.tier via core::make_model. Optional observability: metrics
-  /// are published into `metrics`, events into `trace`.
+  /// single-job path unsync_sim's `run` subcommand uses). Optional
+  /// observability: metrics are published into `metrics`, events into
+  /// `trace`.
   static engine::RunResult run_job(const SimJob& job, std::uint64_t seed,
                                    obs::MetricsRegistry* metrics = nullptr,
                                    obs::TraceSink* trace = nullptr);
-
-  /// One job under the two-phase screening policy: fast tier first, then a
-  /// detailed re-run iff screening_score(fast result) >= threshold. When
-  /// `metrics` is non-null it receives the snapshot of whichever tier
-  /// produced the returned result. Shared by the in-process runner and the
-  /// distributed fabric so both merge identical bytes.
-  static engine::RunResult run_job_screened(
-      const SimJob& job, std::uint64_t seed, double threshold,
-      obs::MetricsSnapshot* metrics = nullptr);
 
   const Options& options() const { return options_; }
 

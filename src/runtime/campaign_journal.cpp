@@ -30,7 +30,9 @@ void encode_params(ckpt::Serializer& s, const core::SystemParams& p) {
   s.u32(p.hetero.checker_width);
   s.u64(p.hetero.checker_load_latency);
   s.u64(p.hetero.rollback_penalty);
-  s.u8(static_cast<std::uint8_t>(p.tier));
+  // Formerly the model tier; every run is cycle-accurate now. Written as
+  // 0 so existing journal headers and golden keys keep their bytes.
+  s.u8(0);
 }
 
 std::uint32_t grid_fingerprint(const std::vector<SimJob>& jobs) {
@@ -61,27 +63,16 @@ std::uint32_t grid_fingerprint(const std::vector<SimJob>& jobs) {
 
 ckpt::JournalHeader make_journal_header(const std::vector<SimJob>& jobs,
                                         std::uint64_t campaign_seed,
-                                        bool collect_metrics, bool screen,
-                                        double screen_threshold, bool prefix,
+                                        bool collect_metrics, bool prefix,
                                         Cycle prefix_interval) {
   ckpt::JournalHeader h;
   h.campaign_seed = campaign_seed;
   h.jobs = jobs.size();
   h.grid_crc = grid_fingerprint(jobs);
-  if (screen) {
-    // Fold the screening policy into the grid CRC (the header line format
-    // itself is unchanged): a plain campaign and screening campaigns at
-    // different thresholds all pin distinct identities.
-    ckpt::Serializer s;
-    s.u32(h.grid_crc);
-    s.b(true);
-    s.f64(screen_threshold);
-    h.grid_crc = ckpt::crc32(s.data());
-  }
   if (prefix) {
-    // Same trick for an active prefix engine: fold the policy only when it
-    // is on, so prefix_share=0 journals stay byte-identical to builds that
-    // predate the engine.
+    // Fold the prefix policy into the grid CRC only when the engine is on
+    // (the header line format itself is unchanged), so prefix_share=0
+    // journals stay byte-identical to builds that predate the engine.
     ckpt::Serializer s;
     s.u32(h.grid_crc);
     s.b(true);
@@ -92,13 +83,8 @@ ckpt::JournalHeader make_journal_header(const std::vector<SimJob>& jobs,
   return h;
 }
 
-bool entry_acceptable(const SimJob& job, const engine::RunResult& result,
-                      bool screen, double screen_threshold) {
-  if (screen) {
-    return !result.approximate ||
-           screening_score(result) < screen_threshold;
-  }
-  return result.approximate == (job.params.tier == engine::Tier::kFast);
+bool entry_acceptable(const engine::RunResult& result) {
+  return !result.approximate;
 }
 
 std::string encode_entry_blob(const engine::RunResult& result,

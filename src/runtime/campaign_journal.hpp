@@ -26,43 +26,34 @@
 
 namespace unsync::runtime {
 
-/// Appends every SystemParams field (the architecture knobs, then the
-/// model tier) in one fixed order: the single encoding behind both the
-/// grid fingerprint and the prefix engine's golden_job_key.
+/// Appends every SystemParams field (the architecture knobs, then a
+/// retired model-tier byte) in one fixed order: the single encoding behind
+/// both the grid fingerprint and the prefix engine's golden_job_key.
 void encode_params(ckpt::Serializer& s, const core::SystemParams& p);
 
 /// CRC-32 fingerprint of the whole job grid: any change to a label,
-/// workload, architecture, knob, model tier or seed yields a different
+/// workload, architecture, knob or seed yields a different
 /// fingerprint.
 std::uint32_t grid_fingerprint(const std::vector<SimJob>& jobs);
 
 /// The header that pins `jobs` for a given campaign configuration; shard /
 /// workers are filled by the distributed layer when journaling one shard.
-/// Screening campaigns (fast sweep + thresholded detailed re-run) fold the
-/// screen flag and threshold into the grid CRC, so a journal written under
-/// one screening policy can never be resumed — or merged — under another.
 /// Prefix-sharing campaigns fold their activation and golden-checkpoint
-/// interval the same way when (and only when) the engine is actually
+/// interval into the grid CRC when (and only when) the engine is actually
 /// active, so prefix_share=0 journals keep the historical bytes while an
 /// active engine pins how its campaign ran. The cache budget is a pure
 /// performance knob and is never part of identity.
 ckpt::JournalHeader make_journal_header(const std::vector<SimJob>& jobs,
                                         std::uint64_t campaign_seed,
                                         bool collect_metrics,
-                                        bool screen = false,
-                                        double screen_threshold = 0.0,
                                         bool prefix = false,
                                         Cycle prefix_interval = 0);
 
 /// Belt-and-braces restore filter: whether a journaled result could have
-/// been produced by `job` under the given screening policy. Non-screen
-/// campaigns require the entry's tier to match the job's params.tier;
-/// screen campaigns accept detailed entries always and fast entries only
-/// when their screening_score stayed below the threshold (an entry at or
-/// above it would have been re-run detailed before journaling). Entries
-/// failing this simply re-run.
-bool entry_acceptable(const SimJob& job, const engine::RunResult& result,
-                      bool screen, double screen_threshold);
+/// been produced by this build. Every run is cycle-accurate, so an entry
+/// whose `approximate` byte is set (written by a retired approximate
+/// model) is refused; that job simply re-runs.
+bool entry_acceptable(const engine::RunResult& result);
 
 /// One journaled job, decoded.
 struct RestoredJob {

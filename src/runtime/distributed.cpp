@@ -26,18 +26,12 @@ std::string read_first_line(const std::string& path) {
   return line;
 }
 
-/// Whether this topology runs the prefix engine (screening wins: the fast
-/// tier already is the shortcut, so the engine stays out of the identity).
-bool prefix_on(const DistributedOptions& opts) {
-  return opts.prefix.enabled && !opts.screen;
-}
-
 ckpt::JournalHeader shard_header(const std::vector<SimJob>& jobs,
                                  const DistributedOptions& opts,
                                  unsigned shard) {
   ckpt::JournalHeader h = make_journal_header(
-      jobs, opts.campaign_seed, opts.collect_metrics, opts.screen,
-      opts.screen_threshold, prefix_on(opts), opts.prefix.interval);
+      jobs, opts.campaign_seed, opts.collect_metrics, opts.prefix.enabled,
+      opts.prefix.interval);
   h.shard = shard;
   h.workers = opts.workers;
   return h;
@@ -67,8 +61,8 @@ std::string shard_journal_path(const std::string& dir, unsigned shard) {
 ckpt::JournalHeader manifest_header(const std::vector<SimJob>& jobs,
                                     const DistributedOptions& opts) {
   ckpt::JournalHeader h = make_journal_header(
-      jobs, opts.campaign_seed, opts.collect_metrics, opts.screen,
-      opts.screen_threshold, prefix_on(opts), opts.prefix.interval);
+      jobs, opts.campaign_seed, opts.collect_metrics, opts.prefix.enabled,
+      opts.prefix.interval);
   h.workers = opts.workers;
   return h;
 }
@@ -118,11 +112,7 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
     std::string rewrite = header.to_line();
     rewrite.push_back('\n');
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (!loaded[i] ||
-          !entry_acceptable(jobs[i], loaded[i]->result, opts.screen,
-                            opts.screen_threshold)) {
-        continue;
-      }
+      if (!loaded[i] || !entry_acceptable(loaded[i]->result)) continue;
       done[i] = 1;
       const std::string blob = encode_entry_blob(
           loaded[i]->result,
@@ -143,7 +133,7 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
   // worker's threads (own shard AND stolen jobs — a thief re-derives the
   // same golden bytes a sibling would, so stolen results stay identical).
   std::unique_ptr<PrefixEngine> engine;
-  if (prefix_on(opts)) engine = std::make_unique<PrefixEngine>(opts.prefix);
+  if (opts.prefix.enabled) engine = std::make_unique<PrefixEngine>(opts.prefix);
   const bool prefix_jobs = engine && !opts.collect_metrics;
 
   std::mutex journal_mu;
@@ -153,11 +143,7 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
     const std::uint64_t seed = job_seed(jobs, opts.campaign_seed, i);
     engine::RunResult result;
     obs::MetricsSnapshot metrics;
-    if (opts.screen) {
-      result = CampaignRunner::run_job_screened(
-          jobs[i], seed, opts.screen_threshold,
-          opts.collect_metrics ? &metrics : nullptr);
-    } else if (opts.collect_metrics) {
+    if (opts.collect_metrics) {
       if (engine) engine->note_bypass();
       obs::MetricsRegistry reg;
       result = CampaignRunner::run_job(jobs[i], seed, &reg);
@@ -293,9 +279,7 @@ CampaignOutput merge_shards(const std::vector<SimJob>& jobs,
     auto loaded =
         load_journal(shard_journal_path(opts.dir, w), shard_header(jobs, opts, w));
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (!restored[i] && loaded[i] &&
-          entry_acceptable(jobs[i], loaded[i]->result, opts.screen,
-                           opts.screen_threshold)) {
+      if (!restored[i] && loaded[i] && entry_acceptable(loaded[i]->result)) {
         restored[i] = std::move(loaded[i]);
       }
     }

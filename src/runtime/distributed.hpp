@@ -43,16 +43,10 @@ struct DistributedOptions {
   /// Off = strict static sharding (a dead sibling's jobs stay pending
   /// until that worker resumes).
   bool steal = true;
-  /// Two-phase tier screening (CampaignRunner::Options semantics): fast
-  /// sweep, detailed re-run of cells whose screening_score reaches the
-  /// threshold. The screening policy is folded into the manifest/journal
-  /// grid CRC, so every participant must agree on it.
-  bool screen = false;
-  double screen_threshold = 0.0;
   /// Prefix-sharing (CampaignRunner::Options semantics): each worker
   /// process owns one golden-trace cache shared by its in-process threads.
   /// The activation + interval are folded into the manifest/journal grid
-  /// CRC (like the screening policy), so every participant must agree on
+  /// CRC, so every participant must agree on
   /// them; the cache budget stays per-process and free to differ.
   PrefixOptions prefix;
   /// Flush the shard journal every N completed jobs.

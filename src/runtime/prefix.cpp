@@ -40,13 +40,6 @@ SimJob golden_job(const SimJob& job) {
   return g;
 }
 
-/// Whether the engine can even try to share this job: only the detailed
-/// tier runs on a System exposing the prefix hooks (the interval model is
-/// already the fast path and keeps its own contract).
-bool eligible(const SimJob& job) {
-  return job.params.tier == engine::Tier::kDetailed;
-}
-
 /// Latest golden checkpoint that provably precedes every group's first
 /// arrival: safe iff no group's commit watermark has reached its first
 /// strike position (arrivals fire when progress >= position, so equality
@@ -195,17 +188,15 @@ std::vector<std::size_t> PrefixEngine::schedule_order(
     k.index = i;
     const std::uint64_t seed = job_seed(jobs, campaign_seed, i);
     k.golden = golden_job_key(jobs[i], seed);
-    if (eligible(jobs[i])) {
-      const FaultChannel ch = compute_fault_channel(jobs[i], seed);
-      SeqNum first = kNoSeq;
-      for (const auto& sched : ch.schedules) {
-        if (!sched.empty()) first = std::min(first, sched.front());
-      }
-      // Arrival-free jobs sort first within their group: they return the
-      // golden result directly, so running one early builds the golden
-      // every sibling needs.
-      k.first_arrival = first == kNoSeq ? 0 : first;
+    const FaultChannel ch = compute_fault_channel(jobs[i], seed);
+    SeqNum first = kNoSeq;
+    for (const auto& sched : ch.schedules) {
+      if (!sched.empty()) first = std::min(first, sched.front());
     }
+    // Arrival-free jobs sort first within their group: they return the
+    // golden result directly, so running one early builds the golden every
+    // sibling needs.
+    k.first_arrival = first == kNoSeq ? 0 : first;
     keys.push_back(std::move(k));
   }
   std::vector<std::size_t> order(jobs.size());
@@ -228,10 +219,8 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
                                                 Cycle interval) {
   const SimJob gjob = golden_job(job);
   const auto stream = make_job_stream(gjob, seed);
-  const auto model = core::make_model(
-      gjob.system, job_system_config(gjob, seed), *stream, gjob.params);
-  auto* sys = dynamic_cast<core::System*>(model.get());
-  if (!sys) return nullptr;
+  const auto sys = core::make_system(gjob.system, job_system_config(gjob, seed),
+                                     *stream, gjob.params);
 
   auto trace = std::make_shared<GoldenTrace>();
   for (Cycle k = 1;; ++k) {
@@ -279,7 +268,7 @@ void PrefixEngine::insert_golden(const std::string& key,
   // A single golden larger than the whole budget is thinned before
   // publication (dropping every other checkpoint halves the bytes while
   // keeping restore coverage).
-  if (trace && trace->bytes > budget) {
+  if (trace->bytes > budget) {
     auto thinned = std::make_shared<GoldenTrace>(*trace);
     while (thinned->bytes > budget && thinned->snaps.size() > 1) {
       std::vector<GoldenTrace::Snap> kept;
@@ -298,7 +287,7 @@ void PrefixEngine::insert_golden(const std::string& key,
   CacheEntry& entry = cache_[key];
   entry.ready = true;
   entry.trace = trace;
-  entry.bytes = trace ? trace->bytes : 0;
+  entry.bytes = trace->bytes;
   stats_.bytes += entry.bytes;
   ++stats_.goldens_built;
   evict_over_budget_locked(key);
@@ -353,7 +342,7 @@ std::shared_ptr<const GoldenTrace> PrefixEngine::acquire_golden(
 }
 
 engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
-  if (!options_.enabled || !eligible(job)) {
+  if (!options_.enabled) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       ++stats_.jobs_bypassed;
@@ -362,13 +351,6 @@ engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
   }
   const FaultChannel channel = compute_fault_channel(job, seed);
   const std::shared_ptr<const GoldenTrace> golden = acquire_golden(job, seed);
-  if (!golden) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.jobs_bypassed;
-    }
-    return CampaignRunner::run_job(job, seed);
-  }
 
   if (channel.empty()) {
     // No arrival anywhere: the job IS the golden run (the only state that
@@ -385,9 +367,8 @@ engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
   // run exactly.
   const SimJob gjob = golden_job(job);
   const auto stream = make_job_stream(gjob, seed);
-  const auto model = core::make_model(
-      gjob.system, job_system_config(gjob, seed), *stream, gjob.params);
-  auto* sys = dynamic_cast<core::System*>(model.get());
+  const auto sys = core::make_system(gjob.system, job_system_config(gjob, seed),
+                                     *stream, gjob.params);
 
   if (const GoldenTrace::Snap* snap = latest_safe_snap(*golden, channel)) {
     const auto t0 = std::chrono::steady_clock::now();

@@ -114,8 +114,7 @@ struct GoldenTrace {
 };
 
 /// Simulates the golden twin of `job` (ser zeroed), recording a checkpoint
-/// at every `interval` boundary. nullptr for a model without the prefix
-/// hooks.
+/// at every `interval` boundary.
 std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
                                                 std::uint64_t seed,
                                                 Cycle interval);
@@ -139,8 +138,8 @@ class PrefixEngine {
   PrefixEngine& operator=(const PrefixEngine&) = delete;
 
   /// Runs one job through the prefix-sharing path. Byte-identical to
-  /// CampaignRunner::run_job(job, seed) — jobs the engine cannot share
-  /// (non-detailed tier, models without the prefix hooks) fall back to it.
+  /// CampaignRunner::run_job(job, seed), which a disabled engine falls
+  /// back to.
   engine::RunResult run_job(const SimJob& job, std::uint64_t seed);
 
   /// Execution-order permutation for a grid: jobs grouped by golden
@@ -151,7 +150,7 @@ class PrefixEngine {
                                           std::uint64_t campaign_seed) const;
 
   /// Counts a job the campaign layer routed around the engine entirely
-  /// (screening / metrics-collection paths).
+  /// (the metrics-collection path).
   void note_bypass();
 
   const PrefixOptions& options() const { return options_; }
@@ -160,7 +159,7 @@ class PrefixEngine {
  private:
   struct CacheEntry {
     bool ready = false;
-    std::shared_ptr<const GoldenTrace> trace;  ///< null = unsupported cell
+    std::shared_ptr<const GoldenTrace> trace;  ///< null until ready
     std::size_t bytes = 0;
     std::list<std::string>::iterator lru;
   };

@@ -3,7 +3,7 @@
 // golden cache key shares exactly the cells it should, and — the
 // acceptance gate — prefix-shared campaigns are byte-identical to naive
 // full-run campaigns across checkpoint intervals, worker counts, cache
-// budgets (eviction + thinning), screening, journal resume and the
+// budgets (eviction + thinning), journal resume and the
 // distributed fabric.
 #include <gtest/gtest.h>
 
@@ -106,11 +106,9 @@ TEST(PrefixFaultChannel, MatchesFreshlyConstructedSystems) {
     const auto channel = runtime::compute_fault_channel(job, seed);
 
     const auto stream = runtime::make_job_stream(job, seed);
-    const auto model =
-        core::make_model(kind, runtime::job_system_config(job, seed), *stream,
-                         job.params);
-    auto* sys = dynamic_cast<core::System*>(model.get());
-    ASSERT_NE(sys, nullptr) << name_of(kind);
+    const auto sys =
+        core::make_system(kind, runtime::job_system_config(job, seed), *stream,
+                          job.params);
     EXPECT_EQ(sys->fault_channel_bytes(), channel.encoded) << name_of(kind);
     if (kind == core::SystemKind::kBaseline) {
       EXPECT_TRUE(channel.empty());
@@ -137,11 +135,9 @@ TEST(PrefixFaultChannel, InstallingTheChannelReproducesTheFaultyRun) {
   SimJob gjob = job;
   gjob.ser_per_inst = 0.0;
   const auto stream = runtime::make_job_stream(gjob, seed);
-  const auto model = core::make_model(gjob.system,
-                                      runtime::job_system_config(gjob, seed),
-                                      *stream, gjob.params);
-  auto* sys = dynamic_cast<core::System*>(model.get());
-  ASSERT_NE(sys, nullptr);
+  const auto sys = core::make_system(gjob.system,
+                                     runtime::job_system_config(gjob, seed),
+                                     *stream, gjob.params);
   const auto channel = runtime::compute_fault_channel(job, seed);
   sys->install_fault_channel(channel.encoded);
   EXPECT_EQ(sys->run().to_json(), direct.to_json());
@@ -180,15 +176,13 @@ TEST(PrefixGoldenKey, SharesTrialsAndSerPointsOfATraceCell) {
 struct GoldenTwin {
   SimJob job;
   std::unique_ptr<workload::InstStream> stream;
-  std::unique_ptr<engine::SimModel> model;
-  core::System* sys = nullptr;
+  std::unique_ptr<core::System> sys;
 
   GoldenTwin(SimJob j, std::uint64_t seed) : job(std::move(j)) {
     job.ser_per_inst = 0.0;
     stream = runtime::make_job_stream(job, seed);
-    model = core::make_model(job.system, runtime::job_system_config(job, seed),
-                             *stream, job.params);
-    sys = dynamic_cast<core::System*>(model.get());
+    sys = core::make_system(job.system, runtime::job_system_config(job, seed),
+                            *stream, job.params);
   }
 };
 
@@ -206,11 +200,9 @@ TEST(PrefixDigests, GoldenDigestsMatchANaiveTwinAtEveryBoundary) {
     job.system = kind;
     job.ser_per_inst = 2e-4;
     const auto golden = runtime::build_golden(job, 31, interval);
-    ASSERT_NE(golden, nullptr) << name_of(kind);
     ASSERT_GE(golden->snaps.size(), 2u) << name_of(kind);
 
     GoldenTwin twin(job, 31);
-    ASSERT_NE(twin.sys, nullptr);
     for (std::size_t k = 0; k < golden->snaps.size(); ++k) {
       const GoldenTrace::Snap& snap = golden->snaps[k];
       ASSERT_EQ(snap.boundary, (k + 1) * interval) << name_of(kind);
@@ -338,24 +330,6 @@ TEST(PrefixCampaign, TinyCacheBudgetEvictsButStaysIdentical) {
   const auto out = CampaignRunner(opts).run(jobs);
   EXPECT_EQ(out.to_json(), naive_json(jobs));
   EXPECT_GT(out.scheduler_metrics.counters.at("campaign.prefix_cache.evictions"),
-            0u);
-}
-
-TEST(PrefixCampaign, ScreeningCampaignsIgnoreThePrefixEngine) {
-  const auto jobs = mixed_grid();
-  CampaignRunner::Options screen_only;
-  screen_only.threads = 1;
-  screen_only.screen = true;
-  screen_only.screen_threshold = 1.0;
-  const std::string want = CampaignRunner(screen_only).run(jobs).to_json();
-
-  CampaignRunner::Options both = screen_only;
-  both.threads = 3;
-  both.prefix.enabled = true;
-  const auto out = CampaignRunner(both).run(jobs);
-  EXPECT_EQ(out.to_json(), want);
-  // Screening never constructs the engine at all.
-  EXPECT_EQ(out.scheduler_metrics.counters.count("campaign.prefix_cache.hits"),
             0u);
 }
 

@@ -90,14 +90,6 @@ TEST(RunResultJson, MatchesGoldenSchema) {
             read_golden("run_result_v2.json"));
 }
 
-TEST(RunResultJson, FastTierResultsAreTagged) {
-  engine::RunResult r = sample_result();
-  r.approximate = true;
-  const std::string j = r.to_json();
-  EXPECT_NE(j.find("\"tier\":\"fast\""), std::string::npos);
-  EXPECT_NE(j.find("\"approximate\":true"), std::string::npos);
-}
-
 // v2 is v1 plus the "tier"/"approximate" pair inserted after "system": a
 // v1 reader that ignores unknown keys parses a v2 document unchanged.
 // Proven mechanically: deleting those two lines from the pretty v2 output

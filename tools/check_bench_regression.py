@@ -35,27 +35,6 @@ writes ("unsync.bench_campaign_scaling.v1") and enforces:
    so the gate falls back to the workers=1 point — which must stay near
    1.0 (scheduling overhead, not parallelism, is then what is bounded).
 
-Two-tier mode (--tier): consumes the JSON that
-    build/bench/bench_tier_screening json=BENCH_tier.json
-writes ("unsync.bench_tier.v1") and enforces the validated-fast-model
-contract (docs/TIERS.md):
-1. identical == true — a tier=screen campaign at threshold 0 stayed
-   byte-identical to the pure detailed campaign.
-2. Whole-grid speedup of the fast tier >= --min-tier-speedup (default
-   10x). Both tiers run in the same process on the same grid, so the
-   ratio is machine-independent the same way the ff gate is.
-3. Every cell's err_dev == 0 — the fast tier must consume the identical
-   fault-arrival schedule, never an approximation of it.
-4. Every cell's cpi_rel_err stays within the committed per-cell envelope
-   (--tier-baseline bench/BENCH_tier_baseline.json). A fast model whose
-   error drifts past its published bound is no longer validated and must
-   not silently keep screening campaigns. Skipped (with a notice) if
-   --tier-baseline is not given.
-
-To refresh the committed envelope after a deliberate model change:
-    python3 tools/check_bench_regression.py BENCH_tier.json --tier \
-        --write-tier-baseline bench/BENCH_tier_baseline.json
-
 Prefix-sharing mode (--prefix): consumes the JSON that
     build/bench/bench_injection_prefix json=BENCH_prefix.json
 writes ("unsync.bench_prefix.v1") and enforces the prefix-engine contract
@@ -64,7 +43,7 @@ writes ("unsync.bench_prefix.v1") and enforces the prefix-engine contract
    to the naive full-run campaign.
 2. Whole-grid speedup >= --min-prefix-speedup (default 3x). Both
    campaigns run in the same process on the same grid, so the ratio is
-   machine-independent the same way the tier gate is.
+   machine-independent the same way the ff gate is.
 3. The deterministic engine counters (goldens built, jobs restored /
    spliced / bypassed, cycles skipped) exactly match the committed
    baseline (--prefix-baseline bench/BENCH_prefix_baseline.json) — they
@@ -247,125 +226,6 @@ def check_campaign(path, min_efficiency):
     print(f"  campaign: efficiency at workers={gated['workers']} "
           f"(cores={cores}): {eff:.2f}  [gated] {verdict}")
     return ok
-
-
-TIER_SCHEMA = "unsync.bench_tier.v1"
-TIER_BASELINE_SCHEMA = "unsync.tier_baseline.v1"
-
-
-def load_tier_report(path):
-    try:
-        with open(path) as f:
-            report = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot read tier report {path}: {e}")
-        sys.exit(2)
-    if report.get("schema") != TIER_SCHEMA:
-        print(f"error: {path} is not a {TIER_SCHEMA} file")
-        sys.exit(2)
-    return report
-
-
-def tier_cell_key(cell):
-    return f"{cell['bench']}/{cell['system']}"
-
-
-def check_tier(report, min_speedup, baseline_path):
-    """Gate the two-tier screening report against the committed envelope."""
-    ok = True
-
-    if report.get("identical") is not True:
-        print("  tier: FAIL — screened campaign was NOT byte-identical to "
-              "pure detailed at threshold 0 (screening contract broken)")
-        ok = False
-    else:
-        print("  tier: screen threshold=0 byte-identical to pure detailed")
-
-    speedup = float(report.get("speedup", 0.0))
-    verdict = "ok"
-    if speedup < min_speedup:
-        verdict = f"FAIL (< {min_speedup:.1f}x required)"
-        ok = False
-    print(f"  tier: fast-tier grid speedup: {speedup:5.1f}x  [gated] "
-          f"{verdict}")
-
-    bad_sched = [tier_cell_key(c) for c in report.get("cells", [])
-                 if int(c.get("err_dev", 0)) != 0]
-    if bad_sched:
-        print(f"  tier: FAIL — fault-arrival schedule diverged in "
-              f"{len(bad_sched)} cell(s): {', '.join(bad_sched[:5])}")
-        ok = False
-    else:
-        print(f"  tier: fault-arrival schedule identical in all "
-              f"{len(report.get('cells', []))} cells")
-
-    if not baseline_path:
-        print("  (no --tier-baseline given; skipping CPI-envelope gate)")
-        return ok
-
-    try:
-        with open(baseline_path) as f:
-            baseline = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot read tier baseline {baseline_path}: {e}")
-        sys.exit(2)
-    if baseline.get("schema") != TIER_BASELINE_SCHEMA:
-        print(f"error: {baseline_path} is not a {TIER_BASELINE_SCHEMA} file")
-        sys.exit(2)
-
-    current = {tier_cell_key(c): c for c in report.get("cells", [])}
-    worst = (None, 0.0)
-    for key, bound in sorted(baseline["bounds"].items()):
-        cell = current.get(key)
-        if cell is None:
-            print(f"  tier envelope {key}: MISSING from current report")
-            ok = False
-            continue
-        err = float(cell["cpi_rel_err"])
-        if worst[0] is None or err > worst[1]:
-            worst = (key, err)
-        if err > float(bound):
-            print(f"  tier envelope {key}: cpi_rel_err {err:.3f} "
-                  f"EXCEEDS bound {float(bound):.3f} FAIL")
-            ok = False
-    uncovered = sorted(set(current) - set(baseline["bounds"]))
-    if uncovered:
-        print(f"  tier envelope: {len(uncovered)} cell(s) have no committed "
-              f"bound (refresh with --write-tier-baseline): "
-              f"{', '.join(uncovered[:5])}")
-        ok = False
-    if worst[0] is not None:
-        print(f"  tier envelope: all bounds checked; worst cell {worst[0]} "
-              f"at cpi_rel_err {worst[1]:.3f}")
-    return ok
-
-
-def write_tier_baseline(report, path, headroom, margin):
-    """Record per-cell bounds: measured error x headroom + margin.
-
-    The headroom absorbs workload-profile jitter between runs; the
-    additive margin keeps near-zero cells from pinning a bound so tight
-    that normal noise trips it.
-    """
-    bounds = {
-        tier_cell_key(c):
-            round(float(c["cpi_rel_err"]) * headroom + margin, 4)
-        for c in report.get("cells", [])
-    }
-    doc = {
-        "schema": TIER_BASELINE_SCHEMA,
-        "note": ("per-cell upper bound on the fast tier's CPI relative "
-                 f"error: measured x {headroom} + {margin}; gate with "
-                 "check_bench_regression.py --tier --tier-baseline"),
-        "source_insts": report.get("insts"),
-        "source_seed": report.get("seed"),
-        "source_ser": report.get("ser"),
-        "bounds": bounds,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote tier baseline {path} ({len(bounds)} cell bounds)")
 
 
 PREFIX_SCHEMA = "unsync.bench_prefix.v1"
@@ -809,23 +669,6 @@ def main():
                     "gated point (default 0.85)")
     ap.add_argument("--write-baseline", metavar="PATH",
                     help="write a fresh baseline from the report and exit")
-    ap.add_argument("--tier", action="store_true",
-                    help="gate a bench_tier_screening JSON instead of a "
-                    "google-benchmark report")
-    ap.add_argument("--min-tier-speedup", type=float, default=10.0,
-                    help="required fast-tier whole-grid speedup "
-                    "(default 10.0)")
-    ap.add_argument("--tier-baseline", metavar="PATH",
-                    help="committed BENCH_tier_baseline.json envelope")
-    ap.add_argument("--tier-headroom", type=float, default=1.5,
-                    help="bound = measured error x this when writing the "
-                    "tier baseline (default 1.5)")
-    ap.add_argument("--tier-margin", type=float, default=0.02,
-                    help="additive slack on every written tier bound "
-                    "(default 0.02)")
-    ap.add_argument("--write-tier-baseline", metavar="PATH",
-                    help="with --tier: write a fresh error envelope from "
-                    "the report and exit")
     ap.add_argument("--prefix", action="store_true",
                     help="gate a bench_injection_prefix JSON instead of a "
                     "google-benchmark report")
@@ -883,16 +726,6 @@ def main():
             write_avf_baseline(report, args.write_avf_baseline)
             return 0
         ok = check_avf(report, args.avf_baseline)
-        print("bench gate:", "PASS" if ok else "FAIL")
-        return 0 if ok else 1
-
-    if args.tier:
-        report = load_tier_report(args.report)
-        if args.write_tier_baseline:
-            write_tier_baseline(report, args.write_tier_baseline,
-                                args.tier_headroom, args.tier_margin)
-            return 0
-        ok = check_tier(report, args.min_tier_speedup, args.tier_baseline)
         print("bench gate:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 

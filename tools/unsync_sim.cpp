@@ -26,17 +26,10 @@
 //   program=<file.s>  assemble and trace a URISC source file
 //   trace=<file.utrc> replay a previously recorded binary trace
 //
-// Model tiers (docs/TIERS.md):
-//   run/sweep/campaign tier=detailed|fast selects the cycle-accurate
-//   system or the approximate interval model; campaign additionally
-//   accepts tier=screen screen_threshold=<score|inf> — a fast sweep of
-//   the grid, then a detailed re-run of every cell whose screening score
-//   reaches the threshold.
-//
 // Options are key=value; all keys are snake_case. A leading "--" is
 // accepted and stripped, and kebab-case GNU spellings map onto the
-// snake_case key (--format=json == format=json, --screen-threshold=5 ==
-// screen_threshold=5; a bare --progress == progress=1).
+// snake_case key (--format=json == format=json, --checkpoint-every=4 ==
+// checkpoint_every=4; a bare --progress == progress=1).
 //
 // Parallelism: sweep and campaign fan their independent simulations out
 // across host threads (threads=N, default: hardware concurrency). Results
@@ -59,7 +52,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -71,7 +63,6 @@
 #include "core/factory.hpp"
 #include "core/report.hpp"
 #include "core/system.hpp"
-#include "engine/sim_model.hpp"
 #include "fault/avf.hpp"
 #include "hwmodel/components.hpp"
 #include "hwmodel/core_model.hpp"
@@ -111,8 +102,6 @@ void print_usage(std::ostream& os) {
       " [key=value...]\n"
       "  run: system=unsync|reunion|baseline|lockstep|checkpoint|hetero\n"
       "       bench=|kernel=|program=|trace=   [insts= seed= threads= ser=]\n"
-      "       [tier=detailed|fast]  fast = approximate interval model\n"
-      "         (docs/TIERS.md; no checkpoints / memory report)\n"
       "       unsync: cb=<entries> group=<N>   reunion: fi= latency=\n"
       "       checkpoint: interval= capture=\n"
       "       hetero: checker.log=<entries> checker.width=<N>\n"
@@ -126,21 +115,18 @@ void print_usage(std::ostream& os) {
       "                   resume=<file>  continue a saved snapshot\n"
       "  sweep: param=<cb|fi|latency|group|log|ser> values=v1,v2,...\n"
       "         + run args\n"
-      "         [threads=<host workers, default all cores>] [tier=]\n"
+      "         [threads=<host workers, default all cores>]\n"
       "  campaign: [systems=baseline,unsync,reunion] [benches=n1,n2|all]\n"
       "            [insts= seed= ser= threads=<host workers>]\n"
-      "            [tier=detailed|fast|screen screen_threshold=<score|inf>]\n"
-      "              tier=screen: fast sweep, then detailed re-run of every\n"
-      "              cell whose screening score reaches the threshold\n"
       "            [csv=1 format=json metrics=<path> progress=1]\n"
       "            [checkpoint=<journal> checkpoint_every=N resume=1]\n"
       "            [prefix_share=1 prefix_interval=<cycles>\n"
       "              prefix_cache_mb=<MiB>]  share each cell's fault-free\n"
       "              prefix via cached golden checkpoints; byte-identical\n"
-      "              results, detailed tier only (docs/CAMPAIGNS.md)\n"
+      "              results (docs/CAMPAIGNS.md)\n"
       "  campaign-worker: dir=<campaign dir> worker=<i> workers=<N>\n"
       "            + the campaign grid args (systems/benches/insts/seed/\n"
-      "              tier/screen_threshold/...) — all participants must\n"
+      "              ser/...) — all participants must\n"
       "              pass identical grid args (the manifest CRC checks)\n"
       "            [threads= steal=0 checkpoint_every=N collect_metrics=1]\n"
       "  campaign-coordinator: dir=<campaign dir> workers=<N> + grid args\n"
@@ -168,7 +154,7 @@ void print_usage(std::ostream& os) {
       "key spelling: every option is key=value and every key is snake_case;\n"
       "  --key=value is accepted for any key, a bare --flag means flag=1,\n"
       "  and kebab-case GNU spellings map onto the snake_case key\n"
-      "  (--screen-threshold=5 == screen_threshold=5). Unknown keys fail\n"
+      "  (--checkpoint-every=4 == checkpoint_every=4). Unknown keys fail\n"
       "  (exit 2) with a did-you-mean suggestion.\n"
       "exit codes: 0 success, 1 simulation error, 2 configuration error\n";
 }
@@ -237,17 +223,12 @@ std::unique_ptr<workload::InstStream> make_stream(const Config& cfg,
 }
 
 /// Every simulation knob shared by run/sweep/campaign, parsed in ONE place
-/// so the subcommands cannot drift apart: the SystemParams block (which
-/// carries the architecture knobs AND the model-tier choice, docs/TIERS.md)
-/// plus the run-environment pair seed / SER, plus the
-/// campaign-only screening policy.
+/// so the subcommands cannot drift apart: the SystemParams block (the
+/// architecture knobs) plus the run-environment pair seed / SER.
 struct CommonKnobs {
   core::SystemParams params;
   double ser = 0.0;
   std::uint64_t seed = 42;
-  /// tier=screen (two-phase screening; campaign family only).
-  bool screen = false;
-  double screen_threshold = 0.0;
   /// avf=1: ACE/AVF residency accounting (observation-only; docs/FAULTS.md).
   bool avf = false;
   /// protect= / protect.<structure>= — the uncore protection plan joined
@@ -285,7 +266,7 @@ fault::UncorePlan protect_plan_from(const Config& cfg) {
   return plan;
 }
 
-CommonKnobs knobs_from(const Config& cfg, bool allow_screen = false) {
+CommonKnobs knobs_from(const Config& cfg) {
   CommonKnobs k;
   auto& p = k.params;
   p.unsync.cb_entries = static_cast<std::size_t>(cfg.get_int("cb", 128));
@@ -314,38 +295,6 @@ CommonKnobs knobs_from(const Config& cfg, bool allow_screen = false) {
   k.avf = cfg.get_bool("avf", false);
   k.protect = protect_plan_from(cfg);
 
-  const std::string tier = cfg.get_string("tier", "detailed");
-  if (tier == "screen") {
-    if (!allow_screen) {
-      throw ConfigError(
-          "tier=screen is campaign-only (this command runs a single "
-          "tier; see docs/TIERS.md)");
-    }
-    // Jobs stay tier=detailed in the grid: the screening policy (not the
-    // per-job tier) decides which model runs each cell.
-    k.screen = true;
-    const std::string threshold = cfg.get_string("screen_threshold", "0");
-    if (threshold == "inf" || threshold == "infinity") {
-      k.screen_threshold = std::numeric_limits<double>::infinity();
-    } else {
-      try {
-        k.screen_threshold = std::stod(threshold);
-      } catch (const std::exception&) {
-        throw ConfigError("screen_threshold= is not a number: " + threshold);
-      }
-    }
-  } else {
-    const auto t = engine::parse_tier(tier);
-    if (!t) {
-      throw ConfigError(std::string("unknown tier: ") + tier +
-                        (allow_screen ? " (detailed|fast|screen)"
-                                      : " (detailed|fast)"));
-    }
-    p.tier = *t;
-    if (cfg.has("screen_threshold")) {
-      throw ConfigError("screen_threshold= needs tier=screen");
-    }
-  }
   return k;
 }
 
@@ -413,10 +362,7 @@ int cmd_run(const Config& cfg) {
   const std::string system = cfg.get_string("system", "unsync");
   const auto kind = core::parse_system(system);
   if (!kind) throw ConfigError("unknown system: " + system);
-  const auto model = core::make_model(*kind, sys_cfg, *stream, knobs.params);
-  // The detailed tier is a full System (checkpoints, memory hierarchy
-  // report); the fast interval model is not — sys stays null for it.
-  auto* sys = dynamic_cast<core::System*>(model.get());
+  const auto sys = core::make_system(*kind, sys_cfg, *stream, knobs.params);
 
   obs::MetricsRegistry registry;
   std::unique_ptr<obs::JsonlTraceSink> trace_sink;
@@ -426,8 +372,8 @@ int cmd_run(const Config& cfg) {
     trace_sink = std::make_unique<obs::JsonlTraceSink>(trace_path, flush_every);
   }
   if (!metrics_path.empty() || trace_sink) {
-    model->set_observability(metrics_path.empty() ? nullptr : &registry,
-                             trace_sink.get());
+    sys->set_observability(metrics_path.empty() ? nullptr : &registry,
+                           trace_sink.get());
   }
 
   // Checkpoint/restore (docs/CHECKPOINTS.md). resume= restores a snapshot
@@ -437,12 +383,6 @@ int cmd_run(const Config& cfg) {
   const std::string resume_path = cfg.get_string("resume", "");
   const std::string ckpt_path = cfg.get_string("checkpoint", "");
   const auto ckpt_at = static_cast<Cycle>(cfg.get_int("checkpoint_at", 0));
-  if (!sys && (want_report || !resume_path.empty() || !ckpt_path.empty())) {
-    throw ConfigError(
-        "tier=fast supports neither checkpoints nor report=1 (the interval "
-        "model recomputes from scratch and has no memory hierarchy to "
-        "report; see docs/TIERS.md)");
-  }
   if (!resume_path.empty()) sys->load_checkpoint_file(resume_path);
   if (ckpt_at > 0) {
     if (ckpt_path.empty()) {
@@ -455,7 +395,7 @@ int cmd_run(const Config& cfg) {
     return kExitOk;
   }
 
-  const engine::RunResult result = model->run();
+  const engine::RunResult result = sys->run();
   if (!ckpt_path.empty()) sys->save_checkpoint_file(ckpt_path);
 
   if (!metrics_path.empty()) {
@@ -701,14 +641,12 @@ std::string campaign_format(const Config& cfg) {
 int cmd_campaign(const Config& cfg) {
   const std::string format = campaign_format(cfg);
   const std::string metrics_path = cfg.get_string("metrics", "");
-  const CommonKnobs knobs = knobs_from(cfg, /*allow_screen=*/true);
+  const CommonKnobs knobs = knobs_from(cfg);
   const CampaignGrid grid = build_campaign_grid(cfg, knobs);
 
   runtime::CampaignRunner::Options opts;
   opts.threads = static_cast<unsigned>(cfg.get_int("threads", 0));
   opts.campaign_seed = knobs.seed;
-  opts.screen = knobs.screen;
-  opts.screen_threshold = knobs.screen_threshold;
   opts.collect_metrics = !metrics_path.empty() || format == "json";
   opts.prefix = prefix_from(cfg);
   opts.journal = cfg.get_string("checkpoint", "");
@@ -734,9 +672,7 @@ int cmd_campaign(const Config& cfg) {
   return kExitOk;
 }
 
-/// Distributed-campaign knobs shared by worker and coordinator. The screen
-/// policy rides in `knobs` because it is part of the campaign identity
-/// (folded into the manifest grid CRC) — every participant must agree.
+/// Distributed-campaign knobs shared by worker and coordinator.
 runtime::DistributedOptions distributed_from(const Config& cfg,
                                              const CommonKnobs& knobs) {
   runtime::DistributedOptions opts;
@@ -745,8 +681,6 @@ runtime::DistributedOptions distributed_from(const Config& cfg,
   opts.workers = static_cast<unsigned>(cfg.get_int("workers", 0));
   if (opts.workers == 0) throw ConfigError("workers=<N >= 1> is required");
   opts.campaign_seed = knobs.seed;
-  opts.screen = knobs.screen;
-  opts.screen_threshold = knobs.screen_threshold;
   opts.prefix = prefix_from(cfg);
   opts.checkpoint_every =
       static_cast<std::size_t>(cfg.get_int("checkpoint_every", 1));
@@ -757,7 +691,7 @@ runtime::DistributedOptions distributed_from(const Config& cfg,
 /// campaign, journaling into dir=/shard_<worker>.jsonl. Safe to kill -9
 /// and rerun: valid journal lines are restored, torn ones re-run.
 int cmd_campaign_worker(const Config& cfg) {
-  const CommonKnobs knobs = knobs_from(cfg, /*allow_screen=*/true);
+  const CommonKnobs knobs = knobs_from(cfg);
   const CampaignGrid grid = build_campaign_grid(cfg, knobs);
   runtime::DistributedOptions opts = distributed_from(cfg, knobs);
   if (!cfg.has("worker")) throw ConfigError("worker=<shard index> is required");
@@ -788,7 +722,7 @@ int cmd_campaign_worker(const Config& cfg) {
 int cmd_campaign_coordinator(const Config& cfg) {
   const std::string format = campaign_format(cfg);
   const std::string metrics_path = cfg.get_string("metrics", "");
-  const CommonKnobs knobs = knobs_from(cfg, /*allow_screen=*/true);
+  const CommonKnobs knobs = knobs_from(cfg);
   const CampaignGrid grid = build_campaign_grid(cfg, knobs);
   runtime::DistributedOptions opts = distributed_from(cfg, knobs);
   opts.collect_metrics = !metrics_path.empty() || format == "json";
@@ -913,11 +847,6 @@ int cmd_avf_report(const Config& cfg) {
   if (cfg.has("avf") && !knobs.avf) {
     throw ConfigError("avf-report implies avf=1 (drop avf=0)");
   }
-  if (knobs.params.tier != engine::Tier::kDetailed) {
-    throw ConfigError(
-        "avf-report needs tier=detailed (the interval model has no uncore "
-        "residency to measure; see docs/TIERS.md)");
-  }
 
   const auto systems_arg = split_csv(cfg.get_string("systems", "unsync"));
   std::vector<core::SystemKind> systems;
@@ -1035,7 +964,7 @@ int cmd_list() {
 
 /// Accepts GNU-style spellings: "--key=value" -> "key=value", a bare
 /// "--flag" -> "flag=1", and kebab-case keys map onto the snake_case
-/// vocabulary ("--screen-threshold=5" -> "screen_threshold=5"). Only the
+/// vocabulary ("--checkpoint-every=4" -> "checkpoint_every=4"). Only the
 /// key part is rewritten — values (file paths, benchmark lists) keep their
 /// dashes. Returns the normalized argument strings.
 std::vector<std::string> normalize_args(int argc, char** argv) {
