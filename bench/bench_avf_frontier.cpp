@@ -17,19 +17,21 @@
 //      (area/power), and the campaign-wide energy delta at the synthesis
 //      model's 300 MHz.
 //
-// json=<path> writes "unsync.bench_avf.v1", gated in CI by
-//     tools/check_bench_regression.py --avf
-//         --avf-baseline bench/BENCH_avf_baseline.json
-// which enforces: identical == true (worker-count + cross-plan bit-cycle
-// determinism), frontier monotonicity (residual AVF and SDC never increase,
-// area/power never decrease, along none -> parity -> secded), zero SDC
-// under full single-bit coverage, and exact per-structure bit-cycle
-// equality with the committed baseline. Refresh after a deliberate model
-// change with --write-avf-baseline.
+// json=<path> writes an "unsync.bench_report.v1" (bench "avf"), gated in
+// CI by
+//     tools/check_bench_regression.py BENCH_avf.json
+//         bench/BENCH_avf_baseline.json
+// exact: identical (worker-count + cross-plan determinism) and each
+// structure's bit-cycles; measured, bounded by the baseline:
+// frontier_violations (max 0: residual AVF or SDC rising, or area/power
+// falling, along none -> parity -> secded), bit_cycles_plan_mismatches
+// (max 0: plans whose bit-cycles differ from the first), <plan>.sdc (max 0
+// under full single-bit coverage) and structures (min 6). Refresh after a
+// deliberate model change with --write-baseline.
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -169,55 +171,63 @@ int main(int argc, char** argv) {
                "plans: "
             << (identical ? "yes" : "NO") << "\n";
 
+  // The frontier's shape, as raw counts the baseline bounds.
+  std::uint64_t violations = 0;
+  for (std::size_t p = 1; p < rows.size(); ++p) {
+    const auto& prev = rows[p - 1];
+    const auto& cur = rows[p];
+    violations += cur.report.total_residual_avf() >
+                  prev.report.total_residual_avf() + 1e-12;
+    violations += cur.injection.sdc > prev.injection.sdc;
+    violations +=
+        cur.report.area_delta_um2() < prev.report.area_delta_um2() - 1e-9;
+    violations +=
+        cur.report.power_delta_w() < prev.report.power_delta_w() - 1e-12;
+  }
+  const auto& first = rows.front().report.structures;
+  std::uint64_t plan_mismatches = 0;  // plans whose bit-cycles differ
+  for (const auto& row : rows) {
+    const auto& s = row.report.structures;
+    plan_mismatches += !std::equal(
+        s.begin(), s.end(), first.begin(), first.end(),
+        [](const auto& a, const auto& b) {
+          return a.structure == b.structure && a.bit_cycles == b.bit_cycles;
+        });
+  }
+
+  bench::BenchReport report("avf");
+  report.grid("insts", args.insts);
+  report.grid("seed", args.seed);
+  report.exact("identical", identical);
+  for (const auto& s : first) {
+    report.exact("bit_cycles." + std::string(fault::name_of(s.structure)),
+                 s.bit_cycles);
+  }
+  report.measured("frontier_violations", violations);
+  report.measured("bit_cycles_plan_mismatches", plan_mismatches);
+  report.measured("structures", first.size());
+  for (const auto& row : rows) {
+    const auto& r = row.injection;
+    const std::string p = row.plan.name + ".";
+    report.measured(p + "total_avf", row.report.total_avf());
+    report.measured(p + "residual_avf", row.report.total_residual_avf());
+    report.measured(p + "area_delta_um2", row.report.area_delta_um2());
+    report.measured(p + "power_delta_w", row.report.power_delta_w());
+    report.measured(p + "energy_delta_j", row.energy_delta_j);
+    report.measured(p + "trials", r.total());
+    report.measured(p + "sdc", r.sdc);
+    report.measured(p + "detected", r.recovered + r.unrecoverable);
+    report.measured(p + "corrected_in_place", r.corrected_in_place);
+    report.measured(p + "unrecoverable", r.unrecoverable);
+    report.measured(p + "masked", r.masked);
+  }
+  report.write(args.json);
+
   if (!identical) {
     std::cout << "\nERROR: the AVF measurement depended on the worker count "
                  "or the protection plan — the observation-only contract is "
                  "broken.\n";
     return 1;
-  }
-
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_avf.v1\",\n"
-       << "  \"insts\": " << args.insts << ",\n"
-       << "  \"seed\": " << args.seed << ",\n"
-       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"plans\": [\n";
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-      const auto& row = rows[p];
-      const auto& r = row.injection;
-      js << "    {\"plan\": \"" << row.plan.name << "\""
-         << ", \"total_avf\": " << row.report.total_avf()
-         << ", \"total_residual_avf\": " << row.report.total_residual_avf()
-         << ", \"area_delta_um2\": " << row.report.area_delta_um2()
-         << ", \"power_delta_w\": " << row.report.power_delta_w()
-         << ", \"energy_delta_j\": " << row.energy_delta_j
-         << ", \"trials\": " << r.total() << ", \"sdc\": " << r.sdc
-         << ", \"detected\": " << (r.recovered + r.unrecoverable)
-         << ", \"corrected_in_place\": " << r.corrected_in_place
-         << ", \"unrecoverable\": " << r.unrecoverable
-         << ", \"masked\": " << r.masked << ",\n      \"structures\": [\n";
-      for (std::size_t i = 0; i < row.report.structures.size(); ++i) {
-        const auto& s = row.report.structures[i];
-        js << "        {\"structure\": \"" << fault::name_of(s.structure)
-           << "\", \"bit_cycles\": " << s.bit_cycles
-           << ", \"capacity_bit_cycles\": " << s.capacity_bit_cycles
-           << ", \"avf\": " << s.avf
-           << ", \"residual_avf\": " << s.residual_avf
-           << ", \"area_delta_um2\": " << s.area_delta_um2 << "}"
-           << (i + 1 < row.report.structures.size() ? "," : "") << "\n";
-      }
-      js << "      ]}" << (p + 1 < rows.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(frontier JSON written to " << args.json << ")\n";
-    }
   }
 
   bench::print_shape_note(

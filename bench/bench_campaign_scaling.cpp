@@ -11,12 +11,19 @@
 // what the host can actually parallelise.
 //
 // Every run is cross-checked byte-identical to the serial reference — the
-// scheduler must never leak into results.
+// scheduler must never leak into results. Each point also records the
+// process CPU seconds and the scheduler's summed idle time (workers hunting
+// for work): CPU time per job growing with the worker count means the
+// workers contend for shared resources, idle time means they starve.
 //
-// json=<path> writes a machine-readable report
-// ("unsync.bench_campaign_scaling.v1") that tools/check_bench_regression.py
-// --campaign gates in CI: identical must hold, and parallel efficiency at
-// the largest non-oversubscribed point must clear the bar.
+// json=<path> writes an "unsync.bench_report.v1" (bench "campaign"), gated
+// in CI by
+//     tools/check_bench_regression.py BENCH_campaign.json
+//         bench/BENCH_campaign_baseline.json
+// exact: identical; measured: gated_efficiency, the parallel efficiency
+// at the largest non-oversubscribed point (min 0.85), plus every point's
+// ungated timings.
+#include <ctime>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -39,15 +46,9 @@ std::string digest(const runtime::CampaignOutput& out) {
   return os.str();
 }
 
-struct Point {
-  unsigned workers = 0;
-  double wall_seconds = 0.0;
-  double jobs_per_sec = 0.0;
-  double speedup = 0.0;
-  double efficiency = 0.0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_failures = 0;
-};
+double cpu_seconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
 
 std::uint64_t counter_of(const obs::MetricsSnapshot& snap,
                          const std::string& name) {
@@ -87,77 +88,85 @@ int main(int argc, char** argv) {
   runtime::CampaignRunner::Options serial;
   serial.threads = 1;
   serial.campaign_seed = args.seed;
+  const double serial_cpu_start = cpu_seconds();
   const auto ref = runtime::CampaignRunner(serial).run(jobs);
+  const double serial_cpu = cpu_seconds() - serial_cpu_start;
   const std::string reference = digest(ref);
   const double serial_wall = ref.wall_seconds;
 
-  TextTable t;
-  t.set_header({"workers", "wall s", "jobs/s", "speedup", "efficiency",
-                "steals", "identical"});
+  bench::BenchReport report("campaign");
+  report.grid("jobs", n_jobs);
+  report.grid("insts_per_job", per_job_insts);
+  report.grid("seed", args.seed);
+  report.measured("cores", cores);
+  report.measured("serial.wall_seconds", serial_wall);
+  report.measured("serial.cpu_seconds", serial_cpu);
 
-  const unsigned worker_counts[] = {1, 2, 4, 8};
-  std::vector<Point> points;
+  TextTable t;
+  t.set_header({"workers", "wall s", "cpu s", "idle s", "jobs/s", "speedup",
+                "efficiency", "steals", "identical"});
+
+  // The gated point: the largest worker count the host can actually run in
+  // parallel (workers=1 on a single-core host, where the gate bounds pure
+  // scheduling overhead instead).
+  unsigned gated_workers = 1;
+  double gated_efficiency = 0.0;
   bool all_identical = true;
-  for (const unsigned w : worker_counts) {
+  for (const unsigned w : {1u, 2u, 4u, 8u}) {
     runtime::CampaignRunner::Options opts;
     opts.threads = w;
     opts.campaign_seed = args.seed;
+    const double cpu_start = cpu_seconds();
     const auto out = runtime::CampaignRunner(opts).run(jobs);
+    const double cpu = cpu_seconds() - cpu_start;
     const bool same = digest(out) == reference;
     all_identical = all_identical && same;
 
-    Point p;
-    p.workers = w;
-    p.wall_seconds = out.wall_seconds;
-    p.jobs_per_sec = static_cast<double>(n_jobs) / out.wall_seconds;
-    p.speedup = serial_wall / out.wall_seconds;
-    p.efficiency = p.speedup / std::min(w, cores);
-    p.steals = counter_of(out.scheduler_metrics, "campaign.scheduler.steals");
-    p.steal_failures = counter_of(out.scheduler_metrics,
-                                  "campaign.scheduler.steal_failures");
-    t.add_row({std::to_string(w), TextTable::num(p.wall_seconds, 3),
-               TextTable::num(p.jobs_per_sec, 0),
-               TextTable::num(p.speedup, 2), TextTable::num(p.efficiency, 2),
-               std::to_string(p.steals), same ? "yes" : "NO"});
-    points.push_back(p);
+    const double speedup = serial_wall / out.wall_seconds;
+    const double efficiency = speedup / std::min(w, cores);
+    const auto& sched = out.scheduler_metrics;
+    const std::uint64_t idle_ns =
+        counter_of(sched, "campaign.scheduler.idle_ns");
+    const std::uint64_t steals =
+        counter_of(sched, "campaign.scheduler.steals");
+    if (w == 1 || w <= cores) {
+      gated_workers = w;
+      gated_efficiency = efficiency;
+    }
+    const std::string p = "workers=" + std::to_string(w) + ".";
+    report.measured(p + "wall_seconds", out.wall_seconds);
+    report.measured(p + "cpu_seconds", cpu);
+    report.measured(p + "idle_ns", idle_ns);
+    report.measured(p + "jobs_per_sec",
+                    static_cast<double>(n_jobs) / out.wall_seconds);
+    report.measured(p + "speedup", speedup);
+    report.measured(p + "efficiency", efficiency);
+    report.measured(p + "steals", steals);
+    report.measured(p + "steal_failures",
+                    counter_of(sched, "campaign.scheduler.steal_failures"));
+    t.add_row({std::to_string(w), TextTable::num(out.wall_seconds, 3),
+               TextTable::num(cpu, 3),
+               TextTable::num(static_cast<double>(idle_ns) / 1e9, 3),
+               TextTable::num(static_cast<double>(n_jobs) / out.wall_seconds,
+                              0),
+               TextTable::num(speedup, 2), TextTable::num(efficiency, 2),
+               std::to_string(steals), same ? "yes" : "NO"});
   }
   t.print(std::cout);
+  std::cout << "\ngated point: workers=" << gated_workers
+            << ", efficiency " << TextTable::num(gated_efficiency, 2)
+            << " (serial run: " << TextTable::num(serial_wall, 3)
+            << " s wall, " << TextTable::num(serial_cpu, 3) << " s cpu)\n";
+
+  report.exact("identical", all_identical);
+  report.measured("gated_workers", gated_workers);
+  report.measured("gated_efficiency", gated_efficiency);
+  report.write(args.json);
 
   if (!all_identical) {
     std::cout << "\nERROR: results differ across worker counts — the "
                  "campaign engine's determinism contract is broken.\n";
     return 1;
-  }
-
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_campaign_scaling.v1\",\n"
-       << "  \"jobs\": " << n_jobs << ",\n"
-       << "  \"insts_per_job\": " << per_job_insts << ",\n"
-       << "  \"hardware_concurrency\": " << cores << ",\n"
-       << "  \"serial_wall_seconds\": " << serial_wall << ",\n"
-       << "  \"identical\": " << (all_identical ? "true" : "false") << ",\n"
-       << "  \"points\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto& p = points[i];
-      js << "    {\"workers\": " << p.workers
-         << ", \"wall_seconds\": " << p.wall_seconds
-         << ", \"jobs_per_sec\": " << p.jobs_per_sec
-         << ", \"speedup\": " << p.speedup
-         << ", \"efficiency\": " << p.efficiency
-         << ", \"steals\": " << p.steals
-         << ", \"steal_failures\": " << p.steal_failures << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(scaling JSON written to " << args.json << ")\n";
-    }
   }
 
   bench::print_shape_note(

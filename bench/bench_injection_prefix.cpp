@@ -14,17 +14,16 @@
 // cell) with many Monte-Carlo trials per point, at soft-error rates low
 // enough that most trials see few or no arrivals.
 //
-// json=<path> writes "unsync.bench_prefix.v1", which
-//     tools/check_bench_regression.py --prefix
-//         --prefix-baseline bench/BENCH_prefix_baseline.json
-// gates in CI: identical must hold, the speedup must clear
-// --min-prefix-speedup (default 3x), and the deterministic engine counters
-// (goldens built, jobs restored/spliced/bypassed, cycles skipped) must
-// exactly match the committed baseline — they are a pure function of the
-// grid, independent of worker count and host. Refresh after a deliberate
-// engine change with --write-prefix-baseline.
+// json=<path> writes an "unsync.bench_report.v1" (bench "prefix"), gated
+// in CI by
+//     tools/check_bench_regression.py BENCH_prefix.json
+//         bench/BENCH_prefix_baseline.json
+// exact: identical and the deterministic engine counters (goldens built,
+// jobs restored / early-terminated / bypassed, cycles skipped) — a pure
+// function of the grid, independent of worker count and host; measured:
+// speedup (min 3), wall times and the cache-shape counters. Refresh after
+// a deliberate engine change with --write-baseline.
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -129,38 +128,29 @@ int main(int argc, char** argv) {
             << "prefix campaign byte-identical to naive: "
             << (identical ? "yes" : "NO") << "\n";
 
+  bench::BenchReport report("prefix");
+  report.grid("insts", args.insts);
+  report.grid("seed", args.seed);
+  report.grid("trials", trials);
+  report.grid("prefix_interval", prefix_opts.prefix.interval);
+  report.exact("identical", identical);
+  for (const char* n : {"goldens_built", "jobs_restored",
+                        "jobs_early_terminated", "jobs_bypassed",
+                        "cycles_skipped"}) {
+    report.exact(n, counter(prefix, n));
+  }
+  for (const char* n : {"hits", "misses", "evictions", "bytes"}) {
+    report.measured(n, counter(prefix, n));
+  }
+  report.measured("speedup", speedup);
+  report.measured("naive_wall_seconds", naive.wall_seconds);
+  report.measured("prefix_wall_seconds", prefix.wall_seconds);
+  report.write(args.json);
+
   if (!identical) {
     std::cout << "\nERROR: prefix-shared campaign diverged from the naive "
                  "run — the execution-strategy contract is broken.\n";
     return 1;
-  }
-
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_prefix.v1\",\n"
-       << "  \"insts\": " << args.insts << ",\n"
-       << "  \"seed\": " << args.seed << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"prefix_interval\": " << prefix_opts.prefix.interval << ",\n"
-       << "  \"jobs\": " << jobs.size() << ",\n"
-       << "  \"naive_wall_seconds\": " << naive.wall_seconds << ",\n"
-       << "  \"prefix_wall_seconds\": " << prefix.wall_seconds << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"counters\": {\n";
-    for (std::size_t i = 0; i < std::size(names); ++i) {
-      js << "    \"" << names[i] << "\": " << counter(prefix, names[i])
-         << (i + 1 < std::size(names) ? "," : "") << "\n";
-    }
-    js << "  }\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(prefix JSON written to " << args.json << ")\n";
-    }
   }
 
   bench::print_shape_note(

@@ -1,12 +1,18 @@
-// Google-benchmark microbenchmarks of the simulator substrate itself:
-// simulation throughput (simulated instructions per wall-clock second) for
-// each system, plus hot substrate primitives.
+// Google-benchmark microbenchmarks of the simulator substrate itself: the
+// cycle engine's throughput under run() and run_naive(), plus hot substrate
+// primitives. Whole-run per-instruction speed is perfbench's long_run
+// workload (sim_insts_per_s), so no whole-system loop lives here.
+//
+// CI runs the BM_CycleEngine|BM_SyntheticStream$ subset with five
+// interleaved repetitions and gates it with
+//     tools/check_bench_regression.py BENCH_sim.json
+//         bench/BENCH_sim_baseline.json
+// which maps the google-benchmark JSON onto measured values:
+// ff_speedup.<system> and each BM_CycleEngine/<variant>'s calibrated
+// throughput (docs/ENGINE.md, "What it buys").
 #include <benchmark/benchmark.h>
 
-#include "core/baseline.hpp"
 #include "core/factory.hpp"
-#include "core/reunion_system.hpp"
-#include "core/unsync_system.hpp"
 #include "cpu/bpred.hpp"
 #include "mem/cache.hpp"
 #include "workload/profile.hpp"
@@ -52,40 +58,13 @@ void BM_GsharePredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GsharePredict);
 
-void BM_BaselineSystem(benchmark::State& state) {
-  const auto insts = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    workload::SyntheticStream s(workload::profile("gzip"), 1, insts);
-    core::SystemConfig cfg;
-    cfg.num_threads = 1;
-    core::BaselineSystem sys(cfg, s);
-    benchmark::DoNotOptimize(sys.run().cycles);
-  }
-  state.SetItemsProcessed(state.iterations() * insts);
-}
-BENCHMARK(BM_BaselineSystem)->Arg(5000)->Arg(20000);
-
-void BM_UnSyncSystem(benchmark::State& state) {
-  const auto insts = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    workload::SyntheticStream s(workload::profile("gzip"), 1, insts);
-    core::SystemConfig cfg;
-    cfg.num_threads = 1;
-    core::UnSyncParams p;
-    p.cb_entries = 256;
-    core::UnSyncSystem sys(cfg, p, s);
-    benchmark::DoNotOptimize(sys.run().cycles);
-  }
-  state.SetItemsProcessed(state.iterations() * insts);
-}
-BENCHMARK(BM_UnSyncSystem)->Arg(5000)->Arg(20000);
-
 // Shared cycle-engine throughput (simulated cycles per wall-clock second),
 // the reference run_naive() loop (*_naive) vs the default fast-forwarding
 // run() (*_ff), on the stall-heavy galgel profile — long ROB-full and fence
 // windows are exactly what fast-forwarding elides, so this pair is the
 // regression gate for both the kernel hot path and the ff speedup
-// (tools/check_bench_regression.py; docs/ENGINE.md).
+// (docs/ENGINE.md). BM_SyntheticStream is the calibration the gate divides
+// each variant's throughput by, to take out raw host speed.
 // Items processed = simulated cycles, so items_per_second is cycles/sec.
 void BM_CycleEngine(benchmark::State& state, core::SystemKind kind,
                     bool fast_forward) {
@@ -113,18 +92,5 @@ BENCHMARK_CAPTURE(BM_CycleEngine, reunion_naive,
                   core::SystemKind::kReunion, false);
 BENCHMARK_CAPTURE(BM_CycleEngine, reunion_ff,
                   core::SystemKind::kReunion, true);
-
-void BM_ReunionSystem(benchmark::State& state) {
-  const auto insts = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    workload::SyntheticStream s(workload::profile("gzip"), 1, insts);
-    core::SystemConfig cfg;
-    cfg.num_threads = 1;
-    core::ReunionSystem sys(cfg, core::ReunionParams{}, s);
-    benchmark::DoNotOptimize(sys.run().cycles);
-  }
-  state.SetItemsProcessed(state.iterations() * insts);
-}
-BENCHMARK(BM_ReunionSystem)->Arg(5000)->Arg(20000);
 
 }  // namespace

@@ -15,18 +15,19 @@
 // that a small in-order checker is cheaper than synchronising two big
 // cores.
 //
-// json=<path> writes "unsync.bench_systems.v1", gated in CI by
-//     tools/check_bench_regression.py --systems
-//         --systems-baseline bench/BENCH_systems_baseline.json
-// which enforces: identical == true (worker-count determinism), full
-// hetero/lockstep coverage with hetero >= lockstep, hetero error-free
-// cycles < reunion's, and exact per-cell integer equality with the
-// committed baseline. Refresh after a deliberate model change with
-// --write-systems-baseline.
+// json=<path> writes an "unsync.bench_report.v1" (bench "systems"), gated
+// in CI by
+//     tools/check_bench_regression.py BENCH_systems.json
+//         bench/BENCH_systems_baseline.json
+// exact: identical (worker-count determinism) and every per-cell integer;
+// measured, bounded by the baseline: hetero.injected (min 1),
+// hetero.undetected (0), hetero_minus_lockstep.coverage (min 0) per ser>0
+// point, and hetero_minus_reunion.cycles (max -1) per benchmark at ser=0.
+// Refresh after a deliberate model change with --write-baseline.
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,24 @@ struct Cell {
   engine::RunResult r;
 
   std::uint64_t detected() const { return r.recoveries + r.rollbacks; }
+  double coverage() const {
+    return r.errors_injected
+               ? static_cast<double>(detected()) /
+                     static_cast<double>(r.errors_injected)
+               : 1.0;
+  }
 };
+
+/// "gzip/ser=0.0005": a benchmark at one soft-error rate.
+std::string point(const std::string& bench, double ser) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", ser);
+  return bench + "/ser=" + buf;
+}
+
+std::int64_t diff(std::uint64_t a, std::uint64_t b) {
+  return static_cast<std::int64_t>(a) - static_cast<std::int64_t>(b);
+}
 
 }  // namespace
 
@@ -91,13 +109,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto baseline_cycles = [&](const std::string& bench) {
+  const auto cell = [&](const std::string& bench, const char* system,
+                        double ser) -> const Cell& {
     for (const auto& c : cells) {
-      if (c.bench == bench && c.system == "baseline" && c.ser == 0.0) {
-        return static_cast<double>(c.r.cycles);
-      }
+      if (c.bench == bench && c.system == system && c.ser == ser) return c;
     }
-    return 1.0;
+    throw std::logic_error("matrix has no " + bench + "/" + system + " cell");
   };
 
   TextTable t("System matrix (" + std::to_string(args.insts) + " insts x " +
@@ -108,7 +125,7 @@ int main(int argc, char** argv) {
     t.add_row({c.bench, c.system, TextTable::num(c.ser, 4),
                std::to_string(c.r.cycles),
                TextTable::num(static_cast<double>(c.r.cycles) /
-                                  baseline_cycles(c.bench),
+                                  cell(c.bench, "baseline", 0.0).r.cycles,
                               3),
                std::to_string(c.r.errors_injected),
                std::to_string(c.detected()),
@@ -119,42 +136,42 @@ int main(int argc, char** argv) {
   std::cout << "\nresults identical across worker counts: "
             << (identical ? "yes" : "NO") << "\n";
 
+  bench::BenchReport report("systems");
+  report.grid("insts", args.insts);
+  report.grid("seed", args.seed);
+  report.exact("identical", identical);
+  for (const auto& c : cells) {
+    const std::string k = point(c.bench + "/" + c.system, c.ser);
+    report.exact(k + ".cycles", c.r.cycles);
+    report.exact(k + ".injected", c.r.errors_injected);
+    report.exact(k + ".detected", c.detected());
+    report.exact(k + ".rollbacks", c.r.rollbacks);
+    report.exact(k + ".recoveries", c.r.recoveries);
+    report.exact(k + ".cb_full_stalls", c.r.cb_full_stalls);
+    report.exact(k + ".fingerprint_syncs", c.r.fingerprint_syncs);
+  }
+  for (const char* b : kBenches) {
+    for (const double ser : kSerPoints) {
+      const Cell& het = cell(b, "hetero", ser);
+      const std::string pt = point(b, ser);
+      if (ser == 0.0) {
+        report.measured("hetero_minus_reunion.cycles." + pt,
+                        diff(het.r.cycles, cell(b, "reunion", ser).r.cycles));
+        continue;
+      }
+      report.measured("hetero.injected." + pt, het.r.errors_injected);
+      report.measured("hetero.undetected." + pt,
+                      diff(het.r.errors_injected, het.detected()));
+      report.measured("hetero_minus_lockstep.coverage." + pt,
+                      het.coverage() - cell(b, "lockstep", ser).coverage());
+    }
+  }
+  report.write(args.json);
+
   if (!identical) {
     std::cout << "\nERROR: the campaign scheduler leaked into the matrix — "
                  "the determinism contract is broken.\n";
     return 1;
-  }
-
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_systems.v1\",\n"
-       << "  \"insts\": " << args.insts << ",\n"
-       << "  \"seed\": " << args.seed << ",\n"
-       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto& c = cells[i];
-      js << "    {\"bench\": \"" << c.bench << "\", \"system\": \""
-         << c.system << "\", \"ser\": " << c.ser
-         << ", \"cycles\": " << c.r.cycles
-         << ", \"instructions\": " << c.r.instructions
-         << ", \"injected\": " << c.r.errors_injected
-         << ", \"detected\": " << c.detected()
-         << ", \"rollbacks\": " << c.r.rollbacks
-         << ", \"recoveries\": " << c.r.recoveries
-         << ", \"cb_full_stalls\": " << c.r.cb_full_stalls
-         << ", \"fingerprint_syncs\": " << c.r.fingerprint_syncs << "}"
-         << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(matrix JSON written to " << args.json << ")\n";
-    }
   }
 
   bench::print_shape_note(

@@ -9,12 +9,15 @@
 //   threads=<N>  application threads (pairs for redundant) (default 1)
 //   workers=<N>  host threads for grid fan-out             (default cores)
 //   jobs=<N>     grid size for benches that scale job count (default per
-//                bench; only bench_campaign_scaling reads it today)
-//   json=<path>  also dump the raw campaign grid as JSON ("-" = stdout)
+//                bench: bench_campaign_scaling's job count,
+//                bench_injection_prefix's trials per SER point)
+//   json=<path>  also write JSON ("-" = stdout): the raw campaign grid, or
+//                for a gated bench its BenchReport
 #pragma once
 
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "core/baseline.hpp"
 #include "core/reunion_system.hpp"
 #include "core/unsync_system.hpp"
+#include "obs/json.hpp"
 #include "runtime/campaign.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
@@ -117,20 +121,72 @@ inline runtime::CampaignOutput run_grid(const BenchArgs& a,
   return runtime::CampaignRunner(opts).run(jobs);
 }
 
+/// Writes `text` to `path` ("-" = stdout).
+inline void write_json(const std::string& path, const std::string& text) {
+  if (path == "-") {
+    std::cout << text << "\n";
+    return;
+  }
+  std::ofstream f(path);
+  if (!f) throw std::runtime_error("cannot write json file " + path);
+  f << text << "\n";
+  std::cout << "(JSON written to " << path << ")\n";
+}
+
 /// Honors the json= knob: writes the raw campaign grid ("unsync.campaign.v2")
 /// so a plotting script can consume exactly what the table was built from.
 inline void maybe_dump_json(const BenchArgs& a,
                             const runtime::CampaignOutput& out) {
-  if (a.json.empty()) return;
-  if (a.json == "-") {
-    std::cout << out.to_json(2) << "\n";
-    return;
-  }
-  std::ofstream f(a.json);
-  if (!f) throw std::runtime_error("cannot write json file " + a.json);
-  f << out.to_json(2) << "\n";
-  std::cout << "(raw grid JSON written to " << a.json << ")\n";
+  if (!a.json.empty()) write_json(a.json, out.to_json(2));
 }
+
+/// A gated bench's report, "unsync.bench_report.v1":
+///   {schema, bench, grid, exact, measured}
+/// `grid` names the inputs every number is a function of, `exact` holds the
+/// deterministic values a baseline pins key for key, and `measured` holds
+/// raw quantities (timings, margins, counts) a baseline may bound with
+/// min/max. tools/check_bench_regression.py gates a report against
+/// bench/BENCH_<bench>_baseline.json. Keys are written sorted.
+class BenchReport {
+ public:
+  explicit BenchReport(std::string bench) : bench_(std::move(bench)) {}
+
+  template <class T>
+  void grid(const std::string& key, T v) { grid_[key] = render(v); }
+  template <class T>
+  void exact(const std::string& key, T v) { exact_[key] = render(v); }
+  template <class T>
+  void measured(const std::string& key, T v) { measured_[key] = render(v); }
+
+  /// Honors the json= knob: "" writes nothing.
+  void write(const std::string& path) const {
+    if (path.empty()) return;
+    obs::JsonWriter w(2);
+    w.begin_object();
+    w.key("schema").value("unsync.bench_report.v1");
+    w.key("bench").value(bench_);
+    for (const auto& [name, section] :
+         {std::pair{"grid", &grid_}, std::pair{"exact", &exact_},
+          std::pair{"measured", &measured_}}) {
+      w.key(name).begin_object();
+      for (const auto& [k, v] : *section) w.key(k).raw(v);
+      w.end_object();
+    }
+    w.end_object();
+    write_json(path, w.str());
+  }
+
+ private:
+  template <class T>
+  static std::string render(T v) {
+    obs::JsonWriter w;
+    w.value(v);
+    return w.take();
+  }
+
+  std::string bench_;
+  std::map<std::string, std::string> grid_, exact_, measured_;
+};
 
 inline void print_header(const std::string& what, const BenchArgs& a) {
   std::cout << "\n=== " << what << " ===\n"
