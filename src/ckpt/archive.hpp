@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -141,6 +142,43 @@ class Archive {
     char* p = out_->extend(v.size() * kWidth);
     for (const T& r : v) ((p = put_field(p, r.*field)), ...);
   }
+  /// records() over `v` cut into used.size() sets of equal size (cache
+  /// ways), of which only the first used[s] of set s are live: the rest
+  /// read as all-zero records, whatever their storage holds. The wire
+  /// bytes are records()' with every record past a set's count zero. Save
+  /// and Fingerprint write only the live records into the zeros extend()
+  /// provides; Load sets used[s] to 1 + the set's last non-zero record and
+  /// decodes only those.
+  template <typename T, typename A, typename U, typename... F>
+  void records(std::vector<T, A>& v, std::vector<U>& used, F T::*... field) {
+    static_assert(((std::is_same_v<F, bool> || std::is_unsigned_v<F>) && ...));
+    constexpr std::size_t kWidth = (sizeof(F) + ...);
+    const std::size_t ways = v.size() / used.size();
+    const std::size_t set_bytes = ways * kWidth;
+    if (in_) {
+      const char* p = in_->take(v.size() * kWidth);
+      for (std::size_t s = 0; s < used.size(); ++s, p += set_bytes) {
+        const std::size_t live =
+            (nonzero_prefix(p, set_bytes) + kWidth - 1) / kWidth;
+        used[s] = static_cast<U>(live);
+        const char* q = p;
+        for (T* r = &v[s * ways]; r != &v[s * ways] + live; ++r) {
+          ((q = get_field(q, r->*field)), ...);
+        }
+      }
+      return;
+    }
+    for (std::size_t at = 0; sites_ && at < v.size() * kWidth;) {
+      ((note(at), at += sizeof(F)), ...);
+    }
+    char* p = out_->extend(v.size() * kWidth);
+    for (std::size_t s = 0; s < used.size(); ++s, p += set_bytes) {
+      char* q = p;
+      for (const T* r = &v[s * ways]; r != &v[s * ways] + used[s]; ++r) {
+        ((q = put_field(q, r->*field)), ...);
+      }
+    }
+  }
   /// The four xoshiro state words.
   void rng(Rng& r) {
     std::array<std::uint64_t, 4> words = r.state();
@@ -233,6 +271,18 @@ class Archive {
     if (sites_) {
       sites_->push_back({out_->data().size() + ahead, fault_depth_ > 0});
     }
+  }
+
+  /// Length of the shortest prefix of [p, p + n) holding every non-zero
+  /// byte, found by a word scan from the end.
+  static std::size_t nonzero_prefix(const char* p, std::size_t n) {
+    for (; n >= 8; n -= 8) {
+      std::uint64_t w;
+      std::memcpy(&w, p + n - 8, sizeof w);
+      if (w != 0) break;
+    }
+    while (n > 0 && p[n - 1] == 0) --n;
+    return n;
   }
 
   template <typename T>

@@ -35,21 +35,143 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
   return t;
 }
 
+/// Checksums scan in blocks of this many bytes: an all-zero block costs
+/// one word scan, and a run of them one multiply.
+constexpr std::size_t kBlock = 256;
+
+bool zero_block(const unsigned char* p) {
+  std::uint64_t any = 0;
+  for (std::size_t i = 0; i < kBlock; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, sizeof w);
+    any |= w;
+  }
+  return any == 0;
+}
+
+/// Splits [p, p + len) into runs of whole all-zero blocks, passed as
+/// zeros(block count), and the bytes between them, passed as bytes(p, n),
+/// in order. Blocks are counted from `p`, so a checksum of a blob read
+/// back from disk finds the same runs as one of the blob in memory.
+template <typename Bytes, typename Zeros>
+void fold_blocks(const unsigned char* p, std::size_t len, Bytes&& bytes,
+                 Zeros&& zeros) {
+  const unsigned char* const end = p + len;
+  const unsigned char* mark = p;  // first byte not folded in yet
+  std::size_t run = 0;            // zero blocks just before p
+  for (; static_cast<std::size_t>(end - p) >= kBlock; p += kBlock) {
+    if (zero_block(p)) {
+      if (mark != p) bytes(mark, static_cast<std::size_t>(p - mark));
+      ++run;
+      mark = p + kBlock;
+    } else if (run != 0) {
+      zeros(run);
+      run = 0;
+    }
+  }
+  if (run != 0) zeros(run);
+  bytes(mark, static_cast<std::size_t>(end - mark));
+}
+
+// ---- CRC-32 zero runs -------------------------------------------------------
+//
+// With zero input the CRC register is linear: n zero bytes multiply it by
+// x^(8n) modulo the polynomial (zlib's crc32_combine). In the reflected
+// representation x^0 is bit 31.
+
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
+/// a * b modulo the CRC-32 polynomial, both reflected.
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t p = 0;
+  for (int i = 0; i < 32; ++i, a <<= 1) {
+    p ^= b & (0u - (a >> 31));
+    b = (b >> 1) ^ (kCrcPoly & (0u - (b & 1)));
+  }
+  return p;
+}
+
+/// Operators x^(8 * kBlock * m) for runs of m zero blocks: one entry per m
+/// below kShortRuns, and one per power of two m = 2^k for longer runs.
+constexpr std::size_t kShortRuns = 16;
+struct ZeroRunOps {
+  std::array<std::uint32_t, kShortRuns> short_runs{};
+  std::array<std::uint32_t, 64> pow2{};
+};
+
+ZeroRunOps make_zero_run_ops() {
+  ZeroRunOps ops;
+  std::uint32_t x8 = 1u << 23;  // x^8: one zero byte
+  std::uint32_t block = 1u << 31;
+  for (std::size_t i = 0; i < kBlock; ++i) block = multmodp(block, x8);
+  ops.short_runs[0] = 1u << 31;
+  for (std::size_t m = 1; m < kShortRuns; ++m) {
+    ops.short_runs[m] = multmodp(ops.short_runs[m - 1], block);
+  }
+  ops.pow2[0] = block;
+  for (std::size_t k = 1; k < ops.pow2.size(); ++k) {
+    ops.pow2[k] = multmodp(ops.pow2[k - 1], ops.pow2[k - 1]);
+  }
+  return ops;
+}
+
+/// The CRC register after `blocks` zero blocks more.
+std::uint32_t crc_zero_blocks(std::uint32_t c, std::size_t blocks) {
+  static const ZeroRunOps ops = make_zero_run_ops();
+  if (blocks < kShortRuns) return multmodp(ops.short_runs[blocks], c);
+  for (std::size_t k = 0; blocks != 0; ++k, blocks >>= 1) {
+    if (blocks & 1) c = multmodp(ops.pow2[k], c);
+  }
+  return c;
+}
+
+// ---- FNV-1a -----------------------------------------------------------------
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+constexpr std::uint64_t pow_mod64(std::uint64_t base, std::uint64_t e) {
+  std::uint64_t r = 1;
+  for (; e != 0; e >>= 1, base *= base) {
+    if (e & 1) r *= base;
+  }
+  return r;
+}
+
+/// FNV-1a over one zero block: the state times P^kBlock.
+constexpr std::uint64_t kFnvBlock = pow_mod64(kFnvPrime, kBlock);
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
   static const auto t = make_crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (; len >= 8; len -= 8, p += 8) {
-    const std::uint32_t lo =
-        c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
-             std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
-    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
-        t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
-  }
-  for (; len > 0; --len, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
+  const auto bytes = [&](const unsigned char* p, std::size_t n) {
+    for (; n >= 8; n -= 8, p += 8) {
+      const std::uint32_t lo =
+          c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+               std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+      c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    }
+    for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
+  };
+  fold_blocks(static_cast<const unsigned char*>(data), len, bytes,
+              [&](std::size_t blocks) { c = crc_zero_blocks(c, blocks); });
   return c ^ 0xFFFFFFFFu;
+}
+
+std::uint64_t hash64(std::string_view s, std::uint64_t h) {
+  fold_blocks(
+      reinterpret_cast<const unsigned char*>(s.data()), s.size(),
+      [&](const unsigned char* p, std::size_t n) {
+        for (; n > 0; --n, ++p) {
+          h ^= *p;
+          h *= kFnvPrime;
+        }
+      },
+      [&](std::size_t blocks) { h *= pow_mod64(kFnvBlock, blocks); });
+  return h;
 }
 
 // ---- Serializer -------------------------------------------------------------
@@ -130,7 +252,7 @@ std::string wrap_container(std::string_view payload) {
   return s.take();
 }
 
-std::string unwrap_container(std::string_view file_bytes) {
+std::string_view container_payload(std::string_view file_bytes) {
   Deserializer d{file_bytes};
   if (file_bytes.size() < kMagic.size() ||
       file_bytes.substr(0, kMagic.size()) != kMagic) {
@@ -154,7 +276,7 @@ std::string unwrap_container(std::string_view file_bytes) {
   if (got_crc != want_crc) {
     throw CkptError("checkpoint CRC mismatch (file corrupted)");
   }
-  return std::string(payload);
+  return payload;
 }
 
 void atomic_write_text(const std::string& path, std::string_view content) {
@@ -187,7 +309,7 @@ std::string read_file(const std::string& path) {
   if (!in) throw std::runtime_error("cannot open checkpoint " + path);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-  return unwrap_container(bytes);
+  return std::string(container_payload(bytes));
 }
 
 }  // namespace unsync::ckpt

@@ -34,7 +34,8 @@ struct CkptError : std::runtime_error {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`,
-/// seedable for incremental computation.
+/// seedable for incremental computation. A 256-byte block of zeros costs
+/// one word scan: a run of them is folded in as one multiply.
 std::uint32_t crc32(const void* data, std::size_t len,
                     std::uint32_t seed = 0);
 inline std::uint32_t crc32(std::string_view s, std::uint32_t seed = 0) {
@@ -44,15 +45,11 @@ inline std::uint32_t crc32(std::string_view s, std::uint32_t seed = 0) {
 /// FNV-1a 64-bit hash. Used where a 32-bit CRC's collision rate is too high
 /// for comfort — state_fingerprint() and the benchmark result digests.
 /// Not cryptographic; fine for states produced by the deterministic
-/// simulator rather than an adversary.
-inline std::uint64_t hash64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
+/// simulator rather than an adversary. `h` is the state to continue from
+/// (the offset basis, or the hash of the bytes before `s`); zero blocks are
+/// folded in as one multiply per run, as in crc32.
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+std::uint64_t hash64(std::string_view s, std::uint64_t h = kFnvOffset);
 
 /// Writes the unsigned `v` to `p` little-endian, whatever the host's byte
 /// order: one store on a little-endian host.
@@ -200,10 +197,10 @@ class Deserializer {
 /// length, CRC-32) and returns the file bytes.
 std::string wrap_container(std::string_view payload);
 
-/// Verifies magic / schema / length / CRC and returns the payload: the
-/// header is parsed in place, so the payload is the only copy made.
-/// Throws CkptError on any mismatch.
-std::string unwrap_container(std::string_view file_bytes);
+/// Verifies magic / schema / length / CRC and returns the payload: a view
+/// into `file_bytes`, which must outlive it. Throws CkptError on any
+/// mismatch.
+std::string_view container_payload(std::string_view file_bytes);
 
 /// wrap_container + write-to-temp + atomic rename. Throws std::runtime_error
 /// on I/O failure.

@@ -61,7 +61,7 @@ std::string System::save_checkpoint_bytes() const {
 }
 
 void System::load_checkpoint_bytes(std::string_view blob) {
-  ckpt::Deserializer d(ckpt::unwrap_container(blob));
+  ckpt::Deserializer d(ckpt::container_payload(blob));
   load_checkpoint(d);
   if (!d.at_end()) {
     throw ckpt::CkptError("trailing bytes after system checkpoint");

@@ -226,15 +226,6 @@ std::uint64_t Cache::lines_dirty() const {
   return n;
 }
 
-void Cache::materialise() {
-  if (materialised_) return;
-  for (std::size_t set = 0; set < used_.size(); ++set) {
-    Line* ways = &lines_[set * config_.assoc];
-    std::fill(ways + used_[set], ways + config_.assoc, Line{});
-  }
-  materialised_ = true;
-}
-
 double Cache::miss_rate() const {
   const auto total = hits_ + misses_;
   return total ? static_cast<double>(misses_) / static_cast<double>(total) : 0.0;

@@ -81,11 +81,13 @@ struct LookupResult {
 
 /// Tag array of a set-associative cache with LRU replacement.
 ///
-/// Each set keeps a count of the ways in use: ways [used, assoc) have not
-/// been filled since construction and read as all-zero lines (tag 0,
-/// invalid, clean, lru 0). Their storage stays unwritten until a fill
-/// claims them or a walk needs their bytes, so building a cache — a 4 MiB
-/// L2 is 65,536 lines — costs what a job touches, not the capacity.
+/// Each set keeps a count of the ways in use: ways [used, assoc) read as
+/// all-zero lines (tag 0, invalid, clean, lru 0), and their storage is not
+/// read until a fill claims one and zeroes it. Building a cache — a 4 MiB
+/// L2 is 65,536 lines — costs what a job touches, not the capacity, and so
+/// do checkpoint walks: save and fingerprint write only the ways in use,
+/// and a load sets each set's count to 1 + its last non-zero way in the
+/// saved bytes, so a restored cache keeps scanning only the ways it uses.
 class Cache {
  public:
   /// Throws std::invalid_argument unless the set count and line size are
@@ -184,9 +186,6 @@ class Cache {
   std::size_t set_index(Addr addr) const;
   Addr tag_of(Addr addr) const;
   LookupResult lookup(Addr addr, bool is_write);
-  /// Gives every unused way its all-zero bytes, once, before a walk reads
-  /// the whole array.
-  void materialise();
 
   CacheConfig config_;
   // Hot-path shift/mask forms of the power-of-two geometry: lookup() runs
@@ -196,8 +195,7 @@ class Cache {
   unsigned set_shift_ = 0;   // log2(num_sets)
   Addr set_mask_ = 0;        // num_sets - 1
   std::vector<Line, DefaultInit<Line>> lines_;  // sets * assoc, by set
-  std::vector<WayCount> used_;  // per set: ways [0, used) were written
-  bool materialised_ = false;   // every unused way holds Line{} bytes
+  std::vector<WayCount> used_;  // per set: ways [0, used) are in use
   std::uint64_t lru_clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -37,16 +37,18 @@ void MshrFile::visit(ckpt::Archive& ar) {
 void Cache::visit(ckpt::Archive& ar) {
   ar.chunk("CACH", [&] {
     ar.expect(lines_.size(), "cache geometry mismatch");
-    // Unused ways walk as the zero lines they read as; load writes every
-    // way, so all of them are in use after it.
-    if (!ar.loading()) materialise();
-    ar.records(lines_, &Line::tag, &Line::valid, &Line::dirty, &Line::lru);
+    // Unused ways walk as the zero lines they read as; load takes each
+    // set's in-use count from its bytes.
+    ar.records(lines_, used_, &Line::tag, &Line::valid, &Line::dirty,
+               &Line::lru);
     if (ar.loading()) {
-      materialised_ = true;
-      std::fill(used_.begin(), used_.end(),
-                static_cast<WayCount>(config_.assoc));
-      valid_count_ = static_cast<std::uint64_t>(std::count_if(
-          lines_.begin(), lines_.end(), [](const Line& l) { return l.valid; }));
+      valid_count_ = 0;
+      for (std::size_t set = 0; set < used_.size(); ++set) {
+        const Line* ways = &lines_[set * config_.assoc];
+        for (std::uint32_t w = 0; w < used_[set]; ++w) {
+          valid_count_ += ways[w].valid;
+        }
+      }
     }
     ar.u64(lru_clock_);
     ar.u64(hits_);

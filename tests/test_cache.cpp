@@ -460,8 +460,8 @@ TEST_P(CacheDifferential, MatchesTheDenseReferenceModel) {
         cache->invalidate_all();
         ref.invalidate_all();
       } else if (kind < 97) {
-        // Save (the walk that writes the unused ways' zero lines), then
-        // either keep going or continue in a freshly loaded instance.
+        // Save (unused ways stay zero bytes), then either keep going or
+        // continue in a freshly loaded instance.
         const std::string bytes = save_bytes(*cache);
         ASSERT_TRUE(bytes == ref.save());
         if (kind >= 94) cache = load_fresh(config, bytes);
@@ -492,6 +492,114 @@ INSTANTIATE_TEST_SUITE_P(
       return (assoc == 0 ? "L2" : "assoc" + std::to_string(assoc)) +
              (wb ? "_wb" : "_wt");
     });
+
+// ---- Sparse save -> load ----------------------------------------------------
+//
+// Save writes only each set's ways in use, and load takes the in-use counts
+// from the saved bytes: a restored cache re-saves byte-identically and then
+// behaves exactly like a twin that was never saved.
+
+struct CacheOp {
+  enum Kind { kRead, kWrite, kInvalidate, kInvalidateAll } kind;
+  Addr addr;
+};
+
+/// Random accesses to the 4 MiB L2, mostly empty: 64 sets spread over the
+/// index range, assoc + 3 tags each, so busy sets fill and evict.
+std::vector<CacheOp> sparse_ops(const CacheConfig& config, std::uint64_t seed,
+                                int n) {
+  std::mt19937_64 rng(seed);
+  const std::uint64_t sets = config.num_sets();
+  std::vector<CacheOp> ops;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t set = (rng() % 64) * (sets / 64) + rng() % 3;
+    const std::uint64_t tag = rng() % (config.assoc + 3);
+    const Addr addr = (tag * sets + set) * config.line_bytes;
+    const std::uint64_t kind = rng() % 200;
+    ops.push_back({kind < 110   ? CacheOp::kRead
+                   : kind < 180 ? CacheOp::kWrite
+                   : kind < 199 ? CacheOp::kInvalidate
+                                : CacheOp::kInvalidateAll,
+                   addr});
+  }
+  return ops;
+}
+
+/// Applies `op`; returns what the access reported (a miss for the
+/// invalidations, which report nothing comparable).
+LookupResult apply(Cache& c, const CacheOp& op) {
+  switch (op.kind) {
+    case CacheOp::kRead: return c.access_read(op.addr);
+    case CacheOp::kWrite: return c.access_write(op.addr);
+    case CacheOp::kInvalidate:
+      return {.hit = c.invalidate(op.addr), .dirty_victim = std::nullopt};
+    case CacheOp::kInvalidateAll: c.invalidate_all(); break;
+  }
+  return {};
+}
+
+TEST(CacheSparseRestore, RestoredCacheMatchesANeverSavedTwin) {
+  const CacheConfig config = MemConfig{}.l2;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Cache original(config);
+    Cache twin(config);
+    for (const CacheOp& op : sparse_ops(config, seed, 3000)) {
+      apply(original, op);
+      apply(twin, op);
+    }
+    const std::string bytes = save_bytes(original);
+    const auto restored = load_fresh(config, bytes);
+    ASSERT_TRUE(save_bytes(*restored) == bytes);
+    EXPECT_EQ(restored->lines_valid(), twin.lines_valid());
+    EXPECT_EQ(restored->lines_dirty(), twin.lines_dirty());
+
+    const std::vector<CacheOp> more = sparse_ops(config, seed + 100, 3000);
+    for (std::size_t i = 0; i < more.size(); ++i) {
+      const LookupResult got = apply(*restored, more[i]);
+      const LookupResult want = apply(twin, more[i]);
+      ASSERT_EQ(got.hit, want.hit) << "op " << i;
+      ASSERT_EQ(got.dirty_victim, want.dirty_victim) << "op " << i;
+    }
+    EXPECT_EQ(restored->hits(), twin.hits());
+    EXPECT_EQ(restored->misses(), twin.misses());
+    EXPECT_EQ(restored->writebacks(), twin.writebacks());
+    EXPECT_EQ(restored->lines_valid(), twin.lines_valid());
+    EXPECT_EQ(restored->lines_dirty(), twin.lines_dirty());
+    EXPECT_TRUE(save_bytes(*restored) == save_bytes(twin));
+  }
+}
+
+TEST(CacheSparseRestore, LoadTakesANonZeroWayPastTheSavedCountAsInUse) {
+  // 4 sets x 4 ways; set 0 has one way in use when saved. Way 2 of set 0
+  // is then given a valid line with tag 5: load must count ways 0..2 as in
+  // use (way 1 an invalid zero line), find the line, and re-save the
+  // patched bytes unchanged.
+  const CacheConfig config = {.size_bytes = 1024, .line_bytes = 64,
+                              .assoc = 4, .hit_latency = 2, .mshrs = 4,
+                              .write_policy = WritePolicy::kWriteBack};
+  Cache c(config);
+  c.access_read(0x000);
+  std::string bytes = save_bytes(c);
+  // CACH tag, chunk length, line count, then 18-byte records (tag, valid,
+  // dirty, lru) in set order.
+  const std::size_t way2 = 4 + 8 + 8 + 2 * 18;
+  ASSERT_EQ(bytes.substr(way2, 18), std::string(18, '\0'));
+  bytes[way2] = 5;       // tag
+  bytes[way2 + 8] = 1;   // valid
+  bytes[way2 + 10] = 7;  // lru
+  const auto back = load_fresh(config, bytes);
+  EXPECT_EQ(back->lines_valid(), 2u);
+  const Addr tag5 = Addr{5} * 4 * 64;  // tag 5, set 0
+  EXPECT_TRUE(back->contains(tag5));
+  EXPECT_TRUE(save_bytes(*back) == bytes);
+  // A miss to set 0 fills the invalid way 1, not a fourth way.
+  back->access_read(Addr{9} * 4 * 64);
+  EXPECT_TRUE(back->contains(0x000));
+  EXPECT_TRUE(back->contains(tag5));
+  EXPECT_EQ(save_bytes(*back).substr(way2, 18), bytes.substr(way2, 18));
+  EXPECT_EQ(save_bytes(*back).substr(way2 + 18, 18), std::string(18, '\0'));
+}
 
 // ---- Unwritten line storage -------------------------------------------------
 //

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,124 @@ TEST(Crc32, EightByteStepsMatchTheByteLoop) {
         bytewise = ckpt::crc32(std::string_view(&c, 1), bytewise);
       }
       EXPECT_EQ(ckpt::crc32(span), bytewise) << at << "+" << len;
+    }
+  }
+}
+
+// ---- Zero blocks: differential check against the byte loops -----------------
+//
+// crc32 and hash64 fold a run of all-zero 256-byte blocks in with one
+// multiply. These reference loops take one byte (and for the CRC one bit)
+// at a time; both functions must return exactly what they return.
+
+std::uint32_t crc32_bytewise(std::string_view s, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const char ch : s) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::uint64_t fnv1a_bytewise(std::string_view s,
+                             std::uint64_t h = ckpt::kFnvOffset) {
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// `n` random bytes, none of them zero.
+std::string nonzero_bytes(std::mt19937_64& rng, std::size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(1 + rng() % 255);
+  return out;
+}
+
+/// A sparse buffer: random zero runs (up to ~20 blocks) between short
+/// random stretches that themselves hold zeros.
+std::string sparse_bytes(std::mt19937_64& rng, std::size_t n) {
+  std::string out;
+  while (out.size() < n) {
+    out.append(rng() % 5200, '\0');
+    for (std::size_t k = rng() % 300; k > 0; --k) {
+      out.push_back(static_cast<char>(rng() % 3 == 0 ? 0 : rng()));
+    }
+  }
+  out.resize(n);
+  return out;
+}
+
+void expect_matches_byte_loops(std::string_view s, std::uint32_t crc_seed,
+                               std::uint64_t fnv_seed) {
+  EXPECT_EQ(ckpt::crc32(s, crc_seed), crc32_bytewise(s, crc_seed));
+  EXPECT_EQ(ckpt::hash64(s, fnv_seed), fnv1a_bytewise(s, fnv_seed));
+}
+
+TEST(ZeroBlocks, ZeroRunsAtEveryAlignmentMatchTheByteLoops) {
+  // A run of each length starts at every offset mod 8, both inside the
+  // first block and after three blocks of data; 999 blocks take the
+  // square-and-multiply path, the others the short-run table.
+  std::mt19937_64 rng(1);
+  for (const std::size_t run : {0, 1, 255, 256, 257, 4095, 4096, 4097,
+                                 256 * 999 + 5}) {
+    for (std::size_t align = 0; align < 8; ++align) {
+      for (const std::size_t head : {align, 3 * 256 + align}) {
+        const std::string s = nonzero_bytes(rng, head) +
+                              std::string(run, '\0') + nonzero_bytes(rng, 300);
+        SCOPED_TRACE("run " + std::to_string(run) + " at " +
+                     std::to_string(head));
+        expect_matches_byte_loops(s, 0, ckpt::kFnvOffset);
+        expect_matches_byte_loops(s, 0x9E3779B9u, 0x0123456789ABCDEFull);
+        // The run at the very end, with nothing after it.
+        expect_matches_byte_loops(s.substr(0, head + run), 0,
+                                  ckpt::kFnvOffset);
+      }
+    }
+  }
+}
+
+TEST(ZeroBlocks, AllZeroAndNoZeroBuffersMatchTheByteLoops) {
+  std::mt19937_64 rng(2);
+  for (const std::size_t n : {0, 1, 8, 255, 256, 257, 511, 512, 4095, 4096,
+                               4097, 256 * 16, 65536 + 3}) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    expect_matches_byte_loops(std::string(n, '\0'), 0, ckpt::kFnvOffset);
+    expect_matches_byte_loops(std::string(n, '\0'), 0xFFFFFFFFu, 1);
+    expect_matches_byte_loops(nonzero_bytes(rng, n), 0, ckpt::kFnvOffset);
+  }
+}
+
+TEST(ZeroBlocks, RandomSparseBuffersMatchTheByteLoops) {
+  std::mt19937_64 rng(3);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::string s = sparse_bytes(rng, rng() % 40000);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_matches_byte_loops(s, 0, ckpt::kFnvOffset);
+    expect_matches_byte_loops(s, static_cast<std::uint32_t>(rng()), rng());
+  }
+}
+
+TEST(ZeroBlocks, NonZeroSeedsChainAcrossSplitPoints) {
+  // Blocks are counted from each call's start, so a split moves every
+  // later block boundary: the chained result must still be the whole
+  // buffer's.
+  std::mt19937_64 rng(4);
+  const std::uint32_t crc_seed = 0x12345678u;
+  const std::uint64_t fnv_seed = 0xCBF29CE484222325ull ^ 0x55;
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::string s = sparse_bytes(rng, 20000 + rng() % 20000);
+    const std::uint32_t crc_whole = crc32_bytewise(s, crc_seed);
+    const std::uint64_t fnv_whole = fnv1a_bytewise(s, fnv_seed);
+    for (const std::size_t at :
+         {std::size_t{0}, std::size_t{1}, std::size_t{255}, std::size_t{256},
+          std::size_t{257}, std::size_t{4097}, s.size() / 2 + rng() % 8,
+          s.size() - 1, s.size()}) {
+      const std::string_view a = std::string_view(s).substr(0, at);
+      const std::string_view b = std::string_view(s).substr(at);
+      EXPECT_EQ(ckpt::crc32(b, ckpt::crc32(a, crc_seed)), crc_whole) << at;
+      EXPECT_EQ(ckpt::hash64(b, ckpt::hash64(a, fnv_seed)), fnv_whole) << at;
     }
   }
 }
@@ -208,7 +327,11 @@ TEST(Container, GoldenBytes) {
 
 TEST(Container, RoundTrips) {
   const std::string payload = "arbitrary \x00 binary \xff bytes";
-  EXPECT_EQ(ckpt::unwrap_container(ckpt::wrap_container(payload)), payload);
+  const std::string file = ckpt::wrap_container(payload);
+  const std::string_view back = ckpt::container_payload(file);
+  EXPECT_EQ(back, payload);
+  // The payload is viewed in place, not copied.
+  EXPECT_EQ(back.data() + back.size(), file.data() + file.size());
 }
 
 TEST(Container, RejectsCorruption) {
@@ -216,19 +339,19 @@ TEST(Container, RejectsCorruption) {
   // Flip one payload bit -> CRC mismatch.
   std::string corrupt = file;
   corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);
-  EXPECT_THROW(ckpt::unwrap_container(corrupt), ckpt::CkptError);
+  EXPECT_THROW(ckpt::container_payload(corrupt), ckpt::CkptError);
   // Truncate -> advertised length vs. bytes-present mismatch.
-  EXPECT_THROW(ckpt::unwrap_container(
+  EXPECT_THROW(ckpt::container_payload(
                    std::string_view(file).substr(0, file.size() - 3)),
                ckpt::CkptError);
   // Bad magic.
   std::string bad_magic = file;
   bad_magic[0] = 'X';
-  EXPECT_THROW(ckpt::unwrap_container(bad_magic), ckpt::CkptError);
+  EXPECT_THROW(ckpt::container_payload(bad_magic), ckpt::CkptError);
   // Unknown schema string.
   std::string bad_schema = file;
   bad_schema[16] = 'X';  // first byte of "unsync.ckpt.v1"
-  EXPECT_THROW(ckpt::unwrap_container(bad_schema), ckpt::CkptError);
+  EXPECT_THROW(ckpt::container_payload(bad_schema), ckpt::CkptError);
 }
 
 TEST(Container, FileRoundTripAndCorruptFileRejection) {
@@ -673,7 +796,7 @@ class CkptFuzz : public ::testing::TestWithParam<core::SystemKind> {
 TEST_P(CkptFuzz, TruncatedCheckpointBytesAlwaysThrow) {
   const std::string blob = snapshot();
   ASSERT_GT(blob.size(), 100u);
-  auto sys = make();  // unwrap_container throws before any state is touched
+  auto sys = make();  // container_payload throws before any state is touched
   for (const std::size_t keep : sample_offsets(blob.size())) {
     EXPECT_THROW(sys->load_checkpoint_bytes(blob.substr(0, keep)),
                  ckpt::CkptError)
@@ -745,7 +868,7 @@ TEST_P(CkptFuzz, OversizedElementCountThrowsInsteadOfAllocating) {
   // checks all pass, so only the Load-mode count bound stands between the
   // count and a multi-exabyte resize. The patched count is the first MSHR
   // file's in-flight count (tag, chunk length, u32 capacity, then count).
-  const std::string payload = ckpt::unwrap_container(snapshot());
+  const std::string payload(ckpt::container_payload(snapshot()));
   const std::size_t tag = payload.find("MSHR");
   ASSERT_NE(tag, std::string::npos);
   const std::size_t at = tag + 4 + 8 + 4;
@@ -767,7 +890,7 @@ TEST_P(CkptFuzz, TruncatedCacheLineBlockThrows) {
   // every enclosing chunk (SYS0, the policy chunk, MEMH, CACH) shortened to
   // end at the cut: every header check passes, so the block read itself
   // must find the bytes missing.
-  const std::string payload = ckpt::unwrap_container(snapshot());
+  const std::string payload(ckpt::container_payload(snapshot()));
   const auto u64_at = [&](std::size_t at) {
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < 8; ++i) {
@@ -812,7 +935,7 @@ TEST_P(CkptFuzz, CorruptRobSeqsNeverReachOutOfBoundsEntries) {
   // pairs were patched: the core looks every seq up through one bounds-
   // and tag-checked index, so the restore either throws CkptError or runs
   // on without touching memory outside the ROB.
-  const std::string payload = ckpt::unwrap_container(snapshot());
+  const std::string payload(ckpt::container_payload(snapshot()));
   const auto u64_at = [](const std::string& b, std::size_t at) {
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < 8; ++i) {
