@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 
 namespace unsync::ckpt {
 
@@ -140,6 +141,48 @@ constexpr std::uint64_t pow_mod64(std::uint64_t base, std::uint64_t e) {
 /// FNV-1a over one zero block: the state times P^kBlock.
 constexpr std::uint64_t kFnvBlock = pow_mod64(kFnvPrime, kBlock);
 
+// ---- Container header -------------------------------------------------------
+
+/// Magic, length-prefixed schema, payload length, payload CRC-32.
+constexpr std::size_t kHeaderSize = kMagic.size() + 8 + kSchema.size() + 8 + 4;
+
+/// Writes the container header of `payload` to [at, at + kHeaderSize).
+void put_header(char* at, std::string_view payload) {
+  std::memcpy(at, kMagic.data(), kMagic.size());
+  at += kMagic.size();
+  store_le<std::uint64_t>(at, kSchema.size());
+  at += 8;
+  std::memcpy(at, kSchema.data(), kSchema.size());
+  at += kSchema.size();
+  store_le<std::uint64_t>(at, payload.size());
+  store_le<std::uint32_t>(at + 8, crc32(payload));
+}
+
+/// Writes `pieces`, in order, to a temp file unique to this writer
+/// (`<path>.tmp.<pid>.<n>`), flushes, then atomically renames it to `path`.
+void atomic_write(const std::string& path,
+                  std::initializer_list<std::string_view> pieces) {
+  // The temp name is unique per writer: two processes (or threads) saving
+  // the same path must not share a temp file, or the slower rename finds
+  // it already gone.
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(writes.fetch_add(1));
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error("cannot write " + tmp);
+    for (const std::string_view piece : pieces) {
+      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+    }
+    out.flush();
+    if (!out) throw std::runtime_error("short write to " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("cannot rename " + tmp + " -> " + path);
+  }
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
@@ -172,6 +215,36 @@ std::uint64_t hash64(std::string_view s, std::uint64_t h) {
       },
       [&](std::size_t blocks) { h *= pow_mod64(kFnvBlock, blocks); });
   return h;
+}
+
+// ---- PackedPayload ----------------------------------------------------------
+
+PackedPayload PackedPayload::pack(std::string_view payload) {
+  PackedPayload out;
+  out.size_ = payload.size();
+  const auto* base = reinterpret_cast<const unsigned char*>(payload.data());
+  std::size_t kept = 0;
+  fold_blocks(
+      base, payload.size(),
+      [&](const unsigned char* p, std::size_t n) {
+        if (n == 0) return;
+        out.runs_.push_back({static_cast<std::size_t>(p - base), n});
+        kept += n;
+      },
+      [](std::size_t) {});
+  out.runs_.shrink_to_fit();
+  out.data_.reserve(kept);
+  for (const Run& r : out.runs_) out.data_.append(payload.substr(r.at, r.len));
+  return out;
+}
+
+void PackedPayload::unpack_into(std::string& out) const {
+  out.assign(size_, '\0');
+  const char* from = data_.data();
+  for (const Run& r : runs_) {
+    std::memcpy(out.data() + r.at, from, r.len);
+    from += r.len;
+  }
 }
 
 // ---- Serializer -------------------------------------------------------------
@@ -244,12 +317,20 @@ void Deserializer::end_chunk() {
 
 std::string wrap_container(std::string_view payload) {
   Serializer s;
-  s.bytes(kMagic.data(), kMagic.size());
-  s.str(kSchema);
-  s.u64(payload.size());
-  s.u32(crc32(payload));
+  begin_container(s);
   s.bytes(payload.data(), payload.size());
-  return s.take();
+  return seal_container(s);
+}
+
+void begin_container(Serializer& s) { (void)s.extend(kHeaderSize); }
+
+std::string seal_container(Serializer& s) {
+  std::string file = s.take();
+  if (file.size() < kHeaderSize) {
+    throw std::logic_error("seal_container without begin_container");
+  }
+  put_header(file.data(), std::string_view(file).substr(kHeaderSize));
+  return file;
 }
 
 std::string_view container_payload(std::string_view file_bytes) {
@@ -280,28 +361,13 @@ std::string_view container_payload(std::string_view file_bytes) {
 }
 
 void atomic_write_text(const std::string& path, std::string_view content) {
-  // The temp name is unique per writer: two processes (or threads) saving
-  // the same path must not share a temp file, or the slower rename finds
-  // it already gone.
-  static std::atomic<std::uint64_t> writes{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(writes.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write " + tmp);
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    out.flush();
-    if (!out) throw std::runtime_error("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cannot rename " + tmp + " -> " + path);
-  }
+  atomic_write(path, {content});
 }
 
 void write_file(const std::string& path, std::string_view payload) {
-  atomic_write_text(path, wrap_container(payload));
+  char header[kHeaderSize];
+  put_header(header, payload);
+  atomic_write(path, {{header, kHeaderSize}, payload});
 }
 
 std::string read_file(const std::string& path) {

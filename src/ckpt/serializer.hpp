@@ -112,6 +112,12 @@ class Serializer {
 
   const std::string& data() const { return buf_; }
   std::string take() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, so a Serializer reused for
+  /// the next save of the same state writes into memory already mapped.
+  void clear() {
+    buf_.clear();
+    chunk_stack_.clear();
+  }
 
  private:
   template <typename T>
@@ -191,19 +197,52 @@ class Deserializer {
   std::vector<std::pair<std::string, std::size_t>> chunk_stack_;  // tag, end
 };
 
+/// A payload with its all-zero 256-byte blocks left out: the in-memory form
+/// of a checkpoint that never leaves the process (the prefix engine's golden
+/// snapshots). It carries no container and no CRC. The blocks are the ones
+/// crc32 and hash64 fold in as zero runs, counted from the payload's start.
+class PackedPayload {
+ public:
+  static PackedPayload pack(std::string_view payload);
+  /// Replaces `out` with the packed payload: zeros, then the kept runs
+  /// copied back in. Reuses `out`'s capacity.
+  void unpack_into(std::string& out) const;
+  /// Bytes it holds: the kept runs and their offsets.
+  std::size_t bytes() const {
+    return data_.size() + runs_.size() * sizeof(Run);
+  }
+
+ private:
+  struct Run {
+    std::size_t at = 0;   ///< offset in the payload
+    std::size_t len = 0;  ///< bytes, stored back to back in data_
+  };
+  std::vector<Run> runs_;
+  std::string data_;
+  std::size_t size_ = 0;
+};
+
 // ---- Container I/O ----------------------------------------------------------
 
 /// Wraps `payload` in the "unsync.ckpt.v1" container (magic, schema,
 /// length, CRC-32) and returns the file bytes.
 std::string wrap_container(std::string_view payload);
 
+/// Builds a container in one buffer: begin_container writes the header with
+/// the length and CRC left zero, the caller serialises the payload behind
+/// it, and seal_container back-patches both and returns the file bytes
+/// (the same bytes wrap_container returns for that payload).
+void begin_container(Serializer& s);
+std::string seal_container(Serializer& s);
+
 /// Verifies magic / schema / length / CRC and returns the payload: a view
 /// into `file_bytes`, which must outlive it. Throws CkptError on any
 /// mismatch.
 std::string_view container_payload(std::string_view file_bytes);
 
-/// wrap_container + write-to-temp + atomic rename. Throws std::runtime_error
-/// on I/O failure.
+/// The container header and then `payload`, written to a temp file and
+/// atomically renamed (the payload is not copied). Throws
+/// std::runtime_error on I/O failure.
 void write_file(const std::string& path, std::string_view payload);
 
 /// Reads and unwraps a checkpoint file. Throws CkptError on corruption,

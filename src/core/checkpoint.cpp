@@ -40,6 +40,14 @@ void System::load_checkpoint(ckpt::Deserializer& d) {
   visit_checkpoint(ar);
 }
 
+void System::load_checkpoint_payload(std::string_view payload) {
+  ckpt::Deserializer d{payload};
+  load_checkpoint(d);
+  if (!d.at_end()) {
+    throw ckpt::CkptError("trailing bytes after system checkpoint");
+  }
+}
+
 void System::save_checkpoint_file(const std::string& path) const {
   ckpt::Serializer s;
   save_checkpoint(s);
@@ -47,25 +55,18 @@ void System::save_checkpoint_file(const std::string& path) const {
 }
 
 void System::load_checkpoint_file(const std::string& path) {
-  ckpt::Deserializer d(ckpt::read_file(path));
-  load_checkpoint(d);
-  if (!d.at_end()) {
-    throw ckpt::CkptError("trailing bytes after system checkpoint");
-  }
+  load_checkpoint_payload(ckpt::read_file(path));
 }
 
 std::string System::save_checkpoint_bytes() const {
   ckpt::Serializer s;
+  ckpt::begin_container(s);
   save_checkpoint(s);
-  return ckpt::wrap_container(s.data());
+  return ckpt::seal_container(s);
 }
 
 void System::load_checkpoint_bytes(std::string_view blob) {
-  ckpt::Deserializer d(ckpt::container_payload(blob));
-  load_checkpoint(d);
-  if (!d.at_end()) {
-    throw ckpt::CkptError("trailing bytes after system checkpoint");
-  }
+  load_checkpoint_payload(ckpt::container_payload(blob));
 }
 
 std::string System::fault_channel_bytes() const {

@@ -123,6 +123,10 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   /// system kind — throw ckpt::CkptError.
   void save_checkpoint(ckpt::Serializer& s) const;
   void load_checkpoint(ckpt::Deserializer& d);
+  /// load_checkpoint over the whole of `payload` (a save_checkpoint
+  /// output, no container); trailing bytes throw ckpt::CkptError. Every
+  /// restore path ends here, after its own container checks if any.
+  void load_checkpoint_payload(std::string_view payload);
 
   /// Whole-file convenience: the "unsync.ckpt.v1" container (magic, schema,
   /// CRC-32) written via write-to-temp + atomic rename.
@@ -133,7 +137,8 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   /// write, returned as a "unsync.ckpt.v1" container blob with no
   /// filesystem round trip. load_checkpoint_bytes() verifies magic /
   /// schema / CRC and rejects trailing bytes (ckpt::CkptError), just like
-  /// the file path. This is what the campaign prefix-sharing cache holds.
+  /// the file path. The prefix engine holds no containers: its golden
+  /// snapshots are packed save_checkpoint payloads (runtime/prefix.hpp).
   std::string save_checkpoint_bytes() const;
   void load_checkpoint_bytes(std::string_view blob);
 

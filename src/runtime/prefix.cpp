@@ -223,6 +223,7 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
                                      *stream, gjob.params);
 
   auto trace = std::make_shared<GoldenTrace>();
+  ckpt::Serializer scratch;  // every boundary saves into the same buffer
   for (Cycle k = 1;; ++k) {
     const Cycle boundary = k * interval;
     engine::RunResult r = sys->run(boundary);
@@ -232,12 +233,20 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
     }
     GoldenTrace::Snap snap;
     snap.boundary = boundary;
-    snap.state = sys->save_checkpoint_bytes();
+    scratch.clear();
+    sys->save_checkpoint(scratch);
+    snap.state = ckpt::PackedPayload::pack(scratch.data());
     snap.progress = sys->group_progress();
-    trace->bytes += snap.state.size();
+    trace->bytes += snap.state.bytes();
     trace->snaps.push_back(std::move(snap));
   }
   return trace;
+}
+
+void restore_golden(core::System& sys, const GoldenTrace::Snap& snap) {
+  thread_local std::string payload;
+  snap.state.unpack_into(payload);
+  sys.load_checkpoint_payload(payload);
 }
 
 void PrefixEngine::evict_over_budget_locked(const std::string& keep) {
@@ -276,7 +285,7 @@ void PrefixEngine::insert_golden(const std::string& key,
       thinned->bytes = 0;
       for (std::size_t i = 0; i < thinned->snaps.size(); ++i) {
         if (i % 2 == 0) continue;  // keep the later of each pair
-        thinned->bytes += thinned->snaps[i].state.size();
+        thinned->bytes += thinned->snaps[i].state.bytes();
         kept.push_back(std::move(thinned->snaps[i]));
       }
       thinned->snaps = std::move(kept);
@@ -372,7 +381,7 @@ engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
 
   if (const GoldenTrace::Snap* snap = latest_safe_snap(*golden, channel)) {
     const auto t0 = std::chrono::steady_clock::now();
-    sys->load_checkpoint_bytes(snap->state);
+    restore_golden(*sys, *snap);
     const auto dt = std::chrono::steady_clock::now() - t0;
     const std::lock_guard<std::mutex> lock(mu_);
     ++stats_.jobs_restored;

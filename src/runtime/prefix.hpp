@@ -7,16 +7,20 @@
 // engine removes that redundancy:
 //
 //  * For each unique fault-free configuration it simulates the GOLDEN
-//    (ser=0) run once, dropping a periodic in-memory checkpoint
-//    (System::save_checkpoint_bytes — the buffer-backed container path, no
-//    temp-file round trip) at every interval boundary.
+//    (ser=0) run once, keeping a snapshot at every interval boundary: the
+//    System::save_checkpoint payload, saved through one reused Serializer
+//    and held as a ckpt::PackedPayload (its all-zero 256-byte blocks left
+//    out). Snapshots never leave the process, so they carry no container
+//    and no CRC; the "unsync.ckpt.v1" container is the file and CLI format
+//    only.
 //  * A job with no arrival at all is the golden run, end to end: it returns
 //    the golden result outright.
 //  * Every other job computes its fault channel out of band (the same
 //    fault::schedule_arrivals draw sequence construction performs),
 //    restores from the latest golden checkpoint that provably precedes its
-//    first arrival, installs its own channel (System::install_fault_channel),
-//    and runs to completion.
+//    first arrival (restore_golden: the snapshot inflated into a buffer the
+//    worker reuses, then System::load_checkpoint_payload), installs its own
+//    channel (System::install_fault_channel), and runs to completion.
 //
 // A job never rejoins the golden run once an arrival fires: every redundant
 // system's recovery costs cycles (detection is certain and each strike
@@ -42,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ckpt/serializer.hpp"
 #include "common/types.hpp"
 #include "core/system.hpp"
 #include "obs/metrics.hpp"
@@ -60,8 +65,8 @@ struct PrefixStats {
   std::uint64_t hits = 0;            ///< cache hits (golden already present)
   std::uint64_t misses = 0;          ///< cache misses (build required)
   std::uint64_t evictions = 0;       ///< golden traces evicted by the LRU
-  std::uint64_t bytes = 0;           ///< checkpoint bytes currently cached
-  std::uint64_t restore_ns = 0;      ///< time spent in load_checkpoint_bytes
+  std::uint64_t bytes = 0;           ///< packed snapshot bytes cached
+  std::uint64_t restore_ns = 0;      ///< time spent in restore_golden
   std::uint64_t cycles_skipped = 0;  ///< simulated cycles not re-executed
   std::uint64_t jobs_restored = 0;   ///< jobs seeded from a golden checkpoint
   std::uint64_t jobs_spliced = 0;    ///< arrival-free jobs (golden result)
@@ -102,22 +107,27 @@ struct FaultChannel {
 struct GoldenTrace {
   struct Snap {
     Cycle boundary = 0;           ///< cycle count at the snapshot
-    std::string state;            ///< "unsync.ckpt.v1" container blob
+    ckpt::PackedPayload state;    ///< save_checkpoint payload, packed
     std::vector<SeqNum> progress; ///< per-group commit watermark
   };
 
-  /// Checkpoints, ascending by boundary; may be thinned under cache
+  /// Snapshots, ascending by boundary; may be thinned under cache
   /// pressure (restores then fall back to an earlier boundary).
   std::vector<Snap> snaps;
   engine::RunResult final_result;
-  std::size_t bytes = 0;  ///< total checkpoint-blob bytes
+  std::size_t bytes = 0;  ///< total packed snapshot bytes
 };
 
-/// Simulates the golden twin of `job` (ser zeroed), recording a checkpoint
+/// Simulates the golden twin of `job` (ser zeroed), recording a snapshot
 /// at every `interval` boundary.
 std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
                                                 std::uint64_t seed,
                                                 Cycle interval);
+
+/// Restores `snap` into `sys`, a freshly built golden twin: inflates it into
+/// a buffer this thread reuses and decodes that with
+/// System::load_checkpoint_payload. The engine's only restore path.
+void restore_golden(core::System& sys, const GoldenTrace::Snap& snap);
 
 /// Computes a job's fault channel out of band (see FaultChannel).
 FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed);

@@ -6,12 +6,14 @@
 // for every architecture.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/archive.hpp"
@@ -212,6 +214,119 @@ TEST(ZeroBlocks, NonZeroSeedsChainAcrossSplitPoints) {
   }
 }
 
+// ---- Packed payloads --------------------------------------------------------
+//
+// PackedPayload drops the whole all-zero 256-byte blocks counted from the
+// payload's start. The reference below finds them one block at a time.
+
+/// The (offset, length) runs pack must keep of `s`: every byte outside a
+/// whole all-zero block, adjacent kept blocks merged.
+std::vector<std::pair<std::size_t, std::size_t>> kept_runs_blockwise(
+    std::string_view s) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  for (std::size_t at = 0; at < s.size(); at += 256) {
+    const std::size_t n = std::min<std::size_t>(256, s.size() - at);
+    if (n == 256 &&
+        s.substr(at, n).find_first_not_of('\0') == std::string_view::npos) {
+      continue;
+    }
+    if (!runs.empty() && runs.back().first + runs.back().second == at) {
+      runs.back().second += n;
+    } else {
+      runs.emplace_back(at, n);
+    }
+  }
+  return runs;
+}
+
+void expect_packs(std::string_view s) {
+  const ckpt::PackedPayload packed = ckpt::PackedPayload::pack(s);
+  const auto runs = kept_runs_blockwise(s);
+  std::size_t kept = 0;
+  for (const auto& run : runs) kept += run.second;
+  // Each kept run costs its bytes plus an (offset, length) pair.
+  EXPECT_EQ(packed.bytes(), kept + runs.size() * 2 * sizeof(std::size_t));
+  // Unpacking overwrites whatever a reused buffer held, shorter or longer.
+  std::string out = "stale";
+  packed.unpack_into(out);
+  EXPECT_EQ(out, s);
+  out.assign(s.size() + 300, '\x5A');
+  packed.unpack_into(out);
+  EXPECT_EQ(out, s);
+}
+
+TEST(PackedPayload, ZeroRunsAtEveryAlignmentRoundTrip) {
+  std::mt19937_64 rng(5);
+  for (const std::size_t run :
+       {0, 1, 255, 256, 257, 511, 512, 513, 4095, 4096, 4097}) {
+    for (std::size_t align = 0; align < 8; ++align) {
+      for (const std::size_t head : {align, 3 * 256 + align}) {
+        const std::string s = nonzero_bytes(rng, head) +
+                              std::string(run, '\0') + nonzero_bytes(rng, 300);
+        SCOPED_TRACE("run " + std::to_string(run) + " at " +
+                     std::to_string(head));
+        expect_packs(s);
+        // The zero run at the very end, with nothing after it.
+        expect_packs(s.substr(0, head + run));
+      }
+    }
+  }
+}
+
+TEST(PackedPayload, AllZeroAndNoZeroBuffersRoundTrip) {
+  std::mt19937_64 rng(6);
+  for (const std::size_t n :
+       {0, 1, 8, 255, 256, 257, 300, 511, 512, 513, 1000, 4095, 4096, 4097,
+        65536 + 3}) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    expect_packs(std::string(n, '\0'));
+    expect_packs(nonzero_bytes(rng, n));
+  }
+  // Whole zero blocks keep nothing; a zero tail shorter than a block is
+  // kept as it is.
+  EXPECT_EQ(ckpt::PackedPayload::pack(std::string(4096, '\0')).bytes(), 0u);
+  EXPECT_EQ(ckpt::PackedPayload::pack(std::string(4096 + 7, '\0')).bytes(),
+            7 + 2 * sizeof(std::size_t));
+}
+
+TEST(PackedPayload, KeptRunsAtTheStartAndTheEndRoundTrip) {
+  std::mt19937_64 rng(7);
+  for (const std::size_t edge : {1, 255, 256, 257, 700}) {
+    SCOPED_TRACE("edge " + std::to_string(edge));
+    const std::string zeros(5 * 256 + 9, '\0');
+    const std::string data = nonzero_bytes(rng, edge);
+    expect_packs(data + zeros);               // run at the start
+    expect_packs(zeros + data);               // run at the end
+    expect_packs(data + zeros + data);        // both
+    expect_packs(zeros + data + zeros);       // neither
+    expect_packs(data + zeros + data + zeros + data);
+  }
+}
+
+TEST(PackedPayload, RandomSparseBuffersRoundTrip) {
+  std::mt19937_64 rng(8);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_packs(sparse_bytes(rng, rng() % 40000));
+  }
+}
+
+TEST(Serializer, ClearKeepsCapacityAndStartsOver) {
+  ckpt::Serializer s;
+  s.begin_chunk("ABCD");
+  (void)s.extend(5000);
+  s.end_chunk();
+  const std::string first = s.data();
+  const std::size_t capacity = s.data().capacity();
+  s.clear();
+  EXPECT_TRUE(s.data().empty());
+  EXPECT_EQ(s.data().capacity(), capacity);
+  s.begin_chunk("ABCD");
+  (void)s.extend(5000);
+  s.end_chunk();
+  EXPECT_EQ(s.data(), first);
+}
+
 TEST(Serializer, ScalarsRoundTrip) {
   ckpt::Serializer s;
   s.u8(0xAB);
@@ -325,6 +440,19 @@ TEST(Container, GoldenBytes) {
             "6162");                            // payload "ab"
 }
 
+TEST(Container, SealedInPlaceEqualsWrapped) {
+  // A payload serialised behind begin_container's placeholder header and
+  // sealed in place is byte-for-byte the wrapped one.
+  std::mt19937_64 rng(9);
+  for (const std::size_t n : {0, 1, 2, 255, 4097, 40000}) {
+    const std::string payload = sparse_bytes(rng, n);
+    ckpt::Serializer s;
+    ckpt::begin_container(s);
+    s.bytes(payload.data(), payload.size());
+    EXPECT_EQ(ckpt::seal_container(s), ckpt::wrap_container(payload)) << n;
+  }
+}
+
 TEST(Container, RoundTrips) {
   const std::string payload = "arbitrary \x00 binary \xff bytes";
   const std::string file = ckpt::wrap_container(payload);
@@ -366,6 +494,8 @@ TEST(Container, FileRoundTripAndCorruptFileRejection) {
     bytes.assign((std::istreambuf_iterator<char>(in)),
                  std::istreambuf_iterator<char>());
   }
+  // Header and payload are written apart, as the wrapped bytes.
+  EXPECT_EQ(bytes, ckpt::wrap_container("file payload"));
   bytes[bytes.size() - 2] = static_cast<char>(bytes[bytes.size() - 2] ^ 0x10);
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

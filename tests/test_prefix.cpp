@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -208,7 +209,7 @@ TEST(PrefixDigests, GoldenDigestsMatchANaiveTwinAtEveryBoundary) {
       ASSERT_EQ(snap.boundary, (k + 1) * interval) << name_of(kind);
       (void)twin.sys->run_naive(snap.boundary);
       GoldenTwin restored(job, 31);
-      restored.sys->load_checkpoint_bytes(snap.state);
+      runtime::restore_golden(*restored.sys, snap);
       EXPECT_EQ(restored.sys->state_fingerprint(),
                 twin.sys->state_fingerprint())
           << name_of(kind) << " @" << snap.boundary;
@@ -216,6 +217,41 @@ TEST(PrefixDigests, GoldenDigestsMatchANaiveTwinAtEveryBoundary) {
           << name_of(kind) << " @" << snap.boundary;
     }
   }
+}
+
+// The cache counts packed snapshots: PrefixStats::bytes is the sum of their
+// sizes, a fraction of the containers the same payloads would make.
+TEST(PrefixCache, BytesAreThePackedSnapshotSizes) {
+  const auto jobs = mixed_grid();
+  const std::uint64_t campaign_seed = CampaignRunner::Options{}.campaign_seed;
+  runtime::PrefixOptions opts;
+  opts.enabled = true;
+  opts.interval = 700;
+  runtime::PrefixEngine engine(opts);
+  std::set<std::string> goldens;
+  std::uint64_t packed = 0;
+  std::uint64_t containers = 0;
+  std::string payload;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::uint64_t seed = runtime::job_seed(jobs, campaign_seed, i);
+    (void)engine.run_job(jobs[i], seed);
+    if (!goldens.insert(runtime::golden_job_key(jobs[i], seed)).second) {
+      continue;
+    }
+    const auto golden = runtime::build_golden(jobs[i], seed, opts.interval);
+    for (const GoldenTrace::Snap& snap : golden->snaps) {
+      packed += snap.state.bytes();
+      snap.state.unpack_into(payload);
+      containers += ckpt::wrap_container(payload).size();
+    }
+  }
+  const runtime::PrefixStats stats = engine.stats();
+  ASSERT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.goldens_built, goldens.size());
+  EXPECT_EQ(stats.bytes, packed);
+  EXPECT_GT(stats.bytes, 0u);
+  EXPECT_LT(stats.bytes * 4, containers)
+      << stats.bytes << " packed vs " << containers << " container bytes";
 }
 
 // The premise of restore-then-run without a convergence splice: once an
