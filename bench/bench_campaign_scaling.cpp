@@ -21,14 +21,24 @@
 // run after the sweep, alternating which side of a pair runs first. A
 // single serial reference spreads by about ±15% on a shared host; a
 // stretch of lost cores moves the pair it falls in, and the median drops
-// that pair. Contention lasting the whole run still lowers every pair.
+// that pair. Contention lasting the whole run still lowers every pair,
+// and no wall-clock statistic at 4 workers on 4 shared cores can tell a
+// host that lost cores for the whole run from a slow scheduler.
+//
+// So the gate also bounds a statistic the host cannot move: the largest
+// share of the grid one worker ran in the gated parallel runs. Threads
+// that share fewer cores still take turns claiming jobs, so the share
+// stays near 1/workers; a scheduler that serialises the grid runs all of
+// it on one worker and reads 1.0. (On a single-core host the gated point
+// is workers=1, which reads 1.0 by construction.)
 //
 // json=<path> writes an "unsync.bench_report.v1" (bench "campaign"), gated
 // in CI by
 //     tools/check_bench_regression.py BENCH_campaign.json
 //         bench/BENCH_campaign_baseline.json
-// exact: identical; measured: gated_efficiency (min 0.85) and each pair's
-// efficiency, plus every sweep point's ungated timings.
+// exact: identical; measured: gated_efficiency (min 0.85),
+// gated.busiest_worker_share (max) and each pair's efficiency, plus every
+// sweep point's ungated timings.
 #include <algorithm>
 #include <ctime>
 #include <iostream>
@@ -158,12 +168,26 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   constexpr int kGatedPairs = 3;
+  // The largest share of the grid one worker ran, over the gated parallel
+  // runs (SchedulerStats' per-worker index counts).
+  double busiest_worker_share = 0.0;
   const auto timed_run = [&](unsigned workers) {
     runtime::CampaignRunner::Options opts;
     opts.threads = workers;
     opts.campaign_seed = args.seed;
     const auto out = runtime::CampaignRunner(opts).run(jobs);
     all_identical = all_identical && digest(out) == reference;
+    if (workers == gated_workers) {
+      for (unsigned w = 0; w < workers; ++w) {
+        const std::string key =
+            "campaign.scheduler.worker" + std::to_string(w) + ".indices";
+        busiest_worker_share =
+            std::max(busiest_worker_share,
+                     static_cast<double>(counter_of(out.scheduler_metrics,
+                                                    key)) /
+                         static_cast<double>(n_jobs));
+      }
+    }
     return out.wall_seconds;
   };
   std::vector<double> pair_efficiency;
@@ -191,10 +215,13 @@ int main(int argc, char** argv) {
     std::cout << ' ' << TextTable::num(e, 2);
   }
   std::cout << ")\n";
+  std::cout << "busiest worker ran " << TextTable::pct(busiest_worker_share, 1)
+            << " of the grid (gated runs)\n";
 
   report.exact("identical", all_identical);
   report.measured("gated_workers", gated_workers);
   report.measured("gated_efficiency", gated_efficiency);
+  report.measured("gated.busiest_worker_share", busiest_worker_share);
   report.write(args.json);
 
   if (!all_identical) {

@@ -77,7 +77,9 @@ std::optional<std::uint64_t> find_u64(const std::string& line,
   if (i >= line.size() || line[i] < '0' || line[i] > '9') return std::nullopt;
   std::uint64_t v = 0;
   while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
+    const auto digit = static_cast<std::uint64_t>(line[i] - '0');
+    if (v > (UINT64_MAX - digit) / 10) return std::nullopt;  // overflows
+    v = v * 10 + digit;
     ++i;
   }
   return v;
@@ -141,12 +143,18 @@ void JournalHeader::require_match(const JournalHeader& expect,
   }
 }
 
-std::string journal_entry_line(std::uint64_t index, std::string_view label,
-                               std::uint64_t seed, std::string_view blob) {
+std::string journal_entry_prefix(std::uint64_t index, std::string_view label,
+                                 std::uint64_t seed) {
   std::string out = "{\"index\":" + std::to_string(index);
   out += ",\"label\":" + json_quote(label);
-  out += ",\"seed\":" + std::to_string(seed);
-  out += ",\"crc\":" + std::to_string(crc32(blob));
+  out += ",\"seed\":" + std::to_string(seed) + ",";
+  return out;
+}
+
+std::string journal_entry_line(std::uint64_t index, std::string_view label,
+                               std::uint64_t seed, std::string_view blob) {
+  std::string out = journal_entry_prefix(index, label, seed);
+  out += "\"crc\":" + std::to_string(crc32(blob));
   out += ",\"blob\":\"" + hex_encode(blob) + "\"}";
   return out;
 }

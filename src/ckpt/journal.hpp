@@ -17,7 +17,8 @@
 // src/runtime/campaign_journal.hpp.
 //
 // Robustness contract: any line that fails to parse, whose CRC mismatches,
-// or whose index is out of range is simply *invalid* — callers drop it and
+// whose index is out of range, or whose clear fields disagree with the
+// grid (journal_entry_prefix) is simply *invalid* — callers drop it and
 // re-run that job. Only a header that parses but pins a different campaign
 // is a hard error (resuming against it would silently produce wrong
 // output), and that policy lives in JournalHeader::require_match.
@@ -41,7 +42,8 @@ std::string hex_encode(std::string_view bytes);
 std::optional<std::string> hex_decode(std::string_view hex);
 
 /// Finds `"key":` in a journal line and parses the decimal integer after
-/// it. Returns nullopt if absent or malformed — callers drop such lines.
+/// it. Returns nullopt if absent, malformed or above 2^64-1 — callers drop
+/// such lines.
 std::optional<std::uint64_t> find_u64(const std::string& line,
                                       std::string_view key);
 
@@ -85,10 +87,20 @@ struct JournalHeader {
 // ---- Entry lines ------------------------------------------------------------
 
 /// Renders one completed-job line (no trailing newline): index, label and
-/// seed in the clear (label/seed are informational — both are pure
-/// functions of the grid the header pins), plus a CRC-32-guarded hex blob.
+/// seed in the clear, plus a CRC-32-guarded hex blob. The CRC covers only
+/// the blob; the clear fields are checked against the grid instead (see
+/// journal_entry_prefix).
 std::string journal_entry_line(std::uint64_t index, std::string_view label,
                                std::uint64_t seed, std::string_view blob);
+
+/// The bytes journal_entry_line writes before the CRC:
+/// `{"index":<index>,"label":<quoted label>,"seed":<seed>,`. Label and seed
+/// are pure functions of the grid the header pins, so a reader that knows
+/// the grid accepts an entry for job i only if its line starts with job i's
+/// prefix: a flipped index digit then drops the entry instead of handing
+/// one job's result to another.
+std::string journal_entry_prefix(std::uint64_t index, std::string_view label,
+                                 std::uint64_t seed);
 
 struct ParsedEntry {
   std::uint64_t index = 0;
@@ -97,6 +109,8 @@ struct ParsedEntry {
 
 /// Parses and CRC-verifies one entry line. Returns nullopt for anything
 /// torn, corrupt, or with index >= max_jobs — the caller re-runs that job.
+/// The index itself is not CRC-guarded: callers holding the grid also
+/// check journal_entry_prefix.
 std::optional<ParsedEntry> parse_entry_line(const std::string& line,
                                             std::uint64_t max_jobs);
 

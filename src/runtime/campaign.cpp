@@ -1,13 +1,10 @@
 #include "runtime/campaign.hpp"
 
 #include <chrono>
-#include <fstream>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
-#include "ckpt/journal.hpp"
-#include "ckpt/serializer.hpp"
-#include "common/rng.hpp"
 #include "obs/json.hpp"
 #include "runtime/campaign_journal.hpp"
 #include "runtime/prefix.hpp"
@@ -143,56 +140,37 @@ CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
       options_.collect_metrics ? jobs.size() : 0);
 
   // Prefix-sharing engine. Metrics-collecting campaigns keep the engine
-  // but route every job around it (per-cycle histograms depend on the
-  // cycles a shared prefix would skip), so `campaign status` still reports
-  // why nothing was shared.
+  // but route every job around it (run_campaign_job), so `campaign status`
+  // still reports why nothing was shared.
   std::unique_ptr<PrefixEngine> engine;
   if (options_.prefix.enabled) {
     engine = std::make_unique<PrefixEngine>(options_.prefix);
   }
   const bool prefix_jobs = engine && !options_.collect_metrics;
 
-  // Journal setup. On resume the surviving entries are re-encoded into a
-  // fresh journal via atomic rewrite (dropping torn/corrupt lines), then
-  // the stream continues in append mode — so after any number of
-  // kill/resume cycles the journal holds exactly one valid line per
-  // completed job.
+  // Journaled jobs restored on resume are not run again.
   std::vector<char> restored(jobs.size(), 0);
-  std::ofstream journal;
+  std::optional<JournalWriter> journal;
   if (!options_.journal.empty()) {
-    const ckpt::JournalHeader header = make_journal_header(
-        jobs, options_.campaign_seed, options_.collect_metrics,
-        options_.prefix.enabled, options_.prefix.interval);
-    std::string rewrite = header.to_line();
-    rewrite.push_back('\n');
-    if (options_.resume) {
-      auto loaded = load_journal(options_.journal, header);
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!loaded[i] || !entry_acceptable(loaded[i]->result)) continue;
-        restored[i] = 1;
-        const std::uint64_t seed = job_seed(jobs, options_.campaign_seed, i);
-        const std::string blob = encode_entry_blob(
-            loaded[i]->result,
-            loaded[i]->has_metrics ? &loaded[i]->metrics : nullptr);
-        rewrite += ckpt::journal_entry_line(i, jobs[i].label, seed, blob);
-        rewrite.push_back('\n');
-        out.results[i] = std::move(loaded[i]->result);
-        if (options_.collect_metrics) {
-          job_metrics[i] = std::move(loaded[i]->metrics);
-        }
+    journal.emplace(options_.journal,
+                    make_journal_header(jobs, options_.campaign_seed,
+                                        options_.collect_metrics,
+                                        options_.prefix.enabled,
+                                        options_.prefix.interval),
+                    jobs, options_.resume);
+    auto& loaded = journal->restored();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (!loaded[i]) continue;
+      restored[i] = 1;
+      out.results[i] = std::move(loaded[i]->result);
+      if (options_.collect_metrics) {
+        job_metrics[i] = std::move(loaded[i]->metrics);
       }
-    }
-    ckpt::atomic_write_text(options_.journal, rewrite);
-    journal.open(options_.journal, std::ios::binary | std::ios::app);
-    if (!journal) {
-      throw std::runtime_error("cannot open campaign journal '" +
-                               options_.journal + "' for append");
     }
   }
 
   std::mutex progress_mu;
   std::size_t completed = 0;
-  std::size_t unflushed = 0;
 
   // Execution-order permutation: jobs that share a golden configuration
   // are claimed together (and ordered by first arrival), so each golden is
@@ -210,53 +188,27 @@ CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
         const std::uint64_t seed = job_seed(jobs, options_.campaign_seed, i);
         out.seeds[i] = seed;
         if (!restored[i]) {
+          obs::MetricsSnapshot* metrics =
+              options_.collect_metrics ? &job_metrics[i] : nullptr;
           const auto job_start = std::chrono::steady_clock::now();
-          if (options_.collect_metrics) {
-            if (engine) engine->note_bypass();
-            obs::MetricsRegistry reg;
-            out.results[i] = run_job(jobs[i], seed, &reg);
-            job_metrics[i] = reg.snapshot();
-          } else if (engine) {
-            out.results[i] = engine->run_job(jobs[i], seed);
-          } else {
-            out.results[i] = run_job(jobs[i], seed);
-          }
+          out.results[i] =
+              run_campaign_job(jobs[i], seed, engine.get(), metrics);
           out.job_wall_seconds[i] =
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             job_start)
                   .count();
+          if (journal) journal->append(i, out.results[i], metrics);
         }
-        std::string entry;
-        if (journal.is_open() && !restored[i]) {
-          const std::string blob = encode_entry_blob(
-              out.results[i],
-              options_.collect_metrics ? &job_metrics[i] : nullptr);
-          entry = ckpt::journal_entry_line(i, jobs[i].label, seed, blob);
-          entry.push_back('\n');
-        }
-        if (options_.progress || !entry.empty()) {
+        if (options_.progress) {
           const std::lock_guard<std::mutex> lock(progress_mu);
-          if (!entry.empty()) {
-            journal << entry;
-            if (++unflushed >= options_.checkpoint_every) {
-              journal.flush();
-              unflushed = 0;
-            }
-          }
-          if (options_.progress) options_.progress(++completed, jobs.size());
+          options_.progress(++completed, jobs.size());
         }
       },
       &sched_stats);
-  if (journal.is_open()) {
-    // Completed prefix-sharing campaigns record the engine totals as a
-    // trailing "stats" line. Entry readers skip it; `campaign status`
-    // decodes it. Resume's atomic rewrite above drops any earlier one, so
-    // a finished journal carries exactly one.
-    if (engine) {
-      journal << ckpt::journal_stats_line(engine->stats().encode()) << '\n';
-    }
-    journal.flush();
-  }
+  // Completed prefix-sharing campaigns record the engine totals as a
+  // trailing "stats" line; the resume rewrite drops any earlier one, so a
+  // finished journal carries exactly one.
+  if (journal && engine) journal->append_stats(engine->stats());
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -17,7 +17,8 @@
 // the default to_json()) vary between runs.
 //
 // Crash safety: with Options::journal set, every completed job is appended
-// to a JSONL journal (CRC-checked binary blobs, atomic rewrite on resume);
+// and flushed to a JSONL journal (CRC-checked binary blobs, atomic rewrite
+// on resume; the one writer is JournalWriter in runtime/campaign_journal.hpp);
 // Options::resume restores journaled jobs and re-runs only the rest, with
 // byte-identical CampaignOutput. See docs/CHECKPOINTS.md.
 #pragma once
@@ -143,19 +144,17 @@ class CampaignRunner {
     /// fingerprint of the whole grid, collect_metrics) and to which every
     /// completed job is appended as one line carrying a CRC-checked binary
     /// blob of its RunResult (plus its metric snapshot when
-    /// collect_metrics is on). A killed campaign loses at most the jobs
-    /// that were in flight. Empty = no journal.
+    /// collect_metrics is on), flushed job by job. A killed campaign loses
+    /// at most the jobs that were in flight. Empty = no journal.
     std::string journal;
-    /// Flush the journal stream every N completed jobs (1 = every job;
-    /// larger values trade crash-window for fewer flushes).
-    std::size_t checkpoint_every = 1;
     /// Resume from `journal`: journaled jobs are restored instead of
     /// re-run, and CampaignOutput (including to_json()) is byte-identical
     /// to an uninterrupted campaign regardless of kill point or worker
     /// count. The journal header must match this campaign or
-    /// ckpt::CkptError is thrown; corrupt or torn entry lines are dropped
+    /// ckpt::CkptError is thrown; corrupt or torn entry lines, and entries
+    /// whose index, label or seed disagree with the grid, are dropped
     /// (those jobs simply re-run). A missing or empty journal file starts
-    /// a fresh campaign.
+    /// a fresh campaign. Without resume the journal is overwritten.
     bool resume = false;
     /// Prefix-sharing (CLI: prefix_share= / prefix_interval= /
     /// prefix_cache_mb=): golden runs are simulated once per unique

@@ -1,8 +1,10 @@
 #include "runtime/campaign_journal.hpp"
 
-#include <fstream>
+#include <stdexcept>
+#include <unordered_set>
 
 #include "ckpt/archive.hpp"
+#include "ckpt/serializer.hpp"
 #include "common/rng.hpp"
 
 namespace unsync::runtime {
@@ -97,6 +99,16 @@ std::string encode_entry_blob(const engine::RunResult& result,
   return s.take();
 }
 
+std::uint64_t job_seed(const std::vector<SimJob>& jobs,
+                       std::uint64_t campaign_seed, std::size_t index) {
+  return jobs[index].seed
+             ? *jobs[index].seed
+             : derive_seed(campaign_seed, static_cast<std::uint64_t>(index));
+}
+
+namespace {
+
+/// Decodes journal-blob bytes; nullopt if truncated/corrupt/trailing.
 std::optional<RestoredJob> decode_entry_blob(std::string blob) {
   try {
     ckpt::Deserializer d(std::move(blob));
@@ -112,89 +124,124 @@ std::optional<RestoredJob> decode_entry_blob(std::string blob) {
   }
 }
 
-std::uint64_t job_seed(const std::vector<SimJob>& jobs,
-                       std::uint64_t campaign_seed, std::size_t index) {
-  return jobs[index].seed
-             ? *jobs[index].seed
-             : derive_seed(campaign_seed, static_cast<std::uint64_t>(index));
-}
-
-namespace {
-
-/// Shared walk over a journal file: validates the header against `expect`
-/// and invokes `on_entry` for every CRC-valid entry line. Returns false if
-/// the file is missing or empty (fresh campaign).
-template <typename Fn>
-bool for_each_valid_entry(const std::string& path,
-                          const ckpt::JournalHeader& expect, Fn&& on_entry) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-
+/// Reads a journal's header line; nullopt if the file is missing or empty.
+/// A first line that is not a campaign-journal header throws.
+std::optional<ckpt::JournalHeader> read_header(std::ifstream& in,
+                                               const std::string& path) {
   std::string line;
-  if (!std::getline(in, line) || line.empty()) return false;
-
-  const auto header = ckpt::JournalHeader::parse(line);
+  if (!in || !std::getline(in, line) || line.empty()) return std::nullopt;
+  auto header = ckpt::JournalHeader::parse(line);
   if (!header) {
     throw ckpt::CkptError("campaign journal '" + path +
                           "': missing or unknown schema header");
   }
-  header->require_match(expect, path);
-
-  while (std::getline(in, line)) {
-    auto entry = ckpt::parse_entry_line(line, expect.jobs);
-    if (!entry) continue;
-    on_entry(std::move(*entry));
-  }
-  return true;
+  return header;
 }
 
 }  // namespace
 
 std::vector<std::optional<RestoredJob>> load_journal(
-    const std::string& path, const ckpt::JournalHeader& expect) {
-  std::vector<std::optional<RestoredJob>> restored(
-      static_cast<std::size_t>(expect.jobs));
-  for_each_valid_entry(path, expect, [&](ckpt::ParsedEntry entry) {
-    auto job = decode_entry_blob(std::move(entry.blob));
-    if (!job || job->has_metrics != expect.collect_metrics) return;
-    restored[static_cast<std::size_t>(entry.index)] =
-        std::move(*job);  // duplicate index: last wins
-  });
+    const std::string& path, const ckpt::JournalHeader& expect,
+    const std::vector<SimJob>& jobs) {
+  std::vector<std::optional<RestoredJob>> restored(jobs.size());
+  std::ifstream in(path, std::ios::binary);
+  const auto header = read_header(in, path);
+  if (!header) return restored;
+  header->require_match(expect, path);
+
+  for (std::string line; std::getline(in, line);) {
+    auto entry = ckpt::parse_entry_line(line, jobs.size());
+    if (!entry) continue;
+    const auto i = static_cast<std::size_t>(entry->index);
+    if (!line.starts_with(ckpt::journal_entry_prefix(
+            i, jobs[i].label, job_seed(jobs, expect.campaign_seed, i)))) {
+      continue;
+    }
+    auto job = decode_entry_blob(std::move(entry->blob));
+    if (!job || job->has_metrics != expect.collect_metrics ||
+        !entry_acceptable(job->result)) {
+      continue;
+    }
+    restored[i] = std::move(*job);  // duplicate index: last wins
+  }
   return restored;
 }
 
-std::vector<char> journal_done_mask(const std::string& path,
-                                    const ckpt::JournalHeader& expect) {
-  std::vector<char> done(static_cast<std::size_t>(expect.jobs), 0);
-  for_each_valid_entry(path, expect, [&](ckpt::ParsedEntry entry) {
-    // The CRC already guards the payload; decode anyway so a torn line
-    // whose fields happen to parse can never mark a job as done.
-    auto job = decode_entry_blob(std::move(entry.blob));
-    if (!job || job->has_metrics != expect.collect_metrics) return;
-    done[static_cast<std::size_t>(entry.index)] = 1;
-  });
-  return done;
+JournalWriter::JournalWriter(const std::string& path,
+                             const ckpt::JournalHeader& header,
+                             const std::vector<SimJob>& jobs, bool resume)
+    : jobs_(jobs), campaign_seed_(header.campaign_seed) {
+  restored_ = resume ? load_journal(path, header, jobs)
+                     : std::vector<std::optional<RestoredJob>>(jobs.size());
+  std::string rewrite = header.to_line();
+  rewrite.push_back('\n');
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto& job = restored_[i];
+    if (!job) continue;
+    rewrite += entry_line(i, job->result,
+                          job->has_metrics ? &job->metrics : nullptr);
+    rewrite.push_back('\n');
+  }
+  ckpt::atomic_write_text(path, rewrite);
+  out_.open(path, std::ios::binary | std::ios::app);
+  if (!out_) {
+    throw std::runtime_error("cannot open campaign journal '" + path +
+                             "' for append");
+  }
+}
+
+void JournalWriter::append(std::size_t index, const engine::RunResult& result,
+                           const obs::MetricsSnapshot* metrics) {
+  write_line(entry_line(index, result, metrics));
+}
+
+void JournalWriter::append_stats(const PrefixStats& stats) {
+  write_line(ckpt::journal_stats_line(stats.encode()));
+}
+
+std::string JournalWriter::entry_line(
+    std::size_t index, const engine::RunResult& result,
+    const obs::MetricsSnapshot* metrics) const {
+  return ckpt::journal_entry_line(index, jobs_[index].label,
+                                  job_seed(jobs_, campaign_seed_, index),
+                                  encode_entry_blob(result, metrics));
+}
+
+void JournalWriter::write_line(std::string line) {
+  line.push_back('\n');
+  const std::lock_guard<std::mutex> lock(mu_);
+  out_ << line;
+  out_.flush();
+}
+
+engine::RunResult run_campaign_job(const SimJob& job, std::uint64_t seed,
+                                   PrefixEngine* engine,
+                                   obs::MetricsSnapshot* metrics) {
+  if (metrics) {
+    if (engine) engine->note_bypass();
+    obs::MetricsRegistry reg;
+    engine::RunResult result = CampaignRunner::run_job(job, seed, &reg);
+    *metrics = reg.snapshot();
+    return result;
+  }
+  if (engine) return engine->run_job(job, seed);
+  return CampaignRunner::run_job(job, seed);
 }
 
 JournalStatus journal_status(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ckpt::CkptError("campaign journal '" + path + "': cannot open");
-  }
-  std::string line;
-  if (!std::getline(in, line) || line.empty()) {
-    throw ckpt::CkptError("campaign journal '" + path + "': empty file");
-  }
-  const auto header = ckpt::JournalHeader::parse(line);
+  const auto header = read_header(in, path);
   if (!header) {
     throw ckpt::CkptError("campaign journal '" + path +
-                          "': missing or unknown schema header");
+                          "': missing or empty file");
   }
 
   JournalStatus status;
   status.header = *header;
-  std::vector<char> seen(static_cast<std::size_t>(header->jobs), 0);
-  while (std::getline(in, line)) {
+  // Indices seen so far. Sized by what the file holds, never by the
+  // header's own job count, which a corrupt header can make absurd.
+  std::unordered_set<std::uint64_t> seen;
+  for (std::string line; std::getline(in, line);) {
     if (line.empty()) continue;
     if (auto stats_blob = ckpt::parse_stats_line(line)) {
       // Prefix-engine totals appended at campaign end. Last valid line
@@ -207,19 +254,16 @@ JournalStatus journal_status(const std::string& path) {
       continue;
     }
     auto entry = ckpt::parse_entry_line(line, header->jobs);
-    const std::optional<RestoredJob> job =
-        entry ? decode_entry_blob(std::move(entry->blob))
-              : std::optional<RestoredJob>();
+    const auto job =
+        entry ? decode_entry_blob(std::move(entry->blob)) : std::nullopt;
     if (!entry || !job || job->has_metrics != header->collect_metrics) {
       ++status.corrupt;
       continue;
     }
-    char& mark = seen[static_cast<std::size_t>(entry->index)];
-    if (mark) {
-      ++status.duplicates;
-    } else {
-      mark = 1;
+    if (seen.insert(entry->index).second) {
       ++status.done;
+    } else {
+      ++status.duplicates;
     }
   }
   return status;

@@ -1,5 +1,6 @@
 // Campaign-level journal contents: what goes inside the CRC'd blobs of an
-// "unsync.campaign_journal.v1" file, and how whole journals are loaded.
+// "unsync.campaign_journal.v1" file, how whole journals are loaded, and
+// the one writer and the one job path every campaign loop shares.
 //
 // The byte-level line format (header/entry rendering, hex codec, CRC
 // checks) lives in ckpt/journal.hpp; this layer binds it to the campaign
@@ -10,10 +11,13 @@
 //
 // Shared by CampaignRunner (single-process resumable campaigns) and the
 // distributed fabric in runtime/distributed.hpp (per-shard journals merged
-// by a coordinator).
+// by a coordinator): both run their jobs through run_campaign_job and
+// journal them through one JournalWriter.
 #pragma once
 
 #include <cstdint>
+#include <fstream>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,28 +70,69 @@ struct RestoredJob {
 std::string encode_entry_blob(const engine::RunResult& result,
                               const obs::MetricsSnapshot* metrics);
 
-/// Decodes journal-blob bytes; nullopt if truncated/corrupt/trailing.
-std::optional<RestoredJob> decode_entry_blob(std::string blob);
-
 /// The seed job `index` of `jobs` runs with (pinned seed, else derived).
 std::uint64_t job_seed(const std::vector<SimJob>& jobs,
                        std::uint64_t campaign_seed, std::size_t index);
 
-/// Loads a journal for resumption or merging. A missing or empty file
-/// yields no entries (fresh campaign). A header that parses but pins a
-/// different campaign than `expect` throws ckpt::CkptError; an
-/// unparseable header on a non-empty file throws too (the file is not a
-/// campaign journal). Corrupt or torn entry lines are dropped — those
-/// jobs simply re-run. Returns one restored job per validated entry, by
-/// global job index (duplicate index: last wins).
+/// Loads a journal written for `jobs` (resume, steal scans and merging).
+/// A missing or empty file yields no entries (fresh campaign). A header
+/// that parses but pins a different campaign than `expect` throws
+/// ckpt::CkptError; an unparseable header on a non-empty file throws too
+/// (the file is not a campaign journal). An entry line is accepted only if
+/// it starts with the journal_entry_prefix of job i (its index, label and
+/// seed), its blob passes the CRC and decodes in the header's metrics
+/// mode, and entry_acceptable holds; every other line is dropped and its
+/// job re-runs. Returns one restored job per accepted entry, by global job
+/// index (duplicate index: last wins).
 std::vector<std::optional<RestoredJob>> load_journal(
-    const std::string& path, const ckpt::JournalHeader& expect);
+    const std::string& path, const ckpt::JournalHeader& expect,
+    const std::vector<SimJob>& jobs);
 
-/// Cheap pass over a journal: which global indices have a valid entry.
-/// Same validation as load_journal (CRC + blob decode) without keeping the
-/// decoded payloads. Used for steal decisions and completeness polling.
-std::vector<char> journal_done_mask(const std::string& path,
-                                    const ckpt::JournalHeader& expect);
+/// The one writer of a campaign journal: a single-process journal or one
+/// shard of a distributed campaign. Opening rewrites `path` atomically —
+/// the header, then, with `resume`, one line per entry load_journal
+/// accepts — so torn and corrupt lines from a killed run disappear and any
+/// number of kill/resume cycles leave one valid line per completed job.
+/// Without `resume` the journal starts over. Each later entry is appended
+/// and flushed on its own, so a kill loses at most the jobs in flight.
+class JournalWriter {
+ public:
+  JournalWriter(const std::string& path, const ckpt::JournalHeader& header,
+                const std::vector<SimJob>& jobs, bool resume);
+
+  /// The jobs restored on open, by index (empty: the job must run).
+  /// Callers may move the results out.
+  std::vector<std::optional<RestoredJob>>& restored() { return restored_; }
+
+  /// Appends job `index`'s entry and flushes it. Thread-safe; the entry is
+  /// encoded before the lock is taken.
+  void append(std::size_t index, const engine::RunResult& result,
+              const obs::MetricsSnapshot* metrics);
+
+  /// Appends the prefix engine's totals as a trailing "stats" line; entry
+  /// readers skip it and `campaign status` reads the last one back.
+  void append_stats(const PrefixStats& stats);
+
+ private:
+  std::string entry_line(std::size_t index, const engine::RunResult& result,
+                         const obs::MetricsSnapshot* metrics) const;
+  void write_line(std::string line);
+
+  const std::vector<SimJob>& jobs_;
+  std::uint64_t campaign_seed_;
+  std::vector<std::optional<RestoredJob>> restored_;
+  std::mutex mu_;
+  std::ofstream out_;
+};
+
+/// The one job path of every campaign loop. With `metrics` the job runs on
+/// the plain path and its metric snapshot lands there (per-cycle
+/// histograms depend on the cycles a shared prefix would skip), counted as
+/// a bypass on `engine` so `campaign status` says why nothing was shared;
+/// otherwise the job runs through `engine` when there is one, else plainly.
+engine::RunResult run_campaign_job(const SimJob& job, std::uint64_t seed,
+                                   PrefixEngine* engine,
+                                   obs::MetricsSnapshot* metrics);
 
 /// What `unsync_sim campaign status` prints: journal health without the
 /// grid (everything needed is pinned in the header).

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -29,22 +31,20 @@ std::string read_first_line(const std::string& path) {
 ckpt::JournalHeader shard_header(const std::vector<SimJob>& jobs,
                                  const DistributedOptions& opts,
                                  unsigned shard) {
-  ckpt::JournalHeader h = make_journal_header(
-      jobs, opts.campaign_seed, opts.collect_metrics, opts.prefix.enabled,
-      opts.prefix.interval);
+  ckpt::JournalHeader h = manifest_header(jobs, opts);
   h.shard = shard;
-  h.workers = opts.workers;
   return h;
 }
 
-/// Done mask of one shard journal; all-false if the journal does not exist
-/// yet (the sibling has not started). Header mismatches still throw — a
-/// foreign journal in the campaign dir is corruption, not absence.
-std::vector<char> shard_done_mask(const std::vector<SimJob>& jobs,
-                                  const DistributedOptions& opts,
-                                  unsigned shard) {
-  return journal_done_mask(shard_journal_path(opts.dir, shard),
-                           shard_header(jobs, opts, shard));
+/// The entries of one shard journal load_journal accepts; none if the
+/// journal does not exist yet (the sibling has not started). Header
+/// mismatches still throw — a foreign journal in the campaign dir is
+/// corruption, not absence.
+std::vector<std::optional<RestoredJob>> load_shard(
+    const std::vector<SimJob>& jobs, const DistributedOptions& opts,
+    unsigned shard) {
+  return load_journal(shard_journal_path(opts.dir, shard),
+                      shard_header(jobs, opts, shard), jobs);
 }
 
 }  // namespace
@@ -100,33 +100,15 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
   }
   ensure_manifest(jobs, opts);
 
-  const ckpt::JournalHeader header = shard_header(jobs, opts, opts.shard);
-  const std::string path = shard_journal_path(opts.dir, opts.shard);
-
-  // Resume our own journal: valid entries survive (rewritten atomically so
-  // torn tail lines from a previous kill -9 disappear), then the stream
-  // continues in append mode.
+  // A worker always resumes its own journal: valid entries survive (the
+  // writer's atomic rewrite drops torn tail lines from a previous kill -9),
+  // then the stream continues in append mode.
+  JournalWriter journal(shard_journal_path(opts.dir, opts.shard),
+                        shard_header(jobs, opts, opts.shard), jobs,
+                        /*resume=*/true);
   std::vector<char> done(jobs.size(), 0);
-  {
-    auto loaded = load_journal(path, header);
-    std::string rewrite = header.to_line();
-    rewrite.push_back('\n');
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (!loaded[i] || !entry_acceptable(loaded[i]->result)) continue;
-      done[i] = 1;
-      const std::string blob = encode_entry_blob(
-          loaded[i]->result,
-          loaded[i]->has_metrics ? &loaded[i]->metrics : nullptr);
-      rewrite += ckpt::journal_entry_line(
-          i, jobs[i].label, job_seed(jobs, opts.campaign_seed, i), blob);
-      rewrite.push_back('\n');
-    }
-    ckpt::atomic_write_text(path, rewrite);
-  }
-  std::ofstream journal(path, std::ios::binary | std::ios::app);
-  if (!journal) {
-    throw std::runtime_error("cannot open shard journal '" + path +
-                             "' for append");
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    done[i] = journal.restored()[i].has_value();
   }
 
   // Per-process prefix engine: the golden-trace cache is shared by this
@@ -136,59 +118,34 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
   if (opts.prefix.enabled) engine = std::make_unique<PrefixEngine>(opts.prefix);
   const bool prefix_jobs = engine && !opts.collect_metrics;
 
-  std::mutex journal_mu;
+  std::mutex progress_mu;
   std::size_t executed = 0;
-  std::size_t unflushed = 0;
   const auto run_and_record = [&](std::size_t i) {
-    const std::uint64_t seed = job_seed(jobs, opts.campaign_seed, i);
-    engine::RunResult result;
     obs::MetricsSnapshot metrics;
-    if (opts.collect_metrics) {
-      if (engine) engine->note_bypass();
-      obs::MetricsRegistry reg;
-      result = CampaignRunner::run_job(jobs[i], seed, &reg);
-      metrics = reg.snapshot();
-    } else if (engine) {
-      result = engine->run_job(jobs[i], seed);
-    } else {
-      result = CampaignRunner::run_job(jobs[i], seed);
-    }
-    const std::string blob =
-        encode_entry_blob(result, opts.collect_metrics ? &metrics : nullptr);
-    std::string entry = ckpt::journal_entry_line(i, jobs[i].label, seed, blob);
-    entry.push_back('\n');
-    const std::lock_guard<std::mutex> lock(journal_mu);
-    journal << entry;
-    if (++unflushed >= opts.checkpoint_every) {
-      journal.flush();
-      unflushed = 0;
-    }
+    obs::MetricsSnapshot* m = opts.collect_metrics ? &metrics : nullptr;
+    journal.append(i,
+                   run_campaign_job(jobs[i],
+                                    job_seed(jobs, opts.campaign_seed, i),
+                                    engine.get(), m),
+                   m);
+    const std::lock_guard<std::mutex> lock(progress_mu);
     ++executed;
     if (opts.progress) opts.progress(executed, jobs.size());
   };
 
-  // Phase 1: the own shard — every pending job with index % workers == us.
+  // Phase 1: the own shard — every pending job with index % workers == us,
+  // golden-sharing jobs claimed together (schedule_order) when the engine
+  // runs jobs. Journal entries stay keyed by global index, so ordering
+  // never changes any bytes.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (prefix_jobs) order = engine->schedule_order(jobs, opts.campaign_seed);
   std::vector<std::size_t> own;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  for (const std::size_t i : order) {
     if (i % opts.workers == opts.shard && !done[i]) own.push_back(i);
-  }
-  if (prefix_jobs && !own.empty()) {
-    // Claim golden-sharing jobs together (schedule_order semantics),
-    // filtered to this shard. Journal entries stay keyed by global index,
-    // so ordering never changes any bytes.
-    std::vector<char> mine(jobs.size(), 0);
-    for (const std::size_t i : own) mine[i] = 1;
-    std::vector<std::size_t> reordered;
-    reordered.reserve(own.size());
-    for (const std::size_t i :
-         engine->schedule_order(jobs, opts.campaign_seed)) {
-      if (mine[i]) reordered.push_back(i);
-    }
-    own = std::move(reordered);
   }
   parallel_for(opts.threads, own.size(),
                [&](std::size_t k) { run_and_record(own[k]); });
-  journal.flush();
 
   // Phase 2: steal. Walk sibling shards' pending jobs highest-index-first —
   // siblings drain their own shards in ascending order, so the tail is the
@@ -202,7 +159,7 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
       std::vector<std::size_t> pending;
       for (unsigned w = 0; w < opts.workers; ++w) {
         if (w == opts.shard) continue;
-        const auto theirs = shard_done_mask(jobs, opts, w);
+        const auto theirs = load_shard(jobs, opts, w);
         for (std::size_t i = w; i < jobs.size(); i += opts.workers) {
           if (!theirs[i] && !done[i]) pending.push_back(i);
         }
@@ -212,9 +169,8 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
                 [](std::size_t a, std::size_t b) { return a > b; });
       bool ran_any = false;
       for (const std::size_t i : pending) {
-        const auto owner_now =
-            shard_done_mask(jobs, opts, static_cast<unsigned>(i % opts.workers));
-        if (owner_now[i]) {
+        const auto owner = static_cast<unsigned>(i % opts.workers);
+        if (load_shard(jobs, opts, owner)[i]) {
           done[i] = 1;
           continue;
         }
@@ -227,14 +183,10 @@ std::size_t run_worker(const std::vector<SimJob>& jobs,
       // new gap appeared (it cannot — shards never refill), then stop.
       if (!ran_any) break;
     }
-    journal.flush();
   }
-  if (engine) {
-    // Per-shard engine totals; `campaign status` on a shard journal reads
-    // the last one back. The resume rewrite above drops stale stats lines.
-    journal << ckpt::journal_stats_line(engine->stats().encode()) << '\n';
-    journal.flush();
-  }
+  // Per-shard engine totals; `campaign status` on a shard journal reads
+  // the last one back. The resume rewrite above drops stale stats lines.
+  if (engine) journal.append_stats(engine->stats());
   return executed;
 }
 
@@ -248,20 +200,20 @@ CampaignOutput merge_shards(const std::vector<SimJob>& jobs,
           std::chrono::duration<double>(
               opts.timeout_seconds > 0 ? opts.timeout_seconds : 0));
 
-  // Poll cheaply (done masks only) until every global index is covered.
-  std::size_t pending = jobs.size();
+  // Poll until every global index is covered, merging ascending by shard:
+  // the first journal providing an index wins (all providers hold
+  // identical bytes by construction).
+  std::vector<std::optional<RestoredJob>> restored;
   for (;;) {
-    std::vector<char> covered(jobs.size(), 0);
+    restored.assign(jobs.size(), std::nullopt);
     for (unsigned w = 0; w < opts.workers; ++w) {
-      const auto mask = shard_done_mask(jobs, opts, w);
+      auto loaded = load_shard(jobs, opts, w);
       for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (mask[i]) covered[i] = 1;
+        if (!restored[i] && loaded[i]) restored[i] = std::move(loaded[i]);
       }
     }
-    pending = 0;
-    for (const char c : covered) {
-      if (!c) ++pending;
-    }
+    const auto pending = static_cast<std::size_t>(std::count(
+        restored.begin(), restored.end(), std::nullopt));
     if (pending == 0) break;
     if (std::chrono::steady_clock::now() >= deadline) {
       throw ckpt::CkptError(
@@ -270,28 +222,6 @@ CampaignOutput merge_shards(const std::vector<SimJob>& jobs,
           " jobs still pending");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
-  }
-
-  // Full merge, ascending shard order; the first journal providing an
-  // index wins (all providers hold identical bytes by construction).
-  std::vector<std::optional<RestoredJob>> restored(jobs.size());
-  for (unsigned w = 0; w < opts.workers; ++w) {
-    auto loaded =
-        load_journal(shard_journal_path(opts.dir, w), shard_header(jobs, opts, w));
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (!restored[i] && loaded[i] && entry_acceptable(loaded[i]->result)) {
-        restored[i] = std::move(loaded[i]);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!restored[i]) {
-      // A journal shrank between the poll and the merge — only possible if
-      // something outside the protocol rewrote it.
-      throw ckpt::CkptError("distributed campaign '" + opts.dir +
-                            "': job " + std::to_string(i) +
-                            " vanished between poll and merge");
-    }
   }
 
   CampaignOutput out;

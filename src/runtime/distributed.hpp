@@ -49,12 +49,12 @@ struct DistributedOptions {
   /// CRC, so every participant must agree on
   /// them; the cache budget stays per-process and free to differ.
   PrefixOptions prefix;
-  /// Flush the shard journal every N completed jobs.
-  std::size_t checkpoint_every = 1;
   unsigned poll_ms = 100;        ///< coordinator poll interval
   double timeout_seconds = 600;  ///< coordinator wait budget (<=0: no wait —
                                  ///< a single completeness check, then fail)
-  /// Worker progress: (jobs this process completed, jobs it may run).
+  /// Worker progress: (jobs this process has run so far, jobs in the whole
+  /// grid). With stealing a worker may run any job of the grid, so the
+  /// second argument is the grid size, not the shard size.
   std::function<void(std::size_t completed, std::size_t total)> progress;
 };
 
@@ -73,9 +73,10 @@ void ensure_manifest(const std::vector<SimJob>& jobs,
                      const DistributedOptions& opts);
 
 /// Runs shard opts.shard of the campaign: validates/creates the manifest,
-/// resumes its own journal (atomic rewrite dropping torn lines), runs its
-/// pending jobs across opts.threads, then — with opts.steal — covers
-/// sibling jobs that still have no valid entry anywhere. Returns the number
+/// resumes its own journal through a JournalWriter (atomic rewrite dropping
+/// torn lines), runs its pending jobs across opts.threads, then — with
+/// opts.steal — covers sibling jobs whose owner's journal still has no
+/// accepted entry (load_journal decides, as for the merge). Returns the number
 /// of jobs this process executed (restored or stolen-by-others excluded).
 std::size_t run_worker(const std::vector<SimJob>& jobs,
                        const DistributedOptions& opts);

@@ -351,13 +351,6 @@ std::shared_ptr<const GoldenTrace> PrefixEngine::acquire_golden(
 }
 
 engine::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
-  if (!options_.enabled) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.jobs_bypassed;
-    }
-    return CampaignRunner::run_job(job, seed);
-  }
   const FaultChannel channel = compute_fault_channel(job, seed);
   const std::shared_ptr<const GoldenTrace> golden = acquire_golden(job, seed);
 

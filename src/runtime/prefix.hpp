@@ -148,8 +148,8 @@ class PrefixEngine {
   PrefixEngine& operator=(const PrefixEngine&) = delete;
 
   /// Runs one job through the prefix-sharing path. Byte-identical to
-  /// CampaignRunner::run_job(job, seed), which a disabled engine falls
-  /// back to.
+  /// CampaignRunner::run_job(job, seed). Callers build an engine only when
+  /// sharing is on (PrefixOptions::enabled).
   engine::RunResult run_job(const SimJob& job, std::uint64_t seed);
 
   /// Execution-order permutation for a grid: jobs grouped by golden

@@ -7,7 +7,8 @@ bench/BENCH_<gate>_baseline.json is refreshed from <gate>_pass.json with
 --write-baseline, which must keep the committed min/max bounds; then
 <gate>_pass.json must pass (exit 0) and <gate>_fail.json must fail (exit 1)
 against those bounds. campaign_fail.json is what a serialised scheduler
-gives: efficiency 0.25 at workers=4.
+gives: efficiency 0.25 at workers=4, and one worker ran the whole grid
+(busiest worker share 1.0).
 
 Per rule: rules_<rule>.json must fail rules_baseline.json, and
 rules_pass.json pass it. Unreadable input, a wrong schema and malformed

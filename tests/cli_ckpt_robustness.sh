@@ -82,4 +82,19 @@ JSIZE=$(wc -c < "$DIR/j.jsonl")
 head -c $((JSIZE - 5)) "$DIR/j.jsonl" > "$DIR/torn.jsonl"
 expect_rc 2 "$SIM" campaign status journal="$DIR/torn.jsonl"
 
+# A journal header is read before any entry, so its own "jobs" count must
+# never size an allocation: a count of 2^62 is a (pending) campaign that
+# exits 0, and a count with more digits than a u64 holds is no header at
+# all (exit 2), never a wrapped value. Only counts that allocate nothing
+# are used here.
+HEAD='{"schema":"unsync.campaign_journal.v1","campaign_seed":42,"jobs":'
+TAIL=',"grid_crc":1,"collect_metrics":false}'
+echo "${HEAD}4611686018427387904${TAIL}" > "$DIR/huge.jsonl"
+expect_rc 0 "$SIM" campaign status journal="$DIR/huge.jsonl"
+"$SIM" campaign status journal="$DIR/huge.jsonl" 2>/dev/null |
+  grep -q '^pending: *4611686018427387904$' ||
+  fail "campaign status does not print the pending count of a 2^62-job header"
+echo "${HEAD}12345678901234567890123${TAIL}" > "$DIR/overflow.jsonl"
+expect_rc 2 "$SIM" campaign status journal="$DIR/overflow.jsonl"
+
 echo "cli_ckpt_robustness: OK"

@@ -1,6 +1,6 @@
 // Crash-safe resumable campaigns (CampaignRunner::Options journal /
-// checkpoint_every / resume): the journal survives truncation at any line
-// boundary, tolerates corrupt entries by re-running those jobs, hard-fails
+// resume): the journal survives truncation at any line boundary, tolerates
+// corrupt or misindexed entries by re-running those jobs, hard-fails
 // on a journal that belongs to a different campaign, and — the acceptance
 // gate — produces byte-identical CampaignOutput::to_json() across any
 // kill/resume split and any worker count.
@@ -65,16 +65,20 @@ std::string reference_json(bool collect_metrics = false) {
 
 TEST(CampaignJournal, JournalingItselfDoesNotChangeTheOutput) {
   const std::string path = journal_path("noop");
-  CampaignRunner::Options opts;
-  opts.threads = 1;
-  opts.journal = path;
-  EXPECT_EQ(CampaignRunner(opts).run(small_grid()).to_json(),
-            reference_json());
-  // One header plus one line per job.
-  std::istringstream lines(read_all(path));
-  std::size_t count = 0;
-  for (std::string line; std::getline(lines, line);) ++count;
-  EXPECT_EQ(count, small_grid().size() + 1);
+  for (const unsigned threads : {1u, 2u}) {
+    CampaignRunner::Options opts;
+    opts.threads = threads;
+    opts.journal = path;
+    EXPECT_EQ(CampaignRunner(opts).run(small_grid()).to_json(),
+              reference_json())
+        << "threads=" << threads;
+    // A finished journal holds one header plus one line per job, whatever
+    // the worker count.
+    std::istringstream lines(read_all(path));
+    std::size_t count = 0;
+    for (std::string line; std::getline(lines, line);) ++count;
+    EXPECT_EQ(count, small_grid().size() + 1) << "threads=" << threads;
+  }
   std::remove(path.c_str());
 }
 
@@ -146,7 +150,7 @@ TEST(CampaignJournal, CorruptEntryLineIsReRunNotFatal) {
   const auto mark_approximate = [&] {
     const ckpt::JournalHeader header =
         runtime::make_journal_header(jobs, opts.campaign_seed, false);
-    auto loaded = runtime::load_journal(path, header);
+    auto loaded = runtime::load_journal(path, header, jobs);
     std::string journal = header.to_line() + "\n";
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       ASSERT_TRUE(loaded[i].has_value());
@@ -263,19 +267,28 @@ TEST(CampaignJournal, MissingJournalFileStartsFresh) {
   std::remove(path.c_str());
 }
 
-TEST(CampaignJournal, CheckpointEveryOnlyAffectsFlushCadence) {
-  const std::string path = journal_path("every");
+// The CRC guards an entry's blob, not its index. Flipping one bit of an
+// index ("index":2 -> "index":0, the label then says mcf where job 0 is
+// gzip) must drop that entry and re-run job 2, not hand job 2's result to
+// job 0 on resume.
+TEST(CampaignJournal, FlippedIndexDigitIsReRunNotMerged) {
+  const std::string path = journal_path("index_flip");
   CampaignRunner::Options opts;
-  opts.threads = 2;
+  opts.threads = 1;
   opts.journal = path;
-  opts.checkpoint_every = 3;
-  EXPECT_EQ(CampaignRunner(opts).run(small_grid()).to_json(),
-            reference_json());
-  // After a clean finish the journal is complete regardless of cadence.
-  std::istringstream lines(read_all(path));
-  std::size_t count = 0;
-  for (std::string line; std::getline(lines, line);) ++count;
-  EXPECT_EQ(count, small_grid().size() + 1);
+  (void)CampaignRunner(opts).run(small_grid());
+  std::string journal = read_all(path);
+  const auto at = journal.find("{\"index\":2,");
+  ASSERT_NE(at, std::string::npos);
+  journal[at + 9] = '0';  // '2' (0x32) -> '0' (0x30): one bit
+  write_all(path, journal);
+
+  CampaignRunner::Options ropts = opts;
+  ropts.resume = true;
+  const auto out = CampaignRunner(ropts).run(small_grid());
+  EXPECT_EQ(out.to_json(), reference_json());
+  EXPECT_GT(out.job_wall_seconds[2], 0.0);  // re-run
+  EXPECT_EQ(out.job_wall_seconds[0], 0.0);  // restored from its own line
   std::remove(path.c_str());
 }
 
@@ -384,8 +397,10 @@ TEST(JournalIdentity, ScreeningJournalIsRefusedOnResume) {
             "\n");
   for (const bool prefix : {false, true}) {
     EXPECT_THROW((void)runtime::load_journal(
-                     path, runtime::make_journal_header(jobs, 42, false,
-                                                        prefix, 5000)),
+                     path,
+                     runtime::make_journal_header(jobs, 42, false, prefix,
+                                                  5000),
+                     jobs),
                  ckpt::CkptError)
         << "prefix=" << prefix;
   }

@@ -211,6 +211,35 @@ TEST(Distributed, FuzzedShardLinesNeverCorruptTheMerge) {
   std::filesystem::remove_all(dir);
 }
 
+// The CRC guards an entry's blob, not its index. Shard 0 owns jobs 0, 2
+// and 4; one bit flipped in its job-2 entry ("index":2 -> "index":3) claims
+// job 3, which shard 1 holds too — but the merge reads shard 0 first. The
+// flipped entry's seed is job 2's, so it must be dropped: shard 1's steal
+// phase re-runs job 2 and the merge takes job 3 from shard 1.
+TEST(Distributed, FlippedIndexDigitNeverMergesTheWrongJob) {
+  const auto jobs = small_grid();
+  const std::string dir = campaign_dir("index_flip");
+  DistributedOptions opts = dist(dir, 2);
+  opts.steal = false;
+  for (const unsigned shard : {0u, 1u}) {
+    opts.shard = shard;
+    runtime::run_worker(jobs, opts);
+  }
+  const std::string path = runtime::shard_journal_path(dir, 0);
+  std::string journal = read_all(path);
+  const auto at = journal.find("{\"index\":2,");
+  ASSERT_NE(at, std::string::npos);
+  journal[at + 9] = '3';  // '2' (0x32) -> '3' (0x33): one bit
+  write_all(path, journal);
+
+  opts.shard = 1;
+  opts.steal = true;
+  EXPECT_EQ(runtime::run_worker(jobs, opts), 1u);  // job 2, stolen
+  EXPECT_EQ(runtime::merge_shards(jobs, opts).to_json(),
+            reference_json(false));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Distributed, CoordinatorTimesOutOnAMissingShard) {
   const auto jobs = small_grid();
   const std::string dir = campaign_dir("timeout");

@@ -17,8 +17,7 @@
 // Checkpoint / restore (docs/CHECKPOINTS.md):
 //   run checkpoint=<f> checkpoint_at=<cycle>  snapshot mid-run and exit
 //   run resume=<f>                            continue a snapshot to the end
-//   campaign checkpoint=<f> [checkpoint_every=N] [resume=1]
-//                                             crash-safe resumable campaigns
+//   campaign checkpoint=<f> [resume=1]        crash-safe resumable campaigns
 //
 // Workload selection (for run / sweep / campaign / characterize / record):
 //   bench=<name>      one of the built-in statistical profiles
@@ -28,8 +27,8 @@
 //
 // Options are key=value; all keys are snake_case. A leading "--" is
 // accepted and stripped, and kebab-case GNU spellings map onto the
-// snake_case key (--format=json == format=json, --checkpoint-every=4 ==
-// checkpoint_every=4; a bare --progress == progress=1).
+// snake_case key (--format=json == format=json, --prefix-interval=800 ==
+// prefix_interval=800; a bare --progress == progress=1).
 //
 // Parallelism: sweep and campaign fan their independent simulations out
 // across host threads (threads=N, default: hardware concurrency). Results
@@ -119,7 +118,7 @@ void print_usage(std::ostream& os) {
       "  campaign: [systems=baseline,unsync,reunion] [benches=n1,n2|all]\n"
       "            [insts= seed= ser= threads=<host workers>]\n"
       "            [csv=1 format=json metrics=<path> progress=1]\n"
-      "            [checkpoint=<journal> checkpoint_every=N resume=1]\n"
+      "            [checkpoint=<journal> resume=1]\n"
       "            [prefix_share=1 prefix_interval=<cycles>\n"
       "              prefix_cache_mb=<MiB>]  share each cell's fault-free\n"
       "              prefix via cached golden checkpoints; byte-identical\n"
@@ -128,7 +127,7 @@ void print_usage(std::ostream& os) {
       "            + the campaign grid args (systems/benches/insts/seed/\n"
       "              ser/...) — all participants must\n"
       "              pass identical grid args (the manifest CRC checks)\n"
-      "            [threads= steal=0 checkpoint_every=N collect_metrics=1]\n"
+      "            [threads= steal=0 collect_metrics=1]\n"
       "  campaign-coordinator: dir=<campaign dir> workers=<N> + grid args\n"
       "            [poll_ms= timeout=<seconds>] + campaign output args\n"
       "  campaign status: journal=<file>  print done/pending/corrupt counts\n"
@@ -154,7 +153,7 @@ void print_usage(std::ostream& os) {
       "key spelling: every option is key=value and every key is snake_case;\n"
       "  --key=value is accepted for any key, a bare --flag means flag=1,\n"
       "  and kebab-case GNU spellings map onto the snake_case key\n"
-      "  (--checkpoint-every=4 == checkpoint_every=4). Unknown keys fail\n"
+      "  (--prefix-interval=800 == prefix_interval=800). Unknown keys fail\n"
       "  (exit 2) with a did-you-mean suggestion.\n"
       "exit codes: 0 success, 1 simulation error, 2 configuration error\n";
 }
@@ -650,8 +649,6 @@ int cmd_campaign(const Config& cfg) {
   opts.collect_metrics = !metrics_path.empty() || format == "json";
   opts.prefix = prefix_from(cfg);
   opts.journal = cfg.get_string("checkpoint", "");
-  opts.checkpoint_every =
-      static_cast<std::size_t>(cfg.get_int("checkpoint_every", 1));
   opts.resume = cfg.get_bool("resume", false);
   if (opts.resume && opts.journal.empty()) {
     throw ConfigError("resume=1 needs checkpoint=<journal file>");
@@ -682,8 +679,6 @@ runtime::DistributedOptions distributed_from(const Config& cfg,
   if (opts.workers == 0) throw ConfigError("workers=<N >= 1> is required");
   opts.campaign_seed = knobs.seed;
   opts.prefix = prefix_from(cfg);
-  opts.checkpoint_every =
-      static_cast<std::size_t>(cfg.get_int("checkpoint_every", 1));
   return opts;
 }
 
@@ -964,7 +959,7 @@ int cmd_list() {
 
 /// Accepts GNU-style spellings: "--key=value" -> "key=value", a bare
 /// "--flag" -> "flag=1", and kebab-case keys map onto the snake_case
-/// vocabulary ("--checkpoint-every=4" -> "checkpoint_every=4"). Only the
+/// vocabulary ("--prefix-interval=800" -> "prefix_interval=800"). Only the
 /// key part is rewritten — values (file paths, benchmark lists) keep their
 /// dashes. Returns the normalized argument strings.
 std::vector<std::string> normalize_args(int argc, char** argv) {
