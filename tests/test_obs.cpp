@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/serializer.hpp"
+#include "core/factory.hpp"
 #include "core/system.hpp"
 #include "core/unsync_system.hpp"
 #include "obs/json.hpp"
@@ -313,6 +315,78 @@ TEST(SystemObservability, PublishesTheStandardMetricTree) {
   EXPECT_EQ(injections, r.errors_injected);
   EXPECT_GT(drains, 0u) << "UnSync must drain CB entries to L2";
 }
+
+// ---------------------------------------------------------------------------
+// ObservabilityIdentity: what every system feeds its observers is pinned.
+// Metric names derive from the cores registered per group (core_prefix),
+// and the trace stream's order from the order of the policy phases, so a
+// change to either shows here as a hash mismatch.
+// ---------------------------------------------------------------------------
+
+struct ObsPin {
+  const char* label;
+  core::SystemKind kind;
+  unsigned group_size;  ///< UnSync cores per group; ignored by the others
+  std::uint64_t metrics_hash;
+  std::uint64_t trace_hash;
+};
+
+class ObservabilityIdentity : public ::testing::TestWithParam<ObsPin> {};
+
+TEST_P(ObservabilityIdentity, MetricsAndTraceBytesArePinned) {
+  const ObsPin& pin = GetParam();
+  core::SystemConfig cfg;
+  cfg.num_threads = 2;
+  cfg.ser_per_inst = 1e-3;
+  cfg.seed = 23;
+  cfg.avf = true;
+  core::SystemParams params;
+  params.unsync.group_size = pin.group_size;
+  workload::SyntheticStream stream(workload::profile("gzip"), cfg.seed, 3000);
+  auto sys = core::make_system(pin.kind, cfg, stream, params);
+  MetricsRegistry reg;
+  VectorTraceSink sink;
+  sys->set_observability(&reg, &sink);
+  const auto r = sys->run();
+  if (pin.kind != core::SystemKind::kBaseline) {
+    EXPECT_GT(r.errors_injected, 0u) << "the error paths must be traced";
+  }
+
+  // The JSON Lines a JsonlTraceSink would write.
+  std::string trace;
+  for (const auto& rec : sink.records()) {
+    trace += obs::to_json(rec);
+    trace += '\n';
+  }
+  EXPECT_EQ(ckpt::hash64(reg.snapshot().to_json()), pin.metrics_hash);
+  EXPECT_EQ(ckpt::hash64(trace), pin.trace_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSystems, ObservabilityIdentity,
+    ::testing::Values(
+        ObsPin{"baseline", core::SystemKind::kBaseline, 2,
+               7704381670985816724ull,
+               2087338523983122048ull},
+        ObsPin{"unsync", core::SystemKind::kUnSync, 2,
+               14384554123519379282ull,
+               16663733735852162560ull},
+        ObsPin{"unsync3", core::SystemKind::kUnSync, 3,
+               5008926030600998589ull,
+               14619404689039125511ull},
+        ObsPin{"reunion", core::SystemKind::kReunion, 2,
+               9196696888766573915ull,
+               11997689432823066141ull},
+        ObsPin{"lockstep", core::SystemKind::kLockstep, 2,
+               8596669043644338977ull,
+               15295097549321083230ull},
+        ObsPin{"checkpoint", core::SystemKind::kCheckpoint, 2,
+               4335589319530954701ull,
+               17862927592740237539ull},
+        ObsPin{"hetero", core::SystemKind::kHetero, 2,
+               8592042098116775716ull,
+               10120260854249041359ull}),
+    [](const auto& info) { return std::string(info.param.label); });
 
 }  // namespace
 }  // namespace unsync
