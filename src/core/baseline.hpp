@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
 
 namespace unsync::core {
@@ -25,34 +24,18 @@ class BaselineSystem final : public System {
   BaselineSystem(const SystemConfig& config,
                  const std::vector<const workload::InstStream*>& streams);
 
-  const std::string& name() const override { return name_; }
-  mem::MemoryHierarchy& memory() override { return memory_; }
-
-  // SystemPolicy phases: one group per thread, one core per group.
-  std::size_t group_count() const override { return cores_.size(); }
-  std::size_t member_count(std::size_t) const override { return 1; }
-  bool member_finished(std::size_t g, std::size_t) const override {
-    return cores_[g]->done();
-  }
-  Cycle next_event(std::size_t g, Cycle now) const override {
-    return members_next_event(g, now);
-  }
-  void finish(engine::RunResult& r) const override;
-
+  // The baseline has no error process: one core per group, no arrivals,
+  // an empty fault channel, and a fingerprint that is the full policy
+  // state.
   const char* ckpt_tag() const override { return "BASE"; }
   void visit_policy_state(ckpt::Archive& ar) override;
 
-  // Prefix-sharing hooks: the baseline has no error process at all, so its
-  // fault channel is empty and its fingerprint is the full policy state.
-  std::vector<SeqNum> group_progress() const override;
-
  private:
-  /// Commit environment: a small post-commit store buffer in front of the
-  /// write-back L1; commit stalls when it fills.
+  /// Commit environment: the shared write-back store buffer, one per
+  /// core; commit stalls when it fills.
   class StoreBufferEnv final : public cpu::CommitEnv {
    public:
-    StoreBufferEnv(mem::MemoryHierarchy* memory, std::size_t entries)
-        : memory_(memory), entries_(entries) {}
+    explicit StoreBufferEnv(BaselineSystem* sys) : sys_(sys) {}
 
     bool on_store_commit(CoreId core, const workload::DynOp& op,
                          Cycle now) override;
@@ -60,20 +43,12 @@ class BaselineSystem final : public System {
     void visit(ckpt::Archive& ar);
 
    private:
-    mem::MemoryHierarchy* memory_;
-    std::size_t entries_;
+    BaselineSystem* sys_;
     std::vector<std::vector<Cycle>> in_flight_;  // per core: completion times
   };
 
-  std::string name_ = "baseline";
-  SystemConfig config_;
-  std::vector<std::uint64_t> thread_lengths_;
-  mem::MemoryHierarchy memory_;
   StoreBufferEnv env_;
   std::vector<std::unique_ptr<cpu::OooCore>> cores_;
 };
-
-/// Size of the post-commit store buffer used by write-back configurations.
-inline constexpr std::size_t kStoreBufferEntries = 8;
 
 }  // namespace unsync::core

@@ -1,8 +1,8 @@
 // The System-level checkpoint envelope: name validation and container file
 // I/O around the kernel-level chunk (SimKernel::visit), the two derived
 // walks — the fault channel and the state fingerprint — and every
-// system's policy payload (visit_policy_state) and fault sources, so the
-// six wire layouts are reviewable side by side. The RunResult /
+// system's policy payload (visit_policy_state), so the six wire layouts
+// are reviewable side by side. The RunResult /
 // ErrorEvent layout lives in engine/result_ckpt.cpp.
 //
 // Every entry point runs one walk through a ckpt::Archive. The const save
@@ -69,6 +69,13 @@ void System::load_checkpoint_bytes(std::string_view blob) {
   load_checkpoint_payload(ckpt::container_payload(blob));
 }
 
+engine::FaultSources System::fault_sources() {
+  if (!error_process_) return {};
+  engine::FaultSources f{&rng_, {}, "fault-channel group-count mismatch"};
+  for (auto& cursor : arrivals_) f.arrivals.push_back(&cursor);
+  return f;
+}
+
 std::string System::fault_channel_bytes() const {
   ckpt::Serializer s;
   ckpt::Archive ar(s);
@@ -112,31 +119,26 @@ void UnSyncSystem::visit_policy_state(ckpt::Archive& ar) {
   ar.fault_channel([&] { ar.rng(rng_); });
   memory_.visit(ar);
   ar.expect(groups_.size(), "unsync group-count mismatch");
-  for (const auto& group : groups_) {
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const auto& group = groups_[g];
     ar.expect(group->cores.size(), "unsync group-size mismatch");
     for (const auto& core : group->cores) core->visit(ar);
     for (const auto& cb : group->cbs) cb->visit(ar);
     // Arrivals are re-derived deterministically at construction from
     // (seed, ser_per_inst, lengths); only the consumption cursor is state.
     ar.fault_channel([&] {
-      group->arrivals.visit(ar, "unsync error-arrival schedule mismatch");
+      arrivals_[g].visit(ar, "unsync error-arrival schedule mismatch");
     });
     ar.u64(group->cb_full_stalls);
   }
-}
-
-engine::FaultSources UnSyncSystem::fault_sources() {
-  engine::FaultSources f{&rng_, {},
-                         "unsync fault-channel group-count mismatch"};
-  for (const auto& group : groups_) f.arrivals.push_back(&group->arrivals);
-  return f;
 }
 
 void ReunionSystem::visit_policy_state(ckpt::Archive& ar) {
   ar.fault_channel([&] { ar.rng(rng_); });
   memory_.visit(ar);
   ar.expect(pairs_.size(), "reunion pair-count mismatch");
-  for (const auto& pair : pairs_) {
+  for (std::size_t g = 0; g < pairs_.size(); ++g) {
+    const auto& pair = pairs_[g];
     for (unsigned side = 0; side < 2; ++side) pair->core[side]->visit(ar);
     ar.count(pair->fingerprints);
     for (Fingerprint& fp : pair->fingerprints) {
@@ -159,7 +161,7 @@ void ReunionSystem::visit_policy_state(ckpt::Archive& ar) {
     }
     for (auto& buf : pair->store_buffer) ar.u64s(buf);
     ar.fault_channel([&] {
-      pair->arrivals.visit(ar, "reunion error-arrival schedule mismatch");
+      arrivals_[g].visit(ar, "reunion error-arrival schedule mismatch");
     });
     ar.u64(pair->serializing_syncs);
     ar.u64(pair->verified_watermark[0]);
@@ -167,34 +169,21 @@ void ReunionSystem::visit_policy_state(ckpt::Archive& ar) {
   }
 }
 
-engine::FaultSources ReunionSystem::fault_sources() {
-  engine::FaultSources f{&rng_, {},
-                         "reunion fault-channel pair-count mismatch"};
-  for (const auto& pair : pairs_) f.arrivals.push_back(&pair->arrivals);
-  return f;
-}
-
 void LockstepSystem::visit_policy_state(ckpt::Archive& ar) {
   ar.fault_channel([&] { ar.rng(rng_); });
   memory_.visit(ar);
   ar.expect(pairs_.size(), "lockstep pair-count mismatch");
-  for (const auto& pair : pairs_) {
+  for (std::size_t g = 0; g < pairs_.size(); ++g) {
+    const auto& pair = pairs_[g];
     for (unsigned side = 0; side < 2; ++side) {
       pair->core[side]->visit(ar);
       ar.u64s(pair->store_buffer[side]);
     }
     ar.fault_channel([&] {
-      pair->arrivals.visit(ar, "lockstep error-arrival schedule mismatch");
+      arrivals_[g].visit(ar, "lockstep error-arrival schedule mismatch");
     });
     ar.u64(pair->lockstep_stalls);
   }
-}
-
-engine::FaultSources LockstepSystem::fault_sources() {
-  engine::FaultSources f{&rng_, {},
-                         "lockstep fault-channel pair-count mismatch"};
-  for (const auto& pair : pairs_) f.arrivals.push_back(&pair->arrivals);
-  return f;
 }
 
 void DmrCheckpointSystem::visit_policy_state(ckpt::Archive& ar) {
@@ -202,7 +191,8 @@ void DmrCheckpointSystem::visit_policy_state(ckpt::Archive& ar) {
   memory_.visit(ar);
   ar.u64(checkpoints_taken_);
   ar.expect(pairs_.size(), "dmr-checkpoint pair-count mismatch");
-  for (const auto& pair : pairs_) {
+  for (std::size_t g = 0; g < pairs_.size(); ++g) {
+    const auto& pair = pairs_[g];
     for (unsigned side = 0; side < 2; ++side) {
       pair->core[side]->visit(ar);
       ar.u64s(pair->store_buffer[side]);
@@ -215,24 +205,18 @@ void DmrCheckpointSystem::visit_policy_state(ckpt::Archive& ar) {
     ar.u64(pair->checkpoint_done);
     ar.u64(pair->last_committed_boundary);
     ar.fault_channel([&] {
-      pair->arrivals.visit(ar,
-                           "dmr-checkpoint error-arrival schedule mismatch");
+      arrivals_[g].visit(ar,
+                         "dmr-checkpoint error-arrival schedule mismatch");
     });
   }
-}
-
-engine::FaultSources DmrCheckpointSystem::fault_sources() {
-  engine::FaultSources f{&rng_, {},
-                         "dmr-checkpoint fault-channel pair-count mismatch"};
-  for (const auto& pair : pairs_) f.arrivals.push_back(&pair->arrivals);
-  return f;
 }
 
 void HeteroCheckerSystem::visit_policy_state(ckpt::Archive& ar) {
   ar.fault_channel([&] { ar.rng(rng_); });
   memory_.visit(ar);
   ar.expect(groups_.size(), "hetero group-count mismatch");
-  for (const auto& group : groups_) {
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const auto& group = groups_[g];
     group->leader->visit(ar);
     group->checker->visit(ar);
     group->log->visit(ar);
@@ -240,19 +224,12 @@ void HeteroCheckerSystem::visit_policy_state(ckpt::Archive& ar) {
     ar.u64(group->fault_position);
     ar.u64(group->fault_cycle);
     ar.fault_channel([&] {
-      group->arrivals.visit(ar, "hetero error-arrival schedule mismatch");
+      arrivals_[g].visit(ar, "hetero error-arrival schedule mismatch");
     });
     ar.u64(group->log_full_stalls);
     ar.u64(group->detections);
     ar.u64(group->detection_latency_total);
   }
-}
-
-engine::FaultSources HeteroCheckerSystem::fault_sources() {
-  engine::FaultSources f{&rng_, {},
-                         "hetero fault-channel group-count mismatch"};
-  for (const auto& group : groups_) f.arrivals.push_back(&group->arrivals);
-  return f;
 }
 
 }  // namespace unsync::core

@@ -1,27 +1,17 @@
 #include "core/dmr_checkpoint_system.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
-
-#include "core/baseline.hpp"
-#include "fault/ser.hpp"
 
 namespace unsync::core {
 
-namespace {
-
-/// Shared write-back store-buffer behaviour (same as the baseline CMP).
-bool store_buffer_commit(mem::MemoryHierarchy& memory,
-                         std::vector<Cycle>& buffer, CoreId core, Addr addr,
-                         Cycle now) {
-  std::erase_if(buffer, [now](Cycle done) { return done <= now; });
-  if (buffer.size() >= kStoreBufferEntries) return false;
-  buffer.push_back(memory.store_writeback(core, addr, now).done);
-  return true;
+const CheckpointParams& CheckpointParams::validated() const {
+  if (checkpoint_interval < 1) {
+    throw std::invalid_argument(
+        "dmr-checkpoint: checkpoint interval must be >= 1");
+  }
+  return *this;
 }
-
-}  // namespace
 
 bool DmrCheckpointSystem::CheckpointEnv::can_commit(CoreId core,
                                                     const workload::DynOp& op,
@@ -64,8 +54,8 @@ bool DmrCheckpointSystem::CheckpointEnv::can_commit(CoreId core,
 
 bool DmrCheckpointSystem::CheckpointEnv::on_store_commit(
     CoreId core, const workload::DynOp& op, Cycle now) {
-  return store_buffer_commit(sys_->memory_, pair_->store_buffer[side_], core,
-                             op.mem_addr, now);
+  return sys_->store_buffer_commit(pair_->store_buffer[side_], core,
+                                   op.mem_addr, now);
 }
 
 DmrCheckpointSystem::DmrCheckpointSystem(const SystemConfig& config,
@@ -77,21 +67,10 @@ DmrCheckpointSystem::DmrCheckpointSystem(const SystemConfig& config,
 DmrCheckpointSystem::DmrCheckpointSystem(
     const SystemConfig& config, const CheckpointParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.avf),
-      config_(config),
-      params_(params),
-      thread_lengths_(engine::lengths_of(streams)),
-      memory_(config.mem, config.num_threads * 2),
-      rng_(config.seed) {
-  assert(params_.checkpoint_interval > 0);
-  if (streams.size() != config_.num_threads) {
-    throw std::invalid_argument(
-        "DmrCheckpointSystem: need one stream per thread");
-  }
-  engine::prewarm_from(memory_, streams);
+    : System("dmr-checkpoint", config, streams, 2, config.mem),
+      params_(params.validated()) {
   for (unsigned t = 0; t < config_.num_threads; ++t) {
     auto pair = std::make_unique<Pair>();
-    pair->store_buffer.resize(2);
     pair->next_boundary = params_.checkpoint_interval;
     for (unsigned side = 0; side < 2; ++side) {
       pair->env[side] =
@@ -101,23 +80,15 @@ DmrCheckpointSystem::DmrCheckpointSystem(
           pair->env[side].get());
       register_core(*pair->core[side]);
     }
-    pair->arrivals.positions = fault::schedule_arrivals(
-        config_.ser_per_inst, thread_lengths_[t], rng_);
     pairs_.push_back(std::move(pair));
   }
-  engine::RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 void DmrCheckpointSystem::on_error(std::size_t g, Cycle now,
                                    engine::RunResult& acc) {
+  if (!arrival_pending(g)) return;
+  const SeqNum position = arrivals_[g].take();
   Pair& pair = *pairs_[g];
-  const SeqNum progress =
-      std::max(pair.core[0]->retired(), pair.core[1]->retired());
-  if (!pair.arrivals.pending(progress)) return;
-  const SeqNum position = pair.arrivals.take();
   // The mismatch surfaces at the next checkpoint hash; both cores restore
   // the previous checkpoint (heavyweight) and re-execute the whole epoch.
   const Cycle resume_at = now + params_.restore_cost;
@@ -138,36 +109,8 @@ void DmrCheckpointSystem::on_error(std::size_t g, Cycle now,
   pair.checkpoint_done = 0;
 }
 
-Cycle DmrCheckpointSystem::next_event(std::size_t g, Cycle now) const {
-  const Pair& pair = *pairs_[g];
-  const Cycle cand = members_next_event(g, now);
-  if (cand <= now) return now;
-  const SeqNum progress =
-      std::max(pair.core[0]->retired(), pair.core[1]->retired());
-  if (pair.arrivals.pending(progress)) return now;
-  return cand;
-}
-
-void DmrCheckpointSystem::finish(engine::RunResult& r) const {
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      r.core_stats.push_back(pair->core[side]->stats());
-    }
-  }
-}
-
 void DmrCheckpointSystem::publish_extra_metrics() {
-  if (!metrics_) return;
   metrics_->set_counter(name_ + ".checkpoints_taken", checkpoints_taken_);
-}
-
-std::vector<SeqNum> DmrCheckpointSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(pairs_.size());
-  for (const auto& pair : pairs_) {
-    p.push_back(std::max(pair->core[0]->retired(), pair->core[1]->retired()));
-  }
-  return p;
 }
 
 }  // namespace unsync::core

@@ -10,10 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
-#include "engine/error_injection.hpp"
-#include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
 
 namespace unsync::core {
@@ -28,6 +25,10 @@ struct CheckpointParams {
   Cycle compare_latency = 10;
   /// Checkpoint-restore cost on rollback (before re-execution begins).
   Cycle restore_cost = 200;
+
+  /// This object, or std::invalid_argument unless checkpoint_interval >= 1
+  /// (a zero interval never opens an epoch).
+  const CheckpointParams& validated() const;
 };
 
 class DmrCheckpointSystem final : public System {
@@ -39,27 +40,13 @@ class DmrCheckpointSystem final : public System {
                       const CheckpointParams& params,
                       const std::vector<const workload::InstStream*>& streams);
 
-  const std::string& name() const override { return name_; }
-  mem::MemoryHierarchy& memory() override { return memory_; }
-
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
 
   // SystemPolicy phases: one decoupled pair per thread.
-  std::size_t group_count() const override { return pairs_.size(); }
-  std::size_t member_count(std::size_t) const override { return 2; }
-  bool member_finished(std::size_t g, std::size_t m) const override {
-    return pairs_[g]->core[m]->done();
-  }
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
-  Cycle next_event(std::size_t g, Cycle now) const override;
-  void finish(engine::RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "DMRC"; }
   void visit_policy_state(ckpt::Archive& ar) override;
-
-  // Prefix-sharing hooks (see core/system.hpp).
-  engine::FaultSources fault_sources() override;
-  std::vector<SeqNum> group_progress() const override;
 
  protected:
   void publish_extra_metrics() override;
@@ -85,22 +72,16 @@ class DmrCheckpointSystem final : public System {
   struct Pair {
     std::unique_ptr<cpu::OooCore> core[2];
     std::unique_ptr<CheckpointEnv> env[2];
-    std::vector<std::vector<Cycle>> store_buffer;
+    std::vector<Cycle> store_buffer[2];  // per side: completion times
     /// Next checkpoint boundary (instruction count) and sync state.
     SeqNum next_boundary = 0;
     bool reached[2] = {false, false};
     Cycle reached_at[2] = {0, 0};
     Cycle checkpoint_done = 0;  ///< when the in-progress capture finishes
     SeqNum last_committed_boundary = 0;  ///< rollback target
-    engine::ArrivalCursor arrivals;
   };
 
-  std::string name_ = "dmr-checkpoint";
-  SystemConfig config_;
   CheckpointParams params_;
-  std::vector<std::uint64_t> thread_lengths_;
-  mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Pair>> pairs_;
   std::uint64_t checkpoints_taken_ = 0;
 };

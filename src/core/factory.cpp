@@ -26,6 +26,17 @@ std::optional<SystemKind> parse_system(const std::string& name) {
   return std::nullopt;
 }
 
+void validate(SystemKind kind, const SystemParams& params) {
+  switch (kind) {
+    case SystemKind::kUnSync: (void)params.unsync.validated(); return;
+    case SystemKind::kCheckpoint: (void)params.checkpoint.validated(); return;
+    case SystemKind::kHetero: (void)params.hetero.validated(); return;
+    case SystemKind::kBaseline:
+    case SystemKind::kReunion:
+    case SystemKind::kLockstep: return;
+  }
+}
+
 namespace {
 
 // Both overloads share this one switch — the only construction site.

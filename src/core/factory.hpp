@@ -44,6 +44,11 @@ struct SystemParams {
   HeteroParams hetero;
 };
 
+/// Throws std::invalid_argument when the member of `params` that `kind`
+/// reads is out of range: the check that kind's constructor makes, for
+/// front ends to run on every job before any job runs.
+void validate(SystemKind kind, const SystemParams& params);
+
 /// Homogeneous: `stream` is cloned once per thread (or per redundant core).
 std::unique_ptr<System> make_system(SystemKind kind,
                                     const SystemConfig& config,

@@ -4,13 +4,21 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "fault/ser.hpp"
-
 namespace unsync::core {
 
 namespace {
 constexpr Cycle kNever = ~Cycle{0};
 }  // namespace
+
+const HeteroParams& HeteroParams::validated() const {
+  if (log_entries < 1) {
+    throw std::invalid_argument("hetero: check log entries must be >= 1");
+  }
+  if (checker_width < 1) {
+    throw std::invalid_argument("hetero: checker width must be >= 1");
+  }
+  return *this;
+}
 
 // ---- LeaderEnv ------------------------------------------------------------
 
@@ -99,20 +107,11 @@ HeteroCheckerSystem::HeteroCheckerSystem(const SystemConfig& config,
 HeteroCheckerSystem::HeteroCheckerSystem(
     const SystemConfig& config, const HeteroParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.avf),
-      config_(config),
-      params_(params),
-      thread_lengths_(engine::lengths_of(streams)),
-      // Only the leaders own caches: the checker runs log-fed, touching the
-      // hierarchy solely through verified-store writebacks on the leader's
-      // L1.
-      memory_(config.mem, config.num_threads),
-      rng_(config.seed) {
-  if (streams.size() != config_.num_threads) {
-    throw std::invalid_argument(
-        "HeteroCheckerSystem: need one stream per thread");
-  }
-  engine::prewarm_from(memory_, streams);
+    // Only the leaders own caches: the checker runs log-fed, touching the
+    // hierarchy solely through verified-store writebacks on the leader's
+    // L1.
+    : System("hetero", config, streams, 1, config.mem),
+      params_(params.validated()) {
   cpu::InOrderConfig checker_cfg;
   checker_cfg.width = params_.checker_width;
   checker_cfg.load_latency = params_.checker_load_latency;
@@ -130,14 +129,8 @@ HeteroCheckerSystem::HeteroCheckerSystem(
         config_.num_threads + t, checker_cfg, nullptr, streams[t]->clone(),
         group->checker_env.get());
     group->checker->set_tracer(&tracer_);
-    group->arrivals.positions = fault::schedule_arrivals(
-        config_.ser_per_inst, thread_lengths_[t], rng_);
     groups_.push_back(std::move(group));
   }
-  engine::RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 bool HeteroCheckerSystem::member_finished(std::size_t g,
@@ -178,9 +171,8 @@ void HeteroCheckerSystem::on_error(std::size_t g, Cycle now,
   Group& group = *groups_[g];
   // A strike becomes latent when the leader's progress crosses it — the
   // leader keeps running on corrupted state until verification catches it.
-  if (!group.fault_pending &&
-      group.arrivals.pending(group.leader->retired())) {
-    group.fault_position = group.arrivals.take();
+  if (!group.fault_pending && arrival_pending(g)) {
+    group.fault_position = arrivals_[g].take();
     group.fault_cycle = now;
     group.fault_pending = true;
   }
@@ -215,7 +207,7 @@ Cycle HeteroCheckerSystem::next_event(std::size_t g, Cycle now) const {
   const Cycle lead =
       group.leader->done() ? kNever : group.leader->next_event(now);
   if (lead <= now) return now;
-  if (group.arrivals.pending(group.leader->retired())) return now;
+  if (arrival_pending(g)) return now;
   if (group.fault_pending &&
       group.checker->retired() > group.fault_position) {
     return now;
@@ -238,11 +230,9 @@ Cycle HeteroCheckerSystem::next_event(std::size_t g, Cycle now) const {
 }
 
 void HeteroCheckerSystem::finish(engine::RunResult& r) const {
-  // Leaders first (aligning core_stats[i] with registered core i and the
+  // Leaders first (the registered cores, aligning core_stats[i] with the
   // "<name>.core<i>" metric prefixes), then the checkers.
-  for (const auto& group : groups_) {
-    r.core_stats.push_back(group->leader->stats());
-  }
+  System::finish(r);
   for (const auto& group : groups_) {
     r.core_stats.push_back(group->checker->stats());
     r.cb_full_stalls += group->log_full_stalls;
@@ -250,7 +240,6 @@ void HeteroCheckerSystem::finish(engine::RunResult& r) const {
 }
 
 void HeteroCheckerSystem::publish_extra_metrics() {
-  if (!metrics_) return;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     const Group& group = *groups_[g];
     const std::string prefix = name_ + ".group" + std::to_string(g);
@@ -271,15 +260,6 @@ void HeteroCheckerSystem::register_avf(fault::AvfCollector& collector) {
         fault::UncoreStructure::kCheckLog, params_.log_entries,
         static_cast<std::uint32_t>(cpu::kCheckLogEntryBits)));
   }
-}
-
-std::vector<SeqNum> HeteroCheckerSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(groups_.size());
-  for (const auto& group : groups_) {
-    p.push_back(group->leader->retired());
-  }
-  return p;
 }
 
 }  // namespace unsync::core

@@ -26,12 +26,9 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
 #include "cpu/check_log.hpp"
 #include "cpu/in_order_core.hpp"
-#include "engine/error_injection.hpp"
-#include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
 
 namespace unsync::core {
@@ -46,6 +43,10 @@ struct HeteroParams {
   Cycle checker_load_latency = 1;
   /// Pipeline squash + restore penalty on a detected mismatch (both cores).
   Cycle rollback_penalty = 60;
+
+  /// This object, or std::invalid_argument unless log_entries >= 1 and
+  /// checker_width >= 1 (either at zero stalls the group forever).
+  const HeteroParams& validated() const;
 };
 
 class HeteroCheckerSystem final : public System {
@@ -57,11 +58,9 @@ class HeteroCheckerSystem final : public System {
   HeteroCheckerSystem(const SystemConfig& config, const HeteroParams& params,
                       const std::vector<const workload::InstStream*>& streams);
 
-  const std::string& name() const override { return name_; }
-  mem::MemoryHierarchy& memory() override { return memory_; }
-
   // SystemPolicy phases: one asymmetric leader+checker group per thread.
-  std::size_t group_count() const override { return groups_.size(); }
+  // Only the leader is a registered core, so progress and the fault
+  // channel are the leader's; the member hooks cover the checker too.
   std::size_t member_count(std::size_t) const override { return 2; }
   bool member_finished(std::size_t g, std::size_t m) const override;
   void member_tick(std::size_t g, std::size_t m, Cycle now) override;
@@ -75,10 +74,6 @@ class HeteroCheckerSystem final : public System {
 
   const char* ckpt_tag() const override { return "HTRO"; }
   void visit_policy_state(ckpt::Archive& ar) override;
-
-  // Prefix-sharing hooks (see core/system.hpp).
-  engine::FaultSources fault_sources() override;
-  std::vector<SeqNum> group_progress() const override;
 
  protected:
   void publish_extra_metrics() override;
@@ -126,7 +121,6 @@ class HeteroCheckerSystem final : public System {
     std::unique_ptr<cpu::CheckLog> log;
     std::unique_ptr<LeaderEnv> leader_env;
     std::unique_ptr<CheckerEnv> checker_env;
-    engine::ArrivalCursor arrivals;
     /// A strike on the leader, latent until the checker verifies past it.
     bool fault_pending = false;
     SeqNum fault_position = 0;
@@ -141,12 +135,7 @@ class HeteroCheckerSystem final : public System {
     return op.is_load() || op.is_store() || op.is_branch();
   }
 
-  std::string name_ = "hetero";
-  SystemConfig config_;
   HeteroParams params_;
-  std::vector<std::uint64_t> thread_lengths_;
-  mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Group>> groups_;
 };
 

@@ -11,10 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
-#include "engine/error_injection.hpp"
-#include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
 
 namespace unsync::core {
@@ -36,25 +33,12 @@ class LockstepSystem final : public System {
   LockstepSystem(const SystemConfig& config, const LockstepParams& params,
                  const std::vector<const workload::InstStream*>& streams);
 
-  const std::string& name() const override { return name_; }
-  mem::MemoryHierarchy& memory() override { return memory_; }
-
   // SystemPolicy phases: one coupled pair per thread.
-  std::size_t group_count() const override { return pairs_.size(); }
-  std::size_t member_count(std::size_t) const override { return 2; }
-  bool member_finished(std::size_t g, std::size_t m) const override {
-    return pairs_[g]->core[m]->done();
-  }
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
-  Cycle next_event(std::size_t g, Cycle now) const override;
   void finish(engine::RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "LOCK"; }
   void visit_policy_state(ckpt::Archive& ar) override;
-
-  // Prefix-sharing hooks (see core/system.hpp).
-  engine::FaultSources fault_sources() override;
-  std::vector<SeqNum> group_progress() const override;
 
  private:
   struct Pair;
@@ -77,17 +61,11 @@ class LockstepSystem final : public System {
   struct Pair {
     std::unique_ptr<cpu::OooCore> core[2];
     std::unique_ptr<LockstepEnv> env[2];
-    std::vector<std::vector<Cycle>> store_buffer;
-    engine::ArrivalCursor arrivals;
+    std::vector<Cycle> store_buffer[2];  // per side: completion times
     std::uint64_t lockstep_stalls = 0;
   };
 
-  std::string name_ = "lockstep";
-  SystemConfig config_;
   LockstepParams params_;
-  std::vector<std::uint64_t> thread_lengths_;
-  mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Pair>> pairs_;
 };
 

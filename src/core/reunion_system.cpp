@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
-
-#include "core/baseline.hpp"
-#include "fault/ser.hpp"
 
 namespace unsync::core {
 
@@ -117,12 +113,8 @@ bool ReunionSystem::ReunionEnv::can_commit(CoreId core,
 bool ReunionSystem::ReunionEnv::on_store_commit(CoreId core,
                                                 const workload::DynOp& op,
                                                 Cycle now) {
-  Pair& pair = *pair_;
-  auto& buf = pair.store_buffer[side_];
-  std::erase_if(buf, [now](Cycle done) { return done <= now; });
-  if (buf.size() >= kStoreBufferEntries) return false;
-  buf.push_back(sys_->memory_.store_writeback(core, op.mem_addr, now).done);
-  return true;
+  return sys_->store_buffer_commit(pair_->store_buffer[side_], core,
+                                   op.mem_addr, now);
 }
 
 void ReunionSystem::ReunionEnv::on_commit(CoreId core,
@@ -223,23 +215,14 @@ ReunionSystem::ReunionSystem(const SystemConfig& config,
 ReunionSystem::ReunionSystem(
     const SystemConfig& config, const ReunionParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.avf),
-      config_(config),
+    : System("reunion", config, streams, 2, config.mem),
       params_(params),
       plan_(fault::reunion_plan()),
-      thread_lengths_(engine::lengths_of(streams)),
-      memory_(config.mem, config.num_threads * 2),
-      rng_(config.seed) {
-  effective_fi_ = std::min(
-      params_.fingerprint_interval,
-      std::max(1u, config_.core.rob_entries - config_.core.commit_width));
-  if (streams.size() != config_.num_threads) {
-    throw std::invalid_argument("ReunionSystem: need one stream per thread");
-  }
-  engine::prewarm_from(memory_, streams);
+      effective_fi_(std::min(
+          params.fingerprint_interval,
+          std::max(1u, config.core.rob_entries - config.core.commit_width))) {
   for (unsigned t = 0; t < config_.num_threads; ++t) {
     auto pair = std::make_unique<Pair>();
-    pair->store_buffer.resize(2);
     for (unsigned side = 0; side < 2; ++side) {
       const CoreId core_id = t * 2 + side;
       pair->env[side] = std::make_unique<ReunionEnv>(this, pair.get(), side);
@@ -248,23 +231,15 @@ ReunionSystem::ReunionSystem(
           pair->env[side].get());
       register_core(*pair->core[side]);
     }
-    pair->arrivals.positions = fault::schedule_arrivals(
-        config_.ser_per_inst, thread_lengths_[t], rng_);
     pairs_.push_back(std::move(pair));
   }
-  engine::RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 void ReunionSystem::on_error(std::size_t g, Cycle now,
                              engine::RunResult& acc) {
+  if (!arrival_pending(g)) return;
+  const SeqNum position = arrivals_[g].take();
   Pair& pair = *pairs_[g];
-  const SeqNum progress =
-      std::max(pair.core[0]->retired(), pair.core[1]->retired());
-  if (!pair.arrivals.pending(progress)) return;
-  const SeqNum position = pair.arrivals.take();
   const auto thread = static_cast<unsigned>(g);
 
   // The corrupted fingerprint mismatches at the next comparison; both cores
@@ -287,34 +262,9 @@ void ReunionSystem::on_error(std::size_t g, Cycle now,
   pair.serialize_queue.clear();
 }
 
-Cycle ReunionSystem::next_event(std::size_t g, Cycle now) const {
-  const Pair& pair = *pairs_[g];
-  const Cycle cand = members_next_event(g, now);
-  if (cand <= now) return now;
-  // Error injection fires when progress has crossed the next arrival;
-  // progress only advances through (vetoed) commits.
-  const SeqNum progress =
-      std::max(pair.core[0]->retired(), pair.core[1]->retired());
-  if (pair.arrivals.pending(progress)) return now;
-  return cand;
-}
-
 void ReunionSystem::finish(engine::RunResult& r) const {
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      r.core_stats.push_back(pair->core[side]->stats());
-    }
-    r.fingerprint_syncs += pair->serializing_syncs;
-  }
-}
-
-std::vector<SeqNum> ReunionSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(pairs_.size());
-  for (const auto& pair : pairs_) {
-    p.push_back(std::max(pair->core[0]->retired(), pair->core[1]->retired()));
-  }
-  return p;
+  System::finish(r);
+  for (const auto& pair : pairs_) r.fingerprint_syncs += pair->serializing_syncs;
 }
 
 }  // namespace unsync::core

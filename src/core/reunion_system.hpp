@@ -23,11 +23,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
-#include "engine/error_injection.hpp"
 #include "fault/protection.hpp"
-#include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
 
 namespace unsync::core {
@@ -67,27 +64,14 @@ class ReunionSystem final : public System {
   ReunionSystem(const SystemConfig& config, const ReunionParams& params,
                 const std::vector<const workload::InstStream*>& streams);
 
-  const std::string& name() const override { return name_; }
-
-  mem::MemoryHierarchy& memory() override { return memory_; }
   const fault::ProtectionPlan& plan() const { return plan_; }
 
   // SystemPolicy phases: one vocal/mute pair per thread.
-  std::size_t group_count() const override { return pairs_.size(); }
-  std::size_t member_count(std::size_t) const override { return 2; }
-  bool member_finished(std::size_t g, std::size_t m) const override {
-    return pairs_[g]->core[m]->done();
-  }
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
-  Cycle next_event(std::size_t g, Cycle now) const override;
   void finish(engine::RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "REUN"; }
   void visit_policy_state(ckpt::Archive& ar) override;
-
-  // Prefix-sharing hooks (see core/system.hpp).
-  engine::FaultSources fault_sources() override;
-  std::vector<SeqNum> group_progress() const override;
 
  private:
   struct Pair;
@@ -140,8 +124,7 @@ class ReunionSystem final : public System {
     std::unique_ptr<ReunionEnv> env[2];
     std::deque<Fingerprint> fingerprints;  // oldest first; back may be open
     std::deque<SerializeSync> serialize_queue;
-    std::vector<std::vector<Cycle>> store_buffer;  // per side
-    engine::ArrivalCursor arrivals;
+    std::vector<Cycle> store_buffer[2];  // per side: completion times
     std::uint64_t serializing_syncs = 0;
     /// Commit watermark of the last fully verified fingerprint, per side
     /// (rollback target).
@@ -160,13 +143,8 @@ class ReunionSystem final : public System {
   std::uint64_t unverified_insts(const Pair& pair, unsigned side,
                                  Cycle now) const;
 
-  std::string name_ = "reunion";
-  SystemConfig config_;
   ReunionParams params_;
   fault::ProtectionPlan plan_;
-  std::vector<std::uint64_t> thread_lengths_;
-  mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Pair>> pairs_;
   unsigned effective_fi_ = 10;
 };

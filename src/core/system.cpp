@@ -1,12 +1,91 @@
 #include "core/system.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
+#include "fault/ser.hpp"
+
 namespace unsync::core {
+
+System::System(std::string name, const SystemConfig& config,
+               const std::vector<const workload::InstStream*>& streams,
+               unsigned cores_per_group, const mem::MemConfig& mem,
+               bool error_process)
+    : name_(std::move(name)),
+      config_(config),
+      thread_lengths_(engine::lengths_of(streams)),
+      memory_(mem, config.num_threads * cores_per_group),
+      rng_(config.seed),
+      arrivals_(config.num_threads),
+      error_process_(error_process),
+      cores_per_group_(cores_per_group) {
+  if (streams.size() != config.num_threads) {
+    throw std::invalid_argument(name_ + ": need one stream per thread");
+  }
+  engine::prewarm_from(memory_, streams);
+  if (error_process_) {
+    auto schedules = draw_arrivals(config.ser_per_inst, thread_lengths_, rng_);
+    for (std::size_t t = 0; t < schedules.size(); ++t) {
+      arrivals_[t].positions = std::move(schedules[t]);
+    }
+  }
+  engine::RunResult& acc = kernel_.result();
+  acc.system = name_;
+  acc.thread_instructions = thread_lengths_;
+  acc.instructions = engine::max_length(thread_lengths_);
+}
+
+std::vector<std::vector<SeqNum>> System::draw_arrivals(
+    double ser_per_inst, const std::vector<std::uint64_t>& lengths,
+    Rng& rng) {
+  std::vector<std::vector<SeqNum>> schedules;
+  schedules.reserve(lengths.size());
+  for (const std::uint64_t len : lengths) {
+    schedules.push_back(fault::schedule_arrivals(ser_per_inst, len, rng));
+  }
+  return schedules;
+}
 
 void System::register_core(cpu::OooCore& core) {
   core.set_tracer(&tracer_);
   registered_cores_.push_back(&core);
-  cores_per_group_ =
-      num_threads_ ? registered_cores_.size() / num_threads_ : 1;
+}
+
+SeqNum System::progress(std::size_t g) const {
+  SeqNum p = 0;
+  for (std::size_t m = 0; m < cores_per_group_; ++m) {
+    p = std::max(p, member_core(g, m).retired());
+  }
+  return p;
+}
+
+std::vector<SeqNum> System::group_progress() const {
+  std::vector<SeqNum> p;
+  p.reserve(config_.num_threads);
+  for (std::size_t g = 0; g < config_.num_threads; ++g) {
+    p.push_back(progress(g));
+  }
+  return p;
+}
+
+Cycle System::next_event(std::size_t g, Cycle now) const {
+  const Cycle cand = members_next_event(g, now);
+  if (cand <= now || arrival_pending(g)) return now;
+  return cand;
+}
+
+void System::finish(engine::RunResult& r) const {
+  for (const cpu::OooCore* core : registered_cores_) {
+    r.core_stats.push_back(core->stats());
+  }
+}
+
+bool System::store_buffer_commit(std::vector<Cycle>& in_flight, CoreId core,
+                                 Addr addr, Cycle now) {
+  std::erase_if(in_flight, [now](Cycle done) { return done <= now; });
+  if (in_flight.size() >= kStoreBufferEntries) return false;
+  in_flight.push_back(memory_.store_writeback(core, addr, now).done);
+  return true;
 }
 
 std::string System::core_prefix(std::size_t i) const {
@@ -19,7 +98,7 @@ void System::set_observability(obs::MetricsRegistry* metrics,
                                obs::TraceSink* trace) {
   metrics_ = metrics;
   tracer_.set_sink(trace);
-  memory().set_tracer(&tracer_);
+  memory_.set_tracer(&tracer_);
   for (std::size_t i = 0; i < registered_cores_.size(); ++i) {
     cpu::OooCore& core = *registered_cores_[i];
     if (metrics_) {
@@ -32,13 +111,13 @@ void System::set_observability(obs::MetricsRegistry* metrics,
       core.set_rob_histogram(nullptr);
     }
   }
-  if (avf_enabled_ && metrics_ && !avf_collector_) wire_avf();
+  if (config_.avf && metrics_ && !avf_collector_) wire_avf();
 }
 
 void System::wire_avf() {
   avf_collector_ = std::make_unique<fault::AvfCollector>();
   fault::AvfCollector& c = *avf_collector_;
-  mem::MemoryHierarchy& m = memory();
+  mem::MemoryHierarchy& m = memory_;
 
   m.bus().set_avf(c.make_tracker(fault::UncoreStructure::kBusQueue,
                                  fault::kBusQueueEntries,
@@ -85,13 +164,12 @@ void System::wire_avf() {
 }
 
 void System::publish_metrics(const engine::RunResult& r) {
-  if (!metrics_) return;
   obs::MetricsRegistry& reg = *metrics_;
   for (std::size_t i = 0;
        i < registered_cores_.size() && i < r.core_stats.size(); ++i) {
     cpu::publish_core_stats(reg, core_prefix(i), r.core_stats[i]);
   }
-  memory().publish_metrics(reg, name() + ".mem");
+  memory_.publish_metrics(reg, name() + ".mem");
   reg.set_counter(name() + ".cycles", r.cycles);
   reg.set_counter(name() + ".instructions", r.instructions);
   reg.set_counter(name() + ".errors.injected", r.errors_injected);

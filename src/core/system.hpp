@@ -1,11 +1,14 @@
 // Common interface of the simulated CMP systems (baseline / UnSync /
-// Reunion): configuration, the run contract, and the result record every
-// bench consumes.
+// Reunion / lock-step / DMR checkpointing / hetero checker): configuration,
+// the run contract, and the result record every bench consumes.
 //
-// Since the engine refactor (docs/ENGINE.md) the cycle loop itself lives in
-// engine::SimKernel; a System is an engine::SystemPolicy plus the shared
-// core/observability/checkpoint plumbing. The result record is
-// engine::RunResult.
+// The cycle loop lives in engine::SimKernel (docs/ENGINE.md). A System is
+// an engine::SystemPolicy plus the redundancy-group scaffold every
+// architecture shares: the memory hierarchy, the per-thread arrival draw,
+// group progress, the fault channel, the result fold, the write-back store
+// buffer, and the observability and checkpoint plumbing. A concrete system
+// adds only its commit environments, its sync phase and its recovery rule.
+// The result record is engine::RunResult.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "cpu/core_config.hpp"
 #include "cpu/ooo_core.hpp"
@@ -95,9 +99,16 @@ class System : public engine::SystemPolicy, public engine::SimModel {
     kernel_.set_skip_observer(std::move(observer));
   }
 
-  /// Member hooks for systems whose members are their registered OoO
-  /// cores, one group per thread (all but hetero, which overrides them):
+  /// The default group shape: one group per thread whose members are its
+  /// registered OoO cores (hetero overrides the member hooks). Finished,
   /// tick, plan and skip member `m` of group `g`, self-gated on done().
+  std::size_t group_count() const override { return config_.num_threads; }
+  std::size_t member_count(std::size_t) const override {
+    return cores_per_group_;
+  }
+  bool member_finished(std::size_t g, std::size_t m) const override {
+    return member_core(g, m).done();
+  }
   void member_tick(std::size_t g, std::size_t m, Cycle now) override {
     cpu::OooCore& core = member_core(g, m);
     if (!core.done()) core.tick(now);
@@ -112,7 +123,16 @@ class System : public engine::SystemPolicy, public engine::SimModel {
     if (!core.done()) core.skip_cycles(from, to);
   }
 
-  const std::string& name() const override = 0;
+  /// Members' next events, vetoed while the group's next arrival is
+  /// pending: progress only advances through (vetoed) commits, so the
+  /// strike fires on the cycle the watermark crosses it.
+  Cycle next_event(std::size_t g, Cycle now) const override;
+
+  /// Appends every registered core's stats in registration order; systems
+  /// extend it with their own counters.
+  void finish(engine::RunResult& r) const override;
+
+  const std::string& name() const override { return name_; }
 
   /// Serialises / restores the complete mutable simulation state (cycle
   /// cursor, accumulated result, RNG, memory hierarchy, every core): a
@@ -151,8 +171,9 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   // once, restore its checkpoints into per-job systems, and install each
   // job's own channel on top.
 
-  /// What this system's fault channel is made of (none by default).
-  virtual engine::FaultSources fault_sources() { return {}; }
+  /// What this system's fault channel is made of: the RNG and every
+  /// group's arrival cursor (nothing for the baseline).
+  engine::FaultSources fault_sources();
 
   /// The fault channel's wire bytes: RNG words plus the FULL per-group
   /// arrival schedules (positions, not just the cursor — the checkpoint
@@ -165,9 +186,18 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   void install_fault_channel(std::string_view bytes);
 
   /// Per-group commit progress: the same watermark arrival consumption is
-  /// keyed on (max retired over the group's cores). Used to pick the
-  /// latest golden checkpoint that provably precedes a job's first strike.
-  virtual std::vector<SeqNum> group_progress() const { return {}; }
+  /// keyed on (max retired over the group's registered cores). Used to
+  /// pick the latest golden checkpoint that provably precedes a job's
+  /// first strike.
+  std::vector<SeqNum> group_progress() const;
+
+  /// The arrival draw of every redundant system: one schedule per thread,
+  /// drawn in thread order from `rng` over that thread's stream length.
+  /// Construction and runtime::compute_fault_channel both call it, so the
+  /// draw sequence the fault channel pins is written once.
+  static std::vector<std::vector<SeqNum>> draw_arrivals(
+      double ser_per_inst, const std::vector<std::uint64_t>& lengths,
+      Rng& rng);
 
   /// ckpt::hash64 over a Fingerprint-mode walk of visit_policy_state():
   /// the architectural state minus the fault channel. Two runs with equal
@@ -175,8 +205,8 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   /// fire — evolve identically from there.
   std::uint64_t state_fingerprint() const;
 
-  /// The system's memory hierarchy (every concrete system owns exactly one).
-  virtual mem::MemoryHierarchy& memory() = 0;
+  /// The system's memory hierarchy.
+  mem::MemoryHierarchy& memory() { return memory_; }
 
   /// Attaches (or detaches, with nullptr) a metrics registry and a trace
   /// sink. With a registry attached, per-cycle ROB-occupancy histograms are
@@ -191,34 +221,58 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   /// Kernel hook: publishes the standard metric tree plus the system's
   /// extras once the run loop exits.
   void on_run_complete(const engine::RunResult& r) override {
+    if (!metrics_) return;
     publish_metrics(r);
     publish_extra_metrics();
   }
 
  protected:
-  explicit System(unsigned num_threads = 1, bool avf = false)
-      : avf_enabled_(avf), num_threads_(num_threads) {}
+  /// Builds the group scaffold: checks one stream per thread, records the
+  /// stream lengths, builds the memory hierarchy from `mem` with
+  /// `cores_per_group` cores per thread, pre-warms it, draws every
+  /// thread's arrivals (unless `error_process` is false: the baseline has
+  /// none, so it draws nothing and exposes no fault channel) and seeds the
+  /// result's identity fields. Throws std::invalid_argument on a stream
+  /// count mismatch.
+  System(std::string name, const SystemConfig& config,
+         const std::vector<const workload::InstStream*>& streams,
+         unsigned cores_per_group, const mem::MemConfig& mem,
+         bool error_process = true);
 
-  /// Derived constructors register every core in group-major order (group 0
-  /// side 0, group 0 side 1, ..., matching RunResult::core_stats), which is
-  /// how the default member hooks find member m of group g. Wires the
-  /// core to the system tracer and enables uniform metric naming: with one
-  /// core per thread the prefix is "<name>.core<i>", otherwise
+  /// Derived constructors register `cores_per_group` cores per thread in
+  /// group-major order (group 0 side 0, group 0 side 1, ..., matching
+  /// RunResult::core_stats), which is how the default member hooks find
+  /// member m of group g. Wires the core to the system tracer; metric
+  /// names are "<name>.core<i>" with one core per group, otherwise
   /// "<name>.group<g>.core<s>".
   void register_core(cpu::OooCore& core);
+
+  /// Commit progress of group `g`: max retired over its registered cores.
+  SeqNum progress(std::size_t g) const;
+
+  /// True when group `g`'s progress has reached its next arrival.
+  bool arrival_pending(std::size_t g) const {
+    return arrivals_[g].pending(progress(g));
+  }
+
+  /// The write-back store buffer (kStoreBufferEntries deep) in front of a
+  /// write-back L1: retires the writebacks done by `now`, then rejects the
+  /// store (stalling commit) when the buffer is full or issues it.
+  /// `in_flight` holds the completion cycles of one core's buffer.
+  bool store_buffer_commit(std::vector<Cycle>& in_flight, CoreId core,
+                           Addr addr, Cycle now);
 
   /// Metric path prefix of registered core `i` (see register_core).
   std::string core_prefix(std::size_t i) const;
 
   /// Publishes the standard metric tree for a finished run: per-core
   /// counters/gauges, the memory hierarchy, and the system-level error /
-  /// stall counters. No-op without an attached registry.
+  /// stall counters. Called only with a registry attached.
   void publish_metrics(const engine::RunResult& r);
 
   /// System-specific metrics published after the standard tree (UnSync CB
-  /// occupancy, DMR-checkpoint counts, ...). No-op by default; only called
-  /// with a registry attached is NOT guaranteed — implementations must
-  /// check metrics() themselves.
+  /// occupancy, DMR-checkpoint counts, ...) into metrics_, which is never
+  /// null here. No-op by default.
   virtual void publish_extra_metrics() {}
 
   /// System-specific AVF wiring beyond the shared uncore (UnSync registers
@@ -228,17 +282,25 @@ class System : public engine::SystemPolicy, public engine::SimModel {
     (void)collector;
   }
 
-  /// True when avf=1 was requested at construction.
-  bool avf_enabled() const { return avf_enabled_; }
-
   /// The shared cycle engine: owns the cycle cursor and the accumulated
-  /// result. Derived constructors seed kernel_.result() with the identity
-  /// fields (system name, instruction counts).
+  /// result, whose identity fields (system name, instruction counts) the
+  /// constructor seeds.
   engine::SimKernel kernel_;
 
   /// Event-trace gate shared by the system, its cores and its memory.
   obs::Tracer tracer_;
   obs::MetricsRegistry* metrics_ = nullptr;
+
+  const std::string name_;
+  const SystemConfig config_;
+  const std::vector<std::uint64_t> thread_lengths_;
+  mem::MemoryHierarchy memory_;
+  /// The error process: seeded with config.seed, drawn from at
+  /// construction (arrivals) and by each system's recovery rule.
+  Rng rng_;
+  /// Per-group error-arrival schedule and consumption cursor (empty
+  /// schedules for the baseline).
+  std::vector<engine::ArrivalCursor> arrivals_;
 
  private:
   /// The "SYS0" envelope: system name, then the kernel chunk.
@@ -253,11 +315,13 @@ class System : public engine::SystemPolicy, public engine::SimModel {
     return *registered_cores_[g * cores_per_group_ + m];
   }
 
-  bool avf_enabled_ = false;
-  unsigned num_threads_ = 1;
+  bool error_process_ = true;
+  std::size_t cores_per_group_ = 1;  ///< registered cores per thread
   std::vector<cpu::OooCore*> registered_cores_;
-  std::size_t cores_per_group_ = 1;  ///< registered cores / threads
   std::unique_ptr<fault::AvfCollector> avf_collector_;
 };
+
+/// Size of the post-commit store buffer used by write-back configurations.
+inline constexpr std::size_t kStoreBufferEntries = 8;
 
 }  // namespace unsync::core

@@ -4,20 +4,17 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "fault/ser.hpp"
-
 namespace unsync::core {
 
-namespace {
-/// Program progress of a redundancy group: the leading core's watermark.
-SeqNum progress_of(const std::vector<std::unique_ptr<cpu::OooCore>>& cores) {
-  SeqNum progress = 0;
-  for (const auto& core : cores) {
-    progress = std::max(progress, core->retired());
+const UnSyncParams& UnSyncParams::validated() const {
+  if (group_size < 2) {
+    throw std::invalid_argument("unsync: group size must be >= 2");
   }
-  return progress;
+  if (cb_entries < 1) {
+    throw std::invalid_argument("unsync: cb entries must be >= 1");
+  }
+  return *this;
 }
-}  // namespace
 
 bool UnSyncSystem::CbEnv::on_store_commit(CoreId core,
                                           const workload::DynOp& op,
@@ -44,23 +41,15 @@ UnSyncSystem::UnSyncSystem(const SystemConfig& config,
 UnSyncSystem::UnSyncSystem(
     const SystemConfig& config, const UnSyncParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.avf),
-      config_(config),
+    : System("unsync", config, streams, params.validated().group_size,
+             [&] {
+               // UnSync requires write-through L1s (§III-C.1).
+               mem::MemConfig m = config.mem;
+               m.l1d.write_policy = mem::WritePolicy::kWriteThrough;
+               return m;
+             }()),
       params_(params),
-      plan_(fault::unsync_plan()),
-      thread_lengths_(engine::lengths_of(streams)),
-      memory_([&] {
-        // UnSync requires write-through L1s (§III-C.1).
-        mem::MemConfig m = config.mem;
-        m.l1d.write_policy = mem::WritePolicy::kWriteThrough;
-        return m;
-      }(), config.num_threads * params.group_size),
-      rng_(config.seed) {
-  assert(params_.group_size >= 2 && "redundancy needs at least two cores");
-  if (streams.size() != config_.num_threads) {
-    throw std::invalid_argument("UnSyncSystem: need one stream per thread");
-  }
-  engine::prewarm_from(memory_, streams);
+      plan_(fault::unsync_plan()) {
   for (unsigned t = 0; t < config_.num_threads; ++t) {
     auto group = std::make_unique<Group>();
     for (unsigned side = 0; side < params_.group_size; ++side) {
@@ -74,19 +63,12 @@ UnSyncSystem::UnSyncSystem(
           group->envs.back().get()));
       register_core(*group->cores.back());
     }
-    group->arrivals.positions = fault::schedule_arrivals(
-        config_.ser_per_inst, thread_lengths_[t], rng_);
     groups_.push_back(std::move(group));
   }
-  engine::RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = engine::max_length(thread_lengths_);
 }
 
 bool UnSyncSystem::member_finished(std::size_t g, std::size_t m) const {
-  const Group& group = *groups_[g];
-  return group.cores[m]->done() && group.cbs[m]->empty();
+  return System::member_finished(g, m) && groups_[g]->cbs[m]->empty();
 }
 
 void UnSyncSystem::sync_phase(std::size_t g, Cycle now) {
@@ -143,8 +125,8 @@ void UnSyncSystem::on_error(std::size_t g, Cycle now,
   Group& group = *groups_[g];
   // An error strikes when program progress (the leading core's commit
   // watermark) crosses the arrival position.
-  if (!group.arrivals.pending(progress_of(group.cores))) return;
-  const SeqNum position = group.arrivals.take();
+  if (!arrival_pending(g)) return;
+  const SeqNum position = arrivals_[g].take();
   const auto thread = static_cast<unsigned>(g);
 
   // Any core of the group is equally likely to be struck. Detection is
@@ -182,35 +164,26 @@ void UnSyncSystem::on_error(std::size_t g, Cycle now,
 }
 
 Cycle UnSyncSystem::next_event(std::size_t g, Cycle now) const {
-  const Group& group = *groups_[g];
-  Cycle cand = members_next_event(g, now);
+  Cycle cand = System::next_event(g, now);
   if (cand <= now) return now;
   // CB drain is ready exactly when every CB is non-empty and the bus is
   // free; a CB only becomes non-empty through a store commit, which is a
   // vetoed core event.
   bool drainable = true;
-  for (const auto& cb : group.cbs) drainable &= !cb->empty();
+  for (const auto& cb : groups_[g]->cbs) drainable &= !cb->empty();
   if (drainable) {
     if (memory_.bus().free_at(now)) return now;
     cand = std::min(cand, memory_.bus().next_free());
   }
-  // Error injection fires when progress has crossed the next arrival;
-  // progress only advances through (vetoed) commits.
-  if (group.arrivals.pending(progress_of(group.cores))) return now;
   return cand;
 }
 
 void UnSyncSystem::finish(engine::RunResult& r) const {
-  for (const auto& group : groups_) {
-    for (const auto& core : group->cores) {
-      r.core_stats.push_back(core->stats());
-    }
-    r.cb_full_stalls += group->cb_full_stalls;
-  }
+  System::finish(r);
+  for (const auto& group : groups_) r.cb_full_stalls += group->cb_full_stalls;
 }
 
 void UnSyncSystem::publish_extra_metrics() {
-  if (!metrics_) return;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     const auto& cbs = groups_[g]->cbs;
     for (std::size_t s = 0; s < cbs.size(); ++s) {
@@ -231,13 +204,6 @@ void UnSyncSystem::register_avf(fault::AvfCollector& collector) {
           fault::kWriteBufferEntryBits));
     }
   }
-}
-
-std::vector<SeqNum> UnSyncSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(groups_.size());
-  for (const auto& group : groups_) p.push_back(progress_of(group->cores));
-  return p;
 }
 
 }  // namespace unsync::core

@@ -22,11 +22,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
-#include "engine/error_injection.hpp"
 #include "fault/protection.hpp"
-#include "mem/hierarchy.hpp"
 #include "mem/write_buffer.hpp"
 #include "workload/dyn_op.hpp"
 
@@ -59,6 +56,11 @@ struct UnSyncParams {
   static std::size_t entries_for_bytes(std::size_t bytes) {
     return bytes / kCbEntryBytes;
   }
+
+  /// This object, or std::invalid_argument unless group_size >= 2 and
+  /// cb_entries >= 1 (a one-core group has no error-free core to recover
+  /// from; an empty CB can never take a store).
+  const UnSyncParams& validated() const;
 };
 
 class UnSyncSystem final : public System {
@@ -71,18 +73,11 @@ class UnSyncSystem final : public System {
   UnSyncSystem(const SystemConfig& config, const UnSyncParams& params,
                const std::vector<const workload::InstStream*>& streams);
 
-  const std::string& name() const override { return name_; }
-
-  mem::MemoryHierarchy& memory() override { return memory_; }
   const fault::ProtectionPlan& plan() const { return plan_; }
   unsigned group_size() const { return params_.group_size; }
 
   // SystemPolicy phases: one group of redundant cores per thread; each
   // member is one core plus its Communication Buffer.
-  std::size_t group_count() const override { return groups_.size(); }
-  std::size_t member_count(std::size_t g) const override {
-    return groups_[g]->cores.size();
-  }
   bool member_finished(std::size_t g, std::size_t m) const override;
   void sync_phase(std::size_t g, Cycle now) override;
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
@@ -91,11 +86,6 @@ class UnSyncSystem final : public System {
 
   const char* ckpt_tag() const override { return "UNSY"; }
   void visit_policy_state(ckpt::Archive& ar) override;
-
-  // Prefix-sharing hooks: RNG + per-group arrival schedules are the fault
-  // channel; the fingerprint is the policy state with that channel removed.
-  engine::FaultSources fault_sources() override;
-  std::vector<SeqNum> group_progress() const override;
 
  protected:
   void publish_extra_metrics() override;
@@ -124,19 +114,13 @@ class UnSyncSystem final : public System {
     std::vector<std::unique_ptr<cpu::OooCore>> cores;
     std::vector<std::unique_ptr<CbEnv>> envs;
     std::vector<std::unique_ptr<mem::WriteBuffer>> cbs;
-    engine::ArrivalCursor arrivals;
     std::uint64_t cb_full_stalls = 0;
   };
 
   Cycle recovery_cost(const Group& group, unsigned error_free_side) const;
 
-  std::string name_ = "unsync";
-  SystemConfig config_;
   UnSyncParams params_;
   fault::ProtectionPlan plan_;
-  std::vector<std::uint64_t> thread_lengths_;
-  mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Group>> groups_;
 };
 

@@ -7,7 +7,6 @@
 #include "ckpt/archive.hpp"
 #include "common/rng.hpp"
 #include "core/factory.hpp"
-#include "fault/ser.hpp"
 #include "runtime/campaign_journal.hpp"
 
 namespace unsync::runtime {
@@ -26,7 +25,7 @@ std::uint64_t* stats_fields(PrefixStats& s, std::size_t i) {
 }
 
 /// Per-thread stream length of a job — what construction hands to
-/// fault::schedule_arrivals. Every thread replays a clone of the same
+/// core::System::draw_arrivals. Every thread replays a clone of the same
 /// stream, so all groups share one length.
 std::uint64_t job_stream_length(const SimJob& job) {
   if (!job.profile.empty()) return job.insts;
@@ -116,16 +115,13 @@ FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed) {
     ch.schedules.assign(job.app_threads, {});
     return ch;
   }
-  // Exactly the construction-time draw sequence of every redundant system:
-  // one RNG seeded with the job seed, one schedule_arrivals call per
-  // thread, in thread order.
+  // The construction-time draw of every redundant system, from an RNG
+  // seeded with the job seed.
   Rng rng(seed);
-  const std::uint64_t len = job_stream_length(job);
-  ch.schedules.reserve(job.app_threads);
-  for (unsigned t = 0; t < job.app_threads; ++t) {
-    ch.schedules.push_back(
-        fault::schedule_arrivals(job.ser_per_inst, len, rng));
-  }
+  ch.schedules = core::System::draw_arrivals(
+      job.ser_per_inst,
+      std::vector<std::uint64_t>(job.app_threads, job_stream_length(job)),
+      rng);
   ch.has_rng = true;
 
   // Encoded through the systems' own channel walk, with every cursor at 0:

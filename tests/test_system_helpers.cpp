@@ -1,7 +1,12 @@
 // Tests for the shared system plumbing in core/system.hpp: thread-stream
-// replication, multi-stream pre-warming, and the RunResult helpers.
+// replication, multi-stream pre-warming, the RunResult helpers, and the
+// parameter checks every system constructor makes.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
+#include "core/factory.hpp"
 #include "core/system.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
@@ -55,6 +60,67 @@ TEST(SystemHelpers, ErrorEventDefaults) {
   const engine::ErrorEvent e{};
   EXPECT_EQ(e.cycle, 0u);
   EXPECT_FALSE(e.rollback);
+}
+
+// Out-of-range parameters throw std::invalid_argument from both
+// constructor overloads in every build; without the check a one-core
+// UnSync group crashes on its first error and the others never finish.
+// Construction only: nothing runs.
+TEST(SystemParamsValidation, EveryConstructorRejectsEachBadValue) {
+  struct Case {
+    const char* label;
+    SystemKind kind;
+    SystemParams params;
+  };
+  std::vector<Case> bad;
+  const auto add = [&bad](const char* label, SystemKind kind, auto edit) {
+    SystemParams p;
+    edit(p);
+    bad.push_back({label, kind, p});
+  };
+  add("group=0", SystemKind::kUnSync,
+      [](SystemParams& p) { p.unsync.group_size = 0; });
+  add("group=1", SystemKind::kUnSync,
+      [](SystemParams& p) { p.unsync.group_size = 1; });
+  add("cb=0", SystemKind::kUnSync,
+      [](SystemParams& p) { p.unsync.cb_entries = 0; });
+  add("interval=0", SystemKind::kCheckpoint,
+      [](SystemParams& p) { p.checkpoint.checkpoint_interval = 0; });
+  add("log=0", SystemKind::kHetero,
+      [](SystemParams& p) { p.hetero.log_entries = 0; });
+  add("width=0", SystemKind::kHetero,
+      [](SystemParams& p) { p.hetero.checker_width = 0; });
+
+  workload::SyntheticStream s(workload::profile("gzip"), 1, 100);
+  SystemConfig cfg;
+  cfg.ser_per_inst = 1e-3;
+  const std::vector<const workload::InstStream*> streams(cfg.num_threads,
+                                                         &s);
+  for (const Case& c : bad) {
+    EXPECT_THROW(validate(c.kind, c.params), std::invalid_argument)
+        << c.label;
+    EXPECT_THROW(make_system(c.kind, cfg, s, c.params), std::invalid_argument)
+        << c.label;
+    EXPECT_THROW(make_system(c.kind, cfg, streams, c.params),
+                 std::invalid_argument)
+        << c.label;
+  }
+}
+
+TEST(SystemParamsValidation, SmallestValidValuesConstruct) {
+  SystemParams p;
+  p.unsync.group_size = 2;
+  p.unsync.cb_entries = 1;
+  p.checkpoint.checkpoint_interval = 1;
+  p.hetero.log_entries = 1;
+  p.hetero.checker_width = 1;
+  workload::SyntheticStream s(workload::profile("gzip"), 1, 100);
+  for (const SystemKind kind :
+       {SystemKind::kBaseline, SystemKind::kUnSync, SystemKind::kReunion,
+        SystemKind::kLockstep, SystemKind::kCheckpoint, SystemKind::kHetero}) {
+    EXPECT_NO_THROW(validate(kind, p)) << name_of(kind);
+    EXPECT_NO_THROW(make_system(kind, SystemConfig{}, s, p)) << name_of(kind);
+  }
 }
 
 }  // namespace

@@ -283,18 +283,23 @@ CommonKnobs knobs_from(const Config& cfg) {
       static_cast<std::uint32_t>(cfg.get_int("checker.width", 2));
   p.hetero.rollback_penalty =
       static_cast<Cycle>(cfg.get_int("checker.rollback", 60));
-  if (p.hetero.log_entries == 0) {
-    throw ConfigError("checker.log= must be >= 1");
-  }
-  if (p.hetero.checker_width == 0) {
-    throw ConfigError("checker.width= must be >= 1");
-  }
   k.ser = cfg.get_double("ser", 0.0);
   k.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
   k.avf = cfg.get_bool("avf", false);
   k.protect = protect_plan_from(cfg);
 
   return k;
+}
+
+/// Rejects out-of-range parameters of `kind` as a configuration error
+/// (exit 2): the check the system constructors make, run on every job
+/// before any job runs.
+void check_params(core::SystemKind kind, const core::SystemParams& params) {
+  try {
+    core::validate(kind, params);
+  } catch (const std::invalid_argument& e) {
+    throw ConfigError(e.what());
+  }
 }
 
 /// Resolves the sweep/campaign workload into a SimJob template: a profile
@@ -361,6 +366,7 @@ int cmd_run(const Config& cfg) {
   const std::string system = cfg.get_string("system", "unsync");
   const auto kind = core::parse_system(system);
   if (!kind) throw ConfigError("unknown system: " + system);
+  check_params(*kind, knobs.params);
   const auto sys = core::make_system(*kind, sys_cfg, *stream, knobs.params);
 
   obs::MetricsRegistry registry;
@@ -479,6 +485,7 @@ int cmd_sweep(const Config& cfg) {
       throw ConfigError("unknown sweep param: " + param +
                         " (cb|fi|latency|group|log|ser)");
     }
+    check_params(job.system, job.params);
     jobs.push_back(std::move(job));
   }
 
@@ -566,6 +573,7 @@ CampaignGrid build_campaign_grid(const Config& cfg, const CommonKnobs& knobs) {
       job.label = bench;
       job.profile = bench;
       job.system = kind;
+      check_params(job.system, job.params);
       grid.jobs.push_back(std::move(job));
     }
   }
@@ -869,6 +877,7 @@ int cmd_avf_report(const Config& cfg) {
       job.label = bench;
       job.profile = bench;
       job.system = kind;
+      check_params(job.system, job.params);
       jobs.push_back(std::move(job));
     }
   }
