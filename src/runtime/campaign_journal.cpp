@@ -1,7 +1,8 @@
 #include "runtime/campaign_journal.hpp"
 
 #include <stdexcept>
-#include <unordered_set>
+#include <string_view>
+#include <unordered_map>
 
 #include "ckpt/archive.hpp"
 #include "ckpt/serializer.hpp"
@@ -238,9 +239,10 @@ JournalStatus journal_status(const std::string& path) {
 
   JournalStatus status;
   status.header = *header;
-  // Indices seen so far. Sized by what the file holds, never by the
-  // header's own job count, which a corrupt header can make absurd.
-  std::unordered_set<std::uint64_t> seen;
+  // The index/label/seed prefix each index was first seen with. Sized by
+  // what the file holds, never by the header's own job count, which a
+  // corrupt header can make absurd.
+  std::unordered_map<std::uint64_t, std::string> first_prefix;
   for (std::string line; std::getline(in, line);) {
     if (line.empty()) continue;
     if (auto stats_blob = ckpt::parse_stats_line(line)) {
@@ -260,10 +262,18 @@ JournalStatus journal_status(const std::string& path) {
       ++status.corrupt;
       continue;
     }
-    if (seen.insert(entry->index).second) {
+    // A re-run repeats its job's prefix: a duplicate. Another label or
+    // seed under a seen index is a flipped index, which resume drops and
+    // re-runs: corrupt.
+    const std::string_view prefix =
+        std::string_view(line).substr(0, line.find("\"crc\":"));
+    const auto [it, fresh] = first_prefix.try_emplace(entry->index, prefix);
+    if (fresh) {
       ++status.done;
-    } else {
+    } else if (it->second == prefix) {
       ++status.duplicates;
+    } else {
+      ++status.corrupt;
     }
   }
   return status;

@@ -139,8 +139,12 @@ engine::RunResult run_campaign_job(const SimJob& job, std::uint64_t seed,
 struct JournalStatus {
   ckpt::JournalHeader header;
   std::size_t done = 0;       ///< unique job indices with a valid entry
-  std::size_t duplicates = 0; ///< extra valid lines for an already-done job
-  std::size_t corrupt = 0;    ///< torn / CRC-mismatched / malformed lines
+  /// Extra valid lines for an already-done job, with the same label and
+  /// seed as its first entry (a re-run).
+  std::size_t duplicates = 0;
+  /// Torn / CRC-mismatched / malformed lines, and lines whose label or
+  /// seed differs from the first entry of their index (a flipped index).
+  std::size_t corrupt = 0;
   /// Prefix-engine totals from the journal's last valid "stats" line
   /// (appended when a prefix-sharing campaign completes); absent on
   /// journals of prefix_share=0 campaigns or ones killed before the end.

@@ -97,4 +97,25 @@ expect_rc 0 "$SIM" campaign status journal="$DIR/huge.jsonl"
 echo "${HEAD}12345678901234567890123${TAIL}" > "$DIR/overflow.jsonl"
 expect_rc 2 "$SIM" campaign status journal="$DIR/overflow.jsonl"
 
+# An entry whose index was flipped onto another job carries that job's
+# label: status counts it as corrupt (exit 2), since resume drops and
+# re-runs it. A re-run of a job repeats its label and seed: a duplicate,
+# still healthy (exit 0).
+FLIP=(campaign systems=baseline benches=gzip,mcf,galgel insts=2000 threads=1
+  csv=1)
+expect_rc 0 "$SIM" "${FLIP[@]}" checkpoint="$DIR/flip.jsonl"
+sed 's/^{"index":2,/{"index":0,/' "$DIR/flip.jsonl" > "$DIR/flipped.jsonl"
+cmp -s "$DIR/flip.jsonl" "$DIR/flipped.jsonl" && fail "no entry was flipped"
+expect_rc 2 "$SIM" campaign status journal="$DIR/flipped.jsonl"
+"$SIM" campaign status journal="$DIR/flipped.jsonl" 2>/dev/null |
+  tr -s ' ' | grep -c -E '^(done: 2|duplicates: 0|corrupt: 1)$' |
+  grep -q '^3$' ||
+  fail "campaign status counts a flipped index as a duplicate"
+{ cat "$DIR/flip.jsonl"; grep '^{"index":0,' "$DIR/flip.jsonl"; } \
+  > "$DIR/rerun.jsonl"
+expect_rc 0 "$SIM" campaign status journal="$DIR/rerun.jsonl"
+"$SIM" campaign status journal="$DIR/rerun.jsonl" 2>/dev/null |
+  tr -s ' ' | grep -q '^duplicates: 1$' ||
+  fail "campaign status does not count a re-run entry as a duplicate"
+
 echo "cli_ckpt_robustness: OK"
