@@ -264,7 +264,9 @@ void ReunionSystem::on_error(std::size_t g, Cycle now,
 
 void ReunionSystem::finish(engine::RunResult& r) const {
   System::finish(r);
-  for (const auto& pair : pairs_) r.fingerprint_syncs += pair->serializing_syncs;
+  for (const auto& pair : pairs_) {
+    r.fingerprint_syncs += pair->serializing_syncs;
+  }
 }
 
 }  // namespace unsync::core

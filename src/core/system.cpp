@@ -1,6 +1,5 @@
 #include "core/system.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "fault/ser.hpp"
@@ -49,14 +48,6 @@ std::vector<std::vector<SeqNum>> System::draw_arrivals(
 void System::register_core(cpu::OooCore& core) {
   core.set_tracer(&tracer_);
   registered_cores_.push_back(&core);
-}
-
-SeqNum System::progress(std::size_t g) const {
-  SeqNum p = 0;
-  for (std::size_t m = 0; m < cores_per_group_; ++m) {
-    p = std::max(p, member_core(g, m).retired());
-  }
-  return p;
 }
 
 std::vector<SeqNum> System::group_progress() const {

@@ -11,6 +11,7 @@
 // The result record is engine::RunResult.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -248,11 +249,20 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   void register_core(cpu::OooCore& core);
 
   /// Commit progress of group `g`: max retired over its registered cores.
-  SeqNum progress(std::size_t g) const;
+  SeqNum progress(std::size_t g) const {
+    SeqNum p = 0;
+    for (std::size_t m = 0; m < cores_per_group_; ++m) {
+      p = std::max(p, member_core(g, m).retired());
+    }
+    return p;
+  }
 
-  /// True when group `g`'s progress has reached its next arrival.
+  /// True when group `g`'s progress has reached its next arrival. Called
+  /// every cycle (on_error, next_event), so progress is read only while
+  /// an arrival is left.
   bool arrival_pending(std::size_t g) const {
-    return arrivals_[g].pending(progress(g));
+    const engine::ArrivalCursor& a = arrivals_[g];
+    return a.next < a.positions.size() && a.pending(progress(g));
   }
 
   /// The write-back store buffer (kStoreBufferEntries deep) in front of a

@@ -15,8 +15,8 @@
 //    only.
 //  * A job with no arrival at all is the golden run, end to end: it returns
 //    the golden result outright.
-//  * Every other job computes its fault channel out of band (the same
-//    fault::schedule_arrivals draw sequence construction performs),
+//  * Every other job computes its fault channel out of band (through
+//    core::System::draw_arrivals, the draw construction performs),
 //    restores from the latest golden checkpoint that provably precedes its
 //    first arrival (restore_golden: the snapshot inflated into a buffer the
 //    worker reuses, then System::load_checkpoint_payload), installs its own
