@@ -1,8 +1,8 @@
-// The System-level checkpoint envelope: name validation and container file
-// I/O around the kernel-level chunk (SimKernel::visit), the two derived
-// walks — the fault channel and the state fingerprint — and every
-// system's policy payload (visit_policy_state), so the six wire layouts
-// are reviewable side by side. The RunResult /
+// The System-level checkpoint envelope: name validation, the system chunk
+// (cycle cursor, accumulated result, policy payload) and container file
+// I/O around it, the two derived walks — the fault channel and the state
+// fingerprint — and every system's policy payload (visit_policy_state), so
+// the six wire layouts are reviewable side by side. The RunResult /
 // ErrorEvent layout lives in engine/result_ckpt.cpp.
 //
 // Every entry point runs one walk through a ckpt::Archive. The const save
@@ -26,7 +26,11 @@ void System::visit_checkpoint(ckpt::Archive& ar) {
       throw ckpt::CkptError("checkpoint is for system '" + saved +
                             "', cannot restore into '" + name() + "'");
     }
-    kernel_.visit(*this, ar);
+    ar.chunk(ckpt_tag(), [&] {
+      ar.u64(now_);
+      acc_.visit(ar);
+      visit_policy_state(ar);
+    });
   });
 }
 

@@ -42,7 +42,7 @@ class DmrCheckpointSystem final : public System {
 
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
 
-  // SystemPolicy phases: one decoupled pair per thread.
+  // Cycle-loop phases: one decoupled pair per thread.
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
 
   const char* ckpt_tag() const override { return "DMRC"; }

@@ -58,7 +58,7 @@ class HeteroCheckerSystem final : public System {
   HeteroCheckerSystem(const SystemConfig& config, const HeteroParams& params,
                       const std::vector<const workload::InstStream*>& streams);
 
-  // SystemPolicy phases: one asymmetric leader+checker group per thread.
+  // Cycle-loop phases: one asymmetric leader+checker group per thread.
   // Only the leader is a registered core, so progress and the fault
   // channel are the leader's; the member hooks cover the checker too.
   std::size_t member_count(std::size_t) const override { return 2; }

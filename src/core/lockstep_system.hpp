@@ -33,7 +33,7 @@ class LockstepSystem final : public System {
   LockstepSystem(const SystemConfig& config, const LockstepParams& params,
                  const std::vector<const workload::InstStream*>& streams);
 
-  // SystemPolicy phases: one coupled pair per thread.
+  // Cycle-loop phases: one coupled pair per thread.
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
   void finish(engine::RunResult& r) const override;
 

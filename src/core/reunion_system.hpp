@@ -66,7 +66,7 @@ class ReunionSystem final : public System {
 
   const fault::ProtectionPlan& plan() const { return plan_; }
 
-  // SystemPolicy phases: one vocal/mute pair per thread.
+  // Cycle-loop phases: one vocal/mute pair per thread.
   void on_error(std::size_t g, Cycle now, engine::RunResult& acc) override;
   void finish(engine::RunResult& r) const override;
 

@@ -1,10 +1,20 @@
 #include "core/system.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fault/ser.hpp"
 
 namespace unsync::core {
+
+namespace {
+bool all_finished(const System& sys, std::size_t groups) {
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (!sys.finished(g)) return false;
+  }
+  return true;
+}
+}  // namespace
 
 System::System(std::string name, const SystemConfig& config,
                const std::vector<const workload::InstStream*>& streams,
@@ -18,6 +28,9 @@ System::System(std::string name, const SystemConfig& config,
       arrivals_(config.num_threads),
       error_process_(error_process),
       cores_per_group_(cores_per_group) {
+  if (config.num_threads == 0) {
+    throw std::invalid_argument(name_ + ": need at least one thread");
+  }
   if (streams.size() != config.num_threads) {
     throw std::invalid_argument(name_ + ": need one stream per thread");
   }
@@ -28,10 +41,66 @@ System::System(std::string name, const SystemConfig& config,
       arrivals_[t].positions = std::move(schedules[t]);
     }
   }
-  engine::RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = engine::max_length(thread_lengths_);
+  acc_.system = name_;
+  acc_.thread_instructions = thread_lengths_;
+  acc_.instructions = engine::max_length(thread_lengths_);
+}
+
+engine::RunResult System::run(Cycle max_cycles) {
+  const std::size_t groups = group_count();
+  while (!all_finished(*this, groups) && now_ < max_cycles) {
+    // A skip is sound only when EVERY unfinished group is quiescent:
+    // shared structures (the bus, the L2) stay untouched for the whole
+    // window exactly because no group acts during it.
+    Cycle target = ~Cycle{0};
+    for (std::size_t g = 0; g < groups && target > now_; ++g) {
+      if (finished(g)) continue;
+      target = std::min(target, next_event(g, now_));
+    }
+    target = std::min(target, max_cycles);
+    if (target > now_) {
+      for (std::size_t g = 0; g < groups; ++g) {
+        if (!finished(g)) skip_cycles(g, now_, target);
+      }
+      const Cycle from = now_;
+      now_ = target;
+      if (on_skip_) on_skip_(from, target);
+      continue;
+    }
+    tick(groups);
+  }
+  return complete();
+}
+
+engine::RunResult System::run_naive(Cycle max_cycles) {
+  const std::size_t groups = group_count();
+  while (!all_finished(*this, groups) && now_ < max_cycles) tick(groups);
+  return complete();
+}
+
+void System::tick(std::size_t groups) {
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (finished(g)) continue;
+    // The loop — not the concrete system — owns the member walk: every
+    // member of an unfinished group gets its tick in index order, whatever
+    // the group's shape (one core, an identical pair, a leader + checker).
+    const std::size_t members = member_count(g);
+    for (std::size_t m = 0; m < members; ++m) member_tick(g, m, now_);
+    sync_phase(g, now_);
+    on_error(g, now_, acc_);
+  }
+  ++now_;
+}
+
+engine::RunResult System::complete() {
+  engine::RunResult r = acc_;
+  r.cycles = now_;
+  finish(r);
+  if (metrics_) {
+    publish_metrics(r);
+    publish_extra_metrics();
+  }
+  return r;
 }
 
 std::vector<std::vector<SeqNum>> System::draw_arrivals(

@@ -76,7 +76,7 @@ class UnSyncSystem final : public System {
   const fault::ProtectionPlan& plan() const { return plan_; }
   unsigned group_size() const { return params_.group_size; }
 
-  // SystemPolicy phases: one group of redundant cores per thread; each
+  // Cycle-loop phases: one group of redundant cores per thread; each
   // member is one core plus its Communication Buffer.
   bool member_finished(std::size_t g, std::size_t m) const override;
   void sync_phase(std::size_t g, Cycle now) override;

@@ -12,8 +12,8 @@
 // the same CommitEnv commit hooks (which is how the heterogeneous system
 // feeds it verified inputs from the CheckLog), the same CoreStats block and
 // the same tick / next_event / skip_cycles quiescence contract, so the
-// SimKernel drives a leader + checker group exactly like a pair of big
-// cores. In-order interpretation of the shared stall counters:
+// core::System cycle loop drives a leader + checker group exactly like a
+// pair of big cores. In-order interpretation of the shared stall counters:
 // dispatch_stall_iq counts head-instruction execution-wait cycles (there is
 // no issue queue), commit_stall_gate / commit_stall_store keep their
 // meanings, and the ROB-occupancy fields stay zero.

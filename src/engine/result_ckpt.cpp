@@ -1,10 +1,9 @@
-// Checkpoint walks of the engine layer: the kernel-level system chunk
-// (SimKernel::visit) and the ErrorEvent / RunResult layout it shares with
-// the campaign journal. The "RRES" chunk layout is load-bearing: existing
+// Checkpoint walks of the engine layer: the ErrorEvent / RunResult layout
+// the system chunk (core::System::visit_checkpoint) shares with the
+// campaign journal. The "RRES" chunk layout is load-bearing: existing
 // checkpoints and journals decode against it.
 #include "ckpt/archive.hpp"
 #include "engine/run_result.hpp"
-#include "engine/sim_kernel.hpp"
 
 namespace unsync::engine {
 
@@ -34,14 +33,6 @@ void RunResult::visit(ckpt::Archive& ar) {
     ar.count(error_log);
     for (ErrorEvent& e : error_log) e.visit(ar);
     ar.b(approximate);
-  });
-}
-
-void SimKernel::visit(SystemPolicy& policy, ckpt::Archive& ar) {
-  ar.chunk(policy.ckpt_tag(), [&] {
-    ar.u64(now_);
-    acc_.visit(ar);
-    policy.visit_policy_state(ar);
   });
 }
 

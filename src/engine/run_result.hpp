@@ -1,9 +1,9 @@
 // The result record every simulated run produces, and its stable
 // serialisations (JSON schema + checkpoint wire layout).
 //
-// RunResult lives in the engine layer because the SimKernel accumulates it
-// across run() segments (the resumable-run contract) and every system
-// policy only appends its per-core stats and system counters at the end.
+// RunResult lives in the engine layer because core::System accumulates it
+// across run() segments (the resumable-run contract) and every concrete
+// system only appends its per-core stats and system counters at the end.
 #pragma once
 
 #include <cstdint>

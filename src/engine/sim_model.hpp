@@ -1,8 +1,7 @@
 // SimModel: the simulation-model interface core::System implements.
 //
-// Every run is cycle-accurate: SimKernel driving a SystemPolicy
-// (core::System and its architectures). Bit-exact, resumable and
-// checkpointable.
+// Every run is cycle-accurate: core::System's cycle loop driving one of
+// the six architectures. Bit-exact, resumable and checkpointable.
 //
 // Contract notes:
 //   - run() is resumable: max_cycles is an absolute bound, so run(N) then
