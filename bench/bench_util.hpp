@@ -47,11 +47,11 @@ struct BenchArgs {
     const Config cfg = Config::from_args(argc, argv);
     BenchArgs a;
     a.insts_set = cfg.has("insts");
-    a.insts = static_cast<std::uint64_t>(cfg.get_int("insts", 30000));
-    a.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
-    a.threads = static_cast<unsigned>(cfg.get_int("threads", 1));
-    a.workers = static_cast<unsigned>(cfg.get_int("workers", 0));
-    a.jobs = static_cast<std::uint64_t>(cfg.get_int("jobs", 0));
+    a.insts = cfg.get_unsigned<std::uint64_t>("insts", 30000);
+    a.seed = cfg.get_unsigned<std::uint64_t>("seed", 42);
+    a.threads = cfg.get_unsigned<unsigned>("threads", 1, 1);
+    a.workers = cfg.get_unsigned<unsigned>("workers", 0);
+    a.jobs = cfg.get_unsigned<std::uint64_t>("jobs", 0);
     a.json = cfg.get_string("json", "");
     cfg.report_unused("bench");
     return a;

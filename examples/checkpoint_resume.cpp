@@ -26,7 +26,7 @@
 int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
-  const auto insts = static_cast<std::uint64_t>(cfg.get_int("insts", 20000));
+  const auto insts = cfg.get_unsigned<std::uint64_t>("insts", 20000);
   const double ser = cfg.get_double("ser", 1e-5);
 
   core::SystemConfig sys_cfg;

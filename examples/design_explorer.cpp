@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
   const std::string bench = cfg.get_string("bench", "susan");
-  const auto insts = static_cast<std::uint64_t>(cfg.get_int("insts", 40000));
+  const auto insts = cfg.get_unsigned<std::uint64_t>("insts", 40000);
   const std::uint64_t seed = 11;
 
   // Every design point is built through core::make_system (the factory the

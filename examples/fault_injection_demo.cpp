@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   InjectionConfig icfg;
-  icfg.trials = static_cast<std::uint64_t>(cfg.get_int("trials", 300));
-  icfg.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  icfg.trials = cfg.get_unsigned<std::uint64_t>("trials", 300);
+  icfg.seed = cfg.get_unsigned<std::uint64_t>("seed", 1);
 
   TextTable t("Single-bit fault outcomes (" + std::to_string(icfg.trials) +
               " trials per row)");
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
   const bool want_metrics = cfg.get_bool("metrics", false);
   std::vector<CampaignResult> results(std::size(specs));
   std::vector<obs::MetricsSnapshot> row_metrics(std::size(specs));
-  const auto threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  const auto threads = cfg.get_unsigned<unsigned>("threads", 0);
   runtime::parallel_for(threads, std::size(specs), [&](std::size_t i) {
     InjectionConfig row_cfg = icfg;
     row_cfg.l1_write_through = specs[i].write_through;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   const bool save = cfg.get_bool("save_traces", false);
   const bool verbose = cfg.get_bool("verbose", false);
-  const auto threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  const auto threads = cfg.get_unsigned<unsigned>("threads", 0);
 
   runtime::SimJob base;
   base.params.unsync.cb_entries = 128;

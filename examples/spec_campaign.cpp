@@ -18,15 +18,15 @@
 int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
-  const auto insts = static_cast<std::uint64_t>(cfg.get_int("insts", 50000));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  const auto insts = cfg.get_unsigned<std::uint64_t>("insts", 50000);
+  const auto seed = cfg.get_unsigned<std::uint64_t>("seed", 7);
 
   runtime::SimJob base;
   base.insts = insts;
   base.seed = seed;  // every profile/system cell runs the same-seed stream
-  base.params.unsync.cb_entries = static_cast<std::size_t>(cfg.get_int("cb", 256));
+  base.params.unsync.cb_entries = cfg.get_unsigned<std::size_t>("cb", 256);
   base.params.reunion.fingerprint_interval =
-      static_cast<unsigned>(cfg.get_int("fi", 10));
+      cfg.get_unsigned<unsigned>("fi", 10);
 
   constexpr core::SystemKind kSystems[] = {core::SystemKind::kBaseline,
                                               core::SystemKind::kUnSync,
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   }
 
   runtime::CampaignRunner::Options opts;
-  opts.threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  opts.threads = cfg.get_unsigned<unsigned>("threads", 0);
   opts.campaign_seed = seed;
   const auto out = runtime::CampaignRunner(opts).run(jobs);
   cfg.report_unused("spec_campaign");  // warn on misspelled knobs

@@ -1,9 +1,8 @@
 #include "common/config.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/log.hpp"
 
@@ -58,27 +57,56 @@ std::string Config::get_string(const std::string& key,
   return find(key).value_or(fallback);
 }
 
+namespace {
+
+/// std::from_chars over the whole of `text`: false on an empty string,
+/// trailing characters or overflow.
+template <typename T>
+bool parse_whole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
+
 std::int64_t Config::get_int(const std::string& key,
                              std::int64_t fallback) const {
   const auto v = find(key);
   if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key +
-                                "' is not an integer: " + *v);
+  std::int64_t out = 0;
+  if (!parse_whole(*v, &out)) {
+    throw ConfigError("config key '" + key + "' is not an integer: " + *v);
   }
+  return out;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto v = find(key);
   if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key +
-                                "' is not a number: " + *v);
+  return parse_double("config key '" + key + "'", *v);
+}
+
+std::uint64_t Config::parse_u64(const std::string& what,
+                                const std::string& text, std::uint64_t min,
+                                std::uint64_t max) {
+  // from_chars into an unsigned type rejects a sign, so "-1" cannot wrap.
+  std::uint64_t out = 0;
+  if (!parse_whole(text, &out) || out < min || out > max) {
+    throw ConfigError(what + " must be an integer in [" +
+                      std::to_string(min) + ", " + std::to_string(max) +
+                      "]: " + text);
   }
+  return out;
+}
+
+double Config::parse_double(const std::string& what,
+                            const std::string& text) {
+  double out = 0.0;
+  if (!parse_whole(text, &out)) {
+    throw ConfigError(what + " is not a number: " + text);
+  }
+  return out;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
@@ -88,8 +116,7 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   std::transform(s.begin(), s.end(), s.begin(), ::tolower);
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  throw std::invalid_argument("config key '" + key +
-                              "' is not a boolean: " + *v);
+  throw ConfigError("config key '" + key + "' is not a boolean: " + *v);
 }
 
 std::vector<std::string> Config::keys() const {

@@ -112,27 +112,4 @@ std::string Histogram::ascii(std::size_t width) const {
   return os.str();
 }
 
-void CounterSet::inc(const std::string& name, std::uint64_t by) {
-  for (auto& [k, v] : counters_) {
-    if (k == name) {
-      v += by;
-      return;
-    }
-  }
-  counters_.emplace_back(name, by);
-}
-
-std::uint64_t CounterSet::get(const std::string& name) const {
-  for (const auto& [k, v] : counters_) {
-    if (k == name) return v;
-  }
-  return 0;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> CounterSet::sorted() const {
-  auto out = counters_;
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace unsync

@@ -85,15 +85,4 @@ class Histogram {
   std::uint64_t total_ = 0;
 };
 
-/// Simple named counter set used for per-component simulator statistics.
-class CounterSet {
- public:
-  void inc(const std::string& name, std::uint64_t by = 1);
-  std::uint64_t get(const std::string& name) const;
-  std::vector<std::pair<std::string, std::uint64_t>> sorted() const;
-
- private:
-  std::vector<std::pair<std::string, std::uint64_t>> counters_;
-};
-
 }  // namespace unsync

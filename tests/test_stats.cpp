@@ -110,25 +110,5 @@ TEST(Histogram, AsciiRendersAllBuckets) {
   EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 3);
 }
 
-TEST(CounterSet, IncrementAndGet) {
-  CounterSet c;
-  c.inc("loads");
-  c.inc("loads", 4);
-  c.inc("stores");
-  EXPECT_EQ(c.get("loads"), 5u);
-  EXPECT_EQ(c.get("stores"), 1u);
-  EXPECT_EQ(c.get("missing"), 0u);
-}
-
-TEST(CounterSet, SortedOutput) {
-  CounterSet c;
-  c.inc("z");
-  c.inc("a");
-  const auto v = c.sorted();
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[0].first, "a");
-  EXPECT_EQ(v[1].first, "z");
-}
-
 }  // namespace
 }  // namespace unsync

@@ -105,6 +105,23 @@ TEST(SystemParamsValidation, EveryConstructorRejectsEachBadValue) {
                  std::invalid_argument)
         << c.label;
   }
+
+  // Zero application threads: a SystemConfig value that validate() does
+  // not see, so only the constructors can reject it. Without the check a
+  // run reports an empty simulation.
+  SystemConfig zero = cfg;
+  zero.num_threads = 0;
+  const std::vector<const workload::InstStream*> no_streams;
+  for (const SystemKind kind :
+       {SystemKind::kBaseline, SystemKind::kUnSync, SystemKind::kReunion,
+        SystemKind::kLockstep, SystemKind::kCheckpoint, SystemKind::kHetero}) {
+    EXPECT_THROW(make_system(kind, zero, s, SystemParams{}),
+                 std::invalid_argument)
+        << "threads=0 " << name_of(kind);
+    EXPECT_THROW(make_system(kind, zero, no_streams, SystemParams{}),
+                 std::invalid_argument)
+        << "threads=0 " << name_of(kind);
+  }
 }
 
 TEST(SystemParamsValidation, SmallestValidValuesConstruct) {
