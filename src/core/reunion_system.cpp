@@ -195,8 +195,8 @@ Cycle ReunionSystem::ReunionEnv::next_state_change(CoreId core,
   // verification completes. Both-closed fingerprints form a front prefix
   // with nondecreasing verify_done, so the earliest future change is the
   // first one still pending. A not-yet-closed front fingerprint can only
-  // close through a partner-core commit — a core event the kernel already
-  // bounds the window by.
+  // close through a partner-core commit — a core event the cycle loop
+  // already bounds the window by.
   for (const auto& fp : pair_->fingerprints) {
     if (!(fp.closed[0] && fp.closed[1])) break;
     if (fp.verify_done > now) return fp.verify_done;

@@ -3,7 +3,7 @@
 //
 // The goldens pin RunResult::to_json for every system on a fixed grid of
 // (profile x seed) points with error injection enabled. They were captured
-// BEFORE the SimKernel refactor, so test_engine_parity proves the shared
+// BEFORE the loop was shared, so test_engine_parity proves the shared
 // cycle engine — both the reference run_naive() loop and the
 // fast-forwarding run() — reproduces the original bespoke run() loops bit
 // for bit. They are captured through run_naive(), so a fast-forward bug
