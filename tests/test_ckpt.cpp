@@ -887,6 +887,108 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(core::name_of(info.param.kind));
     });
 
+// ---- Divergent stream cursors -----------------------------------------------
+//
+// The members of a redundancy group read one instruction stream, each at
+// its own position: a decoupled core runs ahead of its partner, and the
+// hetero checker trails its leader. These pins checkpoint every redundant
+// system at a cycle where the first group's members sit at different
+// stream positions, and check that restoring into a fresh system and
+// resuming equals the uninterrupted run.
+
+/// The next-op position of every synthetic stream in `sys`'s checkpoint,
+/// in walk order (the first group's members come first).
+std::vector<std::uint64_t> stream_positions(const core::System& sys) {
+  ckpt::Serializer s;
+  sys.save_checkpoint(s);
+  const std::string bytes = s.take();
+  std::vector<std::uint64_t> at;
+  for (std::size_t i = bytes.find("SYNS"); i != std::string::npos;
+       i = bytes.find("SYNS", i + 4)) {
+    ckpt::Deserializer d(bytes.substr(i));
+    ckpt::Archive ar(d);
+    ar.chunk("SYNS", [&] {
+      (void)ar.pinned(std::string());  // profile name
+      (void)ar.pinned(0);  // seed
+      (void)ar.pinned(0);  // length
+      Rng rng;
+      ar.rng(rng);
+      std::uint64_t next_seq = 0, cold = 0;
+      bool last_was_store = false;
+      ar.u64(next_seq);
+      ar.u64(cold);
+      ar.b(last_was_store);
+      at.push_back(next_seq);
+    });
+  }
+  return at;
+}
+
+struct DivergentPin {
+  core::SystemKind kind;
+  Cycle cut;
+  /// False for Reunion only: its pair fetches in step (the fingerprint
+  /// gate and the shared L2 keep both cores on the same cycle), so no cycle
+  /// separates its cursors; the pin still covers a mid-run restore.
+  bool diverged;
+  std::uint64_t checkpoint_hash;
+};
+
+class DivergentCursors : public ::testing::TestWithParam<DivergentPin> {
+ protected:
+  static std::unique_ptr<core::System> make(core::SystemKind kind) {
+    core::SystemConfig cfg;
+    cfg.num_threads = 1;
+    cfg.ser_per_inst = 1e-3;
+    cfg.seed = 77;
+    workload::SyntheticStream stream(workload::profile("gzip"), cfg.seed,
+                                     4000);
+    return core::make_system(kind, cfg, stream);
+  }
+};
+
+TEST_P(DivergentCursors, PinnedBytesRestoreAndResumeExactly) {
+  const DivergentPin& pin = GetParam();
+  const engine::RunResult full = make(pin.kind)->run();
+
+  auto sys = make(pin.kind);
+  sys->run(pin.cut);
+  const std::vector<std::uint64_t> pos = stream_positions(*sys);
+  ASSERT_EQ(pos.size(), 2u);
+  EXPECT_EQ(pos[0] != pos[1], pin.diverged)
+      << "positions " << pos[0] << " and " << pos[1];
+  ckpt::Serializer s;
+  sys->save_checkpoint(s);
+  const std::string snapshot = s.take();
+  EXPECT_EQ(ckpt::hash64(snapshot), pin.checkpoint_hash);
+
+  auto resumed = make(pin.kind);
+  resumed->load_checkpoint_payload(snapshot);
+  ckpt::Serializer again;
+  resumed->save_checkpoint(again);
+  EXPECT_EQ(again.data(), snapshot);
+  EXPECT_EQ(resumed->state_fingerprint(), sys->state_fingerprint());
+  EXPECT_EQ(resumed->run().to_json(), full.to_json());
+  EXPECT_EQ(sys->run().to_json(), full.to_json());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RedundantSystems, DivergentCursors,
+    ::testing::Values(
+        DivergentPin{core::SystemKind::kUnSync, 3762, true,
+                     1627786154441771913ull},
+        DivergentPin{core::SystemKind::kReunion, 3000, false,
+                     5591884753001155540ull},
+        DivergentPin{core::SystemKind::kLockstep, 4232, true,
+                     2227080675155387076ull},
+        DivergentPin{core::SystemKind::kCheckpoint, 4218, true,
+                     16995938771424047757ull},
+        DivergentPin{core::SystemKind::kHetero, 970, true,
+                     16744502868767201750ull}),
+    [](const auto& info) {
+      return std::string(core::name_of(info.param.kind));
+    });
+
 // ---- Container fuzzing ------------------------------------------------------
 //
 // The robustness contract of every "unsync.ckpt.v1" consumer (file AND
