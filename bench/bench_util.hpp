@@ -43,18 +43,21 @@ struct BenchArgs {
   std::uint64_t jobs = 0;  // 0 = the bench's own default grid size
   std::string json;      // empty = no JSON dump; "-" = stdout
 
+  /// A malformed or out-of-range knob exits 2 (knobs_or_exit).
   static BenchArgs parse(int argc, char** argv) {
     const Config cfg = Config::from_args(argc, argv);
-    BenchArgs a;
-    a.insts_set = cfg.has("insts");
-    a.insts = cfg.get_unsigned<std::uint64_t>("insts", 30000);
-    a.seed = cfg.get_unsigned<std::uint64_t>("seed", 42);
-    a.threads = cfg.get_unsigned<unsigned>("threads", 1, 1);
-    a.workers = cfg.get_unsigned<unsigned>("workers", 0);
-    a.jobs = cfg.get_unsigned<std::uint64_t>("jobs", 0);
-    a.json = cfg.get_string("json", "");
-    cfg.report_unused("bench");
-    return a;
+    return knobs_or_exit([&] {
+      BenchArgs a;
+      a.insts_set = cfg.has("insts");
+      a.insts = cfg.get_unsigned<std::uint64_t>("insts", 30000);
+      a.seed = cfg.get_unsigned<std::uint64_t>("seed", 42);
+      a.threads = cfg.get_unsigned<unsigned>("threads", 1, 1);
+      a.workers = cfg.get_unsigned<unsigned>("workers", 0);
+      a.jobs = cfg.get_unsigned<std::uint64_t>("jobs", 0);
+      a.json = cfg.get_string("json", "");
+      cfg.report_unused("bench");
+      return a;
+    });
   }
 
   core::SystemConfig system_config(double ser = 0.0) const {

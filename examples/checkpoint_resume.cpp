@@ -14,11 +14,13 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
 #include "core/factory.hpp"
 #include "core/system.hpp"
+#include "fault/ser.hpp"
 #include "runtime/campaign.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
@@ -26,8 +28,12 @@
 int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
-  const auto insts = cfg.get_unsigned<std::uint64_t>("insts", 20000);
-  const double ser = cfg.get_double("ser", 1e-5);
+  const auto [insts, ser] = knobs_or_exit([&] {
+    const auto n = cfg.get_unsigned<std::uint64_t>("insts", 20000);
+    const double s = cfg.get_double("ser", 1e-5);
+    fault::check_ser(s);
+    return std::pair{n, s};
+  });
 
   core::SystemConfig sys_cfg;
   sys_cfg.num_threads = 2;

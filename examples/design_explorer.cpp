@@ -8,6 +8,8 @@
 //
 //   ./build/examples/design_explorer [bench=susan] [insts=40000]
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "common/config.hpp"
 #include "common/table.hpp"
@@ -20,8 +22,10 @@
 int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
-  const std::string bench = cfg.get_string("bench", "susan");
-  const auto insts = cfg.get_unsigned<std::uint64_t>("insts", 40000);
+  const auto [bench, insts] = knobs_or_exit([&] {
+    return std::pair{cfg.get_string("bench", "susan"),
+                     cfg.get_unsigned<std::uint64_t>("insts", 40000)};
+  });
   const std::uint64_t seed = 11;
 
   // Every design point is built through core::make_system (the factory the

@@ -108,6 +108,17 @@ int main(int argc, char** argv) {
   using namespace unsync;
   using namespace unsync::fault;
   const Config cfg = Config::from_args(argc, argv);
+  struct Knobs {
+    std::uint64_t trials, seed;
+    bool metrics;
+    unsigned threads;
+  };
+  const Knobs knobs = knobs_or_exit([&] {
+    return Knobs{cfg.get_unsigned<std::uint64_t>("trials", 300),
+                 cfg.get_unsigned<std::uint64_t>("seed", 1),
+                 cfg.get_bool("metrics", false),
+                 cfg.get_unsigned<unsigned>("threads", 0)};
+  });
 
   const isa::Program prog = isa::Assembler::assemble(kMatMulSource);
   isa::FunctionalSim golden(prog);
@@ -117,8 +128,8 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   InjectionConfig icfg;
-  icfg.trials = cfg.get_unsigned<std::uint64_t>("trials", 300);
-  icfg.seed = cfg.get_unsigned<std::uint64_t>("seed", 1);
+  icfg.trials = knobs.trials;
+  icfg.seed = knobs.seed;
 
   TextTable t("Single-bit fault outcomes (" + std::to_string(icfg.trials) +
               " trials per row)");
@@ -140,10 +151,10 @@ int main(int argc, char** argv) {
   };
   // metrics=1 demonstrates the injector's observability hook: one registry
   // per campaign (single-owner during the run), snapshots merged after.
-  const bool want_metrics = cfg.get_bool("metrics", false);
+  const bool want_metrics = knobs.metrics;
   std::vector<CampaignResult> results(std::size(specs));
   std::vector<obs::MetricsSnapshot> row_metrics(std::size(specs));
-  const auto threads = cfg.get_unsigned<unsigned>("threads", 0);
+  const unsigned threads = knobs.threads;
   runtime::parallel_for(threads, std::size(specs), [&](std::size_t i) {
     InjectionConfig row_cfg = icfg;
     row_cfg.l1_write_through = specs[i].write_through;

@@ -10,6 +10,7 @@
 //                                    [threads=<host workers>]
 #include <filesystem>
 #include <iostream>
+#include <tuple>
 
 #include "common/config.hpp"
 #include "common/table.hpp"
@@ -22,9 +23,11 @@
 int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
-  const bool save = cfg.get_bool("save_traces", false);
-  const bool verbose = cfg.get_bool("verbose", false);
-  const auto threads = cfg.get_unsigned<unsigned>("threads", 0);
+  const auto [save, verbose, threads] = knobs_or_exit([&] {
+    return std::tuple{cfg.get_bool("save_traces", false),
+                      cfg.get_bool("verbose", false),
+                      cfg.get_unsigned<unsigned>("threads", 0)};
+  });
 
   runtime::SimJob base;
   base.params.unsync.cb_entries = 128;

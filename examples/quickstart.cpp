@@ -8,10 +8,12 @@
 //
 // Build & run:  ./build/examples/quickstart [insts=...] [ser=1e-4]
 #include <iostream>
+#include <utility>
 
 #include "common/config.hpp"
 #include "core/factory.hpp"
 #include "core/report.hpp"
+#include "fault/ser.hpp"
 #include "isa/assembler.hpp"
 #include "isa/functional_sim.hpp"
 #include "workload/trace.hpp"
@@ -19,7 +21,11 @@
 int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
-  const double ser = cfg.get_double("ser", 1e-4);
+  const auto [ser, verbose] = knobs_or_exit([&] {
+    const double s = cfg.get_double("ser", 1e-4);
+    fault::check_ser(s);
+    return std::pair{s, cfg.get_bool("verbose", false)};
+  });
 
   // 1. Assemble. The program fills an array with i*i and folds it into a
   //    checksum that it emits through the syscall channel.
@@ -92,7 +98,7 @@ int main(int argc, char** argv) {
             << "% (errors are survived; the baseline would silently "
                "corrupt).\n";
 
-  if (cfg.get_bool("verbose", false)) {
+  if (verbose) {
     std::cout << "\n";
     core::RunReport(ru, &unsync->memory()).print(std::cout);
   } else {

@@ -18,15 +18,26 @@
 int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
-  const auto insts = cfg.get_unsigned<std::uint64_t>("insts", 50000);
-  const auto seed = cfg.get_unsigned<std::uint64_t>("seed", 7);
+  struct Knobs {
+    std::uint64_t insts, seed;
+    std::size_t cb;
+    unsigned fi, threads;
+  };
+  const Knobs knobs = knobs_or_exit([&] {
+    return Knobs{cfg.get_unsigned<std::uint64_t>("insts", 50000),
+                 cfg.get_unsigned<std::uint64_t>("seed", 7),
+                 cfg.get_unsigned<std::size_t>("cb", 256),
+                 cfg.get_unsigned<unsigned>("fi", 10),
+                 cfg.get_unsigned<unsigned>("threads", 0)};
+  });
+  const std::uint64_t insts = knobs.insts;
+  const std::uint64_t seed = knobs.seed;
 
   runtime::SimJob base;
   base.insts = insts;
   base.seed = seed;  // every profile/system cell runs the same-seed stream
-  base.params.unsync.cb_entries = cfg.get_unsigned<std::size_t>("cb", 256);
-  base.params.reunion.fingerprint_interval =
-      cfg.get_unsigned<unsigned>("fi", 10);
+  base.params.unsync.cb_entries = knobs.cb;
+  base.params.reunion.fingerprint_interval = knobs.fi;
 
   constexpr core::SystemKind kSystems[] = {core::SystemKind::kBaseline,
                                               core::SystemKind::kUnSync,
@@ -45,7 +56,7 @@ int main(int argc, char** argv) {
   }
 
   runtime::CampaignRunner::Options opts;
-  opts.threads = cfg.get_unsigned<unsigned>("threads", 0);
+  opts.threads = knobs.threads;
   opts.campaign_seed = seed;
   const auto out = runtime::CampaignRunner(opts).run(jobs);
   cfg.report_unused("spec_campaign");  // warn on misspelled knobs

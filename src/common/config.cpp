@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -182,6 +183,11 @@ bool Config::report_unused(const std::string& context) const {
   msg << " (options are key=value; see usage)";
   Log::error(msg.str());
   return true;
+}
+
+void exit_bad_knob(const char* what) {
+  Log::error(what);
+  std::exit(2);
 }
 
 }  // namespace unsync

@@ -105,4 +105,20 @@ class Config {
   mutable std::vector<std::string> consulted_;
 };
 
+/// Prints `what` as an error and exits with status 2.
+[[noreturn]] void exit_bad_knob(const char* what);
+
+/// Front-end guard for the examples and benches: returns parse(), or, when
+/// it throws std::invalid_argument (a ConfigError, or a value a simulator
+/// check rejects), prints the message to stderr and exits with status 2 —
+/// the unsync_sim convention — instead of terminating.
+template <typename Parse>
+auto knobs_or_exit(Parse&& parse) -> decltype(parse()) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& e) {
+    exit_bad_knob(e.what());
+  }
+}
+
 }  // namespace unsync

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -23,7 +25,17 @@ class Rng {
   void reseed(std::uint64_t seed);
 
   /// Raw 64-bit draw (xoshiro256** scrambler).
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   std::uint64_t operator()() { return next(); }
 
@@ -32,8 +44,8 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
   std::uint64_t below(std::uint64_t bound);
@@ -53,7 +65,16 @@ class Rng {
 
   /// Draws an index from a discrete distribution given cumulative weights
   /// (cumulative[i] = sum of weights[0..i], last element = total weight).
-  std::size_t pick_cumulative(const double* cumulative, std::size_t n);
+  std::size_t pick_cumulative(const double* cumulative, std::size_t n) {
+    assert(n > 0);
+    const double draw = uniform() * cumulative[n - 1];
+    // Linear scan: distributions in this codebase have < 16 buckets, where
+    // a scan beats binary search on branch prediction.
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      if (draw < cumulative[i]) return i;
+    }
+    return n - 1;
+  }
 
   /// Raw generator state, for checkpoint/restore: set_state(state()) on a
   /// second instance makes it produce the identical draw sequence.
@@ -65,6 +86,10 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -21,7 +21,7 @@ BaselineSystem::BaselineSystem(
       env_(this) {
   for (unsigned t = 0; t < config.num_threads; ++t) {
     cores_.push_back(std::make_unique<cpu::OooCore>(
-        t, config.core, &memory_, streams[t]->clone(), &env_));
+        t, config.core, &memory_, member_stream(t), &env_));
     register_core(*cores_.back());
   }
 }

@@ -76,7 +76,7 @@ DmrCheckpointSystem::DmrCheckpointSystem(
       pair->env[side] =
           std::make_unique<CheckpointEnv>(this, pair.get(), side);
       pair->core[side] = std::make_unique<cpu::OooCore>(
-          t * 2 + side, config_.core, &memory_, streams[t]->clone(),
+          t * 2 + side, config_.core, &memory_, member_stream(t),
           pair->env[side].get());
       register_core(*pair->core[side]);
     }

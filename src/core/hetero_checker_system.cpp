@@ -110,7 +110,8 @@ HeteroCheckerSystem::HeteroCheckerSystem(
     // Only the leaders own caches: the checker runs log-fed, touching the
     // hierarchy solely through verified-store writebacks on the leader's
     // L1.
-    : System("hetero", config, streams, 1, config.mem),
+    : System("hetero", config, streams, 1, config.mem,
+             /*error_process=*/true, /*stream_readers=*/2),
       params_(params.validated()) {
   cpu::InOrderConfig checker_cfg;
   checker_cfg.width = params_.checker_width;
@@ -122,11 +123,11 @@ HeteroCheckerSystem::HeteroCheckerSystem(
     group->leader_env = std::make_unique<LeaderEnv>(this, group.get());
     group->checker_env = std::make_unique<CheckerEnv>(this, group.get());
     group->leader = std::make_unique<cpu::OooCore>(
-        t, config_.core, &memory_, streams[t]->clone(),
+        t, config_.core, &memory_, member_stream(t),
         group->leader_env.get());
     register_core(*group->leader);
     group->checker = std::make_unique<cpu::InOrderCore>(
-        config_.num_threads + t, checker_cfg, nullptr, streams[t]->clone(),
+        config_.num_threads + t, checker_cfg, nullptr, member_stream(t),
         group->checker_env.get());
     group->checker->set_tracer(&tracer_);
     groups_.push_back(std::move(group));

@@ -41,7 +41,7 @@ LockstepSystem::LockstepSystem(
     for (unsigned side = 0; side < 2; ++side) {
       pair->env[side] = std::make_unique<LockstepEnv>(this, pair.get(), side);
       pair->core[side] = std::make_unique<cpu::OooCore>(
-          t * 2 + side, core_cfg, &memory_, streams[t]->clone(),
+          t * 2 + side, core_cfg, &memory_, member_stream(t),
           pair->env[side].get());
       register_core(*pair->core[side]);
     }

@@ -227,7 +227,7 @@ ReunionSystem::ReunionSystem(
       const CoreId core_id = t * 2 + side;
       pair->env[side] = std::make_unique<ReunionEnv>(this, pair.get(), side);
       pair->core[side] = std::make_unique<cpu::OooCore>(
-          core_id, config_.core, &memory_, streams[t]->clone(),
+          core_id, config_.core, &memory_, member_stream(t),
           pair->env[side].get());
       register_core(*pair->core[side]);
     }

@@ -19,7 +19,7 @@ bool all_finished(const System& sys, std::size_t groups) {
 System::System(std::string name, const SystemConfig& config,
                const std::vector<const workload::InstStream*>& streams,
                unsigned cores_per_group, const mem::MemConfig& mem,
-               bool error_process)
+               bool error_process, unsigned stream_readers)
     : name_(std::move(name)),
       config_(config),
       thread_lengths_(engine::lengths_of(streams)),
@@ -41,9 +41,25 @@ System::System(std::string name, const SystemConfig& config,
       arrivals_[t].positions = std::move(schedules[t]);
     }
   }
+  const unsigned readers = stream_readers ? stream_readers : cores_per_group;
+  member_streams_.reserve(streams.size());
+  for (const workload::InstStream* stream : streams) {
+    member_streams_.push_back(stream->share(readers));
+    std::reverse(member_streams_.back().begin(), member_streams_.back().end());
+  }
   acc_.system = name_;
   acc_.thread_instructions = thread_lengths_;
   acc_.instructions = engine::max_length(thread_lengths_);
+}
+
+std::unique_ptr<workload::InstStream> System::member_stream(std::size_t t) {
+  auto& left = member_streams_.at(t);
+  if (left.empty()) {
+    throw std::logic_error(name_ + ": more member streams taken than built");
+  }
+  std::unique_ptr<workload::InstStream> stream = std::move(left.back());
+  left.pop_back();
+  return stream;
 }
 
 engine::RunResult System::run(Cycle max_cycles) {
@@ -106,6 +122,7 @@ engine::RunResult System::complete() {
 std::vector<std::vector<SeqNum>> System::draw_arrivals(
     double ser_per_inst, const std::vector<std::uint64_t>& lengths,
     Rng& rng) {
+  fault::check_ser(ser_per_inst);
   std::vector<std::vector<SeqNum>> schedules;
   schedules.reserve(lengths.size());
   for (const std::uint64_t len : lengths) {

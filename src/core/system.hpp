@@ -266,7 +266,9 @@ class System : public engine::SimModel {
   /// The arrival draw of every redundant system: one schedule per thread,
   /// drawn in thread order from `rng` over that thread's stream length.
   /// Construction and runtime::compute_fault_channel both call it, so the
-  /// draw sequence the fault channel pins is written once.
+  /// draw sequence the fault channel pins is written once. Throws
+  /// std::invalid_argument unless `ser_per_inst` is a probability: finite
+  /// and in [0, 1].
   static std::vector<std::vector<SeqNum>> draw_arrivals(
       double ser_per_inst, const std::vector<std::uint64_t>& lengths,
       Rng& rng);
@@ -295,13 +297,21 @@ class System : public engine::SimModel {
   /// stream lengths, builds the memory hierarchy from `mem` with
   /// `cores_per_group` cores per thread, pre-warms it, draws every
   /// thread's arrivals (unless `error_process` is false: the baseline has
-  /// none, so it draws nothing and exposes no fault channel) and seeds the
-  /// result's identity fields. Throws std::invalid_argument on zero
-  /// threads or a stream count mismatch.
+  /// none, so it draws nothing and exposes no fault channel), builds each
+  /// group's member streams and seeds the result's identity fields.
+  /// `stream_readers` is the number of cores that run each thread's stream
+  /// (0: `cores_per_group`; hetero's unregistered checker makes it 2);
+  /// a group of two or more shares one generator (InstStream::share).
+  /// Throws std::invalid_argument on zero threads, a stream count
+  /// mismatch or an invalid ser_per_inst.
   System(std::string name, const SystemConfig& config,
          const std::vector<const workload::InstStream*>& streams,
          unsigned cores_per_group, const mem::MemConfig& mem,
-         bool error_process = true);
+         bool error_process = true, unsigned stream_readers = 0);
+
+  /// The next of thread `t`'s member streams, in member order; derived
+  /// constructors take exactly `stream_readers` per thread.
+  std::unique_ptr<workload::InstStream> member_stream(std::size_t t);
 
   /// Derived constructors register `cores_per_group` cores per thread in
   /// group-major order (group 0 side 0, group 0 side 1, ..., matching
@@ -422,6 +432,9 @@ class System : public engine::SimModel {
 
   bool error_process_ = true;
   std::size_t cores_per_group_ = 1;  ///< registered cores per thread
+  /// Per thread, the member streams not yet taken, last member first.
+  std::vector<std::vector<std::unique_ptr<workload::InstStream>>>
+      member_streams_;
   std::vector<cpu::OooCore*> registered_cores_;
   std::unique_ptr<fault::AvfCollector> avf_collector_;
 };

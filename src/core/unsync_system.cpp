@@ -59,7 +59,7 @@ UnSyncSystem::UnSyncSystem(
       group->envs.push_back(
           std::make_unique<CbEnv>(this, group.get(), side));
       group->cores.push_back(std::make_unique<cpu::OooCore>(
-          core_id, config_.core, &memory_, streams[t]->clone(),
+          core_id, config_.core, &memory_, member_stream(t),
           group->envs.back().get()));
       register_core(*group->cores.back());
     }

@@ -58,15 +58,7 @@ void InOrderCore::set_position(SeqNum seq) {
   op_valid_ = false;
   started_ = false;
   complete_at_ = 0;
-  stream_->reset();
-  stream_done_ = false;
-  workload::DynOp tmp;
-  for (SeqNum i = 0; i < seq; ++i) {
-    if (!stream_->next(&tmp)) {
-      stream_done_ = true;
-      break;
-    }
-  }
+  stream_done_ = !stream_->seek(seq);
   refill_head();
 }
 

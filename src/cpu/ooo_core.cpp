@@ -61,15 +61,7 @@ void OooCore::flush_pipeline() {
   fetch_blocked_on_ = kNoSeq;
   pending_stream_op_valid_ = false;
   // Reposition the stream cursor at the oldest uncommitted instruction.
-  stream_->reset();
-  stream_done_ = false;
-  workload::DynOp tmp;
-  for (SeqNum i = 0; i < resume; ++i) {
-    if (!stream_->next(&tmp)) {
-      stream_done_ = true;
-      break;
-    }
-  }
+  stream_done_ = !stream_->seek(resume);
 }
 
 void OooCore::set_position(SeqNum seq) {
@@ -109,8 +101,8 @@ bool OooCore::try_fu(FuPool& pool, Cycle now, Cycle* complete_at) {
   return false;
 }
 
-void OooCore::track(RobEntry& e) {
-  if (e.in_iq) wait_for_sources(e);
+void OooCore::track(RobEntry& e, Cycle ready_by) {
+  if (e.in_iq) wait_for_sources(e, ready_by);
   if (e.op.is_load()) {
     // Older entries leave the ROB only by in-order commit, so once this
     // store has committed every older store has too: the match resolved
@@ -141,7 +133,7 @@ void OooCore::rebuild_derived() {
   for (std::size_t i = 0; i < rob_.size(); ++i) track(rob_[i]);
 }
 
-void OooCore::wait_for_sources(RobEntry& e) {
+void OooCore::wait_for_sources(RobEntry& e, Cycle ready_by) {
   Cycle ready = 0;
   for (const SeqNum src : e.op.src) {
     if (src == kNoSeq) continue;
@@ -153,6 +145,11 @@ void OooCore::wait_for_sources(RobEntry& e) {
       return;
     }
     ready = std::max(ready, producer->complete_at);
+  }
+  if (ready_by != 0 && ready <= ready_by) {
+    ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), e.op.seq),
+                  e.op.seq);
+    return;
   }
   timers_.push_back({ready, e.op.seq});
   std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
@@ -549,16 +546,20 @@ void OooCore::do_dispatch(Cycle now) {
       break;
     }
 
-    RobEntry e;
+    // Built in its ROB slot: every field is (re)set here.
+    RobEntry& e = rob_.append();
     e.op = op;
+    e.in_iq = true;
+    e.issued = false;
+    e.complete_at = kNever;
     e.mispredicted = op.is_branch() && op.has_mispredict_hint
                          ? op.mispredict_hint
                          : false;
-    rob_.push_back(e);
-    track(rob_.back());
+    e.fwd_store = e.waiters = e.next_waiter = kNoSeq;
+    track(e, now + 1);
     ++iq_count_;
-    if (op.is_load()) ++lq_count_;
-    if (op.is_store()) ++sq_count_;
+    if (e.op.is_load()) ++lq_count_;
+    if (e.op.is_store()) ++sq_count_;
     fetch_queue_.pop_front();
   }
 }
@@ -575,15 +576,16 @@ void OooCore::do_fetch(Cycle now) {
   for (std::uint32_t n = 0; n < config_.fetch_width; ++n) {
     if (fetch_queue_.size() >= config_.fetch_queue_entries) break;
 
-    workload::DynOp op;
+    // The op is produced in its fetch-queue slot; one that does not enter
+    // the queue this cycle is popped back off.
+    workload::DynOp& op = fetch_queue_.append();
     if (pending_stream_op_valid_) {
       op = pending_stream_op_;
       pending_stream_op_valid_ = false;
-    } else {
-      if (stream_done_ || !stream_->next(&op)) {
-        stream_done_ = true;
-        break;
-      }
+    } else if (stream_done_ || !stream_->next(&op)) {
+      fetch_queue_.pop_back();
+      stream_done_ = true;
+      break;
     }
 
     // Front end: translate and fetch the instruction's line. An I-TLB miss
@@ -604,6 +606,7 @@ void OooCore::do_fetch(Cycle now) {
         ++stats_.fetch_blocked_icache;
         pending_stream_op_ = op;
         pending_stream_op_valid_ = true;
+        fetch_queue_.pop_back();
         fetch_resume_at_ = std::max(fetch_resume_at_, blocked_until);
         return;
       }
@@ -621,7 +624,6 @@ void OooCore::do_fetch(Cycle now) {
         op.has_mispredict_hint = true;
         op.mispredict_hint = wrong;
       }
-      fetch_queue_.push_back(op);
       if (tracer_ && tracer_->enabled()) {
         tracer_->emit({.kind = obs::TraceKind::kFetch, .cycle = now,
                        .thread = 0, .core = id_, .seq = op.seq,
@@ -634,7 +636,6 @@ void OooCore::do_fetch(Cycle now) {
       }
       continue;
     }
-    fetch_queue_.push_back(op);
     if (tracer_ && tracer_->enabled()) {
       tracer_->emit({.kind = obs::TraceKind::kFetch, .cycle = now,
                      .thread = 0, .core = id_, .seq = op.seq, .addr = op.pc,

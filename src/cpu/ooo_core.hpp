@@ -257,9 +257,16 @@ class OooCore {
     T& front() { return (*this)[0]; }
     const T& front() const { return (*this)[0]; }
     T& back() { return (*this)[size_ - 1]; }
-    void push_back(const T& v) {
+    void push_back(const T& v) { append() = v; }
+    /// Appends the slot after back() and returns it as the new back(),
+    /// holding whatever it last held, for the caller to fill in place.
+    T& append() {
       assert(size_ < slots_.size());
-      slots_[(head_ + size_++) & mask_] = v;
+      return slots_[(head_ + size_++) & mask_];
+    }
+    void pop_back() {
+      assert(size_ > 0);
+      --size_;
     }
     void pop_front() {
       assert(size_ > 0);
@@ -349,15 +356,19 @@ class OooCore {
     return const_cast<RobEntry*>(std::as_const(*this).in_flight(seq));
   }
 
-  /// Adds a dispatched entry to the derived structures.
-  void track(RobEntry& e);
+  /// Adds a dispatched entry to the derived structures; `ready_by` as in
+  /// wait_for_sources.
+  void track(RobEntry& e, Cycle ready_by = 0);
   /// Rebuilds the issue structures, store list and fence FIFO from the
   /// ROB.
   void rebuild_derived();
 
   /// Files waiting entry `e` by its sources: parked on an unissued
-  /// producer, or timed for the cycle its sources are ready.
-  void wait_for_sources(RobEntry& e);
+  /// producer, or timed for the cycle its sources are ready. Dispatch
+  /// passes `ready_by` = now + 1: an entry ready by then joins ready_ at
+  /// once, where the tick's closing promote(now + 1) would put it. 0 files
+  /// every such entry on the timer heap.
+  void wait_for_sources(RobEntry& e, Cycle ready_by = 0);
   /// Re-files the entries parked on `producer`, which just issued.
   void wake_waiters(RobEntry& producer);
   /// Moves the timed entries ready by `cycle` to ready_.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 namespace unsync::fault {
 
@@ -29,6 +31,16 @@ double fit_to_per_cycle(double fit, double hz) {
 double fit_to_per_inst(double fit, double hz, double ipc) {
   assert(ipc > 0);
   return fit_to_per_cycle(fit, hz) / ipc;
+}
+
+void check_ser(double ser_per_inst) {
+  // NaN fails both comparisons; infinity fails the upper bound.
+  if (ser_per_inst >= 0.0 && ser_per_inst <= 1.0) return;
+  std::ostringstream got;
+  got << ser_per_inst;
+  throw std::invalid_argument(
+      "ser must be a per-instruction probability in [0, 1], got " +
+      got.str());
 }
 
 std::vector<SeqNum> sample_error_arrivals(double ser_per_inst,

@@ -35,6 +35,11 @@ double fit_to_per_cycle(double fit, double hz);
 /// a given average IPC.
 double fit_to_per_inst(double fit, double hz, double ipc);
 
+/// Throws std::invalid_argument unless `ser_per_inst` is a per-instruction
+/// probability: finite and in [0, 1]. A NaN or infinite rate would make
+/// the arrival draw loop without end.
+void check_ser(double ser_per_inst);
+
 /// Poisson error-arrival process over an instruction stream: given a
 /// per-instruction error probability, draws the ordered sequence numbers at
 /// which errors strike within [0, total_insts).

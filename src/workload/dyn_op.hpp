@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/types.hpp"
 #include "isa/isa.hpp"
@@ -51,20 +52,37 @@ struct DynOp {
 
 /// A forward iterator over a dynamic instruction stream.
 ///
-/// Redundant-execution systems run the *same* stream on two cores; clone()
-/// must return an independent cursor that yields an identical sequence.
+/// Redundant-execution systems run the *same* stream on two or more cores:
+/// clone() returns an independent cursor that yields an identical
+/// sequence, and share() hands a whole redundancy group its cursors at
+/// once, so a stream that is costly to produce is produced once per group.
 class InstStream {
  public:
   virtual ~InstStream() = default;
 
-  /// Produces the next op; returns false at end of stream.
+  /// Produces the next op into `*out`, overwriting every field; returns
+  /// false at end of stream.
   virtual bool next(DynOp* out) = 0;
 
   /// Independent cursor over the identical sequence, positioned at start.
   virtual std::unique_ptr<InstStream> clone() const = 0;
 
+  /// `readers` cursors over the identical sequence, each positioned at
+  /// start and each indistinguishable from a clone(): same ops, same seek
+  /// results, same checkpoint bytes. The default is `readers` clones;
+  /// the synthetic generator overrides it to draw each op once for all of
+  /// them.
+  virtual std::vector<std::unique_ptr<InstStream>> share(
+      std::size_t readers) const;
+
   /// Rewinds this cursor to the start of the stream.
   virtual void reset() = 0;
+
+  /// Positions this cursor so the next op it yields is `seq`: the state
+  /// reset() followed by `seq` calls to next() leaves. Returns false, at
+  /// end of stream, when the stream holds fewer than `seq` ops. The default
+  /// replays exactly that; streams with random access override it.
+  virtual bool seek(SeqNum seq);
 
   /// Total ops this stream will yield, if known (0 = unknown/unbounded).
   virtual std::uint64_t length() const { return 0; }

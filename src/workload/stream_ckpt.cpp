@@ -1,6 +1,7 @@
-// Checkpoint walks for the workload layer: DynOp records and the two
-// stream cursor types. Kept in one translation unit so the wire layout of
-// a stream's state is reviewable in a single place.
+// Checkpoint walks for the workload layer: DynOp records and the stream
+// cursor types (a shared-ring cursor writes the synthetic stream's chunk
+// through visit_state). Kept in one translation unit so the wire layout
+// of a stream's state is reviewable in a single place.
 #include "ckpt/archive.hpp"
 #include "workload/dyn_op.hpp"
 #include "workload/synthetic.hpp"
@@ -25,7 +26,9 @@ void InstStream::visit(ckpt::Archive&) {
   throw ckpt::CkptError("this stream type does not support checkpointing");
 }
 
-void SyntheticStream::visit(ckpt::Archive& ar) {
+void SyntheticStream::visit(ckpt::Archive& ar) { visit_state(ar, state_); }
+
+void SyntheticStream::visit_state(ckpt::Archive& ar, State& s) const {
   ar.chunk("SYNS", [&] {
     // Identity of the generation function — everything else (locality
     // model, cumulative mix weights, address-space base) is re-derived from
@@ -40,10 +43,10 @@ void SyntheticStream::visit(ckpt::Archive& ar) {
           profile_.name + "/" + std::to_string(seed_) + "/" +
           std::to_string(length_));
     }
-    ar.rng(rng_);
-    ar.u64(next_seq_);
-    ar.u64(cold_cursor_);
-    ar.b(last_was_store_);
+    ar.rng(s.rng);
+    ar.u64(s.next_seq);
+    ar.u64(s.cold_cursor);
+    ar.b(s.last_was_store);
   });
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace unsync::workload {
 
@@ -16,7 +17,7 @@ constexpr isa::InstClass kNonStoreClasses[9] = {
 
 SyntheticStream::SyntheticStream(const BenchmarkProfile& profile,
                                  std::uint64_t seed, std::uint64_t length)
-    : profile_(profile), seed_(seed), length_(length), rng_(seed) {
+    : profile_(profile), seed_(seed), length_(length), state_{Rng(seed)} {
   assert(!profile.validate().has_value());
 
   // Disjoint address space per (profile, seed): a deterministic hash picks
@@ -46,89 +47,101 @@ SyntheticStream::SyntheticStream(const BenchmarkProfile& profile,
   p_store_after_nonstore_ = p < 1.0 ? p * (1.0 - q) / (1.0 - p) : 1.0;
 
   dep_p_ = 1.0 / profile_.mean_dep_distance;
+  dep_log1p_ = std::log1p(-dep_p_);
   miss1_load_ = profile_.l1_miss_rate;
   miss1_store_ = profile_.l1_miss_rate * 0.7;
-}
-
-void SyntheticStream::reset() {
-  rng_.reseed(seed_);
-  next_seq_ = 0;
-  last_was_store_ = false;
-  cold_cursor_ = 0;
 }
 
 std::unique_ptr<InstStream> SyntheticStream::clone() const {
   return std::make_unique<SyntheticStream>(profile_, seed_, length_);
 }
 
-Addr SyntheticStream::draw_address(bool is_store) {
+bool SyntheticStream::replay_to(State& s, SeqNum seq) const {
+  if (seq < s.next_seq) s = start();
+  DynOp skipped;
+  while (s.next_seq < seq) {
+    if (!generate(s, &skipped)) return false;
+  }
+  return true;
+}
+
+Addr SyntheticStream::draw_address(State& s, bool is_store) const {
   // Three-tier locality model tuned so simulated caches see the profile's
   // miss rates. Stores are slightly hotter than loads in real programs
   // (write buffers absorb them), so the store L1-miss probability shrinks.
   const double miss1 = is_store ? miss1_store_ : miss1_load_;
-  const double u = rng_.uniform();
+  const double u = s.rng.uniform();
   if (u >= miss1) {
     // Hot tier: a small set that is L1-resident after warmup.
-    return aspace_base_ + kHotBase + rng_.below(kHotBytes / 8) * 8;
+    return aspace_base_ + kHotBase + s.rng.below(kHotBytes / 8) * 8;
   }
-  if (rng_.uniform() < profile_.l2_miss_rate) {
+  if (s.rng.uniform() < profile_.l2_miss_rate) {
     // Cold tier: a fresh streaming line — guaranteed to miss everywhere.
-    const Addr line = aspace_base_ + kColdBase + cold_cursor_;
-    cold_cursor_ += 64;
-    return line + rng_.below(8) * 8;
+    const Addr line = aspace_base_ + kColdBase + s.cold_cursor;
+    s.cold_cursor += 64;
+    return line + s.rng.below(8) * 8;
   }
   // Warm tier: a 128 KiB region (warm_region()) the systems pre-load into
   // the shared L2. Its footprint exceeds the L1, so these draws miss the
   // L1 but hit the L2 — the profile's local L2 hit behaviour.
-  return aspace_base_ + kWarmBase + rng_.below(kWarmPoolLines * 64 / 8) * 8;
+  return aspace_base_ + kWarmBase +
+         s.rng.below(kWarmPoolLines * 64 / 8) * 8;
 }
 
-bool SyntheticStream::next(DynOp* out) {
-  if (next_seq_ >= length_) return false;
+bool SyntheticStream::generate(State& s, DynOp* out) const {
+  if (s.next_seq >= length_) return false;
 
-  DynOp op;
-  op.seq = next_seq_++;
+  // Every field of *out is written: it is the caller's slot (a fetch-queue
+  // entry, a ring slot), not a fresh DynOp.
+  DynOp& op = *out;
+  op.seq = s.next_seq++;
 
   const bool is_store = profile_.mix.store > 0.0 &&
-                        rng_.chance(last_was_store_ ? p_store_after_store_
-                                                    : p_store_after_nonstore_);
-  last_was_store_ = is_store;
+                        s.rng.chance(s.last_was_store ? p_store_after_store_
+                                                      : p_store_after_nonstore_);
+  s.last_was_store = is_store;
   op.cls = is_store
                ? isa::InstClass::kStore
-               : kNonStoreClasses[rng_.pick_cumulative(nonstore_cumulative_, 9)];
+               : kNonStoreClasses[s.rng.pick_cumulative(nonstore_cumulative_, 9)];
 
   // Synthetic PCs: branches draw from a small static-branch pool so a real
   // predictor would see recurring PCs; other classes walk a code region.
-  op.pc = op.is_branch() ? 0x1000 + (rng_.below(256) * 4)
+  op.pc = op.is_branch() ? 0x1000 + (s.rng.below(256) * 4)
                          : 0x4000 + ((op.seq % 4096) * 4);
 
   // Register dataflow: each source points a geometric distance back
   // (p = 1/mean gives the profile's mean distance). Not every operand is a
   // live register value — immediates, constants and loop-invariant inputs
   // make real instruction streams much sparser than two-live-sources-per-
-  // instruction, which is what lets a 4-wide core sustain IPC > 1.
-  const double p = dep_p_;
+  // instruction, which is what lets a 4-wide core sustain IPC > 1. The
+  // distance is Rng::geometric(dep_p_) with its divisor hoisted: the same
+  // draw and the same double.
   const int nsrc = op.cls == isa::InstClass::kSerializing ? 0
                    : op.is_load()                         ? 1
                                                           : 2;
   constexpr double kSrcPresent[2] = {0.85, 0.45};
+  op.src[0] = op.src[1] = kNoSeq;
   for (int i = 0; i < nsrc; ++i) {
-    if (!rng_.chance(kSrcPresent[i])) continue;
-    const std::uint64_t dist = 1 + rng_.geometric(p);
+    if (!s.rng.chance(kSrcPresent[i])) continue;
+    const std::uint64_t failures =
+        dep_p_ >= 1.0 ? 0
+                      : static_cast<std::uint64_t>(std::floor(
+                            std::log1p(-s.rng.uniform()) / dep_log1p_));
+    const std::uint64_t dist = 1 + failures;
     op.src[i] = dist <= op.seq ? op.seq - dist : kNoSeq;
   }
   op.writes_reg = !(op.is_store() || op.is_branch() || op.is_serializing());
 
-  if (op.is_load() || op.is_store()) {
-    op.mem_addr = draw_address(op.is_store());
-  }
+  op.mem_addr = op.is_load() || op.is_store()
+                    ? draw_address(s, op.is_store())
+                    : kNoAddr;
   if (op.is_branch()) {
-    op.taken = rng_.chance(0.6);
+    op.taken = s.rng.chance(0.6);
     op.has_mispredict_hint = true;
-    op.mispredict_hint = rng_.chance(profile_.branch_mispredict_rate);
+    op.mispredict_hint = s.rng.chance(profile_.branch_mispredict_rate);
+  } else {
+    op.taken = op.has_mispredict_hint = op.mispredict_hint = false;
   }
-
-  *out = op;
   return true;
 }
 

@@ -9,11 +9,14 @@
 //
 // Generation is a pure function of (profile, seed, length): two clones with
 // the same parameters yield bit-identical streams, which is what redundant
-// core pairs require.
+// core pairs require. share() goes one step further for a redundancy
+// group: one generator draws each op once into a ring that every member
+// reads through its own cursor (stream_group.cpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "workload/dyn_op.hpp"
@@ -26,9 +29,15 @@ class SyntheticStream final : public InstStream {
   SyntheticStream(const BenchmarkProfile& profile, std::uint64_t seed,
                   std::uint64_t length);
 
-  bool next(DynOp* out) override;
+  bool next(DynOp* out) override { return generate(state_, out); }
   std::unique_ptr<InstStream> clone() const override;
-  void reset() override;
+  /// One cursor per reader over a ring the readers share: each op is
+  /// drawn once, however many cores run it. One reader gets a clone.
+  std::vector<std::unique_ptr<InstStream>> share(
+      std::size_t readers) const override;
+  void reset() override { state_ = start(); }
+  /// Forward: draws up to `seq`; backward: restarts and replays.
+  bool seek(SeqNum seq) override { return replay_to(state_, seq); }
   std::uint64_t length() const override { return length_; }
   std::optional<WarmRegion> warm_region() const override {
     return WarmRegion{aspace_base_ + kWarmBase, kWarmPoolLines * 64};
@@ -45,17 +54,43 @@ class SyntheticStream final : public InstStream {
   void visit(ckpt::Archive& ar) override;
 
  private:
-  Addr draw_address(bool is_store);
+  class Ring;
+  class Cursor;
+
+  /// Everything a draw reads and writes besides the constants derived at
+  /// construction: the generator state a checkpoint ("SYNS") records.
+  struct State {
+    Rng rng;
+    SeqNum next_seq = 0;
+    /// Streaming cursor for the cold tier: every cold draw is a fresh
+    /// line, guaranteeing an L2 miss (no accidental reuse).
+    Addr cold_cursor = 0;
+    bool last_was_store = false;
+
+    bool operator==(const State& o) const {
+      return rng.state() == o.rng.state() && next_seq == o.next_seq &&
+             cold_cursor == o.cold_cursor &&
+             last_was_store == o.last_was_store;
+    }
+  };
+
+  State start() const { return State{Rng(seed_)}; }
+  /// The draw: writes op `s.next_seq` into `*out` and advances `s`; false
+  /// at end of stream.
+  bool generate(State& s, DynOp* out) const;
+  Addr draw_address(State& s, bool is_store) const;
+  /// seek() over an explicit state: forward draws up to `seq`, backward
+  /// restarts from start() and replays.
+  bool replay_to(State& s, SeqNum seq) const;
+  /// The "SYNS" chunk over `s`: the stream identity (checked on load),
+  /// then the state.
+  void visit_state(ckpt::Archive& ar, State& s) const;
 
   BenchmarkProfile profile_;
   std::uint64_t seed_;
   std::uint64_t length_;
 
-  Rng rng_;
-  SeqNum next_seq_ = 0;
-  /// Streaming cursor for the cold tier: every cold draw is a fresh line,
-  /// guaranteeing an L2 miss (no accidental reuse).
-  Addr cold_cursor_ = 0;
+  State state_;
   /// Address-space base derived from (profile, seed): distinct workloads
   /// live in disjoint regions so multiprogrammed co-runners do not
   /// accidentally share (and mutually prefetch) each other's data. Clones
@@ -64,11 +99,11 @@ class SyntheticStream final : public InstStream {
   /// Cumulative weights over the nine non-store classes (stores are drawn
   /// by the Markov burst model first).
   double nonstore_cumulative_[9] = {};
-  bool last_was_store_ = false;
   double p_store_after_store_ = 0;     // profile burstiness
   double p_store_after_nonstore_ = 0;  // derived for the stationary rate
   // Hoisted per-op constants (next() is the simulator's hottest producer):
   double dep_p_ = 0;            // 1 / mean_dep_distance
+  double dep_log1p_ = 0;        // log1p(-dep_p_), Rng::geometric's divisor
   double miss1_load_ = 0;       // L1-miss prob for loads
   double miss1_store_ = 0;      // L1-miss prob for stores (0.7x, hotter)
 

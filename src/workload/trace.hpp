@@ -7,6 +7,7 @@
 // consumes statistical streams.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -42,6 +43,10 @@ class TraceStream final : public InstStream {
   bool next(DynOp* out) override;
   std::unique_ptr<InstStream> clone() const override;
   void reset() override { cursor_ = 0; }
+  bool seek(SeqNum seq) override {
+    cursor_ = static_cast<std::size_t>(std::min<SeqNum>(seq, ops_->size()));
+    return seq <= ops_->size();
+  }
   std::uint64_t length() const override { return ops_->size(); }
   std::optional<WarmRegion> code_region() const override;
 

@@ -25,7 +25,8 @@ expect2() {
 }
 
 for args in "cb=12x" "insts=abc" "insts=-5" "group=4294967298" "cb=-1" \
-    "system=checkpoint interval=-1" "threads=0" "ser=1e-3x"; do
+    "system=checkpoint interval=-1" "threads=0" "ser=1e-3x" "ser=-1" \
+    "ser=1.5"; do
   # shellcheck disable=SC2086  # $W and $args are word lists
   expect2 run $W $args
 done
@@ -35,11 +36,29 @@ for args in "values=abc" "values=8,,16" "values=12x" "values=-1"; do
   expect2 sweep $W param=cb $args threads=1
 done
 expect2 sweep $W param=group values=4294967298 threads=1
+expect2 sweep $W param=ser values=1e-4,1.5 threads=1
 
-for args in "app_threads=0" "insts=2000x" "cb=-1" "seed=-3"; do
+for args in "app_threads=0" "insts=2000x" "cb=-1" "seed=-3" "ser=-1"; do
   # shellcheck disable=SC2086
   expect2 campaign systems=unsync benches=gzip insts=2000 csv=1 threads=1 \
     $args
+done
+
+# ser is a per-instruction probability: finite and in [0, 1]. Every front
+# end that takes it refuses the rest before any job runs.
+G="systems=unsync benches=gzip insts=2000"
+D="${TMPDIR:-/tmp}/cli_malformed_knobs.$$"
+expect2 avf-report $G ser=1.5 threads=1
+expect2 campaign-worker $G ser=1.5 dir="$D" workers=1 worker=0
+expect2 campaign-coordinator $G ser=1.5 dir="$D" workers=1 timeout=5
+rm -rf "$D"
+
+# A NaN or infinite rate made the arrival draw allocate without end, so
+# these run under a memory cap: a build that accepts them fails with a
+# bad_alloc (exit 1) instead of exhausting the host.
+for args in "ser=inf" "ser=nan" "ser=1e300"; do
+  # shellcheck disable=SC2086
+  (ulimit -v 1000000; expect2 run $W $args; exit "$failed") || failed=1
 done
 
 exit "$failed"

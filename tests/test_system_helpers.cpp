@@ -3,6 +3,7 @@
 // parameter checks every system constructor makes.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -104,6 +105,22 @@ TEST(SystemParamsValidation, EveryConstructorRejectsEachBadValue) {
     EXPECT_THROW(make_system(c.kind, cfg, streams, c.params),
                  std::invalid_argument)
         << c.label;
+  }
+
+  // A ser that is not a per-instruction probability: the arrival draw of
+  // every system with an error process refuses it (NaN and infinity used
+  // to make it allocate without end; the baseline draws no arrivals).
+  for (const double ser : {-1.0, 1.5, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    SystemConfig bad_ser = cfg;
+    bad_ser.ser_per_inst = ser;
+    for (const SystemKind kind :
+         {SystemKind::kUnSync, SystemKind::kReunion, SystemKind::kLockstep,
+          SystemKind::kCheckpoint, SystemKind::kHetero}) {
+      EXPECT_THROW(make_system(kind, bad_ser, s, SystemParams{}),
+                   std::invalid_argument)
+          << "ser=" << ser;
+    }
   }
 
   // Zero application threads: a SystemConfig value that validate() does

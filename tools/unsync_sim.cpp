@@ -63,6 +63,7 @@
 #include "core/report.hpp"
 #include "core/system.hpp"
 #include "fault/avf.hpp"
+#include "fault/ser.hpp"
 #include "hwmodel/components.hpp"
 #include "hwmodel/core_model.hpp"
 #include "isa/assembler.hpp"
@@ -261,6 +262,17 @@ fault::UncorePlan protect_plan_from(const Config& cfg) {
   return plan;
 }
 
+/// Rejects a ser value that is not a per-instruction probability as a
+/// configuration error (exit 2): the check the arrival draw makes.
+double checked_ser(double ser) {
+  try {
+    fault::check_ser(ser);
+  } catch (const std::invalid_argument& e) {
+    throw ConfigError(e.what());
+  }
+  return ser;
+}
+
 CommonKnobs knobs_from(const Config& cfg) {
   CommonKnobs k;
   auto& p = k.params;
@@ -276,7 +288,7 @@ CommonKnobs knobs_from(const Config& cfg) {
       cfg.get_unsigned<std::uint32_t>("checker.width", 2);
   p.hetero.rollback_penalty =
       cfg.get_unsigned<Cycle>("checker.rollback", 60);
-  k.ser = cfg.get_double("ser", 0.0);
+  k.ser = checked_ser(cfg.get_double("ser", 0.0));
   k.seed = cfg.get_unsigned<std::uint64_t>("seed", 42);
   k.avf = cfg.get_bool("avf", false);
   k.protect = protect_plan_from(cfg);
@@ -475,7 +487,7 @@ int cmd_sweep(const Config& cfg) {
       job.params.hetero.log_entries =
           Config::parse_unsigned<std::size_t>(what, point);
     } else if (param == "ser") {
-      job.ser_per_inst = Config::parse_double(what, point);
+      job.ser_per_inst = checked_ser(Config::parse_double(what, point));
     } else {
       throw ConfigError("unknown sweep param: " + param +
                         " (cb|fi|latency|group|log|ser)");
