@@ -7,6 +7,7 @@
 // redundant pair), then prints the Pareto view.
 //
 //   ./build/examples/design_explorer [bench=susan] [insts=40000]
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -23,8 +24,12 @@ int main(int argc, char** argv) {
   using namespace unsync;
   const Config cfg = Config::from_args(argc, argv);
   const auto [bench, insts] = knobs_or_exit([&] {
-    return std::pair{cfg.get_string("bench", "susan"),
-                     cfg.get_unsigned<std::uint64_t>("insts", 40000)};
+    std::string name = cfg.get_string("bench", "susan");
+    const auto names = workload::profile_names();
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      throw ConfigError("unknown bench: " + name);
+    }
+    return std::pair{name, cfg.get_unsigned<std::uint64_t>("insts", 40000)};
   });
   const std::uint64_t seed = 11;
 

@@ -52,13 +52,6 @@ double Rng::exponential(double rate) {
   return -std::log1p(-uniform()) / rate;
 }
 
-std::uint64_t Rng::geometric(double p) {
-  assert(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  return static_cast<std::uint64_t>(std::floor(std::log1p(-uniform()) /
-                                               std::log1p(-p)));
-}
-
 std::uint64_t derive_seed(std::uint64_t campaign_seed, std::uint64_t index) {
   // Two SplitMix64 steps over a mix of both inputs: consecutive indices
   // under the same campaign seed land in well-separated streams.

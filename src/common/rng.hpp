@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -61,7 +62,16 @@ class Rng {
 
   /// Geometric-like draw: number of failures before first success with
   /// success probability p (p in (0,1]).
-  std::uint64_t geometric(double p);
+  std::uint64_t geometric(double p) { return geometric(p, std::log1p(-p)); }
+
+  /// geometric(p) with its divisor, log1p(-p), computed once by a caller
+  /// that draws often with one p: the same draw, one log1p fewer.
+  std::uint64_t geometric(double p, double log1p_neg_p) {
+    assert(p > 0.0 && p <= 1.0);
+    if (p >= 1.0) return 0;
+    return static_cast<std::uint64_t>(
+        std::floor(std::log1p(-uniform()) / log1p_neg_p));
+  }
 
   /// Draws an index from a discrete distribution given cumulative weights
   /// (cumulative[i] = sum of weights[0..i], last element = total weight).
@@ -84,6 +94,9 @@ class Rng {
   void set_state(const std::array<std::uint64_t, 4>& s) {
     for (std::size_t i = 0; i < 4; ++i) s_[i] = s[i];
   }
+
+  /// Equal states produce equal draw sequences.
+  bool operator==(const Rng&) const = default;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -7,10 +7,8 @@
 
 namespace unsync::mem {
 
-void MshrFile::prune_expired(Cycle now) const {
+void MshrFile::prune(Cycle now) const {
   std::erase_if(misses_, [now](const Entry& e) { return e.done <= now; });
-  earliest_done_ = kNever;
-  for (const Entry& e : misses_) earliest_done_ = std::min(earliest_done_, e.done);
 }
 
 std::optional<Cycle> MshrFile::in_flight(Addr line_addr, Cycle now) const {
@@ -33,7 +31,6 @@ void MshrFile::allocate(Addr line_addr, Cycle now, Cycle done) {
   prune(now);
   assert(misses_.size() < entries_);
   misses_.push_back({line_addr, done});
-  earliest_done_ = std::min(earliest_done_, done);
   if (avf_) avf_->add(done > now ? done - now : 0);
 }
 

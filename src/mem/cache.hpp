@@ -52,11 +52,7 @@ class MshrFile {
   Cycle stall_cycles() const { return stall_cycles_; }
   void add_stall(Cycle c) { stall_cycles_ += c; }
 
-  void reset() {
-    misses_.clear();
-    stall_cycles_ = 0;
-    earliest_done_ = kNever;
-  }
+  void reset() { misses_.clear(); stall_cycles_ = 0; }
 
   /// Checkpoint walk (in-flight misses including lazily-expired entries,
   /// stall counter). Capacity must match the saved instance.
@@ -67,20 +63,12 @@ class MshrFile {
     Addr line_addr;
     Cycle done;
   };
-  static constexpr Cycle kNever = ~Cycle{0};
-
   std::uint32_t entries_;
   mutable std::vector<Entry> misses_;  // expired entries pruned lazily
-  /// No entry completes before this cycle, so prune(now) below it would
-  /// erase nothing. Derived (not checkpointed): load resets it to 0.
-  mutable Cycle earliest_done_ = kNever;
   Cycle stall_cycles_ = 0;
   fault::ResidencyTracker* avf_ = nullptr;  // observability; not checkpointed
 
-  void prune(Cycle now) const {
-    if (now >= earliest_done_) prune_expired(now);
-  }
-  void prune_expired(Cycle now) const;
+  void prune(Cycle now) const;
 };
 
 /// Result of a tag-array lookup-and-update.

@@ -31,7 +31,6 @@ void MshrFile::visit(ckpt::Archive& ar) {
       ar.u64(e.done);
     }
     ar.u64(stall_cycles_);
-    if (ar.loading()) earliest_done_ = 0;  // the next call prunes
   });
 }
 

@@ -12,7 +12,8 @@
 // are full the ring trims to half its size behind the slowest cursor, so a
 // flush back to a core's commit point stays a seek inside the window, or
 // doubles when a trim would free less than a quarter. No bound on the lag
-// between members is assumed.
+// between members is assumed. A seek behind the window replays the
+// generator from the start, as a clone's seek would.
 //
 // Checkpoints. A loaded cursor detaches: it keeps its own state and draws
 // privately, as a clone would. The next read or seek of a detached cursor
@@ -24,6 +25,7 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <utility>
 
 #include "ckpt/archive.hpp"
 #include "workload/synthetic.hpp"
@@ -58,11 +60,15 @@ class SyntheticStream::Ring {
 
   const SyntheticStream& generator() const { return gen_; }
 
+  RingStats stats() const {
+    return {drawn_, live() - base_, slots_.size()};
+  }
+
   bool read(std::size_t r, DynOp* out) {
     Reader& rd = readers_[r];
     if (rd.own) [[unlikely]] {
       if (merge_pending_) merge();
-      if (rd.own) return gen_.generate(*rd.own, out);
+      if (rd.own) return draw(*rd.own, out);
     }
     if (rd.pos == live() && !produce()) return false;
     *out = slots_[rd.pos++ & mask_].op;
@@ -73,7 +79,7 @@ class SyntheticStream::Ring {
     Reader& rd = readers_[r];
     if (rd.own) {
       if (merge_pending_) merge();
-      if (rd.own) return gen_.replay_to(*rd.own, seq);
+      if (rd.own) return replay(*rd.own, seq);
     }
     const SeqNum target = std::min<SeqNum>(seq, gen_.length_);
     if (target >= base_) {
@@ -91,7 +97,7 @@ class SyntheticStream::Ring {
         others.emplace_back(o, at(readers_[o].pos));
         furthest = std::max(furthest, readers_[o].pos);
       }
-      gen_.replay_to(gen_.state_, target);
+      replay(gen_.state_, target);
       base_ = rd.pos = target;
       while (live() < furthest) produce();
       for (const auto& [o, state] : others) {
@@ -104,8 +110,7 @@ class SyntheticStream::Ring {
   /// Reader `r`'s generator state: what its clone would hold.
   State state_of(std::size_t r) const {
     const Reader& rd = readers_[r];
-    if (rd.own) return *rd.own;
-    return at(rd.pos);
+    return rd.own ? *rd.own : at(rd.pos);
   }
 
   /// Reader `r` was loaded with state `s`: it draws privately until the
@@ -121,8 +126,8 @@ class SyntheticStream::Ring {
     State before;  ///< generator state that drew `op`
   };
   struct Reader {
-    SeqNum pos = 0;           ///< next op to read, in [base_, live()]
-    std::optional<State> own; ///< set while detached
+    SeqNum pos = 0;            ///< next op to read, in [base_, live()]
+    std::optional<State> own;  ///< set while detached
   };
 
   static constexpr std::uint64_t kMinSlots = 16;
@@ -135,6 +140,22 @@ class SyntheticStream::Ring {
     return q == live() ? gen_.state_ : slots_[q & mask_].before;
   }
 
+  bool draw(State& s, DynOp* out) {
+    ++drawn_;
+    return gen_.generate(s, out);
+  }
+
+  /// What reset() and `seq` next() calls leave in `s`, drawing forward
+  /// from `s` when it is not past `seq`.
+  bool replay(State& s, SeqNum seq) {
+    if (seq < s.next_seq) s = gen_.start();
+    DynOp skipped;
+    while (s.next_seq < seq) {
+      if (!draw(s, &skipped)) return false;
+    }
+    return true;
+  }
+
   /// Draws the next op into its slot; false at end of stream.
   bool produce() {
     State& s = gen_.state_;
@@ -142,7 +163,7 @@ class SyntheticStream::Ring {
     if (s.next_seq - base_ == slots_.size()) make_room();
     Slot& slot = slots_[s.next_seq & mask_];
     slot.before = s;
-    return gen_.generate(s, &slot.op);
+    return draw(s, &slot.op);
   }
 
   void make_room() {
@@ -204,12 +225,15 @@ class SyntheticStream::Ring {
   SeqNum base_ = 0;  ///< oldest op still held
   std::vector<Reader> readers_;
   bool merge_pending_ = false;
+  std::uint64_t drawn_ = 0;
 };
 
 class SyntheticStream::Cursor final : public InstStream {
  public:
   Cursor(std::shared_ptr<Ring> ring, std::size_t reader)
       : ring_(std::move(ring)), reader_(reader) {}
+
+  const Ring& ring() const { return *ring_; }
 
   bool next(DynOp* out) override { return ring_->read(reader_, out); }
   std::unique_ptr<InstStream> clone() const override {
@@ -248,6 +272,13 @@ std::vector<std::unique_ptr<InstStream>> SyntheticStream::share(
     out.push_back(std::make_unique<Cursor>(ring, r));
   }
   return out;
+}
+
+std::optional<SyntheticStream::RingStats> SyntheticStream::ring_stats(
+    const InstStream& stream) {
+  const auto* cursor = dynamic_cast<const Cursor*>(&stream);
+  if (!cursor) return std::nullopt;
+  return cursor->ring().stats();
 }
 
 }  // namespace unsync::workload

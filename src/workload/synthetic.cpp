@@ -56,15 +56,6 @@ std::unique_ptr<InstStream> SyntheticStream::clone() const {
   return std::make_unique<SyntheticStream>(profile_, seed_, length_);
 }
 
-bool SyntheticStream::replay_to(State& s, SeqNum seq) const {
-  if (seq < s.next_seq) s = start();
-  DynOp skipped;
-  while (s.next_seq < seq) {
-    if (!generate(s, &skipped)) return false;
-  }
-  return true;
-}
-
 Addr SyntheticStream::draw_address(State& s, bool is_store) const {
   // Three-tier locality model tuned so simulated caches see the profile's
   // miss rates. Stores are slightly hotter than loads in real programs
@@ -113,9 +104,7 @@ bool SyntheticStream::generate(State& s, DynOp* out) const {
   // (p = 1/mean gives the profile's mean distance). Not every operand is a
   // live register value — immediates, constants and loop-invariant inputs
   // make real instruction streams much sparser than two-live-sources-per-
-  // instruction, which is what lets a 4-wide core sustain IPC > 1. The
-  // distance is Rng::geometric(dep_p_) with its divisor hoisted: the same
-  // draw and the same double.
+  // instruction, which is what lets a 4-wide core sustain IPC > 1.
   const int nsrc = op.cls == isa::InstClass::kSerializing ? 0
                    : op.is_load()                         ? 1
                                                           : 2;
@@ -123,11 +112,7 @@ bool SyntheticStream::generate(State& s, DynOp* out) const {
   op.src[0] = op.src[1] = kNoSeq;
   for (int i = 0; i < nsrc; ++i) {
     if (!s.rng.chance(kSrcPresent[i])) continue;
-    const std::uint64_t failures =
-        dep_p_ >= 1.0 ? 0
-                      : static_cast<std::uint64_t>(std::floor(
-                            std::log1p(-s.rng.uniform()) / dep_log1p_));
-    const std::uint64_t dist = 1 + failures;
+    const std::uint64_t dist = 1 + s.rng.geometric(dep_p_, dep_log1p_);
     op.src[i] = dist <= op.seq ? op.seq - dist : kNoSeq;
   }
   op.writes_reg = !(op.is_store() || op.is_branch() || op.is_serializing());

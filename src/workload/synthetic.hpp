@@ -36,8 +36,6 @@ class SyntheticStream final : public InstStream {
   std::vector<std::unique_ptr<InstStream>> share(
       std::size_t readers) const override;
   void reset() override { state_ = start(); }
-  /// Forward: draws up to `seq`; backward: restarts and replays.
-  bool seek(SeqNum seq) override { return replay_to(state_, seq); }
   std::uint64_t length() const override { return length_; }
   std::optional<WarmRegion> warm_region() const override {
     return WarmRegion{aspace_base_ + kWarmBase, kWarmPoolLines * 64};
@@ -48,6 +46,16 @@ class SyntheticStream final : public InstStream {
   }
 
   const BenchmarkProfile& profile() const { return profile_; }
+
+  /// Introspection for tests: the ring behind a share() cursor — ops drawn
+  /// (replays included), ops held and slots allocated; nullopt for any
+  /// other stream.
+  struct RingStats {
+    std::uint64_t drawn = 0;
+    std::uint64_t held = 0;
+    std::uint64_t slots = 0;
+  };
+  static std::optional<RingStats> ring_stats(const InstStream& stream);
 
   /// Checkpoint walk: RNG state + generation cursor. The restored stream
   /// must be constructed with the same (profile, seed, length).
@@ -67,11 +75,7 @@ class SyntheticStream final : public InstStream {
     Addr cold_cursor = 0;
     bool last_was_store = false;
 
-    bool operator==(const State& o) const {
-      return rng.state() == o.rng.state() && next_seq == o.next_seq &&
-             cold_cursor == o.cold_cursor &&
-             last_was_store == o.last_was_store;
-    }
+    bool operator==(const State&) const = default;
   };
 
   State start() const { return State{Rng(seed_)}; }
@@ -79,9 +83,6 @@ class SyntheticStream final : public InstStream {
   /// at end of stream.
   bool generate(State& s, DynOp* out) const;
   Addr draw_address(State& s, bool is_store) const;
-  /// seek() over an explicit state: forward draws up to `seq`, backward
-  /// restarts from start() and replays.
-  bool replay_to(State& s, SeqNum seq) const;
   /// The "SYNS" chunk over `s`: the stream identity (checked on load),
   /// then the state.
   void visit_state(ckpt::Archive& ar, State& s) const;

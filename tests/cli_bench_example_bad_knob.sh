@@ -6,7 +6,8 @@
 # runs fails here instead of stalling the suite.
 #
 # usage: sh tests/cli_bench_example_bad_knob.sh <spec_campaign> \
-#            <bench_fig6_cb_size> <quickstart> <checkpoint_resume>
+#            <bench_fig6_cb_size> <quickstart> <checkpoint_resume> \
+#            <design_explorer>
 set -u
 
 failed=0
@@ -27,5 +28,6 @@ expect2 "$2" threads=0
 expect2 "$2" insts=12x
 expect2 "$3" ser=1.5
 expect2 "$4" ser=nan
+expect2 "$5" bench=doom
 
 exit "$failed"

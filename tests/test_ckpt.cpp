@@ -640,6 +640,64 @@ TEST(ComponentCkpt, SyntheticStreamRejectsIdentityMismatch) {
   EXPECT_THROW(load(wrong_prof, bytes), ckpt::CkptError);
 }
 
+// A share() cursor writes the exact "SYNS" chunk its own clone would, at
+// every lag, and a loaded cursor continues exactly as the clone loaded
+// with the same bytes — also when the loaded members disagree.
+TEST(ComponentCkpt, SharedCursorsCheckpointAsClones) {
+  const workload::SyntheticStream proto(workload::profile("gzip"), 7, 6000);
+  auto cursors = proto.share(2);
+  workload::DynOp op;
+  for (const auto& [a, b] : {std::pair{0, 0}, std::pair{1300, 200},
+                            std::pair{2000, 1999}, std::pair{5000, 1000}}) {
+    ASSERT_TRUE(cursors[0]->seek(a));
+    ASSERT_TRUE(cursors[1]->seek(b));
+    for (const auto& [cursor, at] : {std::pair{cursors[0].get(), a},
+                                     std::pair{cursors[1].get(), b}}) {
+      auto clone = proto.clone();
+      for (int i = 0; i < at; ++i) ASSERT_TRUE(clone->next(&op));
+      EXPECT_EQ(saved(*cursor), saved(*clone)) << "at " << at;
+    }
+  }
+
+  // Load each member from the bytes of a clone: a consistent pair, then a
+  // pair whose second member was perturbed (it must read as its clone).
+  const std::string at_900 = [&] {
+    auto clone = proto.clone();
+    for (int i = 0; i < 900; ++i) clone->next(&op);
+    return saved(*clone);
+  }();
+  const std::string at_40 = [&] {
+    auto clone = proto.clone();
+    for (int i = 0; i < 40; ++i) clone->next(&op);
+    return saved(*clone);
+  }();
+  std::string perturbed = at_900;
+  perturbed[perturbed.size() - 20] ^= 1;  // a word of the RNG state
+  for (const std::string& second : {at_900, perturbed}) {
+    auto loaded = proto.share(2);
+    ASSERT_TRUE(load(*loaded[0], at_40));
+    ASSERT_TRUE(load(*loaded[1], second));
+    EXPECT_EQ(saved(*loaded[1]), second);
+    auto ref0 = proto.clone();
+    auto ref1 = proto.clone();
+    ASSERT_TRUE(load(*ref0, at_40));
+    ASSERT_TRUE(load(*ref1, second));
+    for (int i = 0; i < 3000; ++i) {
+      for (const auto& [member, ref] : {std::pair{loaded[0].get(), &ref0},
+                                        std::pair{loaded[1].get(), &ref1}}) {
+        workload::DynOp x, y;
+        const bool got = member->next(&x);
+        ASSERT_EQ(got, (*ref)->next(&y)) << i;
+        ASSERT_EQ(x.seq, y.seq) << i;
+        ASSERT_EQ(x.pc, y.pc) << i;
+        ASSERT_EQ(x.mem_addr, y.mem_addr) << i;
+      }
+    }
+    EXPECT_EQ(saved(*loaded[0]), saved(*ref0));
+    EXPECT_EQ(saved(*loaded[1]), saved(*ref1));
+  }
+}
+
 TEST(ComponentCkpt, RunningStatRestoreIsExact) {
   RunningStat a;
   for (const double v : {1.5, -2.25, 7.75, 0.125, 3.5}) a.add(v);

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -46,6 +49,76 @@ TEST(SystemHelpers, PrewarmDeduplicatesStreams) {
   // Distinct (profile, seed) pairs live in distinct address slots, so two
   // streams install roughly twice the data-warm lines.
   EXPECT_GT(two.l2().lines_valid(), dup.l2().lines_valid() * 3 / 2);
+}
+
+/// Forwards to a synthetic stream and records what a system asks of it:
+/// the reader count of each share() call and the first stream handed out.
+class SharingProbe final : public workload::InstStream {
+ public:
+  explicit SharingProbe(const workload::SyntheticStream& s) : s_(s) {}
+
+  bool next(workload::DynOp*) override { return false; }
+  std::unique_ptr<InstStream> clone() const override { return s_.clone(); }
+  void reset() override {}
+  std::uint64_t length() const override { return s_.length(); }
+  std::optional<WarmRegion> warm_region() const override {
+    return s_.warm_region();
+  }
+  std::optional<WarmRegion> code_region() const override {
+    return s_.code_region();
+  }
+  std::vector<std::unique_ptr<InstStream>> share(
+      std::size_t readers) const override {
+    auto members = s_.share(readers);
+    readers_.push_back(readers);
+    if (!first_) first_ = members.front().get();
+    return members;
+  }
+
+  mutable std::vector<std::size_t> readers_;
+  mutable const InstStream* first_ = nullptr;
+
+ private:
+  const workload::SyntheticStream& s_;
+};
+
+// The scaffold builds one generator per redundancy group: every member,
+// hetero's in-order checker included, reads one ring, and an error-free
+// run draws each op exactly once for the whole group. The baseline's
+// one-core groups keep plain clones.
+TEST(SystemHelpers, EachGroupDrawsItsStreamOnce) {
+  struct Case {
+    SystemKind kind;
+    unsigned group;  // UnSync group size
+    std::size_t readers;
+  };
+  for (const Case& c : {Case{SystemKind::kBaseline, 2, 1},
+                        Case{SystemKind::kUnSync, 2, 2},
+                        Case{SystemKind::kUnSync, 3, 3},
+                        Case{SystemKind::kReunion, 2, 2},
+                        Case{SystemKind::kLockstep, 2, 2},
+                        Case{SystemKind::kCheckpoint, 2, 2},
+                        Case{SystemKind::kHetero, 2, 2}}) {
+    const workload::SyntheticStream s(workload::profile("gzip"), 3, 3000);
+    SharingProbe probe(s);
+    SystemConfig cfg;
+    cfg.num_threads = 1;
+    SystemParams params;
+    params.unsync.group_size = c.group;
+    auto sys = make_system(c.kind, cfg, probe, params);
+    const std::string label =
+        std::string(name_of(c.kind)) + "/" + std::to_string(c.group);
+    EXPECT_EQ(probe.readers_, std::vector<std::size_t>{c.readers}) << label;
+    const engine::RunResult r = sys->run();
+    EXPECT_EQ(r.instructions, 3000u) << label;
+    const auto stats = workload::SyntheticStream::ring_stats(*probe.first_);
+    if (c.readers == 1) {
+      EXPECT_FALSE(stats.has_value()) << label;
+    } else {
+      ASSERT_TRUE(stats.has_value()) << label;
+      EXPECT_EQ(stats->drawn, 3000u) << label;
+    }
+  }
 }
 
 TEST(SystemHelpers, ThreadIpcUsesLongestThread) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <tuple>
+#include <vector>
+
 #include "isa/assembler.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
@@ -316,6 +320,193 @@ TEST(Trace, MaxInstsTruncates) {
   )");
   const auto trace = record_trace(prog, 50);
   EXPECT_EQ(trace.size(), 50u);
+}
+
+TEST(Trace, SeekIsRandomAccess) {
+  std::vector<DynOp> ops(20);
+  for (SeqNum i = 0; i < ops.size(); ++i) ops[i].seq = i;
+  TraceStream s(ops);
+  DynOp op;
+  EXPECT_TRUE(s.seek(13));
+  ASSERT_TRUE(s.next(&op));
+  EXPECT_EQ(op.seq, 13u);
+  EXPECT_TRUE(s.seek(20));
+  EXPECT_FALSE(s.next(&op));
+  EXPECT_FALSE(s.seek(21));  // fewer ops than asked for: at end
+  EXPECT_FALSE(s.next(&op));
+  EXPECT_TRUE(s.seek(2));
+  ASSERT_TRUE(s.next(&op));
+  EXPECT_EQ(op.seq, 2u);
+}
+
+// ---- One generator per redundancy group (SyntheticStream::share) ---------
+
+auto fields(const DynOp& op) {
+  return std::tuple(op.seq, op.cls, op.pc, op.src[0], op.src[1],
+                    op.writes_reg, op.mem_addr, op.taken,
+                    op.has_mispredict_hint, op.mispredict_hint);
+}
+
+/// Every op of a clone of `s`, in order.
+std::vector<DynOp> reference(const SyntheticStream& s) {
+  std::vector<DynOp> ops;
+  auto c = s.clone();
+  DynOp op;
+  while (c->next(&op)) ops.push_back(op);
+  return ops;
+}
+
+/// Reads the next op of `cursor` and checks it against the clone's op at
+/// `*pos`, which it advances.
+void expect_next(InstStream& cursor, const std::vector<DynOp>& ref,
+                 SeqNum* pos) {
+  DynOp op;
+  op.seq = 12345;  // the cursor must overwrite every field
+  op.src[1] = 7;
+  ASSERT_TRUE(cursor.next(&op)) << "at " << *pos;
+  ASSERT_EQ(fields(op), fields(ref.at(*pos))) << "at " << *pos;
+  ++*pos;
+}
+
+TEST(SharedStream, OneReaderIsAClone) {
+  SyntheticStream s(profile("gzip"), 3, 100);
+  const auto one = s.share(1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_FALSE(SyntheticStream::ring_stats(*one[0]).has_value());
+  EXPECT_EQ(s.share(3).size(), 3u);
+}
+
+TEST(SharedStream, CursorsAtAnyLagReadTheCloneSequence) {
+  SyntheticStream s(profile("mcf"), 17, 20000);
+  const std::vector<DynOp> ref = reference(s);
+  auto cursors = s.share(3);
+  // Reader 0 runs up to 3000 ops ahead of reader 2 (the ring starts at
+  // 512 slots, so it must grow); reader 1 stops at random points between.
+  std::mt19937_64 pick(5);
+  SeqNum pos[3] = {0, 0, 0};
+  while (pos[2] < ref.size()) {
+    const SeqNum lead = std::min<SeqNum>(pos[2] + 1 + pick() % 3000,
+                                         ref.size());
+    while (pos[0] < lead) expect_next(*cursors[0], ref, &pos[0]);
+    const SeqNum mid = pos[1] + pick() % (pos[0] - pos[1] + 1);
+    while (pos[1] < mid) expect_next(*cursors[1], ref, &pos[1]);
+    const SeqNum tail = pos[2] + 1 + pick() % (pos[1] - pos[2] + 1);
+    while (pos[2] < std::min(tail, pos[1])) {
+      expect_next(*cursors[2], ref, &pos[2]);
+    }
+    if (pos[1] == pos[0] && pos[0] == ref.size()) {
+      while (pos[2] < pos[1]) expect_next(*cursors[2], ref, &pos[2]);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  DynOp op;
+  for (auto& c : cursors) EXPECT_FALSE(c->next(&op));  // end of stream
+  const auto stats = SyntheticStream::ring_stats(*cursors[0]);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->drawn, ref.size());  // each op drawn once for all three
+  EXPECT_GE(stats->slots, 4096u);       // grew past the 3000-op lag
+}
+
+TEST(SharedStream, RingTrimsBehindTheSlowestCursor) {
+  SyntheticStream s(profile("gzip"), 2, 50000);
+  const std::vector<DynOp> ref = reference(s);
+  auto c = s.share(2);
+  SeqNum pos[2] = {0, 0};
+  // In step: the window stays at its starting size.
+  while (pos[0] < 10000) {
+    expect_next(*c[0], ref, &pos[0]);
+    expect_next(*c[1], ref, &pos[1]);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  auto stats = *SyntheticStream::ring_stats(*c[0]);
+  EXPECT_EQ(stats.slots, 512u);
+  EXPECT_LE(stats.held, 512u);
+  // A 1000-op lag grows it; once the laggard catches up, trims shrink
+  // what is held again.
+  while (pos[0] < 11000) expect_next(*c[0], ref, &pos[0]);
+  stats = *SyntheticStream::ring_stats(*c[0]);
+  EXPECT_GE(stats.held, 1000u);
+  const std::uint64_t grown = stats.slots;
+  EXPECT_GE(grown, 1024u);
+  while (pos[1] < pos[0]) expect_next(*c[1], ref, &pos[1]);
+  for (int i = 0; i < 20000; ++i) {
+    expect_next(*c[0], ref, &pos[0]);
+    expect_next(*c[1], ref, &pos[1]);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // 20000 ops passed through the grown ring without growing it again:
+  // every fill trimmed behind the slowest reader.
+  stats = *SyntheticStream::ring_stats(*c[0]);
+  EXPECT_EQ(stats.slots, grown);
+  EXPECT_LE(stats.held, grown);
+  EXPECT_EQ(stats.drawn, pos[0]);
+}
+
+TEST(SharedStream, SeekInsideTheWindowDrawsNothing) {
+  SyntheticStream s(profile("gzip"), 4, 30000);
+  const std::vector<DynOp> ref = reference(s);
+  auto c = s.share(2);
+  SeqNum pos[2] = {0, 0};
+  for (int i = 0; i < 5000; ++i) {
+    expect_next(*c[0], ref, &pos[0]);
+    expect_next(*c[1], ref, &pos[1]);
+  }
+  const std::uint64_t drawn = SyntheticStream::ring_stats(*c[0])->drawn;
+  // A flush back to a commit point ~100 ops behind the fetch position.
+  pos[0] -= 100;
+  EXPECT_TRUE(c[0]->seek(pos[0]));
+  for (int i = 0; i < 100; ++i) expect_next(*c[0], ref, &pos[0]);
+  EXPECT_EQ(SyntheticStream::ring_stats(*c[0])->drawn, drawn);
+  // Forward past every reader (UnSync forwards the slower core).
+  pos[1] += 700;
+  EXPECT_TRUE(c[1]->seek(pos[1]));
+  expect_next(*c[1], ref, &pos[1]);
+  expect_next(*c[0], ref, &pos[0]);
+}
+
+TEST(SharedStream, SeekBehindTheWindowReplaysFromTheStart) {
+  SyntheticStream s(profile("susan"), 6, 30000);
+  const std::vector<DynOp> ref = reference(s);
+  auto c = s.share(2);
+  SeqNum pos[2] = {0, 0};
+  for (int i = 0; i < 8000; ++i) {
+    expect_next(*c[0], ref, &pos[0]);
+    expect_next(*c[1], ref, &pos[1]);
+  }
+  const std::uint64_t drawn = SyntheticStream::ring_stats(*c[0])->drawn;
+  // A DMR rollback to a boundary long gone from the window, by both.
+  EXPECT_TRUE(c[0]->seek(1000));
+  pos[0] = 1000;
+  EXPECT_EQ(SyntheticStream::ring_stats(*c[0])->drawn, drawn + 8000);
+  expect_next(*c[0], ref, &pos[0]);
+  expect_next(*c[1], ref, &pos[1]);  // the other reader is undisturbed
+  EXPECT_TRUE(c[1]->seek(1000));     // now inside the refilled window
+  pos[1] = 1000;
+  EXPECT_EQ(SyntheticStream::ring_stats(*c[0])->drawn, drawn + 8001);
+  for (int i = 0; i < 3000; ++i) {
+    expect_next(*c[0], ref, &pos[0]);
+    expect_next(*c[1], ref, &pos[1]);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  c[1]->reset();
+  pos[1] = 0;
+  expect_next(*c[1], ref, &pos[1]);
+}
+
+TEST(SharedStream, SeekPastTheEndStopsAtTheEnd) {
+  SyntheticStream s(profile("gzip"), 8, 1000);
+  auto c = s.share(2);
+  EXPECT_EQ(c[0]->length(), 1000u);
+  DynOp op;
+  EXPECT_TRUE(c[0]->seek(1000));
+  EXPECT_FALSE(c[0]->next(&op));
+  EXPECT_FALSE(c[1]->seek(1001));  // as a clone's replay would report
+  EXPECT_FALSE(c[1]->next(&op));
+  EXPECT_TRUE(c[1]->seek(999));
+  ASSERT_TRUE(c[1]->next(&op));
+  EXPECT_EQ(op.seq, 999u);
+  EXPECT_FALSE(c[1]->next(&op));
+  EXPECT_EQ(SyntheticStream::ring_stats(*c[0])->drawn, 1000u);
 }
 
 }  // namespace
