@@ -21,13 +21,21 @@
 // exact: identical and the deterministic engine counters (goldens built,
 // jobs restored / early-terminated / bypassed, cycles skipped) — a pure
 // function of the grid, independent of worker count and host; measured:
-// speedup (min 3), wall times and the cache-shape counters. Refresh after
-// a deliberate engine change with --write-baseline.
+// speedup (min 3), wall times, the cache-shape counters, and the two
+// layers of the engine's checkpoint work — golden_save_ms_per_snapshot
+// (one packed save, timed again on every snapshot of each cell's golden
+// run) and restore_ms_per_job (the engine's restore_ns over its restored
+// jobs). Refresh after a deliberate engine change with --write-baseline.
+#include <chrono>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/factory.hpp"
+#include "runtime/campaign_journal.hpp"
+#include "runtime/prefix.hpp"
 #include "workload/dyn_op.hpp"
 
 namespace {
@@ -43,6 +51,34 @@ std::shared_ptr<const std::vector<workload::DynOp>> record_trace(
   ops.reserve(insts);
   for (workload::DynOp op; stream.next(&op);) ops.push_back(op);
   return std::make_shared<const std::vector<workload::DynOp>>(std::move(ops));
+}
+
+/// Seconds spent saving the golden snapshots of `job`'s cell, and how many
+/// saves: each snapshot is restored into a fresh golden-configured system
+/// and saved `reps` times into a packed sink, as build_golden saves it.
+std::pair<double, std::uint64_t> time_golden_saves(runtime::SimJob job,
+                                                   std::uint64_t seed,
+                                                   Cycle interval,
+                                                   unsigned reps) {
+  const auto golden = runtime::build_golden(job, seed, interval);
+  job.ser_per_inst = 0.0;
+  ckpt::Serializer sink(ckpt::Serializer::Sink::kPacked);
+  double seconds = 0.0;
+  for (const runtime::GoldenTrace::Snap& snap : golden->snaps) {
+    const auto stream = runtime::make_job_stream(job, seed);
+    const auto sys = core::make_system(
+        job.system, runtime::job_system_config(job, seed), *stream, job.params);
+    runtime::restore_golden(*sys, snap);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (unsigned r = 0; r < reps; ++r) {
+      sys->save_checkpoint(sink);
+      (void)sink.take_packed();
+    }
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+  }
+  return {seconds, golden->snaps.size() * std::uint64_t{reps}};
 }
 
 std::uint64_t counter(const runtime::CampaignOutput& out,
@@ -98,9 +134,10 @@ int main(int argc, char** argv) {
 
   runtime::CampaignRunner::Options prefix_opts = naive_opts;
   prefix_opts.prefix.enabled = true;
-  // Checkpoint cadence: each boundary costs one full-state save in the
-  // golden build, while a coarser cadence makes faulty jobs re-execute
-  // more cycles from an earlier restore point. ~4-5 boundaries per run;
+  // Checkpoint cadence: each boundary costs one packed save of the whole
+  // state in the golden build (it writes the live bytes, not the zeros),
+  // while a coarser cadence makes faulty jobs re-execute more cycles from
+  // an earlier restore point. ~4-5 boundaries per run;
   // the committed baseline counters depend on this value.
   prefix_opts.prefix.interval = 15000;
   const auto prefix = runtime::CampaignRunner(prefix_opts).run(jobs);
@@ -109,6 +146,20 @@ int main(int argc, char** argv) {
                              ? naive.wall_seconds / prefix.wall_seconds
                              : 0.0;
   const bool identical = prefix.to_json() == naive.to_json();
+
+  double save_seconds = 0.0;
+  std::uint64_t saves = 0;
+  for (std::size_t i = 0; i < jobs.size(); i += std::size(sers) * trials) {
+    const auto [s, n] = time_golden_saves(
+        jobs[i], runtime::job_seed(jobs, args.seed, i),
+        prefix_opts.prefix.interval, 5);
+    save_seconds += s;
+    saves += n;
+  }
+  const double save_ms = saves ? save_seconds * 1e3 / saves : 0.0;
+  const std::uint64_t restored = counter(prefix, "jobs_restored");
+  const double restore_ms =
+      restored ? counter(prefix, "restore_ns") / 1e6 / restored : 0.0;
 
   TextTable t("Engine counters (" + std::to_string(jobs.size()) +
               " jobs, " + std::to_string(trials) + " trials per SER point)");
@@ -125,6 +176,9 @@ int main(int argc, char** argv) {
   std::cout << "\nnaive wall: " << TextTable::num(naive.wall_seconds, 3)
             << "s, prefix wall: " << TextTable::num(prefix.wall_seconds, 3)
             << "s, speedup: " << TextTable::num(speedup, 1) << "x\n"
+            << "golden save: " << TextTable::num(save_ms, 3)
+            << " ms per snapshot, restore: " << TextTable::num(restore_ms, 3)
+            << " ms per job\n"
             << "prefix campaign byte-identical to naive: "
             << (identical ? "yes" : "NO") << "\n";
 
@@ -145,6 +199,8 @@ int main(int argc, char** argv) {
   report.measured("speedup", speedup);
   report.measured("naive_wall_seconds", naive.wall_seconds);
   report.measured("prefix_wall_seconds", prefix.wall_seconds);
+  report.measured("golden_save_ms_per_snapshot", save_ms);
+  report.measured("restore_ms_per_job", restore_ms);
   report.write(args.json);
 
   if (!identical) {

@@ -18,6 +18,7 @@
 // no bytes of its own.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -38,7 +39,7 @@ class Archive {
   /// Where one numeric scalar landed in the saved bytes (see
   /// record_scalars()).
   struct ScalarSite {
-    std::size_t offset = 0;      ///< first byte in the Serializer's data
+    std::size_t offset = 0;      ///< first byte in the Serializer's payload
     bool fault_channel = false;  ///< inside a fault_channel() span
   };
 
@@ -146,9 +147,12 @@ class Archive {
   /// ways), of which only the first used[s] of set s are live: the rest
   /// read as all-zero records, whatever their storage holds. The wire
   /// bytes are records()' with every record past a set's count zero. Save
-  /// and Fingerprint write only the live records into the zeros extend()
-  /// provides; Load sets used[s] to 1 + the set's last non-zero record and
-  /// decodes only those.
+  /// and Fingerprint write only the live records, and declare each run of
+  /// unused ways that can hold a whole zero block as zeros
+  /// (Serializer::zeros(), which a packed sink does not store). Load sets
+  /// used[s] to 1 + the set's last non-zero record and decodes only those;
+  /// the sets that lie wholly in a packed payload's left-out zeros are
+  /// emptied in one step.
   template <typename T, typename A, typename U, typename... F>
   void records(std::vector<T, A>& v, std::vector<U>& used, F T::*... field) {
     static_assert(((std::is_same_v<F, bool> || std::is_unsigned_v<F>) && ...));
@@ -156,28 +160,62 @@ class Archive {
     const std::size_t ways = v.size() / used.size();
     const std::size_t set_bytes = ways * kWidth;
     if (in_) {
-      const char* p = in_->take(v.size() * kWidth);
-      for (std::size_t s = 0; s < used.size(); ++s, p += set_bytes) {
+      in_->need(v.size() * kWidth);  // a short block fails before any set
+      for (std::size_t s = 0; s < used.size();) {
+        const std::size_t empty =
+            std::min(in_->gap() / set_bytes, used.size() - s);
+        if (empty != 0) {
+          std::fill_n(used.begin() + s, empty, U{0});
+          in_->skip(empty * set_bytes);
+          s += empty;
+          continue;
+        }
+        const char* p = in_->take(set_bytes);
         const std::size_t live =
             (nonzero_prefix(p, set_bytes) + kWidth - 1) / kWidth;
         used[s] = static_cast<U>(live);
-        const char* q = p;
         for (T* r = &v[s * ways]; r != &v[s * ways] + live; ++r) {
-          ((q = get_field(q, r->*field)), ...);
+          ((p = get_field(p, r->*field)), ...);
         }
+        ++s;
       }
       return;
     }
     for (std::size_t at = 0; sites_ && at < v.size() * kWidth;) {
       ((note(at), at += sizeof(F)), ...);
     }
-    char* p = out_->extend(v.size() * kWidth);
-    for (std::size_t s = 0; s < used.size(); ++s, p += set_bytes) {
-      char* q = p;
-      for (const T* r = &v[s * ways]; r != &v[s * ways] + used[s]; ++r) {
-        ((q = put_field(q, r->*field)), ...);
+    // Live records go out in stretches of sets, one extend() each, whose
+    // zero fill covers the unused ways inside the stretch. A stretch ends
+    // where the unused ways after its last live record reach a whole zero
+    // block: those go to zeros(), which a packed sink does not store.
+    const auto live_end = [&](std::size_t s) {
+      return s * set_bytes + used[s] * kWidth;
+    };
+    std::size_t done = 0;  // bytes of the block written so far
+    for (std::size_t s = 0; s < used.size();) {
+      if (used[s] == 0) {
+        ++s;
+        continue;
       }
+      std::size_t last = s;
+      std::size_t next = s + 1;
+      for (; next < used.size() &&
+             next * set_bytes - live_end(last) < kZeroBlock;
+           ++next) {
+        if (used[next] != 0) last = next;
+      }
+      out_->zeros(s * set_bytes - done);
+      char* p = out_->extend(live_end(last) - s * set_bytes);
+      for (std::size_t k = s; k <= last; ++k) {
+        char* q = p + (k - s) * set_bytes;
+        for (const T* r = &v[k * ways]; r != &v[k * ways] + used[k]; ++r) {
+          ((q = put_field(q, r->*field)), ...);
+        }
+      }
+      done = live_end(last);
+      s = next;
     }
+    out_->zeros(v.size() * kWidth - done);
   }
   /// The four xoshiro state words.
   void rng(Rng& r) {
@@ -269,7 +307,7 @@ class Archive {
   /// Logs a scalar `ahead` bytes past the end of the written data.
   void note(std::size_t ahead = 0) {
     if (sites_) {
-      sites_->push_back({out_->data().size() + ahead, fault_depth_ > 0});
+      sites_->push_back({out_->size() + ahead, fault_depth_ > 0});
     }
   }
 

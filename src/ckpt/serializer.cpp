@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
@@ -36,13 +37,10 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
   return t;
 }
 
-/// Checksums scan in blocks of this many bytes: an all-zero block costs
-/// one word scan, and a run of them one multiply.
-constexpr std::size_t kBlock = 256;
-
-bool zero_block(const unsigned char* p) {
+bool zero_block(const void* block) {
+  const auto* p = static_cast<const unsigned char*>(block);
   std::uint64_t any = 0;
-  for (std::size_t i = 0; i < kBlock; i += 8) {
+  for (std::size_t i = 0; i < kZeroBlock; i += 8) {
     std::uint64_t w;
     std::memcpy(&w, p + i, sizeof w);
     any |= w;
@@ -60,11 +58,11 @@ void fold_blocks(const unsigned char* p, std::size_t len, Bytes&& bytes,
   const unsigned char* const end = p + len;
   const unsigned char* mark = p;  // first byte not folded in yet
   std::size_t run = 0;            // zero blocks just before p
-  for (; static_cast<std::size_t>(end - p) >= kBlock; p += kBlock) {
+  for (; static_cast<std::size_t>(end - p) >= kZeroBlock; p += kZeroBlock) {
     if (zero_block(p)) {
       if (mark != p) bytes(mark, static_cast<std::size_t>(p - mark));
       ++run;
-      mark = p + kBlock;
+      mark = p + kZeroBlock;
     } else if (run != 0) {
       zeros(run);
       run = 0;
@@ -92,7 +90,7 @@ std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
   return p;
 }
 
-/// Operators x^(8 * kBlock * m) for runs of m zero blocks: one entry per m
+/// Operators x^(8 * kZeroBlock * m) for runs of m zero blocks: one entry per m
 /// below kShortRuns, and one per power of two m = 2^k for longer runs.
 constexpr std::size_t kShortRuns = 16;
 struct ZeroRunOps {
@@ -104,7 +102,7 @@ ZeroRunOps make_zero_run_ops() {
   ZeroRunOps ops;
   std::uint32_t x8 = 1u << 23;  // x^8: one zero byte
   std::uint32_t block = 1u << 31;
-  for (std::size_t i = 0; i < kBlock; ++i) block = multmodp(block, x8);
+  for (std::size_t i = 0; i < kZeroBlock; ++i) block = multmodp(block, x8);
   ops.short_runs[0] = 1u << 31;
   for (std::size_t m = 1; m < kShortRuns; ++m) {
     ops.short_runs[m] = multmodp(ops.short_runs[m - 1], block);
@@ -138,8 +136,8 @@ constexpr std::uint64_t pow_mod64(std::uint64_t base, std::uint64_t e) {
   return r;
 }
 
-/// FNV-1a over one zero block: the state times P^kBlock.
-constexpr std::uint64_t kFnvBlock = pow_mod64(kFnvPrime, kBlock);
+/// FNV-1a over one zero block: the state times P^kZeroBlock.
+constexpr std::uint64_t kFnvBlock = pow_mod64(kFnvPrime, kZeroBlock);
 
 // ---- Container header -------------------------------------------------------
 
@@ -217,56 +215,140 @@ std::uint64_t hash64(std::string_view s, std::uint64_t h) {
   return h;
 }
 
-// ---- PackedPayload ----------------------------------------------------------
-
-PackedPayload PackedPayload::pack(std::string_view payload) {
-  PackedPayload out;
-  out.size_ = payload.size();
-  const auto* base = reinterpret_cast<const unsigned char*>(payload.data());
-  std::size_t kept = 0;
-  fold_blocks(
-      base, payload.size(),
-      [&](const unsigned char* p, std::size_t n) {
-        if (n == 0) return;
-        out.runs_.push_back({static_cast<std::size_t>(p - base), n});
-        kept += n;
-      },
-      [](std::size_t) {});
-  out.runs_.shrink_to_fit();
-  out.data_.reserve(kept);
-  for (const Run& r : out.runs_) out.data_.append(payload.substr(r.at, r.len));
-  return out;
-}
-
-void PackedPayload::unpack_into(std::string& out) const {
-  out.assign(size_, '\0');
-  const char* from = data_.data();
-  for (const Run& r : runs_) {
-    std::memcpy(out.data() + r.at, from, r.len);
-    from += r.len;
-  }
-}
-
 // ---- Serializer -------------------------------------------------------------
 
 void Serializer::begin_chunk(std::string_view tag) {
   if (tag.size() != 4) throw std::logic_error("chunk tag must be 4 chars");
   buf_.append(tag.data(), 4);
-  chunk_stack_.push_back(buf_.size());
+  chunk_stack_.push_back({buf_.size(), size()});
   u64(0);  // length placeholder, patched by end_chunk()
 }
 
 void Serializer::end_chunk() {
   if (chunk_stack_.empty()) throw std::logic_error("end_chunk without begin");
-  const std::size_t at = chunk_stack_.back();
+  const Site len = chunk_stack_.back();
   chunk_stack_.pop_back();
-  const std::uint64_t len = buf_.size() - (at + 8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    buf_[at + i] = static_cast<char>((len >> (8 * i)) & 0xFF);
+  store_le<std::uint64_t>(buf_.data() + len.at, size() - (len.offset + 8));
+}
+
+// ---- Packed sink ------------------------------------------------------------
+//
+// Bytes are appended to the window as in a flat sink. A run of zeros long
+// enough to hold a whole block first pads the window to a block boundary
+// and scans it: each all-zero block is dropped, each other block moves
+// down behind the kept ones. The blocks inside the run are then left out
+// without being written. A block that still holds a pending chunk length
+// is kept whatever its bytes, since the patch is still to come; the ones
+// that stay all zero are dropped at the end.
+
+void Serializer::skip_zeros(std::size_t n) {
+  const std::size_t at = size();
+  const std::size_t first = (at + kZeroBlock - 1) / kZeroBlock * kZeroBlock;
+  const std::size_t last = (at + n) / kZeroBlock * kZeroBlock;
+  if (last <= first) {  // no whole block among them
+    buf_.append(n, '\0');
+    return;
+  }
+  buf_.append(first - at, '\0');
+  scan_window();
+  base_ = last;
+  buf_.append(at + n - last, '\0');
+}
+
+void Serializer::scan_window() {
+  const std::size_t end =
+      window_ + (buf_.size() - window_) / kZeroBlock * kZeroBlock;
+  std::size_t out = window_;
+  for (std::size_t in = window_; in < end;
+       in += kZeroBlock, base_ += kZeroBlock) {
+    bool pinned = false;
+    for (Site& len : chunk_stack_) {
+      if (len.offset + 8 <= base_ || len.offset >= base_ + kZeroBlock) {
+        continue;
+      }
+      pinned = true;
+      if (len.offset >= base_) len.at = out + (len.offset - base_);
+    }
+    if (!pinned && zero_block(buf_.data() + in)) continue;
+    if (pinned) pinned_.push_back({out, base_});
+    if (out != in) {
+      std::memmove(buf_.data() + out, buf_.data() + in, kZeroBlock);
+    }
+    keep(base_, kZeroBlock);
+    out += kZeroBlock;
+  }
+  // The partial block after the scanned ones follows the kept data.
+  buf_.erase(out, end - out);
+  for (Site& len : chunk_stack_) {
+    if (len.offset >= base_) len.at -= end - out;
+  }
+  window_ = out;
+}
+
+void Serializer::keep(std::size_t offset, std::size_t len) {
+  if (!runs_.empty() && runs_.back().at + runs_.back().len == offset) {
+    runs_.back().len += len;
+  } else {
+    runs_.push_back({offset, len});
   }
 }
 
+void Serializer::drop_pinned(const Site& block) {
+  buf_.erase(block.at, kZeroBlock);
+  const auto run =
+      std::prev(std::upper_bound(runs_.begin(), runs_.end(), block.offset,
+                                 [](std::size_t offset, const auto& r) {
+                                   return offset < r.at;
+                                 }));
+  const PackedPayload::Run whole = *run;
+  const std::size_t head = block.offset - whole.at;
+  const PackedPayload::Run rest{block.offset + kZeroBlock,
+                                whole.len - head - kZeroBlock};
+  if (head == 0) {
+    if (rest.len == 0) {
+      runs_.erase(run);
+    } else {
+      *run = rest;
+    }
+  } else {
+    run->len = head;
+    if (rest.len != 0) runs_.insert(std::next(run), rest);
+  }
+}
+
+PackedPayload Serializer::take_packed() {
+  if (!packed_ || !chunk_stack_.empty()) {
+    throw std::logic_error("take_packed needs a packed sink, no chunk open");
+  }
+  scan_window();
+  const std::size_t tail = buf_.size() - window_;
+  if (tail != 0) keep(base_, tail);
+  // Latest first, so the earlier blocks' indices stay put.
+  for (auto it = pinned_.rbegin(); it != pinned_.rend(); ++it) {
+    if (zero_block(buf_.data() + it->at)) drop_pinned(*it);
+  }
+  PackedPayload out;
+  out.size_ = base_ + tail;
+  out.runs_ = runs_;
+  out.kept_ = buf_;
+  clear();
+  return out;
+}
+
 // ---- Deserializer -----------------------------------------------------------
+
+namespace {
+
+/// What a packed payload's left-out blocks read as.
+constexpr std::size_t kZeroBytes = 16 * kZeroBlock;
+const char kZeros[kZeroBytes] = {};
+
+}  // namespace
+
+Deserializer::Deserializer(const PackedPayload& packed) : packed_(&packed) {
+  size_ = packed.size();
+  seek();
+}
 
 void Deserializer::need(std::size_t n) const {
   // A read may not cross the end of the innermost open chunk: a misaligned
@@ -277,27 +359,66 @@ void Deserializer::need(std::size_t n) const {
   }
 }
 
-char Deserializer::take_byte() {
-  need(1);
-  return buf_[pos_++];
+/// Points the segment at the kept run or the gap that holds pos_.
+void Deserializer::seek() {
+  const auto& runs = packed_->runs();
+  while (run_ < runs.size() && runs[run_].at + runs[run_].len <= pos_) {
+    run_kept_ += runs[run_].len;
+    ++run_;
+  }
+  if (run_ < runs.size() && runs[run_].at <= pos_) {
+    seg_ = packed_->kept().data() + run_kept_;
+    seg_at_ = runs[run_].at;
+    seg_end_ = seg_at_ + runs[run_].len;
+  } else {
+    const std::size_t gap_end = run_ < runs.size() ? runs[run_].at : size_;
+    seg_ = kZeros;
+    seg_at_ = pos_;
+    seg_end_ = std::min(gap_end, pos_ + kZeroBytes);
+  }
+}
+
+std::size_t Deserializer::packed_gap() {
+  seek();
+  if (seg_ != kZeros) return 0;
+  const auto& runs = packed_->runs();
+  return (run_ < runs.size() ? runs[run_].at : size_) - pos_;
+}
+
+const char* Deserializer::take_across(std::size_t len) {
+  // need() has passed, so only a packed payload gets here.
+  seek();
+  if (pos_ + len <= seg_end_) return take(len);
+  // The read spans a run's edge (or is longer than the zero block):
+  // assembled from the runs it overlaps.
+  scratch_.assign(len, '\0');
+  const auto& runs = packed_->runs();
+  const std::size_t end = pos_ + len;
+  std::size_t kept = run_kept_;
+  for (std::size_t r = run_; r < runs.size() && runs[r].at < end;
+       kept += runs[r].len, ++r) {
+    const std::size_t lo = std::max(pos_, runs[r].at);
+    const std::size_t hi = std::min(end, runs[r].at + runs[r].len);
+    std::memcpy(scratch_.data() + (lo - pos_),
+                packed_->kept().data() + kept + (lo - runs[r].at), hi - lo);
+  }
+  pos_ = end;
+  return scratch_.data();
 }
 
 std::string Deserializer::str() {
   const std::uint64_t n = u64();
   need(n);
-  std::string s(buf_.substr(pos_, n));
-  pos_ += n;
-  return s;
+  return std::string(take(n), n);
 }
 
 void Deserializer::begin_chunk(std::string_view tag) {
   need(4);
-  const std::string_view got(buf_.data() + pos_, 4);
+  const std::string_view got(take(4), 4);
   if (got != tag) {
     throw CkptError("checkpoint chunk mismatch: expected '" +
                     std::string(tag) + "', found '" + std::string(got) + "'");
   }
-  pos_ += 4;
   const std::uint64_t len = u64();
   need(len);
   chunk_stack_.emplace_back(std::string(tag), pos_ + len);

@@ -78,8 +78,57 @@ T load_le(const char* p) {
   return v;
 }
 
+/// Checksums and packed payloads scan a payload in blocks of this many
+/// bytes, counted from its start: an all-zero block costs one word scan.
+inline constexpr std::size_t kZeroBlock = 256;
+
+/// A payload with its all-zero kZeroBlock-byte blocks left out: the
+/// in-memory form of a checkpoint that never leaves the process (the prefix
+/// engine's golden snapshots). It carries no container and no CRC. The
+/// blocks are the ones crc32 and hash64 fold in as zero runs. A packed
+/// Serializer writes it (take_packed()); a Deserializer reads it in place.
+class PackedPayload {
+ public:
+  /// Kept bytes [at, at + len) of the payload. Runs are ascending and
+  /// separated by at least one left-out block; each starts on a block
+  /// boundary, and the last one holds the payload's partial tail block
+  /// whatever its bytes.
+  struct Run {
+    std::size_t at = 0;
+    std::size_t len = 0;
+    bool operator==(const Run&) const = default;
+  };
+
+  /// Size of the payload it packs.
+  std::size_t size() const { return size_; }
+  const std::vector<Run>& runs() const { return runs_; }
+  /// The kept runs' bytes, back to back.
+  const std::string& kept() const { return kept_; }
+  /// Bytes it holds: the kept runs and their offsets.
+  std::size_t bytes() const {
+    return kept_.size() + runs_.size() * sizeof(Run);
+  }
+
+  bool operator==(const PackedPayload&) const = default;
+
+ private:
+  friend class Serializer;
+  std::vector<Run> runs_;
+  std::string kept_;
+  std::size_t size_ = 0;
+};
+
 class Serializer {
  public:
+  /// Where the payload goes. kFlat holds it whole (data(), take());
+  /// kPacked drops its all-zero blocks as they are written and hands the
+  /// rest over as a PackedPayload (take_packed()). Both take the same
+  /// writes: one walk serves either.
+  enum class Sink : std::uint8_t { kFlat, kPacked };
+
+  explicit Serializer(Sink sink = Sink::kFlat)
+      : packed_(sink == Sink::kPacked) {}
+
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
@@ -104,22 +153,49 @@ class Serializer {
     buf_.resize(at + len);
     return buf_.data() + at;
   }
+  /// Appends `n` zero bytes. A packed sink stores none of the whole blocks
+  /// among them.
+  void zeros(std::size_t n) {
+    if (packed_ && n >= kZeroBlock) {
+      skip_zeros(n);
+    } else {
+      buf_.append(n, '\0');
+    }
+  }
 
   /// Opens a tagged chunk (`tag` must be exactly 4 characters). The length
   /// is back-patched by end_chunk(); chunks nest.
   void begin_chunk(std::string_view tag);
   void end_chunk();
 
+  /// Payload bytes written so far.
+  std::size_t size() const { return base_ + buf_.size() - window_; }
+
+  /// The payload (flat sink only).
   const std::string& data() const { return buf_; }
   std::string take() { return std::move(buf_); }
+  /// Packed sink only, with no chunk open: the payload written so far,
+  /// packed. Empties the serializer like clear().
+  PackedPayload take_packed();
   /// Empties the buffer but keeps its capacity, so a Serializer reused for
   /// the next save of the same state writes into memory already mapped.
   void clear() {
     buf_.clear();
     chunk_stack_.clear();
+    runs_.clear();
+    pinned_.clear();
+    base_ = 0;
+    window_ = 0;
   }
 
  private:
+  /// A byte written: its index in buf_ and its offset in the payload (the
+  /// same in a flat sink).
+  struct Site {
+    std::size_t at = 0;
+    std::size_t offset = 0;
+  };
+
   template <typename T>
   void put_le(T v) {
     // Assembled in a local and appended at once: one capacity check per
@@ -129,22 +205,42 @@ class Serializer {
     buf_.append(bytes, sizeof(T));
   }
 
+  void skip_zeros(std::size_t n);
+  void scan_window();
+  void keep(std::size_t offset, std::size_t len);
+  void drop_pinned(const Site& block);
+
+  // A packed sink holds the kept blocks in buf_[0, window_) and the bytes
+  // not scanned yet, from payload offset base_ (a block boundary) on, in
+  // buf_[window_, end). A flat sink has base_ = window_ = 0.
   std::string buf_;
-  std::vector<std::size_t> chunk_stack_;  // offsets of pending length fields
+  std::vector<Site> chunk_stack_;  // pending length fields
+  bool packed_ = false;
+  std::size_t base_ = 0;
+  std::size_t window_ = 0;
+  std::vector<PackedPayload::Run> runs_;  // of buf_[0, window_)
+  /// Kept blocks that held a pending length field when scanned: their
+  /// zeros may not have been final.
+  std::vector<Site> pinned_;
 };
 
 class Deserializer {
  public:
   /// Reads `payload`, which the Deserializer owns.
-  explicit Deserializer(std::string payload)
-      : owned_(std::move(payload)), buf_(owned_) {}
+  explicit Deserializer(std::string payload) : owned_(std::move(payload)) {
+    view(owned_);
+  }
   /// Reads `bytes` in place, without a copy: they must outlive the reader.
-  explicit Deserializer(std::string_view bytes) : buf_(bytes) {}
-  // buf_ may view owned_: a copied or moved reader would dangle.
+  explicit Deserializer(std::string_view bytes) { view(bytes); }
+  /// Reads the payload `packed` holds, in place: kept bytes where they lie,
+  /// left-out blocks as zeros. `packed` must outlive the reader.
+  explicit Deserializer(const PackedPayload& packed);
+  // seg_ may point into owned_ or scratch_: a copied or moved reader would
+  // dangle.
   Deserializer(const Deserializer&) = delete;
   Deserializer& operator=(const Deserializer&) = delete;
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take_byte()); }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(*take(1)); }
   std::uint32_t u32() { return get_le<std::uint32_t>(); }
   std::uint64_t u64() { return get_le<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -160,12 +256,21 @@ class Deserializer {
     if (len != 0) std::memcpy(data, take(len), len);
   }
   /// Consumes `len` bytes and returns where they start (a block of
-  /// fixed-width records, decoded in place).
+  /// fixed-width records, decoded in place). The pointer is valid until the
+  /// next read.
   const char* take(std::size_t len) {
     need(len);
-    const char* at = buf_.data() + pos_;
+    if (pos_ + len > seg_end_) return take_across(len);
+    const char* at = seg_ + (pos_ - seg_at_);
     pos_ += len;
     return at;
+  }
+  /// Length of the left-out zeros from the read position on: 0 in a kept
+  /// run and in a flat payload. skip() consumes them without reading.
+  std::size_t gap() { return packed_ ? packed_gap() : 0; }
+  void skip(std::size_t len) {
+    need(len);
+    pos_ += len;
   }
 
   /// Consumes the header of a chunk and verifies its tag; end_chunk()
@@ -173,18 +278,26 @@ class Deserializer {
   void begin_chunk(std::string_view tag);
   void end_chunk();
 
-  bool at_end() const { return pos_ == buf_.size(); }
-  std::size_t remaining() const { return buf_.size() - pos_; }
+  /// Throws CkptError unless `n` more bytes lie before the end of the
+  /// innermost open chunk.
+  void need(std::size_t n) const;
+
+  bool at_end() const { return pos_ == size_; }
+  std::size_t remaining() const { return size_ - pos_; }
   /// Bytes left before the end of the innermost open chunk (the whole
   /// payload when no chunk is open).
   std::size_t chunk_remaining() const {
-    return (chunk_stack_.empty() ? buf_.size() : chunk_stack_.back().second) -
-           pos_;
+    return (chunk_stack_.empty() ? size_ : chunk_stack_.back().second) - pos_;
   }
 
  private:
-  char take_byte();
-  void need(std::size_t n) const;
+  void view(std::string_view bytes) {
+    seg_ = bytes.data();
+    seg_end_ = size_ = bytes.size();
+  }
+  void seek();
+  std::size_t packed_gap();
+  const char* take_across(std::size_t len);
 
   template <typename T>
   T get_le() {
@@ -192,34 +305,19 @@ class Deserializer {
   }
 
   std::string owned_;  // empty when reading a caller's bytes in place
-  std::string_view buf_;
-  std::size_t pos_ = 0;
-  std::vector<std::pair<std::string, std::size_t>> chunk_stack_;  // tag, end
-};
-
-/// A payload with its all-zero 256-byte blocks left out: the in-memory form
-/// of a checkpoint that never leaves the process (the prefix engine's golden
-/// snapshots). It carries no container and no CRC. The blocks are the ones
-/// crc32 and hash64 fold in as zero runs, counted from the payload's start.
-class PackedPayload {
- public:
-  static PackedPayload pack(std::string_view payload);
-  /// Replaces `out` with the packed payload: zeros, then the kept runs
-  /// copied back in. Reuses `out`'s capacity.
-  void unpack_into(std::string& out) const;
-  /// Bytes it holds: the kept runs and their offsets.
-  std::size_t bytes() const {
-    return data_.size() + runs_.size() * sizeof(Run);
-  }
-
- private:
-  struct Run {
-    std::size_t at = 0;   ///< offset in the payload
-    std::size_t len = 0;  ///< bytes, stored back to back in data_
-  };
-  std::vector<Run> runs_;
-  std::string data_;
+  const PackedPayload* packed_ = nullptr;
   std::size_t size_ = 0;
+  std::size_t pos_ = 0;
+  // The segment reads are served from: payload bytes [seg_at_, seg_end_)
+  // stored from seg_ on. A flat payload is one segment; a packed one is a
+  // kept run, or a stretch of a gap served from a shared zero block.
+  const char* seg_ = nullptr;
+  std::size_t seg_at_ = 0;
+  std::size_t seg_end_ = 0;
+  std::size_t run_ = 0;       // packed: first run ending after seg_at_
+  std::size_t run_kept_ = 0;  // packed: where runs()[run_] starts in kept()
+  std::string scratch_;       // packed: a read across a run's edge
+  std::vector<std::pair<std::string, std::size_t>> chunk_stack_;  // tag, end
 };
 
 // ---- Container I/O ----------------------------------------------------------

@@ -44,12 +44,26 @@ void System::load_checkpoint(ckpt::Deserializer& d) {
   visit_checkpoint(ar);
 }
 
-void System::load_checkpoint_payload(std::string_view payload) {
-  ckpt::Deserializer d{payload};
-  load_checkpoint(d);
+namespace {
+
+/// load_checkpoint over everything `d` holds.
+void load_whole(System& sys, ckpt::Deserializer& d) {
+  sys.load_checkpoint(d);
   if (!d.at_end()) {
     throw ckpt::CkptError("trailing bytes after system checkpoint");
   }
+}
+
+}  // namespace
+
+void System::load_checkpoint_payload(std::string_view payload) {
+  ckpt::Deserializer d{payload};
+  load_whole(*this, d);
+}
+
+void System::load_checkpoint_packed(const ckpt::PackedPayload& payload) {
+  ckpt::Deserializer d{payload};
+  load_whole(*this, d);
 }
 
 void System::save_checkpoint_file(const std::string& path) const {

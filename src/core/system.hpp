@@ -217,8 +217,11 @@ class System : public engine::SimModel {
   void load_checkpoint(ckpt::Deserializer& d);
   /// load_checkpoint over the whole of `payload` (a save_checkpoint
   /// output, no container); trailing bytes throw ckpt::CkptError. Every
-  /// restore path ends here, after its own container checks if any.
+  /// file and blob restore ends here, after its container checks.
   void load_checkpoint_payload(std::string_view payload);
+  /// The same over a packed payload (a save_checkpoint into a packed
+  /// Serializer), read in place: the prefix engine's restore.
+  void load_checkpoint_packed(const ckpt::PackedPayload& payload);
 
   /// Whole-file convenience: the "unsync.ckpt.v1" container (magic, schema,
   /// CRC-32) written via write-to-temp + atomic rename.

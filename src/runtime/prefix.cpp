@@ -219,7 +219,8 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
                                      *stream, gjob.params);
 
   auto trace = std::make_shared<GoldenTrace>();
-  ckpt::Serializer scratch;  // every boundary saves into the same buffer
+  // Every boundary saves into the same buffer, packed as it is written.
+  ckpt::Serializer scratch(ckpt::Serializer::Sink::kPacked);
   for (Cycle k = 1;; ++k) {
     const Cycle boundary = k * interval;
     engine::RunResult r = sys->run(boundary);
@@ -229,9 +230,8 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
     }
     GoldenTrace::Snap snap;
     snap.boundary = boundary;
-    scratch.clear();
     sys->save_checkpoint(scratch);
-    snap.state = ckpt::PackedPayload::pack(scratch.data());
+    snap.state = scratch.take_packed();
     snap.progress = sys->group_progress();
     trace->bytes += snap.state.bytes();
     trace->snaps.push_back(std::move(snap));
@@ -240,9 +240,7 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
 }
 
 void restore_golden(core::System& sys, const GoldenTrace::Snap& snap) {
-  thread_local std::string payload;
-  snap.state.unpack_into(payload);
-  sys.load_checkpoint_payload(payload);
+  sys.load_checkpoint_packed(snap.state);
 }
 
 void PrefixEngine::evict_over_budget_locked(const std::string& keep) {

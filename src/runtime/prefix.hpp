@@ -8,19 +8,19 @@
 //
 //  * For each unique fault-free configuration it simulates the GOLDEN
 //    (ser=0) run once, keeping a snapshot at every interval boundary: the
-//    System::save_checkpoint payload, saved through one reused Serializer
-//    and held as a ckpt::PackedPayload (its all-zero 256-byte blocks left
-//    out). Snapshots never leave the process, so they carry no container
-//    and no CRC; the "unsync.ckpt.v1" container is the file and CLI format
-//    only.
+//    System::save_checkpoint payload as a ckpt::PackedPayload (its
+//    all-zero 256-byte blocks left out), written straight into that form
+//    by one reused packed Serializer. Snapshots never leave the process,
+//    so they carry no container and no CRC; the "unsync.ckpt.v1"
+//    container is the file and CLI format only.
 //  * A job with no arrival at all is the golden run, end to end: it returns
 //    the golden result outright.
 //  * Every other job computes its fault channel out of band (through
 //    core::System::draw_arrivals, the draw construction performs),
 //    restores from the latest golden checkpoint that provably precedes its
-//    first arrival (restore_golden: the snapshot inflated into a buffer the
-//    worker reuses, then System::load_checkpoint_payload), installs its own
-//    channel (System::install_fault_channel), and runs to completion.
+//    first arrival (restore_golden: System::load_checkpoint_packed, which
+//    reads the snapshot in place), installs its own channel
+//    (System::install_fault_channel), and runs to completion.
 //
 // A job never rejoins the golden run once an arrival fires: every redundant
 // system's recovery costs cycles (detection is certain and each strike
@@ -124,9 +124,9 @@ std::shared_ptr<const GoldenTrace> build_golden(const SimJob& job,
                                                 std::uint64_t seed,
                                                 Cycle interval);
 
-/// Restores `snap` into `sys`, a freshly built golden twin: inflates it into
-/// a buffer this thread reuses and decodes that with
-/// System::load_checkpoint_payload. The engine's only restore path.
+/// Restores `snap` into `sys`, a freshly built golden twin, reading the
+/// packed snapshot in place (System::load_checkpoint_packed). The engine's
+/// only restore path.
 void restore_golden(core::System& sys, const GoldenTrace::Snap& snap);
 
 /// Computes a job's fault channel out of band (see FaultChannel).

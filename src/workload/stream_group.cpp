@@ -24,6 +24,8 @@
 // disagree restores exactly.
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -53,15 +55,16 @@ class SyntheticStream::Ring {
  public:
   Ring(const SyntheticStream& proto, std::size_t readers)
       : gen_(proto.profile_, proto.seed_, proto.length_),
-        slots_(std::bit_ceil(
-            std::clamp<std::uint64_t>(proto.length_, kMinSlots, kStartSlots))),
-        mask_(slots_.size() - 1),
+        mask_(std::bit_ceil(std::clamp<std::uint64_t>(proto.length_, kMinSlots,
+                                                      kStartSlots)) -
+              1),
+        slots_(allocate(slot_count())),
         readers_(readers) {}
 
   const SyntheticStream& generator() const { return gen_; }
 
   RingStats stats() const {
-    return {drawn_, live() - base_, slots_.size()};
+    return {drawn_, live() - base_, slot_count()};
   }
 
   bool read(std::size_t r, DynOp* out) {
@@ -125,6 +128,17 @@ class SyntheticStream::Ring {
     DynOp op;
     State before;  ///< generator state that drew `op`
   };
+  /// Slots are allocated unconstructed: produce() writes each one before
+  /// anything reads it, so no slot has its Rng seeded or its bytes zeroed.
+  /// (Slot is an aggregate of trivially copyable members, for which
+  /// operator new's storage holds objects ready to be assigned.)
+  struct FreeSlots {
+    void operator()(Slot* p) const { ::operator delete(p); }
+  };
+  using Slots = std::unique_ptr<Slot[], FreeSlots>;
+  static Slots allocate(std::size_t n) {
+    return Slots(static_cast<Slot*>(::operator new(n * sizeof(Slot))));
+  }
   struct Reader {
     SeqNum pos = 0;            ///< next op to read, in [base_, live()]
     std::optional<State> own;  ///< set while detached
@@ -134,6 +148,7 @@ class SyntheticStream::Ring {
   static constexpr std::uint64_t kStartSlots = 512;
 
   SeqNum live() const { return gen_.state_.next_seq; }
+  std::size_t slot_count() const { return mask_ + 1; }
 
   /// The generator state before op `q`, for base_ <= q <= live().
   const State& at(SeqNum q) const {
@@ -160,7 +175,7 @@ class SyntheticStream::Ring {
   bool produce() {
     State& s = gen_.state_;
     if (s.next_seq >= gen_.length_) return false;
-    if (s.next_seq - base_ == slots_.size()) make_room();
+    if (s.next_seq - base_ == slot_count()) make_room();
     Slot& slot = slots_[s.next_seq & mask_];
     slot.before = s;
     return draw(s, &slot.op);
@@ -171,14 +186,14 @@ class SyntheticStream::Ring {
     for (const Reader& rd : readers_) {
       if (!rd.own) slowest = std::min(slowest, rd.pos);
     }
-    const SeqNum keep = slots_.size() / 2;
+    const SeqNum keep = slot_count() / 2;
     const SeqNum trim_to = slowest > keep ? slowest - keep : 0;
-    if (trim_to >= base_ + slots_.size() / 4) {
+    if (trim_to >= base_ + slot_count() / 4) {
       base_ = trim_to;
       return;
     }
-    std::vector<Slot> grown(slots_.size() * 2);
-    const SeqNum mask = grown.size() - 1;
+    Slots grown = allocate(slot_count() * 2);
+    const SeqNum mask = slot_count() * 2 - 1;
     for (SeqNum q = base_; q < live(); ++q) grown[q & mask] = slots_[q & mask_];
     slots_ = std::move(grown);
     mask_ = mask;
@@ -220,8 +235,8 @@ class SyntheticStream::Ring {
   }
 
   SyntheticStream gen_;  ///< its state_ is the shared generator state
-  std::vector<Slot> slots_;
-  SeqNum mask_;
+  SeqNum mask_;          ///< slot count - 1 (a power of two)
+  Slots slots_;
   SeqNum base_ = 0;  ///< oldest op still held
   std::vector<Reader> readers_;
   bool merge_pending_ = false;

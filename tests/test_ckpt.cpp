@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
@@ -216,11 +217,12 @@ TEST(ZeroBlocks, NonZeroSeedsChainAcrossSplitPoints) {
 
 // ---- Packed payloads --------------------------------------------------------
 //
-// PackedPayload drops the whole all-zero 256-byte blocks counted from the
-// payload's start. The reference below finds them one block at a time.
+// A packed Serializer drops the whole all-zero 256-byte blocks counted from
+// the payload's start, and a Deserializer reads what it keeps in place. The
+// reference below finds the blocks one at a time in the flat payload.
 
-/// The (offset, length) runs pack must keep of `s`: every byte outside a
-/// whole all-zero block, adjacent kept blocks merged.
+/// The (offset, length) runs a packed payload must keep of `s`: every byte
+/// outside a whole all-zero block, adjacent kept blocks merged.
 std::vector<std::pair<std::size_t, std::size_t>> kept_runs_blockwise(
     std::string_view s) {
   std::vector<std::pair<std::size_t, std::size_t>> runs;
@@ -239,20 +241,61 @@ std::vector<std::pair<std::size_t, std::size_t>> kept_runs_blockwise(
   return runs;
 }
 
-void expect_packs(std::string_view s) {
-  const ckpt::PackedPayload packed = ckpt::PackedPayload::pack(s);
+/// Writes `s` to a packed sink: in one bytes() call, or with each run of
+/// zero bytes declared through zeros().
+ckpt::PackedPayload pack(std::string_view s, bool declare_zeros) {
+  ckpt::Serializer out(ckpt::Serializer::Sink::kPacked);
+  if (!declare_zeros) {
+    out.bytes(s.data(), s.size());
+    return out.take_packed();
+  }
+  for (std::size_t at = 0; at < s.size();) {
+    std::size_t end = s.find_first_not_of('\0', at);
+    if (end == std::string_view::npos) end = s.size();
+    if (end != at) {
+      out.zeros(end - at);
+    } else {
+      end = std::min(s.find('\0', at), s.size());
+      out.bytes(s.data() + at, end - at);
+    }
+    at = end;
+  }
+  return out.take_packed();
+}
+
+/// The payload `packed` holds, read in place in one piece.
+std::string unpacked(const ckpt::PackedPayload& packed) {
+  ckpt::Deserializer d(packed);
+  std::string out(d.take(packed.size()), packed.size());
+  EXPECT_TRUE(d.at_end());
+  return out;
+}
+
+/// `packed` is the flat payload `s` with its whole zero blocks left out:
+/// the reference's runs and kept bytes, the matching bytes() and size(),
+/// and `s` again when read back.
+void expect_packed_form_of(const ckpt::PackedPayload& packed,
+                           std::string_view s) {
   const auto runs = kept_runs_blockwise(s);
-  std::size_t kept = 0;
-  for (const auto& run : runs) kept += run.second;
+  std::string kept;
+  for (const auto& [at, len] : runs) kept.append(s.substr(at, len));
+  EXPECT_EQ(packed.size(), s.size());
+  ASSERT_EQ(packed.runs().size(), runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(packed.runs()[i].at, runs[i].first) << i;
+    EXPECT_EQ(packed.runs()[i].len, runs[i].second) << i;
+  }
+  EXPECT_TRUE(packed.kept() == kept);
   // Each kept run costs its bytes plus an (offset, length) pair.
-  EXPECT_EQ(packed.bytes(), kept + runs.size() * 2 * sizeof(std::size_t));
-  // Unpacking overwrites whatever a reused buffer held, shorter or longer.
-  std::string out = "stale";
-  packed.unpack_into(out);
-  EXPECT_EQ(out, s);
-  out.assign(s.size() + 300, '\x5A');
-  packed.unpack_into(out);
-  EXPECT_EQ(out, s);
+  EXPECT_EQ(packed.bytes(),
+            kept.size() + runs.size() * 2 * sizeof(std::size_t));
+  EXPECT_TRUE(unpacked(packed) == s);
+}
+
+void expect_packs(std::string_view s) {
+  const ckpt::PackedPayload whole = pack(s, false);
+  expect_packed_form_of(whole, s);
+  EXPECT_EQ(pack(s, true), whole);
 }
 
 TEST(PackedPayload, ZeroRunsAtEveryAlignmentRoundTrip) {
@@ -284,8 +327,8 @@ TEST(PackedPayload, AllZeroAndNoZeroBuffersRoundTrip) {
   }
   // Whole zero blocks keep nothing; a zero tail shorter than a block is
   // kept as it is.
-  EXPECT_EQ(ckpt::PackedPayload::pack(std::string(4096, '\0')).bytes(), 0u);
-  EXPECT_EQ(ckpt::PackedPayload::pack(std::string(4096 + 7, '\0')).bytes(),
+  EXPECT_EQ(pack(std::string(4096, '\0'), true).bytes(), 0u);
+  EXPECT_EQ(pack(std::string(4096 + 7, '\0'), true).bytes(),
             7 + 2 * sizeof(std::size_t));
 }
 
@@ -308,6 +351,141 @@ TEST(PackedPayload, RandomSparseBuffersRoundTrip) {
   for (int trial = 0; trial < 40; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     expect_packs(sparse_bytes(rng, rng() % 40000));
+  }
+}
+
+// Chunk lengths are back-patched: a block holding a length field that is
+// still open when its zeros are declared must not be dropped then, and
+// must be dropped at the end if the patched field leaves it all zero (the
+// high bytes of a length that straddles a block boundary).
+TEST(PackedPayload, OpenChunkLengthsAreKeptUntilPatched) {
+  std::mt19937_64 rng(9);
+  for (std::size_t head = 240; head <= 260; ++head) {
+    for (const std::size_t inner : {0, 3, 300, 3000}) {
+      SCOPED_TRACE("head " + std::to_string(head) + ", inner " +
+                   std::to_string(inner));
+      const std::string lead = nonzero_bytes(rng, head);
+      const auto write = [&](ckpt::Serializer& s) {
+        s.bytes(lead.data(), lead.size());
+        s.begin_chunk("OUTR");
+        s.begin_chunk("INNR");
+        s.zeros(inner);
+        s.end_chunk();
+        s.zeros(2000);
+        s.end_chunk();
+        s.begin_chunk("NONE");  // a zero length
+        s.end_chunk();
+        s.zeros(700);
+      };
+      ckpt::Serializer flat;
+      write(flat);
+      ckpt::Serializer packed(ckpt::Serializer::Sink::kPacked);
+      write(packed);
+      expect_packed_form_of(packed.take_packed(), flat.data());
+    }
+  }
+}
+
+// Random walks of every write through both sinks: the packed one always
+// holds the flat payload with its zero blocks left out, also when one
+// packed Serializer is reused.
+TEST(PackedPayload, RandomWritesMatchTheFlatSink) {
+  std::mt19937_64 rng(10);
+  ckpt::Serializer packed(ckpt::Serializer::Sink::kPacked);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ckpt::Serializer flat;
+    int depth = 0;
+    const auto both = [&](auto&& write) {
+      write(flat);
+      write(packed);
+    };
+    for (int op = 0; op < 200; ++op) {
+      const std::uint64_t v = rng() % 4 == 0 ? 0 : rng() >> (rng() % 64);
+      switch (rng() % 8) {
+        case 0:
+          both([&](ckpt::Serializer& s) {
+            s.u8(static_cast<std::uint8_t>(v));
+          });
+          break;
+        case 1:
+          both([&](ckpt::Serializer& s) { s.u64(v); });
+          break;
+        case 2: {
+          const std::size_t n = rng() % 3 == 0 ? rng() % 5000 : rng() % 300;
+          both([&](ckpt::Serializer& s) { s.zeros(n); });
+          break;
+        }
+        case 3: {
+          const std::string b = sparse_bytes(rng, rng() % 1500);
+          both([&](ckpt::Serializer& s) { s.bytes(b.data(), b.size()); });
+          break;
+        }
+        case 4: {
+          const std::string b = nonzero_bytes(rng, rng() % 40);
+          both([&](ckpt::Serializer& s) {
+            std::memcpy(s.extend(b.size()), b.data(), b.size());
+          });
+          break;
+        }
+        case 5:
+        case 6:
+          if (depth < 6) {
+            ++depth;
+            both([&](ckpt::Serializer& s) { s.begin_chunk("CHNK"); });
+          }
+          break;
+        default:
+          if (depth > 0) {
+            --depth;
+            both([&](ckpt::Serializer& s) { s.end_chunk(); });
+          }
+      }
+      EXPECT_EQ(packed.size(), flat.size());
+    }
+    for (; depth > 0; --depth) {
+      both([&](ckpt::Serializer& s) { s.end_chunk(); });
+    }
+    expect_packed_form_of(packed.take_packed(), flat.data());
+    EXPECT_EQ(packed.size(), 0u);
+  }
+}
+
+// The in-place reader serves any sequence of reads and skips of a packed
+// payload exactly as a flat reader of the payload does, including reads
+// that straddle a kept run and a left-out block; gap() is exactly the
+// left-out zeros ahead.
+TEST(PackedPayload, RandomReadsMatchTheFlatReader) {
+  std::mt19937_64 rng(11);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::string s = sparse_bytes(rng, rng() % 40000);
+    const ckpt::PackedPayload packed = pack(s, rng() % 2 == 0);
+    const auto runs = kept_runs_blockwise(s);
+    ckpt::Deserializer in_place(packed);
+    ckpt::Deserializer flat(std::string_view{s});
+    while (!flat.at_end()) {
+      const std::size_t at = s.size() - flat.remaining();
+      std::size_t gap = s.size() - at;
+      for (const auto& [run_at, len] : runs) {
+        if (run_at + len <= at) continue;
+        gap = run_at <= at ? 0 : run_at - at;
+        break;
+      }
+      ASSERT_EQ(in_place.gap(), gap) << "at " << at;
+      EXPECT_EQ(flat.gap(), 0u);
+      const std::size_t n = std::min<std::size_t>(
+          flat.remaining(), rng() % 4 == 0 ? rng() % 2000 : rng() % 40);
+      if (gap >= n && rng() % 2 == 0) {
+        in_place.skip(n);
+        flat.skip(n);
+        continue;
+      }
+      const std::string want(flat.take(n), n);
+      ASSERT_TRUE(std::string(in_place.take(n), n) == want) << "at " << at;
+    }
+    EXPECT_TRUE(in_place.at_end());
+    EXPECT_THROW(in_place.u8(), ckpt::CkptError);
   }
 }
 
@@ -573,6 +751,84 @@ TEST(ArchiveRecords, CoreWalksSkipBulkSpansAndFaultChannels) {
   };
   EXPECT_EQ(walk(ckpt::Archive::Mode::kSave).size(), 8u + 8u + 4u * 17u);
   EXPECT_EQ(walk(ckpt::Archive::Mode::kFingerprint).size(), 8u + 4u * 17u);
+}
+
+// records() over sets with per-set live counts, through both sinks. Sets
+// of eight 18-byte records straddle block boundaries, so many start in a
+// kept run and end in a left-out block, or the other way round.
+struct Way {
+  std::uint64_t tag = 0;
+  bool valid = false;
+  bool dirty = false;
+  std::uint64_t lru = 0;
+};
+
+TEST(ArchiveRecords, SparseSetsRoundTripThroughBothSinks) {
+  constexpr std::size_t kSets = 2048;
+  constexpr std::size_t kWays = 8;
+  std::mt19937_64 rng(12);
+  for (std::size_t trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Runs of empty sets between stretches of live ones; unused ways hold
+    // junk, which must read as zeros.
+    std::vector<Way> ways(kSets * kWays);
+    for (Way& w : ways) w = {rng(), true, true, rng()};
+    std::vector<std::uint8_t> used(kSets, 0);
+    for (std::size_t set = 0; set < kSets;) {
+      const bool live = rng() % 2 == 0;
+      for (std::size_t n = rng() % (live ? 10 : 60); n > 0 && set < kSets;
+           --n, ++set) {
+        if (!live) continue;
+        used[set] = static_cast<std::uint8_t>(1 + rng() % kWays);
+        for (std::size_t w = 0; w < used[set]; ++w) {
+          ways[set * kWays + w] = {rng() | 1, rng() % 2 == 0,
+                                   rng() % 2 == 0, rng() % 1000};
+        }
+      }
+    }
+    const std::string lead = nonzero_bytes(rng, trial * 37);
+    const auto walk = [&](ckpt::Archive& ar, std::vector<Way>& v,
+                          std::vector<std::uint8_t>& u) {
+      ar.chunk("LEAD", [&] {
+        std::string l = lead;
+        ar.str(l);
+      });
+      ar.chunk("SETS", [&] {
+        ar.records(v, u, &Way::tag, &Way::valid, &Way::dirty, &Way::lru);
+      });
+    };
+    ckpt::Serializer flat;
+    ckpt::Serializer sink(ckpt::Serializer::Sink::kPacked);
+    for (ckpt::Serializer* out : {&flat, &sink}) {
+      ckpt::Archive ar(*out);
+      walk(ar, ways, used);
+    }
+    const ckpt::PackedPayload packed = sink.take_packed();
+    expect_packed_form_of(packed, flat.data());
+    EXPECT_LT(packed.bytes() * 2, flat.data().size());
+
+    for (const bool in_place : {false, true}) {
+      std::unique_ptr<ckpt::Deserializer> d =
+          in_place ? std::make_unique<ckpt::Deserializer>(packed)
+                   : std::make_unique<ckpt::Deserializer>(
+                         std::string_view{flat.data()});
+      std::vector<Way> back(kSets * kWays);
+      std::vector<std::uint8_t> back_used(kSets, 99);
+      ckpt::Archive ar(*d);
+      walk(ar, back, back_used);
+      EXPECT_TRUE(d->at_end());
+      ASSERT_EQ(back_used, used) << "in place " << in_place;
+      for (std::size_t set = 0; set < kSets; ++set) {
+        for (std::size_t w = 0; w < used[set]; ++w) {
+          const Way& a = ways[set * kWays + w];
+          const Way& b = back[set * kWays + w];
+          EXPECT_TRUE(a.tag == b.tag && a.valid == b.valid &&
+                      a.dirty == b.dirty && a.lru == b.lru)
+              << "set " << set << " way " << w;
+        }
+      }
+    }
+  }
 }
 
 TEST(ComponentCkpt, RngStateRoundTrips) {
@@ -1046,6 +1302,74 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::string(core::name_of(info.param.kind));
     });
+
+// ---- Packed system snapshots -----------------------------------------------
+//
+// The prefix engine saves golden snapshots straight into a packed sink and
+// restores them in place. A packed save must be the flat save with its
+// zero blocks left out, and restoring it must give what restoring the flat
+// payload gives.
+
+void expect_packed_snapshot_matches(
+    const core::System& sys,
+    const std::function<std::unique_ptr<core::System>()>& make) {
+  ckpt::Serializer flat;
+  sys.save_checkpoint(flat);
+  ckpt::Serializer sink(ckpt::Serializer::Sink::kPacked);
+  sys.save_checkpoint(sink);
+  const ckpt::PackedPayload packed = sink.take_packed();
+  expect_packed_form_of(packed, flat.data());
+
+  auto from_flat = make();
+  from_flat->load_checkpoint_payload(flat.data());
+  auto from_packed = make();
+  from_packed->load_checkpoint_packed(packed);
+  EXPECT_EQ(from_packed->state_fingerprint(), from_flat->state_fingerprint());
+  ckpt::Serializer a, b;
+  from_flat->save_checkpoint(a);
+  from_packed->save_checkpoint(b);
+  EXPECT_TRUE(a.data() == flat.data());
+  EXPECT_TRUE(b.data() == flat.data());
+}
+
+TEST_P(DivergentCursors, PackedSnapshotRestoresLikeTheFlatOne) {
+  const DivergentPin& pin = GetParam();
+  auto sys = make(pin.kind);
+  sys->run(pin.cut);
+  expect_packed_snapshot_matches(*sys, [&] { return make(pin.kind); });
+}
+
+class PackedSnapshots : public ::testing::TestWithParam<core::SystemKind> {};
+
+// Mid-run cuts of every system, the last one after arrivals have fired and
+// been recovered from.
+TEST_P(PackedSnapshots, MatchTheFlatSaveBeforeAndAfterARecovery) {
+  const auto make = [&] {
+    core::SystemConfig cfg;
+    cfg.num_threads = 2;
+    cfg.ser_per_inst = 1e-3;
+    cfg.seed = 77;
+    workload::SyntheticStream stream(workload::profile("gzip"), cfg.seed,
+                                     4000);
+    return core::make_system(GetParam(), cfg, stream);
+  };
+  auto sys = make();
+  for (const Cycle cut : {Cycle{1}, Cycle{2500}, Cycle{9000}, Cycle{20000}}) {
+    SCOPED_TRACE("cycle " + std::to_string(cut));
+    const engine::RunResult r = sys->run(cut);
+    if (cut == 20000 && GetParam() != core::SystemKind::kBaseline) {
+      EXPECT_GT(r.errors_injected, 0u);
+    }
+    expect_packed_snapshot_matches(*sys, make);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSystems, PackedSnapshots,
+    ::testing::Values(core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+                      core::SystemKind::kReunion, core::SystemKind::kLockstep,
+                      core::SystemKind::kCheckpoint, core::SystemKind::kHetero),
+    [](const auto& info) { return std::string(core::name_of(info.param)); });
 
 // ---- Container fuzzing ------------------------------------------------------
 //

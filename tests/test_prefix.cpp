@@ -219,6 +219,60 @@ TEST(PrefixDigests, GoldenDigestsMatchANaiveTwinAtEveryBoundary) {
   }
 }
 
+/// The payload a packed snapshot holds, read in place.
+std::string unpacked(const ckpt::PackedPayload& packed) {
+  ckpt::Deserializer d(packed);
+  return std::string(d.take(packed.size()), packed.size());
+}
+
+// Golden snapshots are saved straight into a packed sink. Each one is the
+// naive twin's flat save at its boundary, packed: the same runs and bytes()
+// (so cache budgets, thinning and the bytes counter see what they always
+// did), the flat payload when read back, and the same restored state.
+TEST(PrefixCache, SnapshotsAreTheFlatSavesPacked) {
+  const auto trace = shared_trace(1500);
+  const Cycle interval = 500;
+  for (const auto kind :
+       {core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+        core::SystemKind::kReunion, core::SystemKind::kLockstep,
+        core::SystemKind::kCheckpoint, core::SystemKind::kHetero}) {
+    SimJob job;
+    job.trace = trace;
+    job.system = kind;
+    job.ser_per_inst = 2e-4;
+    const auto golden = runtime::build_golden(job, 31, interval);
+    ASSERT_GE(golden->snaps.size(), 3u) << name_of(kind);
+
+    GoldenTwin twin(job, 31);
+    for (const GoldenTrace::Snap& snap : golden->snaps) {
+      SCOPED_TRACE(std::string(name_of(kind)) + " @" +
+                   std::to_string(snap.boundary));
+      (void)twin.sys->run(snap.boundary);
+      ckpt::Serializer flat;
+      twin.sys->save_checkpoint(flat);
+      ckpt::Serializer repack(ckpt::Serializer::Sink::kPacked);
+      repack.bytes(flat.data().data(), flat.data().size());
+      const ckpt::PackedPayload want = repack.take_packed();
+      EXPECT_TRUE(snap.state.runs() == want.runs());
+      EXPECT_EQ(snap.state.bytes(), want.bytes());
+      EXPECT_TRUE(snap.state == want);
+      EXPECT_TRUE(unpacked(snap.state) == flat.data());
+
+      GoldenTwin from_flat(job, 31);
+      from_flat.sys->load_checkpoint_payload(flat.data());
+      GoldenTwin from_snap(job, 31);
+      runtime::restore_golden(*from_snap.sys, snap);
+      EXPECT_EQ(from_snap.sys->state_fingerprint(),
+                from_flat.sys->state_fingerprint());
+      ckpt::Serializer a, b;
+      from_flat.sys->save_checkpoint(a);
+      from_snap.sys->save_checkpoint(b);
+      EXPECT_TRUE(a.data() == flat.data());
+      EXPECT_TRUE(b.data() == flat.data());
+    }
+  }
+}
+
 // The cache counts packed snapshots: PrefixStats::bytes is the sum of their
 // sizes, a fraction of the containers the same payloads would make.
 TEST(PrefixCache, BytesAreThePackedSnapshotSizes) {
@@ -231,7 +285,6 @@ TEST(PrefixCache, BytesAreThePackedSnapshotSizes) {
   std::set<std::string> goldens;
   std::uint64_t packed = 0;
   std::uint64_t containers = 0;
-  std::string payload;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const std::uint64_t seed = runtime::job_seed(jobs, campaign_seed, i);
     (void)engine.run_job(jobs[i], seed);
@@ -241,8 +294,7 @@ TEST(PrefixCache, BytesAreThePackedSnapshotSizes) {
     const auto golden = runtime::build_golden(jobs[i], seed, opts.interval);
     for (const GoldenTrace::Snap& snap : golden->snaps) {
       packed += snap.state.bytes();
-      snap.state.unpack_into(payload);
-      containers += ckpt::wrap_container(payload).size();
+      containers += ckpt::wrap_container(unpacked(snap.state)).size();
     }
   }
   const runtime::PrefixStats stats = engine.stats();
