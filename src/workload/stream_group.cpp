@@ -27,6 +27,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "ckpt/archive.hpp"
@@ -132,6 +133,8 @@ class SyntheticStream::Ring {
   /// anything reads it, so no slot has its Rng seeded or its bytes zeroed.
   /// (Slot is an aggregate of trivially copyable members, for which
   /// operator new's storage holds objects ready to be assigned.)
+  static_assert(std::is_trivially_copyable_v<Slot> &&
+                std::is_trivially_destructible_v<Slot>);
   struct FreeSlots {
     void operator()(Slot* p) const { ::operator delete(p); }
   };
